@@ -1,103 +1,7 @@
-"""Bidirectional image/sentence retrieval with siamese embedding networks."""
+"""Bidirectional image/sentence retrieval with siamese embedding networks.
+
+The API is the submodules: ``corpus``, ``text``, ``nets``, ``ranker``,
+``checkpoint``, ``metrics`` and ``cli``.
+"""
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    Caption,
-    FeatureStore,
-    ImageRecord,
-    PretrainedEmbeddings,
-    SplitDataset,
-    generate_synthetic_corpus,
-    load_captions,
-    load_image_features,
-    load_word_embeddings,
-    split_dataset,
-)
-from .text import (
-    SparseVector,
-    TokenSequence,
-    Vocabulary,
-    build_vocabulary,
-    encode_sequence,
-    extract_terms,
-    featurize,
-    normalize_tokenize,
-)
-from .nets import Net, NetSpec, backward, forward, init_net, lr_schedule, sgd_step
-from .ranker import (
-    RetrievalDataset,
-    ScoreModel,
-    TrainConfig,
-    TrainHistory,
-    cosine_backward,
-    cosine_score,
-    margin_loss,
-    sample_negative,
-    train,
-    train_epoch,
-    validate,
-)
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .metrics import (
-    EvalReport,
-    RankingSet,
-    bleu,
-    build_rankings,
-    median_rank,
-    r_precision,
-    rank_candidates,
-    recall_at_k,
-    rouge,
-)
-
-__all__ = [
-    "Caption",
-    "Checkpoint",
-    "EvalReport",
-    "FeatureStore",
-    "ImageRecord",
-    "Net",
-    "NetSpec",
-    "PretrainedEmbeddings",
-    "RankingSet",
-    "RetrievalDataset",
-    "ScoreModel",
-    "SparseVector",
-    "SplitDataset",
-    "TokenSequence",
-    "TrainConfig",
-    "TrainHistory",
-    "Vocabulary",
-    "backward",
-    "bleu",
-    "build_rankings",
-    "build_vocabulary",
-    "cosine_backward",
-    "cosine_score",
-    "encode_sequence",
-    "extract_terms",
-    "featurize",
-    "forward",
-    "generate_synthetic_corpus",
-    "init_net",
-    "load_captions",
-    "load_checkpoint",
-    "load_image_features",
-    "load_word_embeddings",
-    "lr_schedule",
-    "margin_loss",
-    "median_rank",
-    "normalize_tokenize",
-    "r_precision",
-    "rank_candidates",
-    "recall_at_k",
-    "rouge",
-    "sample_negative",
-    "save_checkpoint",
-    "sgd_step",
-    "split_dataset",
-    "train",
-    "train_epoch",
-    "validate",
-]

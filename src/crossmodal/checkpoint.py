@@ -119,36 +119,40 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
     header_len = struct.unpack("<Q", blob[8:16])[0]
     header_end = 16 + header_len
+    offset = header_end
+    # the specs and configs validate themselves; a header that fails to
+    # parse or to rebuild them is as corrupt as a bad checksum
     try:
         header = json.loads(blob[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointCorruptError(f"{path}: unreadable header ({exc})") from None
-    offset = header_end
-    nets: dict[str, Net] = {}
-    for net_name, spec_key in (("textual", "textual_spec"), ("visual", "visual_spec")):
-        spec = NetSpec(**header[spec_key])
-        params: dict[str, np.ndarray] = {}
-        for name, shape in header["params"][net_name]:
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * 8
-            if offset + nbytes > len(blob) - 4:
-                raise CheckpointCorruptError(f"{path}: parameter data out of bounds")
-            arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
-            params[name] = arr.astype(np.float64, copy=True)
-            offset += nbytes
-        nets[net_name] = Net(spec=spec, params=params)
-    if offset != len(blob) - 4:
-        raise CheckpointCorruptError(f"{path}: trailing bytes after parameter data")
-    history = TrainHistory(
-        epochs=[EpochStats(*row) for row in header["history"]["epochs"]],
-        best_epoch=header["history"]["best_epoch"],
-    )
-    return Checkpoint(
-        format_version=version,
-        model=ScoreModel(textual_net=nets["textual"], visual_net=nets["visual"]),
-        vocabulary=_vocab_from_json(header["vocabulary"]),
-        train_config=TrainConfig(**header["train_config"]),
-        data_config=header["data_config"],
-        history=history,
-        vocab_digest=header["vocab_digest"],
-    )
+        nets: dict[str, Net] = {}
+        for net_name, spec_key in (("textual", "textual_spec"), ("visual", "visual_spec")):
+            spec = NetSpec(**header[spec_key])
+            params: dict[str, np.ndarray] = {}
+            for name, shape in header["params"][net_name]:
+                count = int(np.prod(shape)) if shape else 1
+                nbytes = count * 8
+                if offset + nbytes > len(blob) - 4:
+                    raise CheckpointCorruptError(f"{path}: parameter data out of bounds")
+                arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
+                params[name] = arr.astype(np.float64, copy=True)
+                offset += nbytes
+            nets[net_name] = Net(spec=spec, params=params)
+        if offset != len(blob) - 4:
+            raise CheckpointCorruptError(f"{path}: trailing bytes after parameter data")
+        history = TrainHistory(
+            epochs=[EpochStats(*row) for row in header["history"]["epochs"]],
+            best_epoch=header["history"]["best_epoch"],
+        )
+        return Checkpoint(
+            format_version=version,
+            model=ScoreModel(textual_net=nets["textual"], visual_net=nets["visual"]),
+            vocabulary=_vocab_from_json(header["vocabulary"]),
+            train_config=TrainConfig(**header["train_config"]),
+            data_config=header["data_config"],
+            history=history,
+            vocab_digest=header["vocab_digest"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # JSON and Unicode errors are ValueErrors
+        raise CheckpointCorruptError(
+            f"{path}: invalid header ({type(exc).__name__}: {exc})"
+        ) from None

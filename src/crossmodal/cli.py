@@ -12,6 +12,8 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, vocab_digest
@@ -24,10 +26,11 @@ from .corpus import (
     write_captions,
     write_features,
 )
-from .errors import ConfigError, CrossmodalError, ZeroNormError
+from .errors import ConfigError, CrossmodalError, EmptySequenceError, ZeroNormError
 from .metrics import build_rankings, evaluate_rankings, format_report, report_to_kv
 from .nets import NetSpec, forward, init_net
 from .ranker import (
+    METHODOLOGIES,
     RetrievalDataset,
     ScoreModel,
     TrainConfig,
@@ -36,10 +39,9 @@ from .ranker import (
     write_history,
 )
 from .text import (
-    MODES,
+    WEIGHTINGS,
     build_vocabulary,
-    encode_sequence,
-    featurize,
+    encode_caption,
     load_vocabulary,
     normalize_tokenize,
     save_vocabulary,
@@ -47,34 +49,56 @@ from .text import (
 
 MODE_FLAGS = {"unigram": "unigram", "2g": "bigram", "3g": "trigram", "tk3": "trigram_skip"}
 
-# defaults mirror the best-validated hyperparameters; lr decays linearly to
-# a 0.01 factor over 100 epochs and stays there
-DEFAULTS: dict[str, str] = {
-    "margin": "0.15",
-    "lr": "0.001",
-    "epochs": "50",
-    "methodology": "i2t",
-    "weighting": "binary",
-    "seed": "0",
-    "n_hu": "0",
-    "n_emb": "300",
-    "visual_n_hu": "0",
-    "textual": "bag",
-    "word_dim": "300",
-    "kernels": "300",
-    "window": "5",
-    "n_test": "1000",
-    "val_frac": "0.05",
-    "val_pairs": "500",
-}
-
 LR_DECAY_DESC = "linear to 0.01 factor over 100 epochs"
 NONLINEARITY = "relu"
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and # comments ignored."""
-    values: dict[str, str] = {}
+@dataclass(frozen=True)
+class Option:
+    """One train hyperparameter: a ``--flag``, a config-file key and a
+    manifest key, all spelled ``name`` (the flag with - for _)."""
+
+    name: str
+    type: Callable[[str], Any]
+    default: Any
+    choices: tuple = ()
+    help: str = ""
+    field: str | None = None  # the TrainConfig field it sets
+
+
+def _train_option(name: str, field_name: str, type_, help: str, choices: tuple = ()) -> Option:
+    """An option that sets a TrainConfig field and takes its default from it."""
+    return Option(name, type_, TrainConfig.__dataclass_fields__[field_name].default,
+                  choices, help, field_name)
+
+
+# defaults mirror the best-validated hyperparameters; lr decays linearly to
+# a 0.01 factor over 100 epochs and stays there
+OPTIONS = (
+    _train_option("margin", "margin", float, "hinge margin between positive and negative scores"),
+    _train_option("lr", "lr0", float, "initial learning rate"),
+    _train_option("epochs", "max_epochs", int, "number of training epochs"),
+    _train_option("methodology", "methodology", str.upper,
+                  "I2T swaps the caption of a pair, T2I its image", METHODOLOGIES),
+    _train_option("weighting", "weighting", str, "bag-of-terms feature weighting", WEIGHTINGS),
+    _train_option("seed", "seed", int, "seed for the split, initialization and sampling"),
+    _train_option("val_pairs", "val_pairs_per_epoch", int, "validation pairs scored per epoch"),
+    Option("n_hu", int, 0, help="hidden units of the bag textual net; 0 is linear"),
+    Option("n_emb", int, 300, help="width of the shared embedding space"),
+    Option("visual_n_hu", int, 0, help="hidden units of the visual net; 0 is linear"),
+    Option("textual", str, "bag", ("bag", "sse"), "textual net: bag of terms or sequence"),
+    Option("word_dim", int, 300, help="sse word vector width"),
+    Option("kernels", int, 300, help="sse convolution kernels"),
+    Option("window", int, 5, help="sse convolution window, in tokens"),
+    Option("n_test", int, 1000, help="images held out for the test split"),
+    Option("val_frac", float, 0.05, help="fraction of the remaining images used to validate"),
+)
+OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
+
+
+def parse_config_file(path: str) -> dict[str, Any]:
+    """Flat ``key = value`` lines, typed by OPTIONS; blank lines and # comments ignored."""
+    values: dict[str, Any] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -82,59 +106,32 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+            key, _, raw = line.partition("=")
+            opt = OPTION_BY_NAME.get(key.strip())
+            if opt is None:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
+            try:
+                value = opt.type(raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {opt.name}: {exc}") from None
+            if opt.choices and value not in opt.choices:
+                raise ConfigError(
+                    f"{path}:{lineno}: {opt.name} must be one of {opt.choices}, got {raw.strip()!r}"
+                )
+            values[opt.name] = value
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> dict[str, str]:
+def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    resolved = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    resolved = {opt.name: opt.default for opt in OPTIONS}
+    if args.config:
         resolved.update(parse_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
+    for opt in OPTIONS:
+        flag = getattr(args, opt.name)
         if flag is not None:
-            resolved[key] = str(flag)
+            resolved[opt.name] = flag
     return resolved
-
-
-def _typed_config(resolved: dict[str, str]) -> dict:
-    try:
-        typed = {
-            "margin": float(resolved["margin"]),
-            "lr": float(resolved["lr"]),
-            "epochs": int(resolved["epochs"]),
-            "methodology": resolved["methodology"].upper(),
-            "weighting": resolved["weighting"],
-            "seed": int(resolved["seed"]),
-            "n_hu": int(resolved["n_hu"]),
-            "n_emb": int(resolved["n_emb"]),
-            "visual_n_hu": int(resolved["visual_n_hu"]),
-            "textual": resolved["textual"],
-            "word_dim": int(resolved["word_dim"]),
-            "kernels": int(resolved["kernels"]),
-            "window": int(resolved["window"]),
-            "n_test": int(resolved["n_test"]),
-            "val_frac": float(resolved["val_frac"]),
-            "val_pairs": int(resolved["val_pairs"]),
-        }
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
-    if typed["margin"] <= 0:
-        raise ConfigError(f"margin must be positive, got {typed['margin']}")
-    if typed["lr"] <= 0:
-        raise ConfigError(f"lr must be positive, got {typed['lr']}")
-    if typed["methodology"] not in ("I2T", "T2I"):
-        raise ConfigError(f"methodology must be i2t or t2i, got {resolved['methodology']!r}")
-    if typed["weighting"] not in ("binary", "tfidf"):
-        raise ConfigError(f"weighting must be binary or tfidf, got {typed['weighting']!r}")
-    if typed["textual"] not in ("bag", "sse"):
-        raise ConfigError(f"textual must be bag or sse, got {typed['textual']!r}")
-    return typed
 
 
 def _sha256(path: str) -> str:
@@ -173,17 +170,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     vocab = build_vocabulary(captions, mode, args.max_size)
     os.makedirs(args.out, exist_ok=True)
     save_vocabulary(vocab, os.path.join(args.out, "vocab.tsv"))
-    cache_path = os.path.join(args.out, f"caption_features_{args.weighting}.tsv")
-    with open(cache_path, "w", encoding="utf-8") as fh:
-        for cap in sorted(captions, key=lambda c: (c.image_id, c.caption_index)):
-            vec = featurize(cap.tokens, vocab, args.weighting)
-            cells = " ".join(f"{i}:{v!r}" for i, v in zip(vec.indices, vec.values))
-            fh.write(f"{cap.image_id}\t{cap.caption_index}\t{cells}\n")
-    _progress(f"vocabulary of {vocab.size} {mode} terms; features cached at {cache_path}")
+    _progress(f"vocabulary of {vocab.size} {mode} terms written to {args.out}")
     return 0
 
 
-def _write_manifest(path: str, typed: dict, inputs: dict[str, str | None]) -> None:
+def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
+    inputs = {name: getattr(args, name) for name in ("captions", "features", "vocab", "embeddings")}
     manifest = {
         "tool_version": __version__,
         "seed": typed["seed"],
@@ -198,54 +190,49 @@ def _write_manifest(path: str, typed: dict, inputs: dict[str, str | None]) -> No
         fh.write("\n")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    typed = _typed_config(resolve_config(args))
-    vocab = load_vocabulary(args.vocab)
-    captions = load_captions(args.captions, strict=not args.lenient)
-    features = load_image_features(args.features)
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        typed,
-        {
-            "captions": args.captions,
-            "features": args.features,
-            "vocab": args.vocab,
-            "embeddings": args.embeddings,
-        },
-    )
-    split = split_dataset(
-        features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
-    )
-    textual_kind = "sequence" if typed["textual"] == "sse" else "bag"
-    data = RetrievalDataset(
-        features, captions, split, vocab,
-        weighting=typed["weighting"], textual_kind=textual_kind, lenient=args.lenient,
-    )
-    if textual_kind == "bag":
-        tspec = NetSpec(kind="bag", input_dim=vocab.size, n_emb=typed["n_emb"], n_hu=typed["n_hu"])
+def _net_specs(typed: dict, vocab_size: int, feature_dim: int) -> tuple[NetSpec, NetSpec]:
+    """(textual, visual) specs for the resolved hyperparameters."""
+    if typed["textual"] == "bag":
+        tspec = NetSpec(kind="bag", input_dim=vocab_size, n_emb=typed["n_emb"], n_hu=typed["n_hu"])
     else:
         tspec = NetSpec(
-            kind="sequence", input_dim=vocab.size, n_emb=typed["n_emb"],
+            kind="sequence", input_dim=vocab_size, n_emb=typed["n_emb"],
             word_dim=typed["word_dim"], kernel_count=typed["kernels"], window=typed["window"],
         )
     vspec = NetSpec(
-        kind="bag", input_dim=features.feature_dim, n_emb=typed["n_emb"], n_hu=typed["visual_n_hu"]
+        kind="bag", input_dim=feature_dim, n_emb=typed["n_emb"], n_hu=typed["visual_n_hu"]
     )
+    return tspec, vspec
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    typed = resolve_config(args)
+    vocab = load_vocabulary(args.vocab)
+    captions = load_captions(args.captions, strict=not args.lenient)
+    features = load_image_features(args.features)
     pretrained = load_word_embeddings(args.embeddings) if args.embeddings else None
+    # every value is checked by the object that enforces it before anything is written
+    try:
+        tspec, vspec = _net_specs(typed, vocab.size, features.feature_dim)
+        config = TrainConfig(**{opt.field: typed[opt.name] for opt in OPTIONS if opt.field})
+        split = split_dataset(
+            features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    data = RetrievalDataset(
+        features, captions, split, vocab,
+        weighting=config.weighting, textual_kind=tspec.kind, lenient=args.lenient,
+    )
+    for name in ("train", "val"):
+        if config.max_epochs and not data.view(name).pairs:
+            raise ConfigError(f"the {name} split has no scoreable pairs; check n_test and val_frac")
     model = ScoreModel(
-        textual_net=init_net(tspec, typed["seed"], pretrained=pretrained, vocab=vocab),
-        visual_net=init_net(vspec, typed["seed"] + 1),
+        textual_net=init_net(tspec, config.seed, pretrained=pretrained, vocab=vocab),
+        visual_net=init_net(vspec, config.seed + 1),
     )
-    config = TrainConfig(
-        margin=typed["margin"],
-        lr0=typed["lr"],
-        max_epochs=typed["epochs"],
-        methodology=typed["methodology"],
-        seed=typed["seed"],
-        weighting=typed["weighting"],
-        val_pairs_per_epoch=typed["val_pairs"],
-    )
+    os.makedirs(args.out, exist_ok=True)
+    _write_manifest(os.path.join(args.out, "manifest.json"), typed, args)
     best, history = train(
         model, data, config,
         progress=lambda s: _progress(
@@ -254,32 +241,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     write_history(history, os.path.join(args.out, "history.tsv"))
     save_checkpoint(
-        os.path.join(args.out, "checkpoint.bin"),
-        best,
-        vocab,
-        config,
-        history,
+        os.path.join(args.out, "checkpoint.bin"), best, vocab, config, history,
         data_config={"n_test": typed["n_test"], "val_frac": typed["val_frac"]},
     )
     _progress(f"best epoch {history.best_epoch}; checkpoint written to {args.out}")
     return 0
-
-
-def _dataset_for_checkpoint(ckpt, captions_path: str, features_path: str, lenient: bool):
-    captions = load_captions(captions_path, strict=not lenient)
-    features = load_image_features(features_path)
-    split = split_dataset(
-        features.records(),
-        captions,
-        ckpt.data_config["n_test"],
-        ckpt.data_config["val_frac"],
-        ckpt.train_config.seed,
-    )
-    textual_kind = ckpt.model.textual_net.spec.kind
-    return RetrievalDataset(
-        features, captions, split, ckpt.vocabulary,
-        weighting=ckpt.train_config.weighting, textual_kind=textual_kind, lenient=lenient,
-    )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -290,7 +256,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"vocabulary digest mismatch: {args.vocab} does not match the checkpoint's vocabulary"
             )
-    data = _dataset_for_checkpoint(ckpt, args.captions, args.features, args.lenient)
+    captions = load_captions(args.captions, strict=not args.lenient)
+    features = load_image_features(args.features)
+    config = ckpt.train_config
+    split = split_dataset(
+        features.records(), captions, ckpt.data_config["n_test"], ckpt.data_config["val_frac"],
+        config.seed,
+    )
+    data = RetrievalDataset(
+        features, captions, split, ckpt.vocabulary, weighting=config.weighting,
+        textual_kind=ckpt.model.textual_net.spec.kind, lenient=args.lenient,
+    )
     ks = tuple(int(k) for k in args.ks.split(","))
     annotation, search = build_rankings(ckpt.model, data, subset="test")
     os.makedirs(args.out, exist_ok=True)
@@ -312,18 +288,21 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise ConfigError("provide exactly one of --sentence or --image-id")
     ckpt = load_checkpoint(args.checkpoint)
     features = load_image_features(args.features)
+    textual, visual = ckpt.model.textual_net, ckpt.model.visual_net
+
+    def encode(text: str):
+        return encode_caption(
+            normalize_tokenize(text), ckpt.vocabulary, textual.spec.kind, ckpt.train_config.weighting
+        )
+
     if args.sentence is not None:
-        tokens = normalize_tokenize(args.sentence)
-        if ckpt.model.textual_net.spec.kind == "sequence":
-            enc = encode_sequence(tokens, ckpt.vocabulary)
-        else:
-            enc = featurize(tokens, ckpt.vocabulary, ckpt.train_config.weighting)
-            if not len(enc):
-                raise ZeroNormError("sentence has no in-vocabulary terms")
-        q_emb, _ = forward(ckpt.model.textual_net, enc)
+        enc = encode(args.sentence)
+        if enc is None:
+            raise EmptySequenceError("sentence has no in-vocabulary terms")
+        q_emb, _ = forward(textual, enc)
         scored = []
         for image_id in features.ids():
-            i_emb, _ = forward(ckpt.model.visual_net, features.get(image_id))
+            i_emb, _ = forward(visual, features.get(image_id))
             scored.append((-cosine_score(i_emb, q_emb), image_id))
         scored.sort()
         for rank, (neg_s, image_id) in enumerate(scored[: args.top_k], start=1):
@@ -334,20 +313,16 @@ def cmd_query(args: argparse.Namespace) -> int:
     if not args.captions:
         raise ConfigError("--captions is required for image queries")
     captions = load_captions(args.captions, strict=False)
-    q_emb, _ = forward(ckpt.model.visual_net, features.get(args.image_id))
+    q_emb, _ = forward(visual, features.get(args.image_id))
     scored = []
     for cap in captions:
-        tokens = normalize_tokenize(cap.text)
+        enc = encode(cap.text)
+        if enc is None:
+            continue
+        c_emb, _ = forward(textual, enc)
         try:
-            if ckpt.model.textual_net.spec.kind == "sequence":
-                enc = encode_sequence(tokens, ckpt.vocabulary)
-            else:
-                enc = featurize(tokens, ckpt.vocabulary, ckpt.train_config.weighting)
-                if not len(enc):
-                    continue
-            c_emb, _ = forward(ckpt.model.textual_net, enc)
             s = cosine_score(q_emb, c_emb)
-        except (CrossmodalError, ValueError):
+        except ZeroNormError:
             continue
         scored.append((-s, f"{cap.image_id}#{cap.caption_index}", cap.text))
     scored.sort()
@@ -370,11 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="build a vocabulary and feature cache")
+    p = sub.add_parser("preprocess", help="build a vocabulary")
     p.add_argument("--captions", required=True)
     p.add_argument("--mode", choices=sorted(MODE_FLAGS), default="unigram")
     p.add_argument("--max-size", type=int, default=5000)
-    p.add_argument("--weighting", choices=("binary", "tfidf"), default="binary")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
@@ -385,22 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--embeddings", help="optional word2vec text file for first-layer init")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--margin", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--methodology", choices=("i2t", "t2i"))
-    p.add_argument("--weighting", choices=("binary", "tfidf"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-hu", type=int, dest="n_hu")
-    p.add_argument("--n-emb", type=int, dest="n_emb")
-    p.add_argument("--visual-n-hu", type=int, dest="visual_n_hu")
-    p.add_argument("--textual", choices=("bag", "sse"))
-    p.add_argument("--word-dim", type=int, dest="word_dim")
-    p.add_argument("--kernels", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--val-frac", type=float, dest="val_frac")
-    p.add_argument("--val-pairs", type=int, dest="val_pairs")
+    for opt in OPTIONS:
+        p.add_argument(
+            "--" + opt.name.replace("_", "-"), dest=opt.name, type=opt.type,
+            choices=opt.choices or None, help=f"{opt.help} (default {opt.default})",
+        )
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -193,8 +193,8 @@ def split_dataset(
     Captions follow their image's split, so only image ids are recorded.
     """
     ids = sorted(rec.image_id for rec in images)
-    if n_test >= len(ids):
-        raise ValueError(f"n_test={n_test} must be smaller than the image count {len(ids)}")
+    if not 0 <= n_test < len(ids):
+        raise ValueError(f"n_test={n_test} must be in [0, {len(ids)}), the image count")
     if not 0.0 < val_frac < 1.0:
         raise ValueError(f"val_frac={val_frac} outside (0, 1)")
     known = set(ids)

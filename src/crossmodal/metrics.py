@@ -21,22 +21,18 @@ from collections import Counter
 
 import numpy as np
 
+from .corpus import CAPTIONS_PER_IMAGE
 from .errors import ZeroNormError
 from .nets import forward
-from .ranker import Encoding, RetrievalDataset, ScoreModel, cosine_score
+from .ranker import RetrievalDataset, ScoreModel, cosine_score
+from .text import Encoding
 
 VARIANTS = ("first_txt", "rnd_txt", "avg_txt", "any_txt")
 DEFAULT_KS = (1, 2, 5, 10)
-CAPTIONS_PER_IMAGE = 5
 
 
 def caption_id(image_id: str, index: int) -> str:
     return f"{image_id}#{index}"
-
-
-def parse_caption_id(cid: str) -> tuple[str, int]:
-    image_id, _, index = cid.rpartition("#")
-    return image_id, int(index)
 
 
 @dataclass
@@ -53,9 +49,18 @@ class RankingSet:
     captions_of: dict[str, list[str]]  # image -> its caption ids, index order
 
 
-def _embed(model: ScoreModel, net: str, x) -> np.ndarray:
-    emb, _ = forward(getattr(model, net), x)
-    return emb
+def _rank(query: np.ndarray, candidates: list[tuple[str, np.ndarray]]) -> list[str]:
+    """Candidate ids by descending cosine with the query embedding, ties
+    lexicographic on id; zero-norm candidates cannot be scored and sort last."""
+    scored = []
+    for cand_id, emb in candidates:
+        try:
+            s = cosine_score(query, emb)
+        except ZeroNormError:
+            s = float("-inf")
+        scored.append((-s, cand_id))
+    scored.sort()
+    return [cand_id for _, cand_id in scored]
 
 
 def rank_candidates(
@@ -75,24 +80,14 @@ def rank_candidates(
     if not pool:
         raise ValueError("candidate pool is empty")
     query_id, query_input = query
-    query_net = "visual_net" if direction == "annotation" else "textual_net"
-    cand_net = "textual_net" if direction == "annotation" else "visual_net"
-    q_emb = _embed(model, query_net, query_input)
+    query_net, cand_net = model.visual_net, model.textual_net
+    if direction == "search":
+        query_net, cand_net = cand_net, query_net
+    q_emb, _ = forward(query_net, query_input)
     if float(np.linalg.norm(q_emb)) == 0.0:
         raise ZeroNormError(f"query {query_id!r} embeds to the zero vector")
-    scored = []
-    for cand_id, cand_input in pool:
-        try:
-            c_emb = _embed(model, cand_net, cand_input)
-            if direction == "annotation":
-                s = cosine_score(q_emb, c_emb)
-            else:
-                s = cosine_score(c_emb, q_emb)
-        except ZeroNormError:
-            s = float("-inf")
-        scored.append((-s, cand_id))
-    scored.sort()
-    return RankedResult(query_id=query_id, candidates=[cid for _, cid in scored])
+    ranked = _rank(q_emb, [(cand_id, forward(cand_net, x)[0]) for cand_id, x in pool])
+    return RankedResult(query_id=query_id, candidates=ranked)
 
 
 def build_rankings(
@@ -101,44 +96,29 @@ def build_rankings(
     """Full annotation and search rankings over one split.
 
     Embeds every item once; scores come from the same cosine as the
-    pairwise path, so orderings are identical to rank_candidates.
+    pairwise path, so orderings are identical to rank_candidates. A caption
+    that embeds to the zero vector ranks last for every image and is not
+    a search query.
     """
     view = data.view(subset)
     if not view.image_ids:
         raise ValueError(f"split {subset!r} has no images")
-    img_embs: dict[str, np.ndarray] = {}
+    img_embs: list[tuple[str, np.ndarray]] = []
     for image_id in view.image_ids:
-        emb = _embed(model, "visual_net", data.image_vec(image_id))
+        emb, _ = forward(model.visual_net, data.image_vec(image_id))
         if float(np.linalg.norm(emb)) == 0.0:
             raise ZeroNormError(f"image {image_id!r} embeds to the zero vector")
-        img_embs[image_id] = emb
-    cap_embs: dict[str, np.ndarray | None] = {}
+        img_embs.append((image_id, emb))
+    cap_embs: list[tuple[str, np.ndarray]] = []
     captions_of: dict[str, list[str]] = {i: [] for i in view.image_ids}
     for image_id, index in view.pairs:
         cid = caption_id(image_id, index)
         captions_of[image_id].append(cid)
-        emb = _embed(model, "textual_net", data.encoding(image_id, index))
-        cap_embs[cid] = emb if float(np.linalg.norm(emb)) > 0.0 else None
-    caption_ids = sorted(cap_embs)
-    annotation: dict[str, list[str]] = {}
-    for image_id in view.image_ids:
-        scored = []
-        for cid in caption_ids:
-            emb = cap_embs[cid]
-            s = cosine_score(img_embs[image_id], emb) if emb is not None else float("-inf")
-            scored.append((-s, cid))
-        scored.sort()
-        annotation[image_id] = [cid for _, cid in scored]
-    search: dict[str, list[str]] = {}
-    for cid in caption_ids:
-        emb = cap_embs[cid]
-        if emb is None:
-            continue
-        scored = []
-        for image_id in view.image_ids:
-            scored.append((-cosine_score(img_embs[image_id], emb), image_id))
-        scored.sort()
-        search[cid] = [iid for _, iid in scored]
+        cap_embs.append((cid, forward(model.textual_net, data.encoding(image_id, index))[0]))
+    annotation = {image_id: _rank(emb, cap_embs) for image_id, emb in img_embs}
+    search = {
+        cid: _rank(emb, img_embs) for cid, emb in cap_embs if float(np.linalg.norm(emb)) > 0.0
+    }
     ann = RankingSet("annotation", annotation, list(view.image_ids), captions_of)
     srch = RankingSet("search", search, list(view.image_ids), captions_of)
     return ann, srch

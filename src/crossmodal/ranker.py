@@ -16,16 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Caption, FeatureStore, SplitDataset
-from .errors import EmptySequenceError, ZeroNormError
+from .errors import ZeroNormError
 from .nets import Net, accumulate, backward, clone_net, forward, lr_schedule, sgd_step
-from .text import (
-    SparseVector,
-    TokenSequence,
-    Vocabulary,
-    encode_sequence,
-    featurize,
-    normalize_tokenize,
-)
+from .text import WEIGHTINGS, Encoding, Vocabulary, encode_caption, normalize_tokenize
 
 METHODOLOGIES = ("I2T", "T2I")
 
@@ -59,8 +52,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be nonnegative")
         if self.methodology not in METHODOLOGIES:
             raise ValueError(f"methodology must be one of {METHODOLOGIES}")
-        if self.weighting not in ("binary", "tfidf"):
-            raise ValueError("weighting must be 'binary' or 'tfidf'")
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
         if self.val_pairs_per_epoch < 1:
             raise ValueError("val_pairs_per_epoch must be positive")
 
@@ -87,7 +80,9 @@ def write_history(history: TrainHistory, path: str) -> None:
 
 def cosine_score(v_img: np.ndarray, v_txt: np.ndarray) -> float:
     # dot / sqrt(dot_ii * dot_tt) scores bit-identical vectors as exactly 1.0;
-    # the clamp only trims ulp-level Cauchy-Schwarz violations
+    # the clamp only trims ulp-level Cauchy-Schwarz violations. Swapping the
+    # arguments gives the same bits (products commute, sums keep index order),
+    # and likewise swaps cosine_backward's outputs, so either side can anchor.
     dot_ii = float(np.dot(v_img, v_img))
     dot_tt = float(np.dot(v_txt, v_txt))
     if dot_ii == 0.0 or dot_tt == 0.0:
@@ -120,9 +115,6 @@ def cosine_backward(
     return grad_img, grad_txt
 
 
-Encoding = SparseVector | TokenSequence
-
-
 @dataclass
 class SplitView:
     """One split's scoreable pairs, in deterministic sorted order."""
@@ -148,9 +140,6 @@ class RetrievalDataset:
         if textual_kind not in ("bag", "sequence"):
             raise ValueError(f"unknown textual kind {textual_kind!r}")
         self.features = features
-        self.vocab = vocab
-        self.weighting = weighting
-        self.textual_kind = textual_kind
         self.captions: dict[tuple[str, int], Caption] = {}
         self.dropped_missing_image = 0
         for cap in captions:
@@ -169,22 +158,11 @@ class RetrievalDataset:
             )
         self.split = split
         self._encodings: dict[tuple[str, int], Encoding | None] = {}
-        self.unencodable = 0
         for key, cap in self.captions.items():
             if cap.tokens is None:
                 cap.tokens = normalize_tokenize(cap.text)
-            enc: Encoding | None
-            if textual_kind == "bag":
-                vec = featurize(cap.tokens, vocab, weighting)
-                enc = vec if len(vec) else None
-            else:
-                try:
-                    enc = encode_sequence(cap.tokens, vocab)
-                except EmptySequenceError:
-                    enc = None
-            if enc is None:
-                self.unencodable += 1
-            self._encodings[key] = enc
+            self._encodings[key] = encode_caption(cap.tokens, vocab, textual_kind, weighting)
+        self.unencodable = sum(enc is None for enc in self._encodings.values())
         self._views: dict[str, SplitView] = {}
 
     def encoding(self, image_id: str, caption_index: int) -> Encoding | None:
@@ -192,6 +170,13 @@ class RetrievalDataset:
 
     def image_vec(self, image_id: str) -> np.ndarray:
         return self.features.get(image_id)
+
+    def triplet_inputs(self, pos: tuple[str, int], neg: tuple[str, tuple[str, int]]) -> tuple:
+        """(positive image, positive caption, negative image, negative caption)
+        inputs for a positive caption key and a ``sample_negative`` draw."""
+        neg_image, neg_caption = neg
+        return (self.image_vec(pos[0]), self.encoding(*pos),
+                self.image_vec(neg_image), self.encoding(*neg_caption))
 
     def view(self, name: str) -> SplitView:
         """Pairs with usable encodings in the split, sorted for determinism."""
@@ -237,6 +222,37 @@ def sample_negative(
             return cand_img, pos
 
 
+def score_triplet(
+    model: ScoreModel,
+    pos_image_vec: np.ndarray,
+    pos_enc: Encoding,
+    neg_image_vec: np.ndarray | None,
+    neg_enc: Encoding | None,
+    methodology: str,
+) -> tuple[float, float, tuple]:
+    """Embed an anchor and its two candidates, and score each against the anchor.
+
+    The methodology only picks the sides: I2T anchors on the image and ranks
+    the positive caption against the negative caption (neg_image_vec unused);
+    T2I anchors on the caption and ranks two images (neg_enc unused).
+    Returns (s_pos, s_neg, (anchor, positive, negative)), each of the last
+    an (embedding, tape) pair from ``forward``.
+    """
+    if methodology == "I2T":
+        anchor_net, cand_net = model.visual_net, model.textual_net
+        anchor, pos, neg = pos_image_vec, pos_enc, neg_enc
+    elif methodology == "T2I":
+        anchor_net, cand_net = model.textual_net, model.visual_net
+        anchor, pos, neg = pos_enc, pos_image_vec, neg_image_vec
+    else:
+        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
+    if neg is None:
+        raise ValueError(f"{methodology} triplet needs a negative candidate")
+    embedded = forward(anchor_net, anchor), forward(cand_net, pos), forward(cand_net, neg)
+    (v_anchor, _), (v_pos, _), (v_neg, _) = embedded
+    return cosine_score(v_anchor, v_pos), cosine_score(v_anchor, v_neg), embedded
+
+
 def triplet_grads(
     model: ScoreModel,
     pos_image_vec: np.ndarray,
@@ -248,44 +264,25 @@ def triplet_grads(
 ) -> tuple[float, float, float, dict | None, dict | None]:
     """Scores, loss, and accumulated parameter gradients for one triplet.
 
-    Under I2T the image embedding is shared between branches (neg_image_vec
-    unused); under T2I the caption embedding is shared (neg_enc unused).
-    Returns (loss, s_pos, s_neg, textual grads, visual grads); the gradient
-    dicts are None when the margin is already satisfied.
+    The anchor net's gradient sums both branches through one backward pass;
+    the candidate net's sums two. Returns (loss, s_pos, s_neg, textual
+    grads, visual grads); the gradient dicts are None when the margin is
+    already satisfied.
     """
-    if methodology == "I2T":
-        if neg_enc is None:
-            raise ValueError("I2T triplet needs a negative caption encoding")
-        v_img, tape_img = forward(model.visual_net, pos_image_vec)
-        v_pos, tape_pos = forward(model.textual_net, pos_enc)
-        v_neg, tape_neg = forward(model.textual_net, neg_enc)
-        s_pos = cosine_score(v_img, v_pos)
-        s_neg = cosine_score(v_img, v_neg)
-        loss, d_pos, d_neg = margin_loss(s_pos, s_neg, margin)
-        if loss == 0.0:
-            return loss, s_pos, s_neg, None, None
-        g_img_p, g_txt_p = cosine_backward(v_img, v_pos, d_pos)
-        g_img_n, g_txt_n = cosine_backward(v_img, v_neg, d_neg)
-        vgrads, _ = backward(tape_img, g_img_p + g_img_n)
-        tgrads, _ = backward(tape_pos, g_txt_p)
-        tgrads = accumulate(tgrads, backward(tape_neg, g_txt_n)[0])
-        return loss, s_pos, s_neg, tgrads, vgrads
-    if neg_image_vec is None:
-        raise ValueError("T2I triplet needs a negative image vector")
-    v_txt, tape_txt = forward(model.textual_net, pos_enc)
-    v_pos, tape_pos = forward(model.visual_net, pos_image_vec)
-    v_neg, tape_neg = forward(model.visual_net, neg_image_vec)
-    s_pos = cosine_score(v_pos, v_txt)
-    s_neg = cosine_score(v_neg, v_txt)
+    s_pos, s_neg, embedded = score_triplet(
+        model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, methodology
+    )
     loss, d_pos, d_neg = margin_loss(s_pos, s_neg, margin)
     if loss == 0.0:
         return loss, s_pos, s_neg, None, None
-    g_img_p, g_txt_p = cosine_backward(v_pos, v_txt, d_pos)
-    g_img_n, g_txt_n = cosine_backward(v_neg, v_txt, d_neg)
-    tgrads, _ = backward(tape_txt, g_txt_p + g_txt_n)
-    vgrads, _ = backward(tape_pos, g_img_p)
-    vgrads = accumulate(vgrads, backward(tape_neg, g_img_n)[0])
-    return loss, s_pos, s_neg, tgrads, vgrads
+    (v_anchor, tape_anchor), (v_pos, tape_pos), (v_neg, tape_neg) = embedded
+    g_anchor_p, g_pos = cosine_backward(v_anchor, v_pos, d_pos)
+    g_anchor_n, g_neg = cosine_backward(v_anchor, v_neg, d_neg)
+    anchor_grads, _ = backward(tape_anchor, g_anchor_p + g_anchor_n)
+    cand_grads = accumulate(backward(tape_pos, g_pos)[0], backward(tape_neg, g_neg)[0])
+    if tape_anchor.net is model.textual_net:
+        return loss, s_pos, s_neg, anchor_grads, cand_grads
+    return loss, s_pos, s_neg, cand_grads, anchor_grads
 
 
 def train_epoch(
@@ -311,19 +308,10 @@ def train_epoch(
     mistakes = 0
     scored = 0
     for pos in pairs:
-        pos_enc = data.encoding(*pos)
-        neg_img, neg_cap = sample_negative(pos, view, config.methodology, rng)
-        neg_enc = data.encoding(*neg_cap) if config.methodology == "I2T" else None
-        neg_vec = data.image_vec(neg_img) if config.methodology == "T2I" else None
+        neg = sample_negative(pos, view, config.methodology, rng)
         try:
             loss, s_pos, s_neg, tgrads, vgrads = triplet_grads(
-                model,
-                data.image_vec(pos[0]),
-                pos_enc,
-                neg_vec,
-                neg_enc,
-                config.methodology,
-                config.margin,
+                model, *data.triplet_inputs(pos, neg), config.methodology, config.margin
             )
         except ZeroNormError:
             continue
@@ -357,21 +345,11 @@ def validate(
     scored = 0
     for i in range(config.val_pairs_per_epoch):
         pos = view.pairs[i % len(view.pairs)]
-        pos_enc = data.encoding(*pos)
-        neg_img, neg_cap = sample_negative(pos, view, config.methodology, rng)
+        neg = sample_negative(pos, view, config.methodology, rng)
         try:
-            v_txt, _ = forward(model.textual_net, pos_enc)
-            if config.methodology == "I2T":
-                v_img, _ = forward(model.visual_net, data.image_vec(pos[0]))
-                neg_enc = data.encoding(*neg_cap)
-                v_neg, _ = forward(model.textual_net, neg_enc)
-                s_pos = cosine_score(v_img, v_txt)
-                s_neg = cosine_score(v_img, v_neg)
-            else:
-                v_pos_img, _ = forward(model.visual_net, data.image_vec(pos[0]))
-                v_neg_img, _ = forward(model.visual_net, data.image_vec(neg_img))
-                s_pos = cosine_score(v_pos_img, v_txt)
-                s_neg = cosine_score(v_neg_img, v_txt)
+            s_pos, s_neg, _ = score_triplet(
+                model, *data.triplet_inputs(pos, neg), config.methodology
+            )
         except ZeroNormError:
             continue
         scored += 1

@@ -13,6 +13,7 @@ from .corpus import Caption
 from .errors import EmptySequenceError, VocabularyError
 
 MODES = ("unigram", "bigram", "trigram", "trigram_skip")
+WEIGHTINGS = ("binary", "tfidf")
 ARTICLES = frozenset({"a", "an", "the"})
 
 # alphanumeric runs; underscore is a separator so it can join n-gram parts
@@ -51,6 +52,9 @@ class TokenSequence:
         return len(self.indices)
 
 
+Encoding = SparseVector | TokenSequence
+
+
 def normalize_tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric characters, drop the articles."""
     return [t for t in _TOKEN_RE.findall(text.lower()) if t not in ARTICLES]
@@ -84,10 +88,6 @@ def extract_terms(tokens: list[str], mode: str) -> list[str]:
     return terms
 
 
-def _caption_tokens(cap: Caption) -> list[str]:
-    return cap.tokens if cap.tokens is not None else normalize_tokenize(cap.text)
-
-
 def build_vocabulary(captions: list[Caption], mode: str, max_size: int) -> Vocabulary:
     """Keep the ``max_size`` most frequent terms over the training captions.
 
@@ -102,7 +102,8 @@ def build_vocabulary(captions: list[Caption], mode: str, max_size: int) -> Vocab
     totals: Counter[str] = Counter()
     doc_freq: Counter[str] = Counter()
     for cap in captions:
-        terms = extract_terms(_caption_tokens(cap), mode)
+        tokens = cap.tokens if cap.tokens is not None else normalize_tokenize(cap.text)
+        terms = extract_terms(tokens, mode)
         totals.update(terms)
         doc_freq.update(set(terms))
     if not totals:
@@ -126,7 +127,7 @@ def featurize(tokens: list[str], vocab: Vocabulary, weighting: str) -> SparseVec
     caption's in-vocabulary term occurrences. Out-of-vocabulary terms are
     dropped; a caption with no in-vocabulary terms yields an empty vector.
     """
-    if weighting not in ("binary", "tfidf"):
+    if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
     present = [t for t in extract_terms(tokens, vocab.mode) if t in vocab.term_to_index]
     if not present:
@@ -156,6 +157,22 @@ def encode_sequence(tokens: list[str], vocab: Vocabulary) -> TokenSequence:
     if not indices:
         raise EmptySequenceError("no in-vocabulary tokens in caption")
     return TokenSequence(np.array(indices, dtype=np.int64))
+
+
+def encode_caption(
+    tokens: list[str], vocab: Vocabulary, kind: str, weighting: str
+) -> Encoding | None:
+    """Encode a caption for a ``bag`` or ``sequence`` textual net.
+
+    Returns None when no term of the caption is in the vocabulary.
+    """
+    if kind == "sequence":
+        try:
+            return encode_sequence(tokens, vocab)
+        except EmptySequenceError:
+            return None
+    vec = featurize(tokens, vocab, weighting)
+    return vec if len(vec) else None
 
 
 def vocabulary_text(vocab: Vocabulary) -> str:

@@ -1,10 +1,47 @@
-"""Brute-force metric oracles: literal nested-loop re-implementations of
-the metric definitions, kept independent of the library code paths."""
+"""Reference implementations kept independent of the library code paths:
+brute-force metric oracles (literal nested-loop re-implementations of the
+metric definitions) and the two-branch triplet gradient the trainer's single
+anchor/candidate path replaced."""
 
 import itertools
 import random
 
 from crossmodal.metrics import RankingSet, caption_id
+from crossmodal.nets import accumulate, backward, forward
+from crossmodal.ranker import cosine_backward, cosine_score, margin_loss
+
+
+def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, methodology, margin):
+    """Hand-mirrored I2T and T2I branches; same contract as ranker.triplet_grads."""
+    if methodology == "I2T":
+        v_img, tape_img = forward(model.visual_net, pos_image_vec)
+        v_pos, tape_pos = forward(model.textual_net, pos_enc)
+        v_neg, tape_neg = forward(model.textual_net, neg_enc)
+        s_pos = cosine_score(v_img, v_pos)
+        s_neg = cosine_score(v_img, v_neg)
+        loss, d_pos, d_neg = margin_loss(s_pos, s_neg, margin)
+        if loss == 0.0:
+            return loss, s_pos, s_neg, None, None
+        g_img_p, g_txt_p = cosine_backward(v_img, v_pos, d_pos)
+        g_img_n, g_txt_n = cosine_backward(v_img, v_neg, d_neg)
+        vgrads, _ = backward(tape_img, g_img_p + g_img_n)
+        tgrads, _ = backward(tape_pos, g_txt_p)
+        tgrads = accumulate(tgrads, backward(tape_neg, g_txt_n)[0])
+        return loss, s_pos, s_neg, tgrads, vgrads
+    v_txt, tape_txt = forward(model.textual_net, pos_enc)
+    v_pos, tape_pos = forward(model.visual_net, pos_image_vec)
+    v_neg, tape_neg = forward(model.visual_net, neg_image_vec)
+    s_pos = cosine_score(v_pos, v_txt)
+    s_neg = cosine_score(v_neg, v_txt)
+    loss, d_pos, d_neg = margin_loss(s_pos, s_neg, margin)
+    if loss == 0.0:
+        return loss, s_pos, s_neg, None, None
+    g_img_p, g_txt_p = cosine_backward(v_pos, v_txt, d_pos)
+    g_img_n, g_txt_n = cosine_backward(v_neg, v_txt, d_neg)
+    tgrads, _ = backward(tape_txt, g_txt_p + g_txt_n)
+    vgrads, _ = backward(tape_pos, g_img_p)
+    vgrads = accumulate(vgrads, backward(tape_neg, g_img_n)[0])
+    return loss, s_pos, s_neg, tgrads, vgrads
 
 
 def oracle_single_run(results, image_ids, selection, k, direction):

@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import pytest
 
 from crossmodal.checkpoint import (
@@ -118,3 +122,25 @@ class TestFailureModes:
         path.write_bytes(b"definitely not a checkpoint")
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h["train_config"].update(momentum=0.9),
+            lambda h: h.pop("textual_spec"),
+            lambda h: h["train_config"].update(margin=-1),
+        ],
+        ids=["unknown_train_config_key", "missing_textual_spec", "negative_margin"],
+    )
+    def test_bad_header_with_valid_checksum(self, setup, mutate):
+        images, captions, store, vocab, model, config, history, path = setup
+        save_checkpoint(path, model, vocab, config, history)
+        blob = open(path, "rb").read()
+        header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16:header_end])
+        mutate(header)
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = blob[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[header_end:-4]
+        open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointCorruptError, match="invalid header"):
+            load_checkpoint(path)

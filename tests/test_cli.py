@@ -1,9 +1,12 @@
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from crossmodal.cli import main
+from crossmodal.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -74,15 +77,11 @@ class TestSynthAndPreprocess:
 
     def test_preprocess_idempotent(self, tmp_path, corpus, capsys):
         args = ["preprocess", "--captions", str(corpus / "captions.tsv"),
-                "--mode", "2g", "--max-size", "50", "--weighting", "tfidf"]
+                "--mode", "2g", "--max-size", "50"]
         a, b = tmp_path / "p1", tmp_path / "p2"
         assert run(capsys, *args, "--out", str(a))[0] == 0
         assert run(capsys, *args, "--out", str(b))[0] == 0
         assert (a / "vocab.tsv").read_bytes() == (b / "vocab.tsv").read_bytes()
-        assert (
-            (a / "caption_features_tfidf.tsv").read_bytes()
-            == (b / "caption_features_tfidf.tsv").read_bytes()
-        )
 
     def test_vocab_respects_max_size(self, tmp_path, corpus, capsys):
         out = tmp_path / "prep5"
@@ -133,27 +132,56 @@ class TestTrain:
         assert manifest["config"]["methodology"] == "T2I"
 
     def test_invalid_margin_fails_before_training(self, tmp_path, corpus, prepped, capsys):
+        self.assert_fails_before_writing(tmp_path, corpus, prepped, capsys, "--margin", "0")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("--n-emb", "0"),
+            ("--val-pairs", "0"),
+            ("--epochs", "-2"),
+            ("--n-test", "50"),  # the corpus has 12 images
+            ("--n-test", "-1"),
+            ("--val-frac", "0.01"),  # rounds to no validation image
+            ("--textual", "sse", "--window", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_value_fails_before_writing(self, tmp_path, corpus, prepped, capsys, bad):
+        self.assert_fails_before_writing(tmp_path, corpus, prepped, capsys, *bad)
+
+    @staticmethod
+    def assert_fails_before_writing(tmp_path, corpus, prepped, capsys, *bad):
         out = tmp_path / "bad"
-        rc, _, err = run(capsys, *train_args(corpus, prepped, out, "--margin", "0"))
+        rc, _, err = run(capsys, *train_args(corpus, prepped, out, *bad))
         assert rc != 0
-        assert "ConfigError" in err
+        assert err.startswith("error ConfigError: ") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
         assert not (out / "checkpoint.bin").exists()
 
     def test_config_file_and_flag_priority(self, tmp_path, corpus, prepped, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("margin = 0.3\nepochs = 2\n# comment\n")
+        cfg.write_text("margin = 0.3\nepochs = 2\nmethodology = t2i\n# comment\n")
         out = tmp_path / "cfgrun"
         rc, _, _ = run(capsys, *train_args(corpus, prepped, out, "--config", str(cfg),
                                            "--margin", "0.25"))
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["margin"] == 0.25  # flag beats config file
+        assert manifest["config"]["methodology"] == "T2I"  # typed like the flag
 
     def test_unknown_config_key(self, tmp_path, corpus, prepped, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("momentum = 0.9\n")
         rc, _, err = run(capsys, *train_args(corpus, prepped, tmp_path / "x", "--config", str(cfg)))
         assert rc != 0 and "ConfigError" in err
+
+    @pytest.mark.parametrize("line", ["epochs = many", "methodology = x2y", "textual = lstm"])
+    def test_bad_config_value(self, tmp_path, corpus, prepped, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc, _, err = run(capsys, *train_args(corpus, prepped, tmp_path / "x", "--config", str(cfg)))
+        assert rc != 0 and err.startswith("error ConfigError: ") and "run.cfg:1" in err
 
     def test_history_format(self, trained):
         lines = (trained / "history.tsv").read_text().splitlines()
@@ -323,3 +351,19 @@ class TestQuery:
             "--features", str(corpus / "features.txt"),
         )
         assert rc != 0 and "ConfigError" in err
+
+
+class TestReadme:
+    def test_walkthrough_commands_parse(self):
+        """Every command in README's walkthrough is accepted by the parser."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        walkthrough = readme.split("## Command-line walkthrough", 1)[1].split("\n## ", 1)[0]
+        block = re.search(r"```bash\n(.*?)```", walkthrough, re.S).group(1)
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("crossmodal ")]
+        commands = set()
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            args = build_parser().parse_args(argv)  # exits on an unknown flag or bad value
+            commands.add(args.command)
+        assert commands == {"synth", "preprocess", "train", "evaluate", "query"}

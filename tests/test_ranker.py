@@ -19,9 +19,11 @@ from crossmodal.ranker import (
     sample_negative,
     train,
     train_epoch,
+    triplet_grads,
     validate,
 )
-from crossmodal.text import build_vocabulary
+from crossmodal.text import SparseVector, TokenSequence, build_vocabulary
+from oracles import oracle_triplet_grads
 
 
 def make_dataset(
@@ -140,6 +142,53 @@ class TestCosineBackward:
     def test_zero_d_score(self):
         gv, gw = cosine_backward(np.ones(3), np.array([1.0, 2.0, 3.0]), 0.0)
         assert np.all(gv == 0.0) and np.all(gw == 0.0)
+
+
+class TestTripletGrads:
+    TEXTUAL_SPECS = {
+        "bag": NetSpec("bag", input_dim=9, n_emb=6),
+        "bag_hidden": NetSpec("bag", input_dim=9, n_emb=6, n_hu=5),
+        "sequence": NetSpec("sequence", input_dim=9, n_emb=6, word_dim=4, kernel_count=5, window=3),
+    }
+
+    @pytest.mark.parametrize("textual", sorted(TEXTUAL_SPECS))
+    @pytest.mark.parametrize("methodology", ["I2T", "T2I"])
+    def test_bit_identical_to_two_branch_oracle(self, methodology, textual):
+        rng = np.random.default_rng(17)
+        tspec = self.TEXTUAL_SPECS[textual]
+        outcomes = set()
+        for seed in range(40):
+            vspec = NetSpec("bag", input_dim=7, n_emb=6, n_hu=4 if seed % 2 else 0)
+
+            def encoding():
+                if tspec.kind == "sequence":
+                    return TokenSequence(rng.integers(0, 9, size=int(rng.integers(1, 7))))
+                idx = np.sort(rng.choice(9, size=int(rng.integers(1, 10)), replace=False))
+                return SparseVector(idx.astype(np.int64), rng.normal(size=len(idx)))
+
+            inputs = (rng.normal(size=7), encoding(), rng.normal(size=7), encoding())
+            margin = float(rng.uniform(0.01, 0.5))
+            results = []
+            for impl in (triplet_grads, oracle_triplet_grads):
+                model = ScoreModel(init_net(tspec, seed), init_net(vspec, seed + 1))
+                try:
+                    results.append(impl(model, *inputs, methodology, margin))
+                except ZeroNormError:  # a relu wiped an embedding
+                    results.append(None)
+            got, want = results
+            if want is None:
+                assert got is None
+                continue
+            assert got[:3] == want[:3]  # loss, s_pos, s_neg
+            for got_grads, want_grads in zip(got[3:], want[3:]):
+                if want_grads is None:
+                    assert got_grads is None
+                    continue
+                assert list(got_grads) == list(want_grads)
+                for name in want_grads:
+                    assert np.array_equal(got_grads[name], want_grads[name]), name
+            outcomes.add(want[3] is None)
+        assert outcomes == {True, False}  # both margin-satisfied and violated cases ran
 
 
 class TestSampleNegative:
