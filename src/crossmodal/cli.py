@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, vocab_digest
 from .corpus import (
@@ -26,15 +28,14 @@ from .corpus import (
     write_captions,
     write_features,
 )
-from .errors import ConfigError, CrossmodalError, EmptySequenceError, ZeroNormError
-from .metrics import build_rankings, evaluate_rankings, format_report, report_to_kv
+from .errors import ConfigError, CrossmodalError, EmptySequenceError
+from .metrics import build_rankings, evaluate_rankings, format_report, rank_by_cosine, report_to_kv
 from .nets import NetSpec, forward, init_net
 from .ranker import (
     METHODOLOGIES,
     RetrievalDataset,
     ScoreModel,
     TrainConfig,
-    cosine_score,
     train,
     write_history,
 )
@@ -146,6 +147,18 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _parse_k(text: str, flag: str) -> int:
+    """A rank cutoff given on the command line: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ConfigError(f"{flag} takes integers of at least 1, got {text!r}")
+    return int(text)
+
+
+def _report_unencodable(data: RetrievalDataset) -> None:
+    if data.unencodable:
+        _progress(f"captions with no in-vocabulary term, not scored: {data.unencodable}")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     images, captions = generate_synthetic_corpus(
         n_clusters=args.clusters,
@@ -227,6 +240,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for name in ("train", "val"):
         if config.max_epochs and not data.view(name).pairs:
             raise ConfigError(f"the {name} split has no scoreable pairs; check n_test and val_frac")
+    _report_unencodable(data)
     model = ScoreModel(
         textual_net=init_net(tspec, config.seed, pretrained=pretrained, vocab=vocab),
         visual_net=init_net(vspec, config.seed + 1),
@@ -249,7 +263,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    ks = tuple(_parse_k(k, "--ks") for k in args.ks.split(","))
     ckpt = load_checkpoint(args.checkpoint)
+    if not {"n_test", "val_frac"} <= ckpt.data_config.keys():
+        raise ConfigError(
+            f"{args.checkpoint} records no n_test/val_frac, so its test split is unknown"
+        )
     if args.vocab:
         given = vocab_digest(load_vocabulary(args.vocab))
         if given != ckpt.vocab_digest:
@@ -267,7 +286,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         features, captions, split, ckpt.vocabulary, weighting=config.weighting,
         textual_kind=ckpt.model.textual_net.spec.kind, lenient=args.lenient,
     )
-    ks = tuple(int(k) for k in args.ks.split(","))
+    _report_unencodable(data)
     annotation, search = build_rankings(ckpt.model, data, subset="test")
     os.makedirs(args.out, exist_ok=True)
     for rankings in (annotation, search):
@@ -284,6 +303,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    top_k = _parse_k(args.top_k, "--top-k")
     if (args.sentence is None) == (args.image_id is None):
         raise ConfigError("provide exactly one of --sentence or --image-id")
     ckpt = load_checkpoint(args.checkpoint)
@@ -299,35 +319,26 @@ def cmd_query(args: argparse.Namespace) -> int:
         enc = encode(args.sentence)
         if enc is None:
             raise EmptySequenceError("sentence has no in-vocabulary terms")
-        q_emb, _ = forward(textual, enc)
-        scored = []
-        for image_id in features.ids():
-            i_emb, _ = forward(visual, features.get(image_id))
-            scored.append((-cosine_score(i_emb, q_emb), image_id))
-        scored.sort()
-        for rank, (neg_s, image_id) in enumerate(scored[: args.top_k], start=1):
-            print(f"{rank}\t{-neg_s:.6f}\t{image_id}")
-        return 0
-    if args.image_id not in features:
-        raise KeyError(f"unknown image id {args.image_id!r}")
-    if not args.captions:
-        raise ConfigError("--captions is required for image queries")
-    captions = load_captions(args.captions, strict=False)
-    q_emb, _ = forward(visual, features.get(args.image_id))
-    scored = []
-    for cap in captions:
-        enc = encode(cap.text)
-        if enc is None:
-            continue
-        c_emb, _ = forward(textual, enc)
-        try:
-            s = cosine_score(q_emb, c_emb)
-        except ZeroNormError:
-            continue
-        scored.append((-s, f"{cap.image_id}#{cap.caption_index}", cap.text))
-    scored.sort()
-    for rank, (neg_s, cid, text) in enumerate(scored[: args.top_k], start=1):
-        print(f"{rank}\t{-neg_s:.6f}\t{cid}\t{text}")
+        query, _ = forward(textual, enc)
+        ids = labels = features.ids()
+        embs = [forward(visual, features.get(image_id))[0] for image_id in ids]
+    else:
+        if args.image_id not in features:
+            raise KeyError(f"unknown image id {args.image_id!r}")
+        if not args.captions:
+            raise ConfigError("--captions is required for image queries")
+        captions = load_captions(args.captions, strict=False)
+        query, _ = forward(visual, features.get(args.image_id))
+        pool = [(cap, enc) for cap in captions if (enc := encode(cap.text)) is not None]
+        ids = [f"{cap.image_id}#{cap.caption_index}" for cap, _ in pool]
+        labels = [f"{cid}\t{cap.text}" for cid, (cap, _) in zip(ids, pool)]
+        embs = [forward(textual, enc)[0] for _, enc in pool]
+    order, scores = rank_by_cosine(query[None], np.array(embs), ids)
+    # zero-norm candidates cannot be scored; they sort last and are not shown
+    for rank, (j, score) in enumerate(zip(order[0][:top_k], scores[0]), start=1):
+        if score == -np.inf:
+            break
+        print(f"{rank}\t{score:.6f}\t{labels[j]}")
     return 0
 
 
@@ -373,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--vocab", help="optional vocabulary file to cross-check against the checkpoint")
-    p.add_argument("--ks", default="1,2,5,10")
+    p.add_argument("--ks", default="1,2,5,10", help="comma-separated R@K cutoffs, each at least 1")
     p.add_argument("--seed", type=int, default=0, help="seed for the rnd_txt caption draw")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", required=True)
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions")
     p.add_argument("--sentence")
     p.add_argument("--image-id", dest="image_id")
-    p.add_argument("--top-k", type=int, default=10, dest="top_k")
+    p.add_argument("--top-k", default="10", dest="top_k", help="results to print, at least 1")
     p.set_defaults(func=cmd_query)
     return parser
 

@@ -9,8 +9,13 @@ designate one caption per image: for annotation that designated set is
 also the candidate pool of the run, for search it selects which captions
 act as queries. any_txt ranks the full caption pool and counts a hit when
 any of the query image's five captions lands in the top k; it has no
-search-side meaning. Ties are broken lexicographically on candidate id so
-every metric is deterministic.
+search-side meaning.
+
+Scoring. ``rank_by_cosine`` is the one ranking kernel: one batched cosine
+per direction, each row ordered by descending score with ties broken
+lexicographically on candidate id, so every metric is deterministic.
+Zero-norm candidates sort last. Every R@K and med r is read off one rank
+per (selection, image) from ``_designated_ranks``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ import numpy as np
 from .corpus import CAPTIONS_PER_IMAGE
 from .errors import ZeroNormError
 from .nets import forward
-from .ranker import RetrievalDataset, ScoreModel, cosine_score
-from .text import Encoding
+from .ranker import RetrievalDataset, ScoreModel
 
 VARIANTS = ("first_txt", "rnd_txt", "avg_txt", "any_txt")
 DEFAULT_KS = (1, 2, 5, 10)
@@ -36,12 +40,6 @@ def caption_id(image_id: str, index: int) -> str:
 
 
 @dataclass
-class RankedResult:
-    query_id: str
-    candidates: list[str]  # descending score, ties lexicographic on id
-
-
-@dataclass
 class RankingSet:
     direction: str  # "annotation" | "search"
     results: dict[str, list[str]]
@@ -49,45 +47,33 @@ class RankingSet:
     captions_of: dict[str, list[str]]  # image -> its caption ids, index order
 
 
-def _rank(query: np.ndarray, candidates: list[tuple[str, np.ndarray]]) -> list[str]:
-    """Candidate ids by descending cosine with the query embedding, ties
-    lexicographic on id; zero-norm candidates cannot be scored and sort last."""
-    scored = []
-    for cand_id, emb in candidates:
-        try:
-            s = cosine_score(query, emb)
-        except ZeroNormError:
-            s = float("-inf")
-        scored.append((-s, cand_id))
-    scored.sort()
-    return [cand_id for _, cand_id in scored]
+def _squared_norms(embs: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", embs, embs)
 
 
-def rank_candidates(
-    model: ScoreModel,
-    query: tuple[str, np.ndarray | Encoding],
-    pool: list[tuple[str, np.ndarray | Encoding]],
-    direction: str,
-) -> RankedResult:
-    """Rank one query against a candidate pool, scoring pair by pair.
+def rank_by_cosine(
+    queries: np.ndarray, candidates: np.ndarray, cand_ids: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order every candidate for every query by descending cosine score.
 
-    Annotation takes an image query (feature vector) against caption
-    encodings; search takes a caption query against image feature vectors.
-    Candidates that cannot be scored sort to the end.
+    ``queries`` and ``candidates`` stack one embedding per row. Returns
+    ``(order, scores)``: row i of ``order`` lists candidate indices for
+    query i, and ``scores[i, j]`` is the score of candidate ``order[i, j]``.
+    Scores are clamped to [-1, 1]; ties break lexicographically on
+    ``cand_ids``. A zero-norm candidate cannot be scored: it gets -inf and
+    sorts last. A zero-norm query raises ZeroNormError.
     """
-    if direction not in ("annotation", "search"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if not pool:
+    if len(cand_ids) == 0:
         raise ValueError("candidate pool is empty")
-    query_id, query_input = query
-    query_net, cand_net = model.visual_net, model.textual_net
-    if direction == "search":
-        query_net, cand_net = cand_net, query_net
-    q_emb, _ = forward(query_net, query_input)
-    if float(np.linalg.norm(q_emb)) == 0.0:
-        raise ZeroNormError(f"query {query_id!r} embeds to the zero vector")
-    ranked = _rank(q_emb, [(cand_id, forward(cand_net, x)[0]) for cand_id, x in pool])
-    return RankedResult(query_id=query_id, candidates=ranked)
+    q_sq, c_sq = _squared_norms(queries), _squared_norms(candidates)
+    if not q_sq.all():
+        raise ZeroNormError(f"query row {int(np.argmin(q_sq))} embeds to the zero vector")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.clip((queries @ candidates.T) / np.sqrt(np.outer(q_sq, c_sq)), -1.0, 1.0)
+    scores[:, c_sq == 0.0] = -np.inf
+    id_rank = np.argsort(np.argsort(np.asarray(cand_ids)))
+    order = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores))
+    return order, np.take_along_axis(scores, order, axis=1)
 
 
 def build_rankings(
@@ -95,122 +81,119 @@ def build_rankings(
 ) -> tuple[RankingSet, RankingSet]:
     """Full annotation and search rankings over one split.
 
-    Embeds every item once; scores come from the same cosine as the
-    pairwise path, so orderings are identical to rank_candidates. A caption
-    that embeds to the zero vector ranks last for every image and is not
-    a search query.
+    Embeds every item once and orders each direction with one
+    ``rank_by_cosine`` call. A caption that embeds to the zero vector ranks
+    last for every image and is not a search query.
     """
     view = data.view(subset)
     if not view.image_ids:
         raise ValueError(f"split {subset!r} has no images")
-    img_embs: list[tuple[str, np.ndarray]] = []
-    for image_id in view.image_ids:
-        emb, _ = forward(model.visual_net, data.image_vec(image_id))
-        if float(np.linalg.norm(emb)) == 0.0:
-            raise ZeroNormError(f"image {image_id!r} embeds to the zero vector")
-        img_embs.append((image_id, emb))
-    cap_embs: list[tuple[str, np.ndarray]] = []
-    captions_of: dict[str, list[str]] = {i: [] for i in view.image_ids}
-    for image_id, index in view.pairs:
-        cid = caption_id(image_id, index)
+    images = view.image_ids
+    img_embs = np.array([forward(model.visual_net, data.image_vec(i))[0] for i in images])
+    cap_ids = [caption_id(image_id, index) for image_id, index in view.pairs]
+    cap_embs = np.array([forward(model.textual_net, data.encoding(*key))[0] for key in view.pairs])
+    captions_of: dict[str, list[str]] = {i: [] for i in images}
+    for (image_id, _), cid in zip(view.pairs, cap_ids):
         captions_of[image_id].append(cid)
-        cap_embs.append((cid, forward(model.textual_net, data.encoding(image_id, index))[0]))
-    annotation = {image_id: _rank(emb, cap_embs) for image_id, emb in img_embs}
-    search = {
-        cid: _rank(emb, img_embs) for cid, emb in cap_embs if float(np.linalg.norm(emb)) > 0.0
-    }
-    ann = RankingSet("annotation", annotation, list(view.image_ids), captions_of)
-    srch = RankingSet("search", search, list(view.image_ids), captions_of)
-    return ann, srch
+    order, _ = rank_by_cosine(img_embs, cap_embs, cap_ids)
+    annotation = dict(zip(images, np.asarray(cap_ids, dtype=object)[order].tolist()))
+    queries = np.flatnonzero(_squared_norms(cap_embs))
+    order, _ = rank_by_cosine(cap_embs[queries], img_embs, images)
+    search = dict(zip([cap_ids[q] for q in queries], np.asarray(images, dtype=object)[order].tolist()))
+    return (RankingSet("annotation", annotation, list(images), captions_of),
+            RankingSet("search", search, list(images), captions_of))
 
 
-def _selections(rankings: RankingSet, variant: str, rnd_seed: int) -> list[dict[str, str]]:
-    """Designated caption per image for each single-relevant run."""
+def _designated_ranks(rankings: RankingSet, selections: list[dict[str, str]]) -> np.ndarray:
+    """1-based rank of each image's designated item: one row per selection,
+    one column per image in ``image_ids`` order.
+
+    Annotation ranks the designated caption within the selection's pool
+    (the designated captions of all images). Search takes the image's rank
+    in its designated caption's ranking, or inf when that caption is not a
+    query, so it misses at every k.
+    """
+    images = rankings.image_ids
+    ranks = np.full((len(selections), len(images)), np.inf)
+    if rankings.direction == "annotation":
+        pools = [[sel[img] for img in images] for sel in selections]
+        for i, img in enumerate(images):
+            position = dict(zip(rankings.results[img], range(len(rankings.results[img]))))
+            for run, pool in enumerate(pools):
+                at = np.fromiter(map(position.__getitem__, pool), int, len(pool))
+                ranks[run, i] = np.count_nonzero(at <= at[i])
+    else:
+        for run, sel in enumerate(selections):
+            for i, img in enumerate(images):
+                ranking = rankings.results.get(sel[img])
+                if ranking is not None:
+                    ranks[run, i] = ranking.index(img) + 1
+    return ranks
+
+
+def _any_txt_ranks(rankings: RankingSet) -> np.ndarray:
+    """Best rank of any of an image's own captions in its full ranking."""
+    ranks = np.full((1, len(rankings.image_ids)), np.inf)
+    for i, img in enumerate(rankings.image_ids):
+        own = set(rankings.captions_of[img])
+        ranks[0, i] = next((p for p, cid in enumerate(rankings.results[img], 1) if cid in own), np.inf)
+    return ranks
+
+
+def _variant_ranks(rankings: RankingSet, variant: str, rnd_seed: int) -> np.ndarray:
+    """Per-image ranks of an R@K variant, one row per run. The single-relevant
+    variants designate one caption per image in each run."""
+    images = rankings.image_ids
+    if variant == "any_txt":
+        return _any_txt_ranks(rankings)
     if variant == "first_txt":
-        runs = [{img: caption_id(img, 0) for img in rankings.image_ids}]
+        picks = [[0] * len(images)]
     elif variant == "rnd_txt":
         rng = random.Random(rnd_seed)
-        runs = [{img: caption_id(img, rng.randrange(CAPTIONS_PER_IMAGE)) for img in rankings.image_ids}]
-    elif variant == "avg_txt":
-        runs = [
-            {img: caption_id(img, j) for img in rankings.image_ids}
-            for j in range(CAPTIONS_PER_IMAGE)
-        ]
+        picks = [[rng.randrange(CAPTIONS_PER_IMAGE) for _ in images]]
     else:
-        raise ValueError(f"variant {variant!r} has no per-image selection")
-    return runs
+        picks = [[j] * len(images) for j in range(CAPTIONS_PER_IMAGE)]
+    selections = [{img: caption_id(img, j) for img, j in zip(images, pick)} for pick in picks]
+    return _designated_ranks(rankings, selections)
 
 
-def _run_hits(rankings: RankingSet, selection: dict[str, str], k: int) -> int:
-    hits = 0
-    if rankings.direction == "annotation":
-        pool = set(selection.values())
-        for img in rankings.image_ids:
-            target = selection[img]
-            top = [c for c in rankings.results[img] if c in pool][:k]
-            if target in top:
-                hits += 1
-    else:
-        for img in rankings.image_ids:
-            qid = selection[img]
-            ranked = rankings.results.get(qid)
-            if ranked is not None and img in ranked[:k]:
-                hits += 1
-    return hits
+def _recall(ranks: np.ndarray, k: int) -> float:
+    """Hit percentage at k of each run (row), averaged over runs."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = ranks.shape[1]
+    if n == 0:
+        raise ValueError("no queries to evaluate")
+    pcts = [100.0 * int(hits) / n for hits in np.count_nonzero(ranks <= k, axis=1)]
+    return sum(pcts) / len(pcts)
 
 
 def recall_at_k(rankings: RankingSet, k: int, variant: str, rnd_seed: int = 0) -> float:
     """Percentage of queries whose relevant item lands in the top k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "any_txt" and rankings.direction != "annotation":
         raise ValueError("any_txt is only defined for annotation")
-    n = len(rankings.image_ids)
-    if n == 0:
-        raise ValueError("no queries to evaluate")
-    if variant == "any_txt":
-        hits = 0
-        for img in rankings.image_ids:
-            own = set(rankings.captions_of[img])
-            if own & set(rankings.results[img][:k]):
-                hits += 1
-        return 100.0 * hits / n
-    runs = _selections(rankings, variant, rnd_seed)
-    pcts = [100.0 * _run_hits(rankings, sel, k) / n for sel in runs]
-    return sum(pcts) / len(pcts)
+    return _recall(_variant_ranks(rankings, variant, rnd_seed), k)
 
 
-def _avg_txt_ranks(rankings: RankingSet) -> list[int]:
-    """Rank of the designated item for every (image, caption index) run."""
-    ranks: list[int] = []
-    worst = len(rankings.image_ids)
-    for sel in _selections(rankings, "avg_txt", 0):
-        if rankings.direction == "annotation":
-            pool = set(sel.values())
-            for img in rankings.image_ids:
-                restricted = [c for c in rankings.results[img] if c in pool]
-                ranks.append(restricted.index(sel[img]) + 1)
-        else:
-            for img in rankings.image_ids:
-                ranked = rankings.results.get(sel[img])
-                ranks.append(ranked.index(img) + 1 if ranked is not None else worst)
-    return ranks
-
-
-def median_rank_from_ranks(ranks: list[int]) -> int:
+def median_rank_from_ranks(ranks: list[int] | np.ndarray) -> int:
     """Smallest k covering at least half of the given ranks."""
-    if not ranks:
+    if len(ranks) == 0:
         raise ValueError("no ranks to take a median over")
     ordered = sorted(ranks)
     half = (len(ordered) + 1) // 2
-    return ordered[half - 1]
+    return int(ordered[half - 1])
+
+
+def _median_of_avg_txt(ranks: np.ndarray) -> int:
+    # a caption that is not a search query counts as the worst rank, n
+    return median_rank_from_ranks(np.minimum(ranks, ranks.shape[1]).ravel())
 
 
 def median_rank(rankings: RankingSet) -> int:
     """Smallest k at which avg_txt recall reaches 50%."""
-    return median_rank_from_ranks(_avg_txt_ranks(rankings))
+    return _median_of_avg_txt(_variant_ranks(rankings, "avg_txt", 0))
 
 
 def r_precision(rankings: RankingSet, relevant_count: int = 5) -> float:
@@ -273,15 +256,13 @@ def evaluate_rankings(
     rankings: RankingSet, ks: tuple[int, ...] = DEFAULT_KS, rnd_seed: int = 0
 ) -> EvalReport:
     variants = VARIANTS if rankings.direction == "annotation" else VARIANTS[:3]
-    recall = {
-        variant: {k: recall_at_k(rankings, k, variant, rnd_seed) for k in ks}
-        for variant in variants
-    }
+    ranks = {variant: _variant_ranks(rankings, variant, rnd_seed) for variant in variants}
+    recall = {variant: {k: _recall(ranks[variant], k) for k in ks} for variant in variants}
     return EvalReport(
         direction=rankings.direction,
         ks=tuple(ks),
         recall=recall,
-        med_r=median_rank(rankings),
+        med_r=_median_of_avg_txt(ranks["avg_txt"]),
         r_precision_5=r_precision(rankings) if rankings.direction == "annotation" else None,
         query_count=len(rankings.image_ids),
         rnd_seed=rnd_seed,

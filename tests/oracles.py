@@ -1,11 +1,13 @@
 """Reference implementations kept independent of the library code paths:
 brute-force metric oracles (literal nested-loop re-implementations of the
-metric definitions) and the two-branch triplet gradient the trainer's single
-anchor/candidate path replaced."""
+metric definitions), the two-branch triplet gradient the trainer's single
+anchor/candidate path replaced, and the pair-by-pair ranking loop the
+batched cosine kernel replaced."""
 
 import itertools
 import random
 
+from crossmodal.errors import ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
 from crossmodal.nets import accumulate, backward, forward
 from crossmodal.ranker import cosine_backward, cosine_score, margin_loss
@@ -42,6 +44,20 @@ def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, 
     vgrads, _ = backward(tape_pos, g_img_p)
     vgrads = accumulate(vgrads, backward(tape_neg, g_img_n)[0])
     return loss, s_pos, s_neg, tgrads, vgrads
+
+
+def oracle_rank(query, candidates):
+    """Candidate ids by descending cosine with the query embedding, ties
+    lexicographic on id; zero-norm candidates cannot be scored and sort last."""
+    scored = []
+    for cand_id, emb in candidates:
+        try:
+            s = cosine_score(query, emb)
+        except ZeroNormError:
+            s = float("-inf")
+        scored.append((-s, cand_id))
+    scored.sort()
+    return [cand_id for _, cand_id in scored]
 
 
 def oracle_single_run(results, image_ids, selection, k, direction):

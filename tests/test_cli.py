@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import build_parser, main
 
 
@@ -277,6 +278,62 @@ class TestEvaluate:
         assert rc != 0 and "digest mismatch" in err
 
 
+    def test_checkpoint_without_test_split_refused(self, tmp_path, corpus, trained, capsys):
+        ckpt = load_checkpoint(str(trained / "checkpoint.bin"))
+        bare = tmp_path / "bare.bin"
+        save_checkpoint(str(bare), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history)
+        out = tmp_path / "eval_bare"
+        rc, _, err = run(
+            capsys, "evaluate", "--checkpoint", str(bare),
+            # missing corpus files show that nothing is loaded after the checkpoint
+            "--captions", str(tmp_path / "missing.tsv"),
+            "--features", str(tmp_path / "missing.txt"),
+            "--out", str(out),
+        )
+        assert rc != 0
+        assert err.startswith("error ConfigError: ") and err.count("\n") == 1
+        assert "n_test" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ks", ["0,1", "", "1,,5", "1,x", "-3"])
+    def test_bad_ks_fail_before_loading(self, tmp_path, ks, capsys):
+        out = tmp_path / "eval_ks"
+        rc, stdout, err = run(
+            capsys, "evaluate", "--checkpoint", str(tmp_path / "missing.bin"),
+            "--captions", str(tmp_path / "missing.tsv"),
+            "--features", str(tmp_path / "missing.txt"),
+            "--ks", ks, "--out", str(out),
+        )
+        assert rc != 0 and stdout == ""
+        assert err.startswith("error ConfigError: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unencodable_captions_reported(self, tmp_path, corpus, prepped, capsys):
+        lines = (corpus / "captions.tsv").read_text().splitlines(keepends=True)
+        image_id, index, _ = lines[0].split("\t")
+        lines[0] = f"{image_id}\t{index}\tentirely unknown words\n"
+        oov = tmp_path / "oov_captions.tsv"
+        oov.write_text("".join(lines))
+        out = tmp_path / "oov_run"
+        args = train_args(corpus, prepped, out)
+        args[args.index("--captions") + 1] = str(oov)
+        rc, stdout, err = run(capsys, *args)
+        assert rc == 0 and stdout == ""
+        notice = "captions with no in-vocabulary term, not scored: 1\n"
+        assert err.count(notice) == 1
+        eval_args = [
+            "evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+            "--features", str(corpus / "features.txt"),
+        ]
+        rc, stdout, err = run(capsys, *eval_args, "--captions", str(oov), "--out", str(tmp_path / "e1"))
+        assert rc == 0 and err.count(notice) == 1
+        assert notice not in stdout
+        rc, _, err = run(
+            capsys, *eval_args, "--captions", str(corpus / "captions.tsv"), "--out", str(tmp_path / "e2")
+        )
+        assert rc == 0 and "in-vocabulary" not in err
+
+
 class TestQuery:
     def test_sentence_query_finds_its_cluster(self, tmp_path, corpus, prepped, capsys):
         # T2I training optimizes exactly the image-ranking direction a
@@ -344,6 +401,52 @@ class TestQuery:
             "--image-id", "ghost",
         )
         assert rc != 0 and "ghost" in err
+
+    @pytest.mark.parametrize("top_k", ["0", "-1", "", "x", "2.5"])
+    def test_bad_top_k_fails_before_loading(self, tmp_path, top_k, capsys):
+        rc, stdout, err = run(
+            capsys, "query", "--checkpoint", str(tmp_path / "missing.bin"),
+            "--features", str(tmp_path / "missing.txt"),
+            "--sentence", "c0w1", "--top-k", top_k,
+        )
+        assert rc != 0 and stdout == ""
+        assert err.startswith("error ConfigError: ") and err.count("\n") == 1
+
+    @pytest.fixture
+    def zero_norm_image(self, tmp_path, corpus, trained):
+        """A bias-free copy of the trained checkpoint and a feature file in
+        which image c0img000 is the zero vector, so it embeds to zero."""
+        ckpt = load_checkpoint(str(trained / "checkpoint.bin"))
+        ckpt.model.visual_net.params["b0"][:] = 0.0
+        path = tmp_path / "nobias.bin"
+        save_checkpoint(str(path), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history)
+        lines = (corpus / "features.txt").read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines[1:], start=1):
+            fields = line.split()
+            if fields[0] == "c0img000":
+                lines[i] = " ".join(["c0img000"] + ["0.0"] * (len(fields) - 1)) + "\n"
+        features = tmp_path / "zero_features.txt"
+        features.write_text("".join(lines))
+        return path, features
+
+    def test_zero_norm_image_left_out_of_sentence_results(self, zero_norm_image, capsys):
+        ckpt, features = zero_norm_image
+        rc, out, err = run(
+            capsys, "query", "--checkpoint", str(ckpt), "--features", str(features),
+            "--sentence", "c0w1 c0w2", "--top-k", "500",
+        )
+        assert rc == 0, err
+        ids = [line.split("\t")[2] for line in out.splitlines()]
+        assert len(ids) == 11 and "c0img000" not in ids
+
+    def test_zero_norm_image_query_fails(self, corpus, zero_norm_image, capsys):
+        ckpt, features = zero_norm_image
+        rc, out, err = run(
+            capsys, "query", "--checkpoint", str(ckpt), "--features", str(features),
+            "--captions", str(corpus / "captions.tsv"), "--image-id", "c0img000",
+        )
+        assert rc != 0 and out == ""
+        assert err.startswith("error ZeroNormError: ") and err.count("\n") == 1
 
     def test_requires_exactly_one_query_kind(self, corpus, trained, capsys):
         rc, _, err = run(

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
 from crossmodal.errors import ZeroNormError
@@ -14,18 +15,19 @@ from crossmodal.metrics import (
     median_rank,
     median_rank_from_ranks,
     r_precision,
-    rank_candidates,
+    rank_by_cosine,
     recall_at_k,
     rouge,
 )
-from crossmodal.nets import NetSpec, init_net
-from crossmodal.ranker import RetrievalDataset, ScoreModel
+from crossmodal.nets import NetSpec, forward, init_net
+from crossmodal.ranker import RetrievalDataset, ScoreModel, cosine_score
 from crossmodal.text import build_vocabulary
 
 from oracles import (
     oracle_bleu,
     oracle_median_rank,
     oracle_r_precision,
+    oracle_rank,
     oracle_recall,
     oracle_rouge,
     oracle_single_run,
@@ -276,28 +278,41 @@ class TestRankCandidates:
 
     def test_singleton_pool(self):
         model, data, store, vocab = self.toy_model_and_data()
-        enc = data.encoding("c0img000", 0)
-        result = rank_candidates(
-            model, ("c0img000", store.get("c0img000")), [("c0img000#0", enc)], "annotation"
-        )
-        assert result.candidates == ["c0img000#0"]
+        query = forward(model.visual_net, store.get("c0img000"))[0]
+        cand = forward(model.textual_net, data.encoding("c0img000", 0))[0]
+        order, scores = rank_by_cosine(query[None], cand[None], ["c0img000#0"])
+        assert order.tolist() == [[0]]
+        assert scores[0, 0] == pytest.approx(cosine_score(query, cand), abs=1e-12)
 
     def test_pairwise_matches_batched(self):
         for seed in range(5):
             model, data, store, vocab = self.toy_model_and_data(seed=seed, noise=0.2)
             annotation, search = build_rankings(model, data, "test")
             view = data.view("test")
-            cap_pool = [
-                (f"{img}#{idx}", data.encoding(img, idx)) for img, idx in view.pairs
+            caps = [
+                (f"{img}#{idx}", forward(model.textual_net, data.encoding(img, idx))[0])
+                for img, idx in view.pairs
             ]
-            img_pool = [(img, store.get(img)) for img in view.image_ids]
-            for img in view.image_ids:
-                ranked = rank_candidates(model, (img, store.get(img)), cap_pool, "annotation")
-                assert ranked.candidates == annotation.results[img]
-            for img, idx in view.pairs:
-                cid = f"{img}#{idx}"
-                ranked = rank_candidates(model, (cid, data.encoding(img, idx)), img_pool, "search")
-                assert ranked.candidates == search.results[cid]
+            imgs = [(img, forward(model.visual_net, store.get(img))[0]) for img in view.image_ids]
+            for img, emb in imgs:
+                assert oracle_rank(emb, caps) == annotation.results[img]
+            for cid, emb in caps:
+                assert oracle_rank(emb, imgs) == search.results[cid]
+
+    def test_zero_norm_caption_ranks_last_and_is_not_a_query(self):
+        model, data, store, vocab = self.toy_model_and_data()
+        # every term of caption c0img000#0 embeds to zero and the net has no bias
+        model.textual_net.params["b0"][:] = 0.0
+        for term in data.captions[("c0img000", 0)].tokens:
+            model.textual_net.params["w0"][vocab.term_to_index[term]] = 0.0
+        zero = {f"{i}#{j}" for i, j in data.view("test").pairs
+                if not np.any(forward(model.textual_net, data.encoding(i, j))[0])}
+        assert "c0img000#0" in zero
+        annotation, search = build_rankings(model, data, "test")
+        for ranking in annotation.results.values():
+            assert set(ranking[-len(zero):]) == zero
+        assert zero.isdisjoint(search.results)
+        assert len(search.results) == len(data.view("test").pairs) - len(zero)
 
     def test_oracle_model_ranks_own_cluster_first(self):
         model, data, store, vocab = self.toy_model_and_data()
@@ -319,19 +334,63 @@ class TestRankCandidates:
             assert all(cid[:2] == cluster for cid in top)
 
     def test_empty_pool_rejected(self):
-        model, data, store, vocab = self.toy_model_and_data()
         with pytest.raises(ValueError):
-            rank_candidates(model, ("q", store.get("c0img000")), [], "annotation")
+            rank_by_cosine(np.ones((1, 3)), np.empty((0, 3)), [])
 
     def test_zero_norm_query_rejected(self):
         model, data, store, vocab = self.toy_model_and_data()
         for p in model.visual_net.params.values():
             p[:] = 0.0
-        enc = data.encoding("c0img000", 0)
+        query = forward(model.visual_net, store.get("c0img000"))[0]
+        cand = forward(model.textual_net, data.encoding("c0img000", 0))[0]
         with pytest.raises(ZeroNormError):
-            rank_candidates(
-                model, ("c0img000", store.get("c0img000")), [("x", enc)], "annotation"
-            )
+            rank_by_cosine(query[None], cand[None], ["x"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_queries=st.integers(1, 4),
+        n_distinct=st.integers(1, 10),
+        n_copies=st.integers(0, 4),
+        n_zero=st.integers(0, 3),
+        dim=st.integers(1, 6),
+    )
+    def test_kernel_matches_pairwise_oracle(self, seed, n_queries, n_distinct, n_copies, n_zero, dim):
+        rng = np.random.default_rng(seed)
+        queries = rng.normal(size=(n_queries, dim))
+        distinct = rng.normal(size=(n_distinct, dim))
+        rows = np.concatenate([
+            distinct,
+            distinct[rng.integers(0, n_distinct, size=n_copies)],  # exact ties
+            np.zeros((n_zero, dim)),
+        ])
+        # ids in an order unrelated to the rows, so ties really test id order
+        ids = [f"c{x:02d}" for x in rng.permutation(len(rows))]
+        pool = list(zip(ids, rows))
+        score_of = {}
+        order, scores = rank_by_cosine(queries, rows, ids)
+        for q, query in enumerate(queries):
+            for cid, emb in pool:
+                score_of[cid] = cosine_score(query, emb) if np.any(emb) else -np.inf
+            expected = oracle_rank(query, pool)
+            got = [ids[j] for j in order[q]]
+            # cut both orderings wherever adjacent pairwise scores differ by more than 1e-12
+            cuts = [0] + [
+                i for i in range(1, len(expected))
+                if score_of[expected[i - 1]] - score_of[expected[i]] > 1e-12
+            ] + [len(expected)]
+            for a, b in zip(cuts, cuts[1:]):
+                assert set(got[a:b]) == set(expected[a:b])
+                block = got[a:b]
+                for i, first in enumerate(block):
+                    for later in block[i + 1:]:
+                        if score_of[first] == score_of[later]:
+                            assert first < later  # exact ties in id order
+            zero_ids = sorted(ids[len(rows) - n_zero:])
+            assert got[len(rows) - n_zero:] == zero_ids
+            assert np.all(scores[q, len(rows) - n_zero:] == -np.inf)
+            finite = scores[q, : len(rows) - n_zero]
+            assert np.all(np.abs(finite - [score_of[c] for c in got[: len(rows) - n_zero]]) <= 1e-12)
 
 
 class TestEvalReport:
