@@ -15,7 +15,9 @@ Scoring. ``rank_by_cosine`` is the one ranking kernel: one batched cosine
 per direction, each row ordered by descending score with ties broken
 lexicographically on candidate id, so every metric is deterministic.
 Zero-norm candidates sort last. Every R@K and med r is read off one rank
-per (selection, image) from ``_designated_ranks``.
+per (selection, image) from ``_designated_ranks``. A designated caption
+that could not be scored (no in-vocabulary term, or zero norm as a search
+query) misses at every k and counts as rank n for med r.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
@@ -110,18 +113,21 @@ def _designated_ranks(rankings: RankingSet, selections: list[dict[str, str]]) ->
 
     Annotation ranks the designated caption within the selection's pool
     (the designated captions of all images). Search takes the image's rank
-    in its designated caption's ranking, or inf when that caption is not a
-    query, so it misses at every k.
+    in its designated caption's ranking. A designated caption that could not
+    be scored (it is missing from the image's ranking, or is not a search
+    query) gets inf, so it misses at every k.
     """
     images = rankings.image_ids
     ranks = np.full((len(selections), len(images)), np.inf)
     if rankings.direction == "annotation":
-        pools = [[sel[img] for img in images] for sel in selections]
+        pools = [sel[img] for sel in selections for img in images]
         for i, img in enumerate(images):
             position = dict(zip(rankings.results[img], range(len(rankings.results[img]))))
-            for run, pool in enumerate(pools):
-                at = np.fromiter(map(position.__getitem__, pool), int, len(pool))
-                ranks[run, i] = np.count_nonzero(at <= at[i])
+            at = np.fromiter(map(position.get, pools, repeat(np.inf)), float, len(pools))
+            at = at.reshape(len(selections), len(images))
+            own = at[:, i]
+            scored = np.isfinite(own)
+            ranks[scored, i] = np.count_nonzero(at[scored] <= own[scored, None], axis=1)
     else:
         for run, sel in enumerate(selections):
             for i, img in enumerate(images):
@@ -140,12 +146,9 @@ def _any_txt_ranks(rankings: RankingSet) -> np.ndarray:
     return ranks
 
 
-def _variant_ranks(rankings: RankingSet, variant: str, rnd_seed: int) -> np.ndarray:
-    """Per-image ranks of an R@K variant, one row per run. The single-relevant
-    variants designate one caption per image in each run."""
-    images = rankings.image_ids
-    if variant == "any_txt":
-        return _any_txt_ranks(rankings)
+def _selections(images: list[str], variant: str, rnd_seed: int) -> list[dict[str, str]]:
+    """The designated caption of every image, one selection per run of a
+    single-relevant variant."""
     if variant == "first_txt":
         picks = [[0] * len(images)]
     elif variant == "rnd_txt":
@@ -153,8 +156,22 @@ def _variant_ranks(rankings: RankingSet, variant: str, rnd_seed: int) -> np.ndar
         picks = [[rng.randrange(CAPTIONS_PER_IMAGE) for _ in images]]
     else:
         picks = [[j] * len(images) for j in range(CAPTIONS_PER_IMAGE)]
-    selections = [{img: caption_id(img, j) for img, j in zip(images, pick)} for pick in picks]
-    return _designated_ranks(rankings, selections)
+    return [{img: caption_id(img, j) for img, j in zip(images, pick)} for pick in picks]
+
+
+def _variant_ranks(rankings: RankingSet, variants: tuple[str, ...], rnd_seed: int) -> dict[str, np.ndarray]:
+    """Per-image ranks of each R@K variant, one row per run. The
+    single-relevant variants share one ``_designated_ranks`` pass."""
+    ranks = {"any_txt": _any_txt_ranks(rankings)} if "any_txt" in variants else {}
+    single = [v for v in variants if v != "any_txt"]
+    if single:
+        runs = [_selections(rankings.image_ids, v, rnd_seed) for v in single]
+        designated = _designated_ranks(rankings, [sel for run in runs for sel in run])
+        start = 0
+        for variant, run in zip(single, runs):
+            ranks[variant] = designated[start : start + len(run)]
+            start += len(run)
+    return ranks
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -174,7 +191,7 @@ def recall_at_k(rankings: RankingSet, k: int, variant: str, rnd_seed: int = 0) -
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "any_txt" and rankings.direction != "annotation":
         raise ValueError("any_txt is only defined for annotation")
-    return _recall(_variant_ranks(rankings, variant, rnd_seed), k)
+    return _recall(_variant_ranks(rankings, (variant,), rnd_seed)[variant], k)
 
 
 def median_rank_from_ranks(ranks: list[int] | np.ndarray) -> int:
@@ -193,19 +210,23 @@ def _median_of_avg_txt(ranks: np.ndarray) -> int:
 
 def median_rank(rankings: RankingSet) -> int:
     """Smallest k at which avg_txt recall reaches 50%."""
-    return _median_of_avg_txt(_variant_ranks(rankings, "avg_txt", 0))
+    return _median_of_avg_txt(_variant_ranks(rankings, ("avg_txt",), 0)["avg_txt"])
 
 
 def r_precision(rankings: RankingSet, relevant_count: int = 5) -> float:
-    """Mean percentage of an image's captions found in its top-R results."""
+    """Mean percentage of an image's captions found in its top-R results.
+
+    The denominator is always R: a caption that could not be scored is not
+    in the ranking, so it counts as not found.
+    """
     if rankings.direction != "annotation":
         raise ValueError("rPrecision is only defined for annotation")
     total = 0.0
     for img in rankings.image_ids:
         own = rankings.captions_of[img]
-        if len(own) != relevant_count:
+        if len(own) > relevant_count:
             raise ValueError(
-                f"image {img!r} has {len(own)} captions, expected {relevant_count}"
+                f"image {img!r} has {len(own)} captions, expected at most {relevant_count}"
             )
         top = rankings.results[img][:relevant_count]
         total += 100.0 * len(set(top) & set(own)) / relevant_count
@@ -256,7 +277,7 @@ def evaluate_rankings(
     rankings: RankingSet, ks: tuple[int, ...] = DEFAULT_KS, rnd_seed: int = 0
 ) -> EvalReport:
     variants = VARIANTS if rankings.direction == "annotation" else VARIANTS[:3]
-    ranks = {variant: _variant_ranks(rankings, variant, rnd_seed) for variant in variants}
+    ranks = _variant_ranks(rankings, variants, rnd_seed)
     recall = {variant: {k: _recall(ranks[variant], k) for k in ks} for variant in variants}
     return EvalReport(
         direction=rankings.direction,

@@ -8,13 +8,20 @@ Two architectures share one interface:
 
 Everything runs in float64; gradients are exact, which the finite-difference
 test suite relies on.
+
+First-layer gradients are row-sparse: a caption touches only the ``w0`` rows
+(bag) or ``lookup`` rows (sequence) of its terms, so ``backward`` returns that
+gradient as a ``RowGrad`` of those rows, and ``sgd_step`` updates only them.
+Every other gradient is a dense array of its parameter's shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import PretrainedEmbeddings
 from .errors import NonFiniteGradientError
@@ -40,6 +47,20 @@ class NetSpec:
             raise ValueError("n_hu must be nonnegative")
         if self.kind == "sequence" and min(self.word_dim, self.kernel_count, self.window) < 1:
             raise ValueError("sequence nets need word_dim, kernel_count and window >= 1")
+
+
+class RowGrad(NamedTuple):
+    """Gradient of a parameter that is zero outside a few rows.
+
+    ``rows`` is int64, strictly increasing; ``values[i]`` is the gradient of
+    row ``rows[i]``. Being a tuple, ``+`` concatenates: sum with ``accumulate``.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
+Grads = dict[str, np.ndarray | RowGrad]
 
 
 @dataclass
@@ -147,10 +168,8 @@ def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.
         windows = np.zeros((1, width))
         windows[0, : t_len * m] = emb_rows.reshape(-1)
     else:
-        n_pos = t_len - spec.window + 1
-        windows = np.empty((n_pos, width))
-        for pos in range(n_pos):
-            windows[pos] = emb_rows[pos : pos + spec.window].reshape(-1)
+        # row pos is tokens pos .. pos+window-1 concatenated (reshape copies)
+        windows = sliding_window_view(emb_rows, (spec.window, m)).reshape(-1, width)
     z = windows @ p["conv_w"] + p["conv_b"]  # (P, K)
     avg = z.mean(axis=0)
     r = relu(avg)
@@ -161,12 +180,14 @@ def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.
     return r @ p["out_w"] + p["out_b"], tape
 
 
-def backward(tape: Tape, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+def backward(tape: Tape, grad_out: np.ndarray) -> tuple[Grads, np.ndarray | None]:
     """Exact gradients of embedding . grad_out w.r.t. all parameters.
 
     Returns the per-parameter gradients and, where the input is continuous,
     the gradient w.r.t. the input (dense vectors and sparse values; None for
-    token sequences). The relu subgradient at 0 is taken as 0.
+    token sequences). The first layer's gradient is a ``RowGrad`` over the
+    input's rows for sparse vectors and token sequences, dense for dense
+    vectors. The relu subgradient at 0 is taken as 0.
     """
     if tape.used:
         raise RuntimeError("tape already consumed by a previous backward pass")
@@ -175,7 +196,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], n
     spec = net.spec
     p = net.params
     g = np.asarray(grad_out, dtype=np.float64)
-    grads: dict[str, np.ndarray] = {}
+    grads: Grads = {}
     if spec.kind == "bag":
         if spec.n_hu > 0:
             a = tape.data["a"]
@@ -186,15 +207,11 @@ def backward(tape: Tape, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], n
             dh0 = g.copy()
         grads["b0"] = dh0
         x = tape.data["input"]
-        grads["w0"] = np.zeros_like(p["w0"])
         if isinstance(x, SparseVector):
-            if len(x):
-                np.add.at(grads["w0"], x.indices, np.outer(x.values, dh0))
-                grad_in = p["w0"][x.indices] @ dh0
-            else:
-                grad_in = np.empty(0)
+            grads["w0"] = RowGrad(x.indices, np.outer(x.values, dh0))
+            grad_in = p["w0"][x.indices] @ dh0
         else:
-            grads["w0"] += np.outer(x, dh0)
+            grads["w0"] = np.outer(x, dh0)
             grad_in = p["w0"] @ dh0
         return grads, grad_in
     windows = tape.data["windows"]
@@ -210,31 +227,53 @@ def backward(tape: Tape, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], n
     dwindows = dz @ p["conv_w"].T  # (P, window*M)
     tokens = tape.data["tokens"]
     m = spec.word_dim
-    grads["lookup"] = np.zeros_like(p["lookup"])
+    rows, slot = np.unique(tokens, return_inverse=True)
     t_len = len(tokens)
     if t_len < spec.window:
         drows = dwindows[0, : t_len * m].reshape(t_len, m)
-        np.add.at(grads["lookup"], tokens, drows)
     else:
-        for pos in range(n_pos):
-            drows = dwindows[pos].reshape(spec.window, m)
-            np.add.at(grads["lookup"], tokens[pos : pos + spec.window], drows)
+        # contributions in (position, offset) order: each row gets the same
+        # additions in the same order as a per-position loop
+        slot = sliding_window_view(slot, spec.window).reshape(-1)
+        drows = dwindows.reshape(-1, m)
+    values = np.zeros((len(rows), m))
+    np.add.at(values, slot, drows)
+    grads["lookup"] = RowGrad(rows, values)
     return grads, None
 
 
-def sgd_step(net: Net, grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place p <- p - lr * g; refuses non-finite gradients."""
+def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:
+    """In-place p <- p - lr * g for each net and its gradients (``grads[i]``
+    belongs to ``nets[i]``); a ``RowGrad`` changes only its rows.
+
+    Every gradient is checked (known parameter, shape, rows in range,
+    finite) before any parameter changes, so a refused step leaves every net
+    as it was.
+    """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    for name, grad in grads.items():
-        if name not in net.params:
-            raise KeyError(f"gradient for unknown parameter {name!r}")
-        if net.params[name].shape != grad.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
-    for name, grad in grads.items():
-        net.params[name] -= lr * grad
+    for net, net_grads in zip(nets, grads, strict=True):
+        for name, grad in net_grads.items():
+            if name not in net.params:
+                raise KeyError(f"gradient for unknown parameter {name!r}")
+            shape = net.params[name].shape
+            values = grad
+            if isinstance(grad, RowGrad):
+                rows, values = grad
+                increasing = rows.ndim == 1 and bool(np.all(np.diff(rows) > 0))
+                if not increasing or (len(rows) and (rows[0] < 0 or rows[-1] >= shape[0])):
+                    raise ValueError(f"gradient rows for {name!r} out of range or not increasing")
+                shape = (len(rows),) + shape[1:]
+            if values.shape != shape:
+                raise ValueError(f"gradient shape mismatch for {name!r}")
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
+    for net, net_grads in zip(nets, grads):
+        for name, grad in net_grads.items():
+            if isinstance(grad, RowGrad):
+                net.params[name][grad.rows] -= lr * grad.values
+            else:
+                net.params[name] -= lr * grad
 
 
 def lr_schedule(lr0: float, epoch: int) -> float:
@@ -244,13 +283,24 @@ def lr_schedule(lr0: float, epoch: int) -> float:
     return lr0 * (1.0 - 0.99 * min(epoch, 100) / 100.0)
 
 
-def accumulate(total: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Sum gradient dicts, used when shared weights see several branches."""
+def accumulate(total: Grads, grads: Grads) -> Grads:
+    """Sum gradient dicts, used when shared weights see several branches.
+
+    Two ``RowGrad``s sum over the union of their rows: the first is added,
+    then the second, which is the order of the dense sum.
+    """
     for name, grad in grads.items():
-        if name in total:
-            total[name] = total[name] + grad
-        else:
+        if name not in total:
             total[name] = grad
+        elif isinstance(grad, RowGrad):
+            first = total[name]
+            rows = np.union1d(first.rows, grad.rows)
+            values = np.zeros((len(rows),) + grad.values.shape[1:])
+            values[np.searchsorted(rows, first.rows)] += first.values
+            values[np.searchsorted(rows, grad.rows)] += grad.values
+            total[name] = RowGrad(rows, values)
+        else:
+            total[name] = total[name] + grad
     return total
 
 

@@ -295,9 +295,9 @@ def train_epoch(
     """One seeded-shuffle pass over the training pairs; returns mistake %.
 
     Each positive pair gets one sampled negative; when the margin is
-    violated, the accumulated gradients from both branches are applied in a
-    single SGD step at the scheduled learning rate. A pair counts as a
-    mistake when s_pos <= s_neg.
+    violated, the accumulated gradients from both branches are applied to
+    both nets in a single SGD step at the scheduled learning rate; a refused
+    step moves neither net. A pair counts as a mistake when s_pos <= s_neg.
     """
     view = data.view("train")
     if not view.pairs:
@@ -319,8 +319,7 @@ def train_epoch(
         if s_pos <= s_neg:
             mistakes += 1
         if tgrads is not None:
-            sgd_step(model.textual_net, tgrads, lr)
-            sgd_step(model.visual_net, vgrads, lr)
+            sgd_step((model.textual_net, model.visual_net), (tgrads, vgrads), lr)
     if scored == 0:
         raise RuntimeError("every training pair was skipped")
     return 100.0 * mistakes / scored

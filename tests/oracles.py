@@ -1,16 +1,30 @@
 """Reference implementations kept independent of the library code paths:
 brute-force metric oracles (literal nested-loop re-implementations of the
 metric definitions), the two-branch triplet gradient the trainer's single
-anchor/candidate path replaced, and the pair-by-pair ranking loop the
-batched cosine kernel replaced."""
+anchor/candidate path replaced, the pair-by-pair ranking loop the batched
+cosine kernel replaced, and the dense-gradient forward/backward/update the
+row-sparse first-layer gradients replaced."""
 
 import itertools
 import random
 
-from crossmodal.errors import ZeroNormError
+import numpy as np
+
+from crossmodal.errors import NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
-from crossmodal.nets import accumulate, backward, forward
+from crossmodal.nets import Net, RowGrad, Tape, accumulate, backward, forward, relu
 from crossmodal.ranker import cosine_backward, cosine_score, margin_loss
+from crossmodal.text import SparseVector, TokenSequence
+
+
+def densify(param, grad):
+    """A gradient as a dense array of its parameter's shape."""
+    if not isinstance(grad, RowGrad):
+        return grad
+    assert grad.rows.dtype == np.int64 and np.all(np.diff(grad.rows) > 0)
+    dense = np.zeros_like(param)
+    dense[grad.rows] = grad.values
+    return dense
 
 
 def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, methodology, margin):
@@ -44,6 +58,149 @@ def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, 
     vgrads, _ = backward(tape_pos, g_img_p)
     vgrads = accumulate(vgrads, backward(tape_neg, g_img_n)[0])
     return loss, s_pos, s_neg, tgrads, vgrads
+
+
+def oracle_loop_forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.ndarray, Tape]:
+    """Embed one input, recording the activations needed for backward.
+
+    Per-position window loop; the dense-gradient reference's forward."""
+    spec = net.spec
+    p = net.params
+    tape = Tape(net=net)
+    if spec.kind == "bag":
+        if isinstance(x, TokenSequence):
+            raise TypeError("bag nets take sparse or dense vectors, not token sequences")
+        if isinstance(x, SparseVector):
+            h0 = p["b0"].copy()
+            if len(x):
+                h0 += x.values @ p["w0"][x.indices]
+        else:
+            dense = np.asarray(x, dtype=np.float64)
+            if dense.shape != (spec.input_dim,):
+                raise ValueError(f"dense input shape {dense.shape} != ({spec.input_dim},)")
+            h0 = dense @ p["w0"] + p["b0"]
+            x = dense
+        tape.data["input"] = x
+        tape.data["h0"] = h0
+        if spec.n_hu > 0:
+            a = relu(h0)
+            tape.data["a"] = a
+            return a @ p["w1"] + p["b1"], tape
+        return h0, tape
+    if not isinstance(x, TokenSequence):
+        raise TypeError("sequence nets take TokenSequence inputs")
+    if len(x) == 0:
+        raise ValueError("empty token sequence")
+    emb_rows = p["lookup"][x.indices]  # (T, M)
+    t_len, m = emb_rows.shape
+    width = spec.window * m
+    if t_len < spec.window:
+        windows = np.zeros((1, width))
+        windows[0, : t_len * m] = emb_rows.reshape(-1)
+    else:
+        n_pos = t_len - spec.window + 1
+        windows = np.empty((n_pos, width))
+        for pos in range(n_pos):
+            windows[pos] = emb_rows[pos : pos + spec.window].reshape(-1)
+    z = windows @ p["conv_w"] + p["conv_b"]  # (P, K)
+    avg = z.mean(axis=0)
+    r = relu(avg)
+    tape.data["tokens"] = x.indices
+    tape.data["windows"] = windows
+    tape.data["avg"] = avg
+    tape.data["r"] = r
+    return r @ p["out_w"] + p["out_b"], tape
+
+
+
+def oracle_dense_backward(tape: Tape, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Exact gradients of embedding . grad_out w.r.t. all parameters.
+
+    Returns the per-parameter gradients and, where the input is continuous,
+    the gradient w.r.t. the input (dense vectors and sparse values; None for
+    token sequences). The relu subgradient at 0 is taken as 0.
+    """
+    if tape.used:
+        raise RuntimeError("tape already consumed by a previous backward pass")
+    tape.used = True
+    net = tape.net
+    spec = net.spec
+    p = net.params
+    g = np.asarray(grad_out, dtype=np.float64)
+    grads: dict[str, np.ndarray] = {}
+    if spec.kind == "bag":
+        if spec.n_hu > 0:
+            a = tape.data["a"]
+            grads["w1"] = np.outer(a, g)
+            grads["b1"] = g.copy()
+            dh0 = (p["w1"] @ g) * (tape.data["h0"] > 0)
+        else:
+            dh0 = g.copy()
+        grads["b0"] = dh0
+        x = tape.data["input"]
+        grads["w0"] = np.zeros_like(p["w0"])
+        if isinstance(x, SparseVector):
+            if len(x):
+                np.add.at(grads["w0"], x.indices, np.outer(x.values, dh0))
+                grad_in = p["w0"][x.indices] @ dh0
+            else:
+                grad_in = np.empty(0)
+        else:
+            grads["w0"] += np.outer(x, dh0)
+            grad_in = p["w0"] @ dh0
+        return grads, grad_in
+    windows = tape.data["windows"]
+    n_pos = windows.shape[0]
+    grads["out_w"] = np.outer(tape.data["r"], g)
+    grads["out_b"] = g.copy()
+    dr = p["out_w"] @ g
+    davg = dr * (tape.data["avg"] > 0)
+    # every position's conv output enters the average with weight 1/P
+    dz = np.tile(davg / n_pos, (n_pos, 1))
+    grads["conv_w"] = windows.T @ dz
+    grads["conv_b"] = davg.copy()
+    dwindows = dz @ p["conv_w"].T  # (P, window*M)
+    tokens = tape.data["tokens"]
+    m = spec.word_dim
+    grads["lookup"] = np.zeros_like(p["lookup"])
+    t_len = len(tokens)
+    if t_len < spec.window:
+        drows = dwindows[0, : t_len * m].reshape(t_len, m)
+        np.add.at(grads["lookup"], tokens, drows)
+    else:
+        for pos in range(n_pos):
+            drows = dwindows[pos].reshape(spec.window, m)
+            np.add.at(grads["lookup"], tokens[pos : pos + spec.window], drows)
+    return grads, None
+
+
+
+def oracle_dense_sgd_step(net: Net, grads: dict[str, np.ndarray], lr: float) -> None:
+    """In-place p <- p - lr * g; refuses non-finite gradients."""
+    if lr <= 0:
+        raise ValueError(f"learning rate must be positive, got {lr}")
+    for name, grad in grads.items():
+        if name not in net.params:
+            raise KeyError(f"gradient for unknown parameter {name!r}")
+        if net.params[name].shape != grad.shape:
+            raise ValueError(f"gradient shape mismatch for {name!r}")
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
+    for name, grad in grads.items():
+        net.params[name] -= lr * grad
+
+
+
+def oracle_dense_accumulate(total: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Sum gradient dicts, used when shared weights see several branches.
+
+    Dense gradients only."""
+    for name, grad in grads.items():
+        if name in total:
+            total[name] = total[name] + grad
+        else:
+            total[name] = grad
+    return total
 
 
 def oracle_rank(query, candidates):

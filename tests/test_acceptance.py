@@ -46,6 +46,7 @@ from crossmodal.text import (
 )
 
 from oracles import (
+    densify,
     oracle_bleu,
     oracle_median_rank,
     oracle_r_precision,
@@ -170,7 +171,7 @@ def test_criterion_gradient_correctness():
         for net, grads in ((model.textual_net, tgrads), (model.visual_net, vgrads)):
             for name, grad in grads.items():
                 flat_p = net.params[name].ravel()
-                flat_g = grad.ravel()
+                flat_g = densify(net.params[name], grad).ravel()
                 for i in range(flat_p.size):
                     orig = flat_p[i]
                     flat_p[i] = orig + h

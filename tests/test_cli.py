@@ -333,6 +333,43 @@ class TestEvaluate:
         )
         assert rc == 0 and "in-vocabulary" not in err
 
+    def test_unscoreable_designated_captions(self, tmp_path, corpus, prepped, capsys):
+        lines = []
+        for line in (corpus / "captions.tsv").read_text().splitlines(keepends=True):
+            image_id, index, _ = line.split("\t")
+            lines.append(f"{image_id}\t{index}\tzzz qqq\n" if index == "2" else line)
+        oov = tmp_path / "oov_captions.tsv"
+        oov.write_text("".join(lines))
+        out = tmp_path / "oov_run"
+        args = train_args(corpus, prepped, out)
+        args[args.index("--captions") + 1] = str(oov)
+        args[args.index("--n-test") + 1] = "4"
+        args[args.index("--val-frac") + 1] = "0.5"
+        rc, _, err = run(capsys, *args)
+        assert rc == 0, err
+        rc, stdout, err = run(
+            capsys, "evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+            "--captions", str(oov), "--features", str(corpus / "features.txt"),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert rc == 0, err
+        assert "captions with no in-vocabulary term, not scored: 12\n" in err
+        reports = {
+            direction: dict(
+                line.split("=", 1)
+                for line in (tmp_path / "eval" / f"report_{direction}.kv").read_text().splitlines()
+            )
+            for direction in ("annotation", "search")
+        }
+        for kv in reports.values():
+            # 4 test images: every scoreable designated caption is within
+            # k=10, and caption #2 misses at every k
+            assert float(kv["recall.first_txt.10"]) == 100.0
+            assert float(kv["recall.avg_txt.10"]) == 80.0
+            assert float(kv["recall.avg_txt.1"]) <= 80.0
+            assert 1 <= int(kv["med_r"]) <= 4
+        assert float(reports["annotation"]["r_precision_5"]) <= 80.0
+
 
 class TestQuery:
     def test_sentence_query_finds_its_cluster(self, tmp_path, corpus, prepped, capsys):

@@ -252,6 +252,26 @@ class TestOracleEquivalence:
             if direction == "annotation":
                 assert r_precision(rankings) == oracle_r_precision(rankings)
 
+    def test_unscoreable_captions_against_oracle(self):
+        """A caption that could not be scored is in no ranking: as a designated
+        caption it misses at every k, and rPrecision still divides by 5."""
+        rng = random.Random(10)
+        for _ in range(30):
+            rankings = random_ranking_set(rng, "annotation")
+            # at most one per image, so avg_txt recall can still reach 50%
+            dropped = {rng.choice(rankings.captions_of[img]) for img in rankings.image_ids
+                       if rng.random() < 0.5}
+            for img in rankings.image_ids:
+                rankings.results[img] = [c for c in rankings.results[img] if c not in dropped]
+                rankings.captions_of[img] = [c for c in rankings.captions_of[img] if c not in dropped]
+            seed = rng.randrange(1000)
+            report = evaluate_rankings(rankings, (1, 2, 5, 10), seed)
+            for variant, by_k in report.recall.items():
+                for k, pct in by_k.items():
+                    assert pct == oracle_recall(rankings, k, variant, seed), (variant, k)
+            assert report.med_r == oracle_median_rank(rankings)
+            assert report.r_precision_5 == oracle_r_precision(rankings)
+
     def test_bleu_rouge_against_oracle(self):
         rng = random.Random(9)
         alphabet = list("abcdef")

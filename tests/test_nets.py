@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from crossmodal.corpus import PretrainedEmbeddings
 from crossmodal.errors import NonFiniteGradientError
 from crossmodal.nets import (
     Net,
     NetSpec,
+    RowGrad,
+    accumulate,
     backward,
     forward,
     init_net,
@@ -14,6 +17,7 @@ from crossmodal.nets import (
     sgd_step,
 )
 from crossmodal.text import SparseVector, TokenSequence, Vocabulary
+from oracles import densify, oracle_dense_accumulate
 
 
 def sparse(indices, values):
@@ -39,7 +43,7 @@ def fd_gradcheck(net, x, rng, h=1e-5, tol=1e-6):
     worst = 0.0
     for name, grad in grads.items():
         param = net.params[name]
-        flat_g = grad.ravel()
+        flat_g = densify(param, grad).ravel()
         flat_p = param.ravel()
         for i in range(flat_p.size):
             orig = flat_p[i]
@@ -216,8 +220,8 @@ class TestBackward:
         net = init_net(NetSpec(kind="bag", input_dim=8, n_emb=4, n_hu=3), seed=2)
         _, tape = forward(net, sparse([1, 5], [1.0, 2.0]))
         grads, _ = backward(tape, np.zeros(4))
-        for g in grads.values():
-            assert np.all(g == 0.0)
+        for name, g in grads.items():
+            assert np.all(densify(net.params[name], g) == 0.0)
 
     def test_linear_bag_row_gradient_closed_form(self):
         net = init_net(NetSpec(kind="bag", input_dim=8, n_emb=4), seed=2)
@@ -225,8 +229,9 @@ class TestBackward:
         _, tape = forward(net, x)
         g = np.array([1.0, -1.0, 2.0, 0.5])
         grads, _ = backward(tape, g)
-        np.testing.assert_array_equal(grads["w0"][2], 0.5 * g)
-        np.testing.assert_array_equal(grads["w0"][6], -2.0 * g)
+        w0 = densify(net.params["w0"], grads["w0"])
+        np.testing.assert_array_equal(w0[2], 0.5 * g)
+        np.testing.assert_array_equal(w0[6], -2.0 * g)
         np.testing.assert_array_equal(grads["b0"], g)
 
     def test_dense_grad_in_matches_fd(self):
@@ -258,13 +263,13 @@ class TestSgdAndSchedule:
             spec=NetSpec(kind="bag", input_dim=1, n_emb=1),
             params={"w0": np.array([[1.0]]), "b0": np.array([0.0])},
         )
-        sgd_step(net, {"w0": np.array([[2.0]])}, lr=0.1)
+        sgd_step([net], [{"w0": np.array([[2.0]])}], lr=0.1)
         assert net.params["w0"][0, 0] == pytest.approx(0.8)
 
     def test_zero_gradient_no_change(self):
         net = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=1)
         before = {k: v.copy() for k, v in net.params.items()}
-        sgd_step(net, {k: np.zeros_like(v) for k, v in net.params.items()}, lr=0.5)
+        sgd_step([net], [{k: np.zeros_like(v) for k, v in net.params.items()}], lr=0.5)
         for k in before:
             np.testing.assert_array_equal(net.params[k], before[k])
 
@@ -272,12 +277,45 @@ class TestSgdAndSchedule:
         net = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=1)
         bad = {"w0": np.full((4, 2), np.nan)}
         with pytest.raises(NonFiniteGradientError, match="w0"):
-            sgd_step(net, bad, lr=0.1)
+            sgd_step([net], [bad], lr=0.1)
 
     def test_nonpositive_lr_rejected(self):
         net = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=1)
         with pytest.raises(ValueError):
-            sgd_step(net, {"b0": np.zeros(2)}, lr=0.0)
+            sgd_step([net], [{"b0": np.zeros(2)}], lr=0.0)
+
+    def test_row_grad_updates_only_its_rows(self):
+        net = init_net(NetSpec(kind="bag", input_dim=6, n_emb=3), seed=1)
+        before = net.params["w0"].copy()
+        values = np.arange(6.0).reshape(2, 3)
+        sgd_step([net], [{"w0": RowGrad(np.array([1, 4]), values)}], lr=0.5)
+        np.testing.assert_array_equal(net.params["w0"][[1, 4]], before[[1, 4]] - 0.5 * values)
+        untouched = [0, 2, 3, 5]
+        assert net.params["w0"][untouched].tobytes() == before[untouched].tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, values_shape",
+        [([1, 6], (2, 2)), ([-1, 2], (2, 2)), ([2, 2], (2, 2)), ([3, 1], (2, 2)), ([1, 2], (2, 3))],
+        ids=["past-end", "negative", "repeated", "decreasing", "value-shape"],
+    )
+    def test_bad_row_grad_rejected(self, rows, values_shape):
+        net = init_net(NetSpec(kind="bag", input_dim=6, n_emb=2), seed=1)
+        before = net.params["w0"].copy()
+        bad = {"w0": RowGrad(np.array(rows, dtype=np.int64), np.ones(values_shape))}
+        with pytest.raises(ValueError, match="w0"):
+            sgd_step([net], [bad], lr=0.1)
+        assert net.params["w0"].tobytes() == before.tobytes()
+
+    def test_refused_step_moves_no_net(self):
+        first = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=1)
+        second = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=2)
+        before = [net.params["w0"].copy() for net in (first, second)]
+        good = {"w0": RowGrad(np.array([0]), np.ones((1, 2)))}
+        bad = {"b0": np.array([0.0, np.nan])}
+        with pytest.raises(NonFiniteGradientError, match="b0"):
+            sgd_step([first, second], [good, bad], lr=0.1)
+        for net, w0 in zip((first, second), before):
+            assert net.params["w0"].tobytes() == w0.tobytes()
 
     def test_lr_schedule_values(self):
         assert lr_schedule(0.001, 0) == pytest.approx(0.001)
@@ -289,3 +327,28 @@ class TestSgdAndSchedule:
     def test_relu_nonnegative(self):
         rng = np.random.default_rng(3)
         assert np.all(relu(rng.normal(size=1000)) >= 0.0)
+
+
+def row_grad(rows, values):
+    return RowGrad(np.array(rows, dtype=np.int64), np.array(values, dtype=np.float64).reshape(len(rows), 3))
+
+
+@st.composite
+def row_grads(draw):
+    rows = draw(st.lists(st.integers(0, 7), unique=True).map(sorted))
+    values = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    return row_grad(rows, draw(st.lists(values, min_size=3 * len(rows), max_size=3 * len(rows))))
+
+
+class TestAccumulate:
+    @given(first=row_grads(), second=row_grads())
+    @example(first=row_grad([1, 3], np.arange(6)), second=row_grad([0, 3, 7], -np.arange(9)))
+    @example(first=row_grad([2], np.ones(3)), second=row_grad([5, 6], np.ones(6)))
+    @example(first=row_grad([], []), second=row_grad([4], np.ones(3)))
+    def test_row_grads_sum_like_dense(self, first, second):
+        param = np.zeros((8, 3))
+        dense = oracle_dense_accumulate({"w0": densify(param, first)}, {"w0": densify(param, second)})
+        total = accumulate({"w0": first}, {"w0": second})["w0"]
+        assert isinstance(total, RowGrad)
+        np.testing.assert_array_equal(total.rows, np.union1d(first.rows, second.rows))
+        assert np.array_equal(densify(param, total), dense["w0"])

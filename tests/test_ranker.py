@@ -6,7 +6,7 @@ import pytest
 
 import crossmodal.ranker as ranker_mod
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
-from crossmodal.errors import ZeroNormError
+from crossmodal.errors import NonFiniteGradientError, ZeroNormError
 from crossmodal.nets import NetSpec, init_net
 from crossmodal.ranker import (
     EpochStats,
@@ -23,7 +23,14 @@ from crossmodal.ranker import (
     validate,
 )
 from crossmodal.text import SparseVector, TokenSequence, build_vocabulary
-from oracles import oracle_triplet_grads
+from oracles import (
+    densify,
+    oracle_dense_accumulate,
+    oracle_dense_backward,
+    oracle_dense_sgd_step,
+    oracle_loop_forward,
+    oracle_triplet_grads,
+)
 
 
 def make_dataset(
@@ -180,13 +187,16 @@ class TestTripletGrads:
                 assert got is None
                 continue
             assert got[:3] == want[:3]  # loss, s_pos, s_neg
-            for got_grads, want_grads in zip(got[3:], want[3:]):
+            nets = (model.textual_net, model.visual_net)
+            for net, got_grads, want_grads in zip(nets, got[3:], want[3:]):
                 if want_grads is None:
                     assert got_grads is None
                     continue
                 assert list(got_grads) == list(want_grads)
                 for name in want_grads:
-                    assert np.array_equal(got_grads[name], want_grads[name]), name
+                    param = net.params[name]
+                    got_dense, want_dense = densify(param, got_grads[name]), densify(param, want_grads[name])
+                    assert np.array_equal(got_dense, want_dense), name
             outcomes.add(want[3] is None)
         assert outcomes == {True, False}  # both margin-satisfied and violated cases ran
 
@@ -302,6 +312,80 @@ class TestTrainEpoch:
         for pos, (neg_img, neg_cap), methodology in seen:
             assert methodology == "T2I"
             assert neg_cap == pos and neg_img != pos[0]
+
+    def test_non_finite_visual_gradient_moves_neither_net(self, monkeypatch):
+        data, store, vocab = make_dataset(seed=5)
+        model = make_model(vocab.size, store.feature_dim, seed=5)
+        original = ranker_mod.triplet_grads
+
+        def poisoned(*args):
+            # a margin no score gap can meet, so every pair produces gradients
+            loss, s_pos, s_neg, tgrads, vgrads = original(*args[:-1], 10.0)
+            vgrads["b0"][0] = np.nan
+            return loss, s_pos, s_neg, tgrads, vgrads
+
+        monkeypatch.setattr(ranker_mod, "triplet_grads", poisoned)
+        before = [{k: v.tobytes() for k, v in net.params.items()}
+                  for net in (model.textual_net, model.visual_net)]
+        with pytest.raises(NonFiniteGradientError, match="b0"):
+            train_epoch(model, data, TrainConfig(seed=5), 0, random.Random(5))
+        after = [{k: v.tobytes() for k, v in net.params.items()}
+                 for net in (model.textual_net, model.visual_net)]
+        assert after == before
+
+
+class TestRowSparseTraining:
+    """Training with row-sparse first-layer gradients is bit-identical to the
+    dense-gradient reference path."""
+
+    @pytest.mark.parametrize("textual", ["bag", "bag_hidden", "bag_tfidf", "sequence"])
+    @pytest.mark.parametrize("methodology", ["I2T", "T2I"])
+    def test_bit_identical_to_dense_oracle(self, monkeypatch, methodology, textual):
+        kind = "sequence" if textual == "sequence" else "bag"
+        weighting = "tfidf" if textual == "bag_tfidf" else "binary"
+        images, captions = generate_synthetic_corpus(3, 4, 8, 6, 0.3, 7)
+        ids = sorted(record.image_id for record in images)
+        split = SplitDataset(set(ids[:9]), set(ids[9:]), set(), seed=7)
+        vocab = build_vocabulary(captions, "unigram", 1000)
+        data = RetrievalDataset(
+            FeatureStore(images, 8), captions, split, vocab, weighting=weighting, textual_kind=kind
+        )
+        if kind == "sequence":
+            # 4-8 token captions from 6 terms: repeated tokens, and both
+            # shorter and longer than the window
+            tspec = NetSpec("sequence", vocab.size, 8, word_dim=5, kernel_count=6, window=5)
+        else:
+            tspec = NetSpec("bag", vocab.size, 8, n_hu=6 if textual == "bag_hidden" else 0)
+        config = TrainConfig(
+            lr0=0.05, max_epochs=3, methodology=methodology, seed=7, weighting=weighting,
+            val_pairs_per_epoch=50,
+        )
+
+        def dense_sgd_step(nets, grads, lr):
+            for net, net_grads in zip(nets, grads):
+                oracle_dense_sgd_step(net, net_grads, lr)
+
+        runs = []
+        for dense in (False, True):
+            if dense:
+                monkeypatch.setattr(ranker_mod, "forward", oracle_loop_forward)
+                monkeypatch.setattr(ranker_mod, "backward", oracle_dense_backward)
+                monkeypatch.setattr(ranker_mod, "accumulate", oracle_dense_accumulate)
+                monkeypatch.setattr(ranker_mod, "sgd_step", dense_sgd_step)
+            model = ScoreModel(init_net(tspec, 7), init_net(NetSpec("bag", 8, 8), 8))
+            best, history = train(model, data, config)
+            runs.append(([net.params for net in (model.textual_net, model.visual_net,
+                                                 best.textual_net, best.visual_net)], history))
+        (got_params, got_history), (want_params, want_history) = runs
+        initial = init_net(tspec, 7).params
+        first = "lookup" if kind == "sequence" else "w0"
+        assert got_params[0][first].tobytes() != initial[first].tobytes()  # training moved it
+        assert got_history.epochs == want_history.epochs
+        assert got_history.best_epoch == want_history.best_epoch
+        for got, want in zip(got_params, want_params):
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestValidate:
