@@ -7,13 +7,18 @@ Layout (all integers little-endian):
 
 The header carries both net specs, the training and data configuration, the
 vocabulary, the epoch history, and a parameter manifest (name + shape per
-net) that fixes the byte layout. Parameters round-trip bit-exactly.
+net) that must equal the layout the specs give: ``nets.param_shapes`` order,
+textual net first. Saves stream to ``<path>.tmp`` and rename it over
+``path``; loads return the parameters as views of one buffer. Parameters
+round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -21,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CheckpointCorruptError, CheckpointVersionError
-from .nets import Net, NetSpec
+from .nets import Net, NetSpec, param_shapes
 from .ranker import EpochStats, ScoreModel, TrainConfig, TrainHistory
 from .text import Vocabulary, vocabulary_text
 
@@ -31,7 +36,6 @@ FORMAT_VERSION = 1
 
 @dataclass
 class Checkpoint:
-    format_version: int
     model: ScoreModel
     vocabulary: Vocabulary
     train_config: TrainConfig
@@ -74,6 +78,11 @@ def save_checkpoint(
     history: TrainHistory,
     data_config: dict | None = None,
 ) -> None:
+    nets = {"textual": model.textual_net, "visual": model.visual_net}
+    layout = {side: param_shapes(net.spec) for side, net in nets.items()}
+    for side, net in nets.items():
+        if [(name, arr.shape) for name, arr in net.params.items()] != layout[side]:
+            raise ValueError(f"{side} net parameters do not match its spec")
     header = {
         "textual_spec": asdict(model.textual_net.spec),
         "visual_spec": asdict(model.visual_net.spec),
@@ -85,66 +94,68 @@ def save_checkpoint(
             "best_epoch": history.best_epoch,
             "epochs": [[e.epoch, e.lr, e.train_err, e.val_err] for e in history.epochs],
         },
-        "params": {
-            "textual": [[name, list(arr.shape)] for name, arr in model.textual_net.params.items()],
-            "visual": [[name, list(arr.shape)] for name, arr in model.visual_net.params.items()],
-        },
+        "params": layout,  # shape tuples serialize as JSON lists
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
-    blob += struct.pack("<Q", len(header_bytes))
-    blob += header_bytes
-    for net in (model.textual_net, model.visual_net):
-        for arr in net.params.values():
-            blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    chunks = [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)), header_bytes]
+    chunks += [np.ascontiguousarray(arr, dtype="<f8")
+               for net in nets.values() for arr in net.params.values()]
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            crc = 0
+            for chunk in chunks:
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        # offset the buffer so that the float64 data after the header is
+        # 8-byte aligned: numpy copies an unaligned array for every matmul
+        pad = -(16 + int.from_bytes(fh.peek(16)[8:16], "little")) % 8  # peek does not advance
+        buf = bytearray(pad + os.fstat(fh.fileno()).st_size)
+        blob = memoryview(buf)[pad : pad + fh.readinto(memoryview(buf)[pad:])]
     if len(blob) < 20 or blob[:4] != MAGIC:
         raise CheckpointCorruptError(f"{path}: not a checkpoint file")
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
+    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(blob[:-4]) != stored_crc:
         raise CheckpointCorruptError(f"{path}: checksum mismatch (truncated or corrupted)")
-    version = struct.unpack("<I", blob[4:8])[0]
+    version, header_len = struct.unpack_from("<IQ", blob, 4)
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    header_len = struct.unpack("<Q", blob[8:16])[0]
     header_end = 16 + header_len
-    offset = header_end
     # the specs and configs validate themselves; a header that fails to
-    # parse or to rebuild them is as corrupt as a bad checksum
+    # parse or to rebuild them, or whose manifest disagrees with the specs,
+    # is as corrupt as a bad checksum
     try:
-        header = json.loads(blob[16:header_end].decode("utf-8"))
-        nets: dict[str, Net] = {}
-        for net_name, spec_key in (("textual", "textual_spec"), ("visual", "visual_spec")):
-            spec = NetSpec(**header[spec_key])
-            params: dict[str, np.ndarray] = {}
-            for name, shape in header["params"][net_name]:
-                count = int(np.prod(shape)) if shape else 1
-                nbytes = count * 8
-                if offset + nbytes > len(blob) - 4:
-                    raise CheckpointCorruptError(f"{path}: parameter data out of bounds")
-                arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
-                params[name] = arr.astype(np.float64, copy=True)
-                offset += nbytes
-            nets[net_name] = Net(spec=spec, params=params)
-        if offset != len(blob) - 4:
-            raise CheckpointCorruptError(f"{path}: trailing bytes after parameter data")
+        header = json.loads(bytes(blob[16:header_end]).decode("utf-8"))
+        specs = {side: NetSpec(**header[f"{side}_spec"]) for side in ("textual", "visual")}
+        layout = {side: param_shapes(spec) for side, spec in specs.items()}
+        if header["params"] != {side: [[name, list(shape)] for name, shape in shapes]
+                                for side, shapes in layout.items()}:
+            raise ValueError("parameter manifest does not match the net specs")
+        sizes = [math.prod(shape) for shapes in layout.values() for _, shape in shapes]
+        if header_end + 8 * sum(sizes) != len(blob) - 4:
+            raise CheckpointCorruptError(f"{path}: parameter data size does not match the header")
+        flat = np.frombuffer(blob, dtype="<f8", count=sum(sizes), offset=header_end)
+        views = iter(np.split(flat.astype(np.float64, copy=False), np.cumsum(sizes)[:-1]))
+        nets = {
+            side: Net(specs[side], {name: next(views).reshape(shape) for name, shape in shapes})
+            for side, shapes in layout.items()
+        }
         history = TrainHistory(
             epochs=[EpochStats(*row) for row in header["history"]["epochs"]],
             best_epoch=header["history"]["best_epoch"],
         )
         return Checkpoint(
-            format_version=version,
             model=ScoreModel(textual_net=nets["textual"], visual_net=nets["visual"]),
             vocabulary=_vocab_from_json(header["vocabulary"]),
             train_config=TrainConfig(**header["train_config"]),

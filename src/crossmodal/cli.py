@@ -29,7 +29,8 @@ from .corpus import (
     write_features,
 )
 from .errors import ConfigError, CrossmodalError, EmptySequenceError
-from .metrics import build_rankings, evaluate_rankings, format_report, rank_by_cosine, report_to_kv
+from .metrics import (build_rankings, caption_id, evaluate_rankings, format_report,
+                      rank_by_cosine, report_to_kv)
 from .nets import NetSpec, forward, init_net
 from .ranker import (
     METHODOLOGIES,
@@ -52,6 +53,7 @@ MODE_FLAGS = {"unigram": "unigram", "2g": "bigram", "3g": "trigram", "tk3": "tri
 
 LR_DECAY_DESC = "linear to 0.01 factor over 100 epochs"
 NONLINEARITY = "relu"
+LENIENT_HELP = "accept images with fewer than five captions"
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     data = RetrievalDataset(
         features, captions, split, vocab,
-        weighting=config.weighting, textual_kind=tspec.kind, lenient=args.lenient,
+        weighting=config.weighting, textual_kind=tspec.kind,
     )
     for name in ("train", "val"):
         if config.max_epochs and not data.view(name).pairs:
@@ -284,7 +286,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     data = RetrievalDataset(
         features, captions, split, ckpt.vocabulary, weighting=config.weighting,
-        textual_kind=ckpt.model.textual_net.spec.kind, lenient=args.lenient,
+        textual_kind=ckpt.model.textual_net.spec.kind,
     )
     _report_unencodable(data)
     annotation, search = build_rankings(ckpt.model, data, subset="test")
@@ -330,7 +332,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         captions = load_captions(args.captions, strict=False)
         query, _ = forward(visual, features.get(args.image_id))
         pool = [(cap, enc) for cap in captions if (enc := encode(cap.text)) is not None]
-        ids = [f"{cap.image_id}#{cap.caption_index}" for cap, _ in pool]
+        ids = [caption_id(cap.image_id, cap.caption_index) for cap, _ in pool]
         labels = [f"{cid}\t{cap.text}" for cid, (cap, _) in zip(ids, pool)]
         embs = [forward(textual, enc)[0] for _, enc in pool]
     order, scores = rank_by_cosine(query[None], np.array(embs), ids)
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True)
     p.add_argument("--mode", choices=sorted(MODE_FLAGS), default="unigram")
     p.add_argument("--max-size", type=int, default=5000)
-    p.add_argument("--lenient", action="store_true")
+    p.add_argument("--lenient", action="store_true", help=LENIENT_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 
@@ -375,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--" + opt.name.replace("_", "-"), dest=opt.name, type=opt.type,
             choices=opt.choices or None, help=f"{opt.help} (default {opt.default})",
         )
-    p.add_argument("--lenient", action="store_true")
+    p.add_argument("--lenient", action="store_true", help=LENIENT_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="optional vocabulary file to cross-check against the checkpoint")
     p.add_argument("--ks", default="1,2,5,10", help="comma-separated R@K cutoffs, each at least 1")
     p.add_argument("--seed", type=int, default=0, help="seed for the rnd_txt caption draw")
-    p.add_argument("--lenient", action="store_true")
+    p.add_argument("--lenient", action="store_true", help=LENIENT_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -87,6 +87,25 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def param_shapes(spec: NetSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's (name, shape), in the order ``init_net`` draws them
+    and checkpoints store them. The first is the row table that pretrained
+    embeddings seed and sparse gradients touch."""
+    if spec.kind == "bag":
+        first_out = spec.n_hu if spec.n_hu > 0 else spec.n_emb
+        shapes = [("w0", (spec.input_dim, first_out)), ("b0", (first_out,))]
+        if spec.n_hu > 0:
+            shapes += [("w1", (spec.n_hu, spec.n_emb)), ("b1", (spec.n_emb,))]
+        return shapes
+    return [
+        ("lookup", (spec.input_dim, spec.word_dim)),
+        ("conv_w", (spec.window * spec.word_dim, spec.kernel_count)),
+        ("conv_b", (spec.kernel_count,)),
+        ("out_w", (spec.kernel_count, spec.n_emb)),
+        ("out_b", (spec.n_emb,)),
+    ]
+
+
 def init_net(
     spec: NetSpec,
     seed: int,
@@ -100,24 +119,10 @@ def init_net(
     the embedding width must match that row width.
     """
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    if spec.kind == "bag":
-        first_out = spec.n_hu if spec.n_hu > 0 else spec.n_emb
-        params["w0"] = _glorot(rng, spec.input_dim, first_out)
-        params["b0"] = np.zeros(first_out)
-        if spec.n_hu > 0:
-            params["w1"] = _glorot(rng, spec.n_hu, spec.n_emb)
-            params["b1"] = np.zeros(spec.n_emb)
-        row_width = first_out
-        row_key = "w0"
-    else:
-        params["lookup"] = _glorot(rng, spec.input_dim, spec.word_dim)
-        params["conv_w"] = _glorot(rng, spec.window * spec.word_dim, spec.kernel_count)
-        params["conv_b"] = np.zeros(spec.kernel_count)
-        params["out_w"] = _glorot(rng, spec.kernel_count, spec.n_emb)
-        params["out_b"] = np.zeros(spec.n_emb)
-        row_width = spec.word_dim
-        row_key = "lookup"
+    shapes = param_shapes(spec)
+    params = {name: _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+              for name, shape in shapes}
+    row_key, (_, row_width) = shapes[0]
     if pretrained is not None:
         if pretrained.dim != row_width:
             raise ValueError(
@@ -180,14 +185,12 @@ def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.
     return r @ p["out_w"] + p["out_b"], tape
 
 
-def backward(tape: Tape, grad_out: np.ndarray) -> tuple[Grads, np.ndarray | None]:
+def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
     """Exact gradients of embedding . grad_out w.r.t. all parameters.
 
-    Returns the per-parameter gradients and, where the input is continuous,
-    the gradient w.r.t. the input (dense vectors and sparse values; None for
-    token sequences). The first layer's gradient is a ``RowGrad`` over the
-    input's rows for sparse vectors and token sequences, dense for dense
-    vectors. The relu subgradient at 0 is taken as 0.
+    The first layer's gradient is a ``RowGrad`` over the input's rows for
+    sparse vectors and token sequences, dense for dense vectors. The relu
+    subgradient at 0 is taken as 0.
     """
     if tape.used:
         raise RuntimeError("tape already consumed by a previous backward pass")
@@ -209,11 +212,9 @@ def backward(tape: Tape, grad_out: np.ndarray) -> tuple[Grads, np.ndarray | None
         x = tape.data["input"]
         if isinstance(x, SparseVector):
             grads["w0"] = RowGrad(x.indices, np.outer(x.values, dh0))
-            grad_in = p["w0"][x.indices] @ dh0
         else:
             grads["w0"] = np.outer(x, dh0)
-            grad_in = p["w0"] @ dh0
-        return grads, grad_in
+        return grads
     windows = tape.data["windows"]
     n_pos = windows.shape[0]
     grads["out_w"] = np.outer(tape.data["r"], g)
@@ -239,7 +240,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> tuple[Grads, np.ndarray | None
     values = np.zeros((len(rows), m))
     np.add.at(values, slot, drows)
     grads["lookup"] = RowGrad(rows, values)
-    return grads, None
+    return grads
 
 
 def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:

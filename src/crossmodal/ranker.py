@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,27 +134,17 @@ class RetrievalDataset:
         vocab: Vocabulary,
         weighting: str = "binary",
         textual_kind: str = "bag",
-        lenient: bool = False,
     ):
         if textual_kind not in ("bag", "sequence"):
             raise ValueError(f"unknown textual kind {textual_kind!r}")
         self.features = features
         self.captions: dict[tuple[str, int], Caption] = {}
-        self.dropped_missing_image = 0
         for cap in captions:
             if cap.image_id not in features:
-                if lenient:
-                    self.dropped_missing_image += 1
-                    continue
                 raise KeyError(
                     f"caption references image {cap.image_id!r} absent from the feature store"
                 )
             self.captions[(cap.image_id, cap.caption_index)] = cap
-        if self.dropped_missing_image:
-            warnings.warn(
-                f"dropped {self.dropped_missing_image} captions whose images have no features",
-                stacklevel=2,
-            )
         self.split = split
         self._encodings: dict[tuple[str, int], Encoding | None] = {}
         for key, cap in self.captions.items():
@@ -278,8 +267,8 @@ def triplet_grads(
     (v_anchor, tape_anchor), (v_pos, tape_pos), (v_neg, tape_neg) = embedded
     g_anchor_p, g_pos = cosine_backward(v_anchor, v_pos, d_pos)
     g_anchor_n, g_neg = cosine_backward(v_anchor, v_neg, d_neg)
-    anchor_grads, _ = backward(tape_anchor, g_anchor_p + g_anchor_n)
-    cand_grads = accumulate(backward(tape_pos, g_pos)[0], backward(tape_neg, g_neg)[0])
+    anchor_grads = backward(tape_anchor, g_anchor_p + g_anchor_n)
+    cand_grads = accumulate(backward(tape_pos, g_pos), backward(tape_neg, g_neg))
     if tape_anchor.net is model.textual_net:
         return loss, s_pos, s_neg, anchor_grads, cand_grads
     return loss, s_pos, s_neg, cand_grads, anchor_grads

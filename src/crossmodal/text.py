@@ -188,14 +188,23 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
         fh.write(vocabulary_text(vocab))
 
 
+def _ints(fields: list[str], where: str) -> list[int]:
+    try:
+        return [int(field) for field in fields]
+    except ValueError:
+        raise VocabularyError(f"{where}: expected integers, got {' '.join(fields)!r}") from None
+
+
 def load_vocabulary(path: str) -> Vocabulary:
+    """Read ``vocab.tsv``; its indices must be exactly 0..size-1, each once."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] not in MODES:
             raise VocabularyError(f"{path}:1: expected header 'mode size n_docs'")
-        mode, size, n_docs = header[0], int(header[1]), int(header[2])
+        mode, (size, n_docs) = header[0], _ints(header[1:], f"{path}:1")
         term_to_index: dict[str, int] = {}
         doc_freq: dict[str, int] = {}
+        used: set[int] = set()
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -203,8 +212,14 @@ def load_vocabulary(path: str) -> Vocabulary:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise VocabularyError(f"{path}:{lineno}: expected 'term<TAB>index<TAB>doc_freq'")
-            term_to_index[parts[0]] = int(parts[1])
-            doc_freq[parts[0]] = int(parts[2])
+            term, (index, count) = parts[0], _ints(parts[1:], f"{path}:{lineno}")
+            if term in term_to_index:
+                raise VocabularyError(f"{path}:{lineno}: duplicate term {term!r}")
+            if not 0 <= index < size or index in used:
+                raise VocabularyError(f"{path}:{lineno}: index {index} is not a free index in 0..{size - 1}")
+            used.add(index)
+            term_to_index[term] = index
+            doc_freq[term] = count
     if len(term_to_index) != size:
-        raise VocabularyError(f"{path}: header declares {size} terms, found {len(term_to_index)}")
+        raise VocabularyError(f"{path}:1: header declares {size} terms, found {len(term_to_index)}")
     return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs, max_size=size)

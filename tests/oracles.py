@@ -2,19 +2,34 @@
 brute-force metric oracles (literal nested-loop re-implementations of the
 metric definitions), the two-branch triplet gradient the trainer's single
 anchor/candidate path replaced, the pair-by-pair ranking loop the batched
-cosine kernel replaced, and the dense-gradient forward/backward/update the
-row-sparse first-layer gradients replaced."""
+cosine kernel replaced, the dense-gradient forward/backward/update the
+row-sparse first-layer gradients replaced, and the hand-built parameter
+dicts and in-memory checkpoint writer that ``nets.param_shapes`` and the
+streamed save replaced."""
 
 import itertools
+import json
 import random
+import struct
+import zlib
+from dataclasses import asdict
 
 import numpy as np
 
+from crossmodal.checkpoint import FORMAT_VERSION, MAGIC, _vocab_to_json, vocab_digest
+from crossmodal.corpus import PretrainedEmbeddings
 from crossmodal.errors import NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
-from crossmodal.nets import Net, RowGrad, Tape, accumulate, backward, forward, relu
-from crossmodal.ranker import cosine_backward, cosine_score, margin_loss
-from crossmodal.text import SparseVector, TokenSequence
+from crossmodal.nets import Net, NetSpec, RowGrad, Tape, _glorot, accumulate, backward, forward, relu
+from crossmodal.ranker import (
+    ScoreModel,
+    TrainConfig,
+    TrainHistory,
+    cosine_backward,
+    cosine_score,
+    margin_loss,
+)
+from crossmodal.text import SparseVector, TokenSequence, Vocabulary
 
 
 def densify(param, grad):
@@ -40,9 +55,9 @@ def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, 
             return loss, s_pos, s_neg, None, None
         g_img_p, g_txt_p = cosine_backward(v_img, v_pos, d_pos)
         g_img_n, g_txt_n = cosine_backward(v_img, v_neg, d_neg)
-        vgrads, _ = backward(tape_img, g_img_p + g_img_n)
-        tgrads, _ = backward(tape_pos, g_txt_p)
-        tgrads = accumulate(tgrads, backward(tape_neg, g_txt_n)[0])
+        vgrads = backward(tape_img, g_img_p + g_img_n)
+        tgrads = backward(tape_pos, g_txt_p)
+        tgrads = accumulate(tgrads, backward(tape_neg, g_txt_n))
         return loss, s_pos, s_neg, tgrads, vgrads
     v_txt, tape_txt = forward(model.textual_net, pos_enc)
     v_pos, tape_pos = forward(model.visual_net, pos_image_vec)
@@ -54,9 +69,9 @@ def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, 
         return loss, s_pos, s_neg, None, None
     g_img_p, g_txt_p = cosine_backward(v_pos, v_txt, d_pos)
     g_img_n, g_txt_n = cosine_backward(v_neg, v_txt, d_neg)
-    tgrads, _ = backward(tape_txt, g_txt_p + g_txt_n)
-    vgrads, _ = backward(tape_pos, g_img_p)
-    vgrads = accumulate(vgrads, backward(tape_neg, g_img_n)[0])
+    tgrads = backward(tape_txt, g_txt_p + g_txt_n)
+    vgrads = backward(tape_pos, g_img_p)
+    vgrads = accumulate(vgrads, backward(tape_neg, g_img_n))
     return loss, s_pos, s_neg, tgrads, vgrads
 
 
@@ -113,12 +128,10 @@ def oracle_loop_forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) 
 
 
 
-def oracle_dense_backward(tape: Tape, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+def oracle_dense_backward(tape: Tape, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of embedding . grad_out w.r.t. all parameters.
 
-    Returns the per-parameter gradients and, where the input is continuous,
-    the gradient w.r.t. the input (dense vectors and sparse values; None for
-    token sequences). The relu subgradient at 0 is taken as 0.
+    The relu subgradient at 0 is taken as 0.
     """
     if tape.used:
         raise RuntimeError("tape already consumed by a previous backward pass")
@@ -142,13 +155,9 @@ def oracle_dense_backward(tape: Tape, grad_out: np.ndarray) -> tuple[dict[str, n
         if isinstance(x, SparseVector):
             if len(x):
                 np.add.at(grads["w0"], x.indices, np.outer(x.values, dh0))
-                grad_in = p["w0"][x.indices] @ dh0
-            else:
-                grad_in = np.empty(0)
         else:
             grads["w0"] += np.outer(x, dh0)
-            grad_in = p["w0"] @ dh0
-        return grads, grad_in
+        return grads
     windows = tape.data["windows"]
     n_pos = windows.shape[0]
     grads["out_w"] = np.outer(tape.data["r"], g)
@@ -171,7 +180,7 @@ def oracle_dense_backward(tape: Tape, grad_out: np.ndarray) -> tuple[dict[str, n
         for pos in range(n_pos):
             drows = dwindows[pos].reshape(spec.window, m)
             np.add.at(grads["lookup"], tokens[pos : pos + spec.window], drows)
-    return grads, None
+    return grads
 
 
 
@@ -201,6 +210,89 @@ def oracle_dense_accumulate(total: dict[str, np.ndarray], grads: dict[str, np.nd
         else:
             total[name] = grad
     return total
+
+
+def oracle_init_net(
+    spec: NetSpec,
+    seed: int,
+    pretrained: PretrainedEmbeddings | None = None,
+    vocab: Vocabulary | None = None,
+) -> Net:
+    """Initialize weights uniform in +-sqrt(6/(fan_in+fan_out)), biases zero.
+
+    With ``pretrained`` given, every vocabulary term found in the embedding
+    table overwrites its first-layer row (bag) or lookup row (sequence);
+    the embedding width must match that row width.
+    """
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+    if spec.kind == "bag":
+        first_out = spec.n_hu if spec.n_hu > 0 else spec.n_emb
+        params["w0"] = _glorot(rng, spec.input_dim, first_out)
+        params["b0"] = np.zeros(first_out)
+        if spec.n_hu > 0:
+            params["w1"] = _glorot(rng, spec.n_hu, spec.n_emb)
+            params["b1"] = np.zeros(spec.n_emb)
+        row_width = first_out
+        row_key = "w0"
+    else:
+        params["lookup"] = _glorot(rng, spec.input_dim, spec.word_dim)
+        params["conv_w"] = _glorot(rng, spec.window * spec.word_dim, spec.kernel_count)
+        params["conv_b"] = np.zeros(spec.kernel_count)
+        params["out_w"] = _glorot(rng, spec.kernel_count, spec.n_emb)
+        params["out_b"] = np.zeros(spec.n_emb)
+        row_width = spec.word_dim
+        row_key = "lookup"
+    if pretrained is not None:
+        if pretrained.dim != row_width:
+            raise ValueError(
+                f"pretrained embeddings have dim {pretrained.dim}, first layer rows are {row_width}"
+            )
+        if vocab is None:
+            raise ValueError("pretrained initialization needs the vocabulary for row lookup")
+        for term, index in vocab.term_to_index.items():
+            vec = pretrained.vectors.get(term)
+            if vec is not None and index < spec.input_dim:
+                params[row_key][index, :] = vec
+    return Net(spec=spec, params=params)
+
+
+def oracle_save_checkpoint(
+    path: str,
+    model: ScoreModel,
+    vocab: Vocabulary,
+    train_config: TrainConfig,
+    history: TrainHistory,
+    data_config: dict | None = None,
+) -> None:
+    header = {
+        "textual_spec": asdict(model.textual_net.spec),
+        "visual_spec": asdict(model.visual_net.spec),
+        "train_config": asdict(train_config),
+        "data_config": data_config or {},
+        "vocabulary": _vocab_to_json(vocab),
+        "vocab_digest": vocab_digest(vocab),
+        "history": {
+            "best_epoch": history.best_epoch,
+            "epochs": [[e.epoch, e.lr, e.train_err, e.val_err] for e in history.epochs],
+        },
+        "params": {
+            "textual": [[name, list(arr.shape)] for name, arr in model.textual_net.params.items()],
+            "visual": [[name, list(arr.shape)] for name, arr in model.visual_net.params.items()],
+        },
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = bytearray()
+    blob += MAGIC
+    blob += struct.pack("<I", FORMAT_VERSION)
+    blob += struct.pack("<Q", len(header_bytes))
+    blob += header_bytes
+    for net in (model.textual_net, model.visual_net):
+        for arr in net.params.values():
+            blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
 
 
 def oracle_rank(query, candidates):

@@ -160,6 +160,33 @@ class TestTrain:
         assert not (out / "manifest.json").exists()
         assert not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[2].__setitem__(1, "0"),  # the first term's index
+            lambda rows: rows[2].__setitem__(1, "99999"),
+            lambda rows: rows[2].__setitem__(1, "-1"),
+            lambda rows: rows[2].__setitem__(0, rows[1][0]),
+            lambda rows: rows[0].__setitem__(1, "many"),
+            lambda rows: rows[2].__setitem__(2, "1.5"),
+        ],
+        ids=["duplicate_index", "index_past_size", "negative_index", "duplicate_term",
+             "non_integer_header", "non_integer_doc_freq"],
+    )
+    def test_bad_vocabulary_fails_before_writing(self, tmp_path, corpus, prepped, capsys, edit):
+        lines = (prepped / "vocab.tsv").read_text().splitlines()
+        rows = [lines[0].split(" ")] + [line.split("\t") for line in lines[1:]]
+        edit(rows)
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text("\n".join([" ".join(rows[0])] + ["\t".join(r) for r in rows[1:]]) + "\n")
+        out = tmp_path / "bad"
+        args = train_args(corpus, prepped, out)
+        args[args.index("--vocab") + 1] = str(vocab)
+        rc, _, err = run(capsys, *args)
+        assert rc != 0
+        assert err.startswith(f"error VocabularyError: {vocab}:") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
     def test_config_file_and_flag_priority(self, tmp_path, corpus, prepped, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("margin = 0.3\nepochs = 2\nmethodology = t2i\n# comment\n")

@@ -39,7 +39,7 @@ def fd_gradcheck(net, x, rng, h=1e-5, tol=1e-6):
     """Central finite differences of forward(net, x) . u against backward."""
     u = rng.normal(size=net.spec.n_emb)
     emb, tape = forward(net, x)
-    grads, _ = backward(tape, u)
+    grads = backward(tape, u)
     worst = 0.0
     for name, grad in grads.items():
         param = net.params[name]
@@ -219,7 +219,7 @@ class TestBackward:
     def test_zero_grad_out_gives_zero_grads(self):
         net = init_net(NetSpec(kind="bag", input_dim=8, n_emb=4, n_hu=3), seed=2)
         _, tape = forward(net, sparse([1, 5], [1.0, 2.0]))
-        grads, _ = backward(tape, np.zeros(4))
+        grads = backward(tape, np.zeros(4))
         for name, g in grads.items():
             assert np.all(densify(net.params[name], g) == 0.0)
 
@@ -228,26 +228,11 @@ class TestBackward:
         x = sparse([2, 6], [0.5, -2.0])
         _, tape = forward(net, x)
         g = np.array([1.0, -1.0, 2.0, 0.5])
-        grads, _ = backward(tape, g)
+        grads = backward(tape, g)
         w0 = densify(net.params["w0"], grads["w0"])
         np.testing.assert_array_equal(w0[2], 0.5 * g)
         np.testing.assert_array_equal(w0[6], -2.0 * g)
         np.testing.assert_array_equal(grads["b0"], g)
-
-    def test_dense_grad_in_matches_fd(self):
-        rng = np.random.default_rng(23)
-        net = init_net(NetSpec(kind="bag", input_dim=6, n_emb=4, n_hu=5), seed=23)
-        x = rng.normal(size=6)
-        u = rng.normal(size=4)
-        _, tape = forward(net, x)
-        _, grad_in = backward(tape, u)
-        h = 1e-6
-        for i in range(6):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd = (forward(net, xp)[0] @ u - forward(net, xm)[0] @ u) / (2 * h)
-            assert abs(grad_in[i] - fd) < 1e-6
 
     def test_tape_single_use(self):
         net = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=0)

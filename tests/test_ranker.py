@@ -498,16 +498,6 @@ class TestLenientJoin:
         with pytest.raises(KeyError):
             RetrievalDataset(store, captions, split, vocab)
 
-    def test_lenient_drops_with_warning(self):
-        images, captions = generate_synthetic_corpus(2, 2, 8, 6, 0.0, seed=0)
-        store = FeatureStore(images[:3], 8)
-        vocab = build_vocabulary(captions, "unigram", 100)
-        split = SplitDataset({r.image_id for r in images[:3]}, set(), set(), seed=0)
-        with pytest.warns(UserWarning, match="dropped 5"):
-            data = RetrievalDataset(store, captions, split, vocab, lenient=True)
-        assert data.dropped_missing_image == 5
-        assert len(data.view("train").pairs) == 15
-
 
 class TestTrainConfig:
     def test_rejects_bad_values(self):
