@@ -142,6 +142,31 @@ def load_captions(path: str, strict: bool = True) -> list[Caption]:
     return captions
 
 
+def _vector_rows(path: str, numbered_lines, dim: int | None = None):
+    """Yield (name, vector) for each ``name v1 ... vD`` row, skipping blank lines.
+
+    Every row has ``dim`` values (the first row's count when ``dim`` is
+    None), each a finite decimal; every error names ``path:line``.
+    """
+    for lineno, line in numbered_lines:
+        parts = line.split()
+        if not parts:
+            continue
+        name, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+        where = f"{path}:{lineno}: {name!r}"
+        if len(values) != dim or not values:
+            raise CorpusFormatError(f"{where} has {len(values)} values, expected {dim or 'at least 1'}")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise CorpusFormatError(f"{where} has a non-numeric value") from None
+        if not np.all(np.isfinite(vec)):
+            raise CorpusFormatError(f"{where} has a non-finite value")
+        yield name, vec
+
+
 def load_image_features(path: str) -> FeatureStore:
     """Parse a features.txt file into a FeatureStore."""
     with open(path, encoding="utf-8") as fh:
@@ -154,26 +179,7 @@ def load_image_features(path: str) -> FeatureStore:
             raise CorpusFormatError(f"{path}:1: non-integer header fields") from None
         if count < 0 or dim <= 0:
             raise CorpusFormatError(f"{path}:1: invalid header values count={count} dim={dim}")
-        records = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            image_id = parts[0]
-            if len(parts) - 1 != dim:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: image {image_id!r} has {len(parts) - 1} values, expected {dim}"
-                )
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: image {image_id!r} has a non-numeric value"
-                ) from None
-            if not np.all(np.isfinite(vec)):
-                raise CorpusFormatError(f"{path}:{lineno}: image {image_id!r} has a non-finite value")
-            records.append(ImageRecord(image_id, vec))
+        records = [ImageRecord(*row) for row in _vector_rows(path, enumerate(fh, start=2), dim)]
     if len(records) != count:
         raise CorpusFormatError(f"{path}: header declares {count} records, found {len(records)}")
     return FeatureStore(records, dim)
@@ -218,31 +224,15 @@ def load_word_embeddings(path: str) -> PretrainedEmbeddings:
     emits a UserWarning.
     """
     vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word = parts[0]
-            if dim is None:
-                dim = len(parts) - 1
-                if dim < 1:
-                    raise CorpusFormatError(f"{path}:{lineno}: word {word!r} has no vector values")
-            if len(parts) - 1 != dim:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: word {word!r} has {len(parts) - 1} values, expected {dim}"
-                )
+        for word, vec in _vector_rows(path, enumerate(fh, start=1)):
             if word in vectors:
                 warnings.warn(f"duplicate embedding for word {word!r}; keeping first", stacklevel=2)
                 continue
-            try:
-                vectors[word] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: word {word!r} has a non-numeric value") from None
-    if dim is None:
+            vectors[word] = vec
+    if not vectors:
         raise CorpusFormatError(f"{path}: no embeddings found")
-    return PretrainedEmbeddings(dim=dim, vectors=vectors)
+    return PretrainedEmbeddings(dim=len(next(iter(vectors.values()))), vectors=vectors)
 
 
 def write_captions(captions: list[Caption], path: str) -> None:

@@ -166,15 +166,12 @@ def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.
         raise TypeError("sequence nets take TokenSequence inputs")
     if len(x) == 0:
         raise ValueError("empty token sequence")
-    emb_rows = p["lookup"][x.indices]  # (T, M)
-    t_len, m = emb_rows.shape
-    width = spec.window * m
-    if t_len < spec.window:
-        windows = np.zeros((1, width))
-        windows[0, : t_len * m] = emb_rows.reshape(-1)
-    else:
-        # row pos is tokens pos .. pos+window-1 concatenated (reshape copies)
-        windows = sliding_window_view(emb_rows, (spec.window, m)).reshape(-1, width)
+    t_len, m = len(x), spec.word_dim
+    # zero rows pad a caption shorter than the window to one window
+    emb_rows = np.zeros((max(t_len, spec.window), m))
+    emb_rows[:t_len] = p["lookup"][x.indices]
+    # row pos is tokens pos .. pos+window-1 concatenated (reshape copies)
+    windows = sliding_window_view(emb_rows, (spec.window, m)).reshape(-1, spec.window * m)
     z = windows @ p["conv_w"] + p["conv_b"]  # (P, K)
     avg = z.mean(axis=0)
     r = relu(avg)
@@ -229,17 +226,14 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
     tokens = tape.data["tokens"]
     m = spec.word_dim
     rows, slot = np.unique(tokens, return_inverse=True)
-    t_len = len(tokens)
-    if t_len < spec.window:
-        drows = dwindows[0, : t_len * m].reshape(t_len, m)
-    else:
-        # contributions in (position, offset) order: each row gets the same
-        # additions in the same order as a per-position loop
-        slot = sliding_window_view(slot, spec.window).reshape(-1)
-        drows = dwindows.reshape(-1, m)
-    values = np.zeros((len(rows), m))
-    np.add.at(values, slot, drows)
-    grads["lookup"] = RowGrad(rows, values)
+    # padded positions add into a scratch row past the last, dropped below
+    slot = np.pad(slot, (0, max(spec.window - len(tokens), 0)), constant_values=len(rows))
+    # contributions in (position, offset) order: each row gets the same
+    # additions in the same order as a per-position loop
+    slot = sliding_window_view(slot, spec.window).reshape(-1)
+    values = np.zeros((len(rows) + 1, m))
+    np.add.at(values, slot, dwindows.reshape(-1, m))
+    grads["lookup"] = RowGrad(rows, values[:-1])
     return grads
 
 

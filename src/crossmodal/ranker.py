@@ -8,6 +8,7 @@ and swaps the caption, T2I keeps the caption and swaps the image.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -138,13 +139,9 @@ class RetrievalDataset:
         if textual_kind not in ("bag", "sequence"):
             raise ValueError(f"unknown textual kind {textual_kind!r}")
         self.features = features
-        self.captions: dict[tuple[str, int], Caption] = {}
-        for cap in captions:
-            if cap.image_id not in features:
-                raise KeyError(
-                    f"caption references image {cap.image_id!r} absent from the feature store"
-                )
-            self.captions[(cap.image_id, cap.caption_index)] = cap
+        self.captions: dict[tuple[str, int], Caption] = {
+            (cap.image_id, cap.caption_index): cap for cap in captions
+        }
         self.split = split
         self._encodings: dict[tuple[str, int], Encoding | None] = {}
         for key, cap in self.captions.items():
@@ -274,6 +271,30 @@ def triplet_grads(
     return loss, s_pos, s_neg, cand_grads, anchor_grads
 
 
+def _error_pct(
+    data: RetrievalDataset, config: TrainConfig, view: SplitView, positives, rng: random.Random, score
+) -> float:
+    """Mistake % over ``positives``, each against one sampled negative.
+
+    ``score(*data.triplet_inputs(pos, neg))`` returns (s_pos, s_neg); ties
+    count as mistakes, and a pair with a zero-norm embedding is skipped.
+    """
+    if not view.pairs:
+        raise RuntimeError(f"the {view.name} split has no scoreable pairs")
+    mistakes = scored = 0
+    for pos in positives:
+        neg = sample_negative(pos, view, config.methodology, rng)
+        try:
+            s_pos, s_neg = score(*data.triplet_inputs(pos, neg))
+        except ZeroNormError:
+            continue
+        scored += 1
+        mistakes += s_pos <= s_neg
+    if scored == 0:
+        raise RuntimeError(f"every {view.name} pair was skipped")
+    return 100.0 * mistakes / scored
+
+
 def train_epoch(
     model: ScoreModel,
     data: RetrievalDataset,
@@ -286,32 +307,20 @@ def train_epoch(
     Each positive pair gets one sampled negative; when the margin is
     violated, the accumulated gradients from both branches are applied to
     both nets in a single SGD step at the scheduled learning rate; a refused
-    step moves neither net. A pair counts as a mistake when s_pos <= s_neg.
+    step moves neither net.
     """
     view = data.view("train")
-    if not view.pairs:
-        raise RuntimeError("no scoreable training pairs")
     lr = lr_schedule(config.lr0, epoch)
     pairs = list(view.pairs)
     rng.shuffle(pairs)
-    mistakes = 0
-    scored = 0
-    for pos in pairs:
-        neg = sample_negative(pos, view, config.methodology, rng)
-        try:
-            loss, s_pos, s_neg, tgrads, vgrads = triplet_grads(
-                model, *data.triplet_inputs(pos, neg), config.methodology, config.margin
-            )
-        except ZeroNormError:
-            continue
-        scored += 1
-        if s_pos <= s_neg:
-            mistakes += 1
+
+    def step(*inputs) -> tuple[float, float]:
+        _, s_pos, s_neg, tgrads, vgrads = triplet_grads(model, *inputs, config.methodology, config.margin)
         if tgrads is not None:
             sgd_step((model.textual_net, model.visual_net), (tgrads, vgrads), lr)
-    if scored == 0:
-        raise RuntimeError("every training pair was skipped")
-    return 100.0 * mistakes / scored
+        return s_pos, s_neg
+
+    return _error_pct(data, config, view, pairs, rng, step)
 
 
 def validate(
@@ -323,29 +332,13 @@ def validate(
     """Ranking error % over sampled positive/negative pairs; no updates.
 
     Positive pairs cycle the validation split in sorted order; each draws
-    one negative per the configured methodology. Ties (s_pos == s_neg)
-    count as errors, so a constant-scoring model reads 100%.
+    one negative per the configured methodology. A constant-scoring model
+    reads 100%.
     """
     view = data.view("val")
-    if not view.pairs:
-        raise RuntimeError("validation split has no scoreable pairs")
-    mistakes = 0
-    scored = 0
-    for i in range(config.val_pairs_per_epoch):
-        pos = view.pairs[i % len(view.pairs)]
-        neg = sample_negative(pos, view, config.methodology, rng)
-        try:
-            s_pos, s_neg, _ = score_triplet(
-                model, *data.triplet_inputs(pos, neg), config.methodology
-            )
-        except ZeroNormError:
-            continue
-        scored += 1
-        if s_pos <= s_neg:
-            mistakes += 1
-    if scored == 0:
-        raise RuntimeError("every validation pair was skipped")
-    return 100.0 * mistakes / scored
+    positives = itertools.islice(itertools.cycle(view.pairs), config.val_pairs_per_epoch)
+    return _error_pct(data, config, view, positives, rng,
+                      lambda *inputs: score_triplet(model, *inputs, config.methodology)[:2])
 
 
 def epoch_seed(seed: int, epoch: int) -> int:

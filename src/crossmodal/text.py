@@ -196,7 +196,7 @@ def _ints(fields: list[str], where: str) -> list[int]:
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    """Read ``vocab.tsv``; its indices must be exactly 0..size-1, each once."""
+    """Read ``vocab.tsv``: indices exactly 0..size-1, each once; doc_freq in 1..n_docs."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] not in MODES:
@@ -217,6 +217,8 @@ def load_vocabulary(path: str) -> Vocabulary:
                 raise VocabularyError(f"{path}:{lineno}: duplicate term {term!r}")
             if not 0 <= index < size or index in used:
                 raise VocabularyError(f"{path}:{lineno}: index {index} is not a free index in 0..{size - 1}")
+            if not 1 <= count <= n_docs:
+                raise VocabularyError(f"{path}:{lineno}: doc_freq {count} outside 1..{n_docs}")
             used.add(index)
             term_to_index[term] = index
             doc_freq[term] = count

@@ -1,7 +1,8 @@
 """Reference implementations kept independent of the library code paths:
 brute-force metric oracles (literal nested-loop re-implementations of the
 metric definitions), the two-branch triplet gradient the trainer's single
-anchor/candidate path replaced, the pair-by-pair ranking loop the batched
+anchor/candidate path replaced, the training and validation pair loops the
+one scored-pair loop replaced, the pair-by-pair ranking loop the batched
 cosine kernel replaced, the dense-gradient forward/backward/update the
 row-sparse first-layer gradients replaced, and the hand-built parameter
 dicts and in-memory checkpoint writer that ``nets.param_shapes`` and the
@@ -20,14 +21,20 @@ from crossmodal.checkpoint import FORMAT_VERSION, MAGIC, _vocab_to_json, vocab_d
 from crossmodal.corpus import PretrainedEmbeddings
 from crossmodal.errors import NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
-from crossmodal.nets import Net, NetSpec, RowGrad, Tape, _glorot, accumulate, backward, forward, relu
+from crossmodal.nets import (
+    Net, NetSpec, RowGrad, Tape, _glorot, accumulate, backward, forward, lr_schedule, relu, sgd_step,
+)
 from crossmodal.ranker import (
+    RetrievalDataset,
     ScoreModel,
     TrainConfig,
     TrainHistory,
     cosine_backward,
     cosine_score,
     margin_loss,
+    sample_negative,
+    score_triplet,
+    triplet_grads,
 )
 from crossmodal.text import SparseVector, TokenSequence, Vocabulary
 
@@ -73,6 +80,84 @@ def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, 
     vgrads = backward(tape_pos, g_img_p)
     vgrads = accumulate(vgrads, backward(tape_neg, g_img_n))
     return loss, s_pos, s_neg, tgrads, vgrads
+
+
+def oracle_train_epoch(
+    model: ScoreModel,
+    data: RetrievalDataset,
+    config: TrainConfig,
+    epoch: int,
+    rng: random.Random,
+) -> float:
+    """One seeded-shuffle pass over the training pairs; returns mistake %.
+
+    The training loop that ``ranker._error_pct`` merged with validation's.
+
+    Each positive pair gets one sampled negative; when the margin is
+    violated, the accumulated gradients from both branches are applied to
+    both nets in a single SGD step at the scheduled learning rate; a refused
+    step moves neither net. A pair counts as a mistake when s_pos <= s_neg.
+    """
+    view = data.view("train")
+    if not view.pairs:
+        raise RuntimeError("no scoreable training pairs")
+    lr = lr_schedule(config.lr0, epoch)
+    pairs = list(view.pairs)
+    rng.shuffle(pairs)
+    mistakes = 0
+    scored = 0
+    for pos in pairs:
+        neg = sample_negative(pos, view, config.methodology, rng)
+        try:
+            loss, s_pos, s_neg, tgrads, vgrads = triplet_grads(
+                model, *data.triplet_inputs(pos, neg), config.methodology, config.margin
+            )
+        except ZeroNormError:
+            continue
+        scored += 1
+        if s_pos <= s_neg:
+            mistakes += 1
+        if tgrads is not None:
+            sgd_step((model.textual_net, model.visual_net), (tgrads, vgrads), lr)
+    if scored == 0:
+        raise RuntimeError("every training pair was skipped")
+    return 100.0 * mistakes / scored
+
+
+def oracle_validate(
+    model: ScoreModel,
+    data: RetrievalDataset,
+    config: TrainConfig,
+    rng: random.Random,
+) -> float:
+    """Ranking error % over sampled positive/negative pairs; no updates.
+
+    The validation loop that ``ranker._error_pct`` merged with training's.
+
+    Positive pairs cycle the validation split in sorted order; each draws
+    one negative per the configured methodology. Ties (s_pos == s_neg)
+    count as errors, so a constant-scoring model reads 100%.
+    """
+    view = data.view("val")
+    if not view.pairs:
+        raise RuntimeError("validation split has no scoreable pairs")
+    mistakes = 0
+    scored = 0
+    for i in range(config.val_pairs_per_epoch):
+        pos = view.pairs[i % len(view.pairs)]
+        neg = sample_negative(pos, view, config.methodology, rng)
+        try:
+            s_pos, s_neg, _ = score_triplet(
+                model, *data.triplet_inputs(pos, neg), config.methodology
+            )
+        except ZeroNormError:
+            continue
+        scored += 1
+        if s_pos <= s_neg:
+            mistakes += 1
+    if scored == 0:
+        raise RuntimeError("every validation pair was skipped")
+    return 100.0 * mistakes / scored
 
 
 def oracle_loop_forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.ndarray, Tape]:

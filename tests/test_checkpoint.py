@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -164,29 +165,29 @@ class TestFailureModes:
         *_, path = setup
         images, captions, store, vocab, model, config, history, path = setup
         save_checkpoint(path, model, vocab, config, history)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4:8] = (99).to_bytes(4, "little")
         # keep the checksum valid so the version check is what fires
         import zlib
         blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointVersionError, match="99"):
             load_checkpoint(path)
 
     def test_truncated_file(self, setup):
         images, captions, store, vocab, model, config, history, path = setup
         save_checkpoint(path, model, vocab, config, history)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) - 9])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[: len(blob) - 9])
         with pytest.raises(CheckpointCorruptError, match="checksum"):
             load_checkpoint(path)
 
     def test_flipped_payload_byte(self, setup):
         images, captions, store, vocab, model, config, history, path = setup
         save_checkpoint(path, model, vocab, config, history)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
 
@@ -216,7 +217,7 @@ class TestFailureModes:
     def test_bad_header_with_valid_checksum(self, setup, mutate):
         images, captions, store, vocab, model, config, history, path = setup
         save_checkpoint(path, model, vocab, config, history)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         header = read_header(blob)
         mutate(header)
         resign(path, blob, header=header)
@@ -227,7 +228,7 @@ class TestFailureModes:
     def test_payload_size_with_valid_checksum(self, setup, extra):
         images, captions, store, vocab, model, config, history, path = setup
         save_checkpoint(path, model, vocab, config, history)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
         payload = blob[header_end:-4]
         resign(path, blob, payload=payload + bytes(extra) if extra > 0 else payload[:extra])
@@ -255,7 +256,7 @@ class TestSave:
     def test_failed_save_keeps_previous_file(self, setup, monkeypatch):
         images, captions, store, vocab, model, config, history, path = setup
         save_checkpoint(path, model, vocab, config, history)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         calls = []
 
         def failing_crc32(data, value=0):
@@ -268,5 +269,5 @@ class TestSave:
         model.visual_net.params["w0"] += 1.0
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model, vocab, config, TrainHistory())
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]

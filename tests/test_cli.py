@@ -169,9 +169,13 @@ class TestTrain:
             lambda rows: rows[2].__setitem__(0, rows[1][0]),
             lambda rows: rows[0].__setitem__(1, "many"),
             lambda rows: rows[2].__setitem__(2, "1.5"),
+            lambda rows: rows[2].__setitem__(2, "0"),
+            lambda rows: rows[2].__setitem__(2, "-5"),
+            lambda rows: rows[2].__setitem__(2, str(int(rows[0][2]) + 1)),  # n_docs + 1
         ],
         ids=["duplicate_index", "index_past_size", "negative_index", "duplicate_term",
-             "non_integer_header", "non_integer_doc_freq"],
+             "non_integer_header", "non_integer_doc_freq", "zero_doc_freq", "negative_doc_freq",
+             "doc_freq_past_n_docs"],
     )
     def test_bad_vocabulary_fails_before_writing(self, tmp_path, corpus, prepped, capsys, edit):
         lines = (prepped / "vocab.tsv").read_text().splitlines()
@@ -247,6 +251,15 @@ class TestTrain:
             corpus, prepped, tmp_path / "bad_emb", "--embeddings", str(emb_path),
         ))
         assert rc != 0 and "dim 3" in err
+
+    def test_non_finite_embedding_fails_before_writing(self, tmp_path, corpus, prepped, capsys):
+        emb_path = tmp_path / "emb.txt"
+        emb_path.write_text("c0w1 nan" + " 1.0" * 7 + "\n")
+        out = tmp_path / "nan_emb"
+        rc, _, err = run(capsys, *train_args(corpus, prepped, out, "--embeddings", str(emb_path)))
+        assert rc != 0
+        assert err.startswith(f"error CorpusFormatError: {emb_path}:1:") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
 
     def test_sse_textual_model_trains(self, tmp_path, corpus, prepped, capsys):
         out = tmp_path / "sse_run"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,12 @@ class TestLoadWordEmbeddings:
     def test_inconsistent_length_names_word(self, tmp_path):
         path = write(tmp_path, "e.txt", "dog 1 2 3\ncat 4 5\n")
         with pytest.raises(CorpusFormatError, match="cat"):
+            load_word_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "two"])
+    def test_bad_value_names_line(self, tmp_path, value):
+        path = write(tmp_path, "e.txt", f"dog 1 2\ncat 3 {value}\n")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(path)}:2: 'cat'"):
             load_word_embeddings(path)
 
     def test_duplicate_keeps_first_and_warns(self, tmp_path):

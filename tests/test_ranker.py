@@ -29,7 +29,9 @@ from oracles import (
     oracle_dense_backward,
     oracle_dense_sgd_step,
     oracle_loop_forward,
+    oracle_train_epoch,
     oracle_triplet_grads,
+    oracle_validate,
 )
 
 
@@ -336,7 +338,8 @@ class TestTrainEpoch:
 
 class TestRowSparseTraining:
     """Training with row-sparse first-layer gradients is bit-identical to the
-    dense-gradient reference path."""
+    dense-gradient reference path, and training through the one scored-pair
+    loop to the separate training and validation loops it replaced."""
 
     @pytest.mark.parametrize("textual", ["bag", "bag_hidden", "bag_tfidf", "sequence"])
     @pytest.mark.parametrize("methodology", ["I2T", "T2I"])
@@ -366,8 +369,12 @@ class TestRowSparseTraining:
                 oracle_dense_sgd_step(net, net_grads, lr)
 
         runs = []
-        for dense in (False, True):
-            if dense:
+        for oracle in (None, "loops", "dense"):
+            monkeypatch.undo()
+            if oracle == "loops":
+                monkeypatch.setattr(ranker_mod, "train_epoch", oracle_train_epoch)
+                monkeypatch.setattr(ranker_mod, "validate", oracle_validate)
+            if oracle == "dense":
                 monkeypatch.setattr(ranker_mod, "forward", oracle_loop_forward)
                 monkeypatch.setattr(ranker_mod, "backward", oracle_dense_backward)
                 monkeypatch.setattr(ranker_mod, "accumulate", oracle_dense_accumulate)
@@ -376,16 +383,17 @@ class TestRowSparseTraining:
             best, history = train(model, data, config)
             runs.append(([net.params for net in (model.textual_net, model.visual_net,
                                                  best.textual_net, best.visual_net)], history))
-        (got_params, got_history), (want_params, want_history) = runs
+        (got_params, got_history), *oracle_runs = runs
         initial = init_net(tspec, 7).params
         first = "lookup" if kind == "sequence" else "w0"
         assert got_params[0][first].tobytes() != initial[first].tobytes()  # training moved it
-        assert got_history.epochs == want_history.epochs
-        assert got_history.best_epoch == want_history.best_epoch
-        for got, want in zip(got_params, want_params):
-            assert list(got) == list(want)
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes(), name
+        for want_params, want_history in oracle_runs:
+            assert got_history.epochs == want_history.epochs
+            assert got_history.best_epoch == want_history.best_epoch
+            for got, want in zip(got_params, want_params):
+                assert list(got) == list(want)
+                for name in want:
+                    assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestValidate:
@@ -487,16 +495,6 @@ class TestTrain:
         rng = random.Random(ranker_mod.epoch_seed(0, history.best_epoch))
         err = validate(best, data, TrainConfig(seed=0, max_epochs=6, lr0=0.02), rng)
         assert err == best_val
-
-
-class TestLenientJoin:
-    def test_strict_rejects_caption_without_features(self):
-        images, captions = generate_synthetic_corpus(2, 2, 8, 6, 0.0, seed=0)
-        store = FeatureStore(images[:3], 8)  # drop one image's features
-        vocab = build_vocabulary(captions, "unigram", 100)
-        split = SplitDataset({r.image_id for r in images[:3]}, set(), set(), seed=0)
-        with pytest.raises(KeyError):
-            RetrievalDataset(store, captions, split, vocab)
 
 
 class TestTrainConfig:
