@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .corpus import atomic_write
 from .errors import CheckpointCorruptError, CheckpointVersionError
 from .nets import Net, NetSpec, param_shapes
 from .ranker import EpochStats, ScoreModel, TrainConfig, TrainHistory
@@ -100,18 +101,12 @@ def save_checkpoint(
     chunks = [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)), header_bytes]
     chunks += [np.ascontiguousarray(arr, dtype="<f8")
                for net in nets.values() for arr in net.params.values()]
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            crc = 0
-            for chunk in chunks:
-                fh.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-            fh.write(struct.pack("<I", crc))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path, "wb") as fh:
+        crc = 0
+        for chunk in chunks:
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path: str) -> Checkpoint:

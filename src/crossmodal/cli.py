@@ -20,11 +20,13 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, vocab_digest
 from .corpus import (
+    atomic_write,
     generate_synthetic_corpus,
     load_captions,
     load_image_features,
     load_word_embeddings,
     split_dataset,
+    text_lines,
     write_captions,
     write_features,
 )
@@ -102,26 +104,25 @@ OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
 def parse_config_file(path: str) -> dict[str, Any]:
     """Flat ``key = value`` lines, typed by OPTIONS; blank lines and # comments ignored."""
     values: dict[str, Any] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            opt = OPTION_BY_NAME.get(key.strip())
-            if opt is None:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-            try:
-                value = opt.type(raw.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {opt.name}: {exc}") from None
-            if opt.choices and value not in opt.choices:
-                raise ConfigError(
-                    f"{path}:{lineno}: {opt.name} must be one of {opt.choices}, got {raw.strip()!r}"
-                )
-            values[opt.name] = value
+    for lineno, line in text_lines(path, ConfigError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        opt = OPTION_BY_NAME.get(key.strip())
+        if opt is None:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
+        try:
+            value = opt.type(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {opt.name}: {exc}") from None
+        if opt.choices and value not in opt.choices:
+            raise ConfigError(
+                f"{path}:{lineno}: {opt.name} must be one of {opt.choices}, got {raw.strip()!r}"
+            )
+        values[opt.name] = value
     return values
 
 
@@ -200,7 +201,7 @@ def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
             for name, p in inputs.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -296,9 +297,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         text = format_report(report)
         sys.stdout.write(text)
         base = os.path.join(args.out, f"report_{report.direction}")
-        with open(base + ".txt", "w", encoding="utf-8") as fh:
+        with atomic_write(base + ".txt") as fh:
             fh.write(text)
-        with open(base + ".kv", "w", encoding="utf-8") as fh:
+        with atomic_write(base + ".kv") as fh:
             fh.write(report_to_kv(report))
     _progress(f"reports written to {args.out}")
     return 0

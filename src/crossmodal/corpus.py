@@ -7,6 +7,9 @@ On-disk formats:
   ``image_id v1 ... v_dim`` (decimal reals).
 * ``embeddings.txt`` word2vec text format: ``word v1 ... vD`` per line.
 
+Text is read through :func:`text_lines`, so bytes that are not UTF-8 end as a
+typed error naming ``path:line``; outputs are written through
+:func:`atomic_write`, so a failed write leaves the previous file as it was.
 All loaders are pure functions; :class:`FeatureStore` is immutable after
 construction, so loaded corpora can be shared freely across threads.
 """
@@ -14,13 +17,15 @@ construction, so loaded corpora can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import os
 import random
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, CrossmodalError
 
 CAPTIONS_PER_IMAGE = 5
 
@@ -96,6 +101,37 @@ class PretrainedEmbeddings:
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def text_lines(path: str, error: type[CrossmodalError] = CorpusFormatError):
+    """Yield (line number, line) for each line of a UTF-8 text file, newlines
+    translated as in text mode; a line that is not UTF-8 raises ``error``
+    naming ``path:line``."""
+    # undecodable bytes arrive as lone surrogates, which decoded UTF-8 never
+    # holds, so only a line that is not ASCII needs the check
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise error(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line
+
+
+@contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Write through ``<path>.tmp`` and rename it over ``path`` once the block
+    ends; if the block raises, remove the temp file and leave ``path`` as it
+    was. Text is UTF-8."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def load_captions(path: str, strict: bool = True) -> list[Caption]:
     """Parse a captions.tsv file.
 
@@ -106,33 +142,32 @@ def load_captions(path: str, strict: bool = True) -> list[Caption]:
     captions: list[Caption] = []
     seen: set[tuple[str, int]] = set()
     per_image: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            image_id, idx_str, text = parts
-            try:
-                caption_index = int(idx_str)
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: caption_index {idx_str!r} is not an integer"
-                ) from None
-            if not 0 <= caption_index < CAPTIONS_PER_IMAGE:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: caption_index {caption_index} outside [0, {CAPTIONS_PER_IMAGE - 1}]"
-                )
-            key = (image_id, caption_index)
-            if key in seen:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: duplicate caption ({image_id!r}, {caption_index})"
-                )
-            seen.add(key)
-            per_image[image_id] = per_image.get(image_id, 0) + 1
-            captions.append(Caption(image_id, caption_index, text))
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t", 2)
+        if len(parts) != 3:
+            raise CorpusFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        image_id, idx_str, text = parts
+        try:
+            caption_index = int(idx_str)
+        except ValueError:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: caption_index {idx_str!r} is not an integer"
+            ) from None
+        if not 0 <= caption_index < CAPTIONS_PER_IMAGE:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: caption_index {caption_index} outside [0, {CAPTIONS_PER_IMAGE - 1}]"
+            )
+        key = (image_id, caption_index)
+        if key in seen:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: duplicate caption ({image_id!r}, {caption_index})"
+            )
+        seen.add(key)
+        per_image[image_id] = per_image.get(image_id, 0) + 1
+        captions.append(Caption(image_id, caption_index, text))
     if strict:
         for image_id, count in sorted(per_image.items()):
             if count != CAPTIONS_PER_IMAGE:
@@ -169,17 +204,17 @@ def _vector_rows(path: str, numbered_lines, dim: int | None = None):
 
 def load_image_features(path: str) -> FeatureStore:
     """Parse a features.txt file into a FeatureStore."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise CorpusFormatError(f"{path}:1: expected header 'count dim'")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise CorpusFormatError(f"{path}:1: non-integer header fields") from None
-        if count < 0 or dim <= 0:
-            raise CorpusFormatError(f"{path}:1: invalid header values count={count} dim={dim}")
-        records = [ImageRecord(*row) for row in _vector_rows(path, enumerate(fh, start=2), dim)]
+    lines = text_lines(path)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2:
+        raise CorpusFormatError(f"{path}:1: expected header 'count dim'")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise CorpusFormatError(f"{path}:1: non-integer header fields") from None
+    if count < 0 or dim <= 0:
+        raise CorpusFormatError(f"{path}:1: invalid header values count={count} dim={dim}")
+    records = [ImageRecord(*row) for row in _vector_rows(path, lines, dim)]
     if len(records) != count:
         raise CorpusFormatError(f"{path}: header declares {count} records, found {len(records)}")
     return FeatureStore(records, dim)
@@ -224,12 +259,11 @@ def load_word_embeddings(path: str) -> PretrainedEmbeddings:
     emits a UserWarning.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for word, vec in _vector_rows(path, enumerate(fh, start=1)):
-            if word in vectors:
-                warnings.warn(f"duplicate embedding for word {word!r}; keeping first", stacklevel=2)
-                continue
-            vectors[word] = vec
+    for word, vec in _vector_rows(path, text_lines(path)):
+        if word in vectors:
+            warnings.warn(f"duplicate embedding for word {word!r}; keeping first", stacklevel=2)
+            continue
+        vectors[word] = vec
     if not vectors:
         raise CorpusFormatError(f"{path}: no embeddings found")
     return PretrainedEmbeddings(dim=len(next(iter(vectors.values()))), vectors=vectors)

@@ -9,14 +9,19 @@ Two architectures share one interface:
 Everything runs in float64; gradients are exact, which the finite-difference
 test suite relies on.
 
-First-layer gradients are row-sparse: a caption touches only the ``w0`` rows
-(bag) or ``lookup`` rows (sequence) of its terms, so ``backward`` returns that
-gradient as a ``RowGrad`` of those rows, and ``sgd_step`` updates only them.
-Every other gradient is a dense array of its parameter's shape.
+First-layer gradients are never dense. A caption touches only the ``w0``
+rows (bag) or ``lookup`` rows (sequence) of its terms, so ``backward``
+returns that gradient as a ``RowGrad`` of those rows, and ``sgd_step``
+updates only them. A dense input's ``w0`` gradient is an outer product, so
+``backward`` returns its factors as an ``OuterGrad``; ``sgd_step`` checks
+finiteness on the factors and applies the product in row blocks, with the
+same operations, in the same order, as the dense update. Every other
+gradient is a dense array of its parameter's shape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -60,7 +65,21 @@ class RowGrad(NamedTuple):
     values: np.ndarray
 
 
-Grads = dict[str, np.ndarray | RowGrad]
+class OuterGrad(NamedTuple):
+    """Gradient of a dense-input first layer: sum_i outer(lefts[i], rights[i]).
+
+    Never materialized whole; ``sgd_step`` applies it a row block at a time.
+    Being a tuple, ``+`` concatenates fields wrongly: sum with ``accumulate``.
+    """
+
+    lefts: tuple[np.ndarray, ...]
+    rights: tuple[np.ndarray, ...]
+
+
+Grads = dict[str, np.ndarray | RowGrad | OuterGrad]
+
+# rows of an OuterGrad materialized at once: 256 x 300 float64 is 600 KB
+OUTER_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -186,8 +205,8 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
     """Exact gradients of embedding . grad_out w.r.t. all parameters.
 
     The first layer's gradient is a ``RowGrad`` over the input's rows for
-    sparse vectors and token sequences, dense for dense vectors. The relu
-    subgradient at 0 is taken as 0.
+    sparse vectors and token sequences, an ``OuterGrad`` for dense vectors.
+    The relu subgradient at 0 is taken as 0.
     """
     if tape.used:
         raise RuntimeError("tape already consumed by a previous backward pass")
@@ -210,7 +229,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
         if isinstance(x, SparseVector):
             grads["w0"] = RowGrad(x.indices, np.outer(x.values, dh0))
         else:
-            grads["w0"] = np.outer(x, dh0)
+            grads["w0"] = OuterGrad((x,), (dh0,))
         return grads
     windows = tape.data["windows"]
     n_pos = windows.shape[0]
@@ -237,9 +256,47 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
     return grads
 
 
+def _outer_blocks(grad: OuterGrad, shape: tuple[int, int]):
+    """Yield (rows, block): the sum over i of outer(lefts[i], rights[i]) on
+    ``rows``, for consecutive slices of ``OUTER_BLOCK_ROWS`` rows.
+
+    Terms are added in factor order, as the dense sum adds them. Every block
+    is the same buffer, overwritten by the next one.
+    """
+    lefts, rights = grad
+    buf = np.empty((min(OUTER_BLOCK_ROWS, shape[0]), shape[1]))
+    term = np.empty_like(buf)
+    for start in range(0, shape[0], OUTER_BLOCK_ROWS):
+        rows = slice(start, start + OUTER_BLOCK_ROWS)
+        n = min(OUTER_BLOCK_ROWS, shape[0] - start)
+        block = np.multiply.outer(lefts[0][rows], rights[0], out=buf[:n])
+        for left, right in zip(lefts[1:], rights[1:]):
+            np.add(block, np.multiply.outer(left[rows], right, out=term[:n]), out=block)
+        yield rows, block
+
+
+def _check_outer(name: str, grad: OuterGrad, shape: tuple[int, ...]) -> None:
+    lefts, rights = grad
+    if (not lefts or len(lefts) != len(rights) or len(shape) != 2
+            or any(left.shape != shape[:1] for left in lefts)
+            or any(right.shape != shape[1:] for right in rights)):
+        raise ValueError(f"gradient shape mismatch for {name!r}")
+    # every element, and every partial sum of it, is at most this bound in
+    # magnitude (rounding is monotone), so a finite bound proves the sum
+    # finite; a NaN, an inf or an overflowing bound needs the full check
+    bound = sum(float(np.max(np.abs(left))) * float(np.max(np.abs(right)))
+                for left, right in zip(lefts, rights))
+    if math.isfinite(bound):
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+        if not all(np.all(np.isfinite(block)) for _, block in _outer_blocks(grad, shape)):
+            raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
+
+
 def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:
     """In-place p <- p - lr * g for each net and its gradients (``grads[i]``
-    belongs to ``nets[i]``); a ``RowGrad`` changes only its rows.
+    belongs to ``nets[i]``); a ``RowGrad`` changes only its rows, and an
+    ``OuterGrad`` is built and applied a row block at a time.
 
     Every gradient is checked (known parameter, shape, rows in range,
     finite) before any parameter changes, so a refused step leaves every net
@@ -252,6 +309,9 @@ def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:
             if name not in net.params:
                 raise KeyError(f"gradient for unknown parameter {name!r}")
             shape = net.params[name].shape
+            if isinstance(grad, OuterGrad):
+                _check_outer(name, grad, shape)
+                continue
             values = grad
             if isinstance(grad, RowGrad):
                 rows, values = grad
@@ -267,6 +327,12 @@ def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:
         for name, grad in net_grads.items():
             if isinstance(grad, RowGrad):
                 net.params[name][grad.rows] -= lr * grad.values
+            elif isinstance(grad, OuterGrad):
+                # the dense update's operations, in its order, a block at a time
+                param = net.params[name]
+                for rows, step in _outer_blocks(grad, param.shape):
+                    np.multiply(lr, step, out=step)
+                    np.subtract(param[rows], step, out=param[rows])
             else:
                 net.params[name] -= lr * grad
 
@@ -282,11 +348,16 @@ def accumulate(total: Grads, grads: Grads) -> Grads:
     """Sum gradient dicts, used when shared weights see several branches.
 
     Two ``RowGrad``s sum over the union of their rows: the first is added,
-    then the second, which is the order of the dense sum.
+    then the second, which is the order of the dense sum. Two ``OuterGrad``s
+    concatenate their factors, first then second, which ``sgd_step`` sums in
+    that order.
     """
     for name, grad in grads.items():
         if name not in total:
             total[name] = grad
+        elif isinstance(grad, OuterGrad):
+            first = total[name]
+            total[name] = OuterGrad(first.lefts + grad.lefts, first.rights + grad.rights)
         elif isinstance(grad, RowGrad):
             first = total[name]
             rows = np.union1d(first.rows, grad.rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Caption, FeatureStore, SplitDataset
+from .corpus import Caption, FeatureStore, SplitDataset, atomic_write
 from .errors import ZeroNormError
 from .nets import Net, accumulate, backward, clone_net, forward, lr_schedule, sgd_step
 from .text import WEIGHTINGS, Encoding, Vocabulary, encode_caption, normalize_tokenize
@@ -73,7 +73,7 @@ class TrainHistory:
 
 
 def write_history(history: TrainHistory, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for row in history.epochs:
             fh.write(f"{row.epoch}\t{row.lr!r}\t{row.train_err!r}\t{row.val_err!r}\n")
 
@@ -210,31 +210,35 @@ def sample_negative(
 
 def score_triplet(
     model: ScoreModel,
-    pos_image_vec: np.ndarray,
-    pos_enc: Encoding,
-    neg_image_vec: np.ndarray | None,
-    neg_enc: Encoding | None,
+    pos_image: np.ndarray,
+    pos_caption: Encoding,
+    neg_image: np.ndarray | None,
+    neg_caption: Encoding | None,
     methodology: str,
+    embed=None,
 ) -> tuple[float, float, tuple]:
     """Embed an anchor and its two candidates, and score each against the anchor.
 
     The methodology only picks the sides: I2T anchors on the image and ranks
-    the positive caption against the negative caption (neg_image_vec unused);
-    T2I anchors on the caption and ranks two images (neg_enc unused).
-    Returns (s_pos, s_neg, (anchor, positive, negative)), each of the last
-    an (embedding, tape) pair from ``forward``.
+    the positive caption against the negative caption (neg_image unused);
+    T2I anchors on the caption and ranks two images (neg_caption unused).
+    ``embed(net, x)`` returns the (embedding, tape) pair of ``forward``,
+    which it defaults to; ``validate`` passes image ids and caption keys with
+    an ``embed`` that looks them up. Returns (s_pos, s_neg, (anchor,
+    positive, negative)), each of the last an ``embed`` result.
     """
     if methodology == "I2T":
         anchor_net, cand_net = model.visual_net, model.textual_net
-        anchor, pos, neg = pos_image_vec, pos_enc, neg_enc
+        anchor, pos, neg = pos_image, pos_caption, neg_caption
     elif methodology == "T2I":
         anchor_net, cand_net = model.textual_net, model.visual_net
-        anchor, pos, neg = pos_enc, pos_image_vec, neg_image_vec
+        anchor, pos, neg = pos_caption, pos_image, neg_image
     else:
         raise ValueError(f"methodology must be one of {METHODOLOGIES}")
     if neg is None:
         raise ValueError(f"{methodology} triplet needs a negative candidate")
-    embedded = forward(anchor_net, anchor), forward(cand_net, pos), forward(cand_net, neg)
+    embed = embed or forward
+    embedded = embed(anchor_net, anchor), embed(cand_net, pos), embed(cand_net, neg)
     (v_anchor, _), (v_pos, _), (v_neg, _) = embedded
     return cosine_score(v_anchor, v_pos), cosine_score(v_anchor, v_neg), embedded
 
@@ -276,8 +280,9 @@ def _error_pct(
 ) -> float:
     """Mistake % over ``positives``, each against one sampled negative.
 
-    ``score(*data.triplet_inputs(pos, neg))`` returns (s_pos, s_neg); ties
-    count as mistakes, and a pair with a zero-norm embedding is skipped.
+    ``score(pos, neg)`` returns (s_pos, s_neg) for a positive caption key and
+    a ``sample_negative`` draw; ties count as mistakes, and a pair with a
+    zero-norm embedding is skipped.
     """
     if not view.pairs:
         raise RuntimeError(f"the {view.name} split has no scoreable pairs")
@@ -285,7 +290,7 @@ def _error_pct(
     for pos in positives:
         neg = sample_negative(pos, view, config.methodology, rng)
         try:
-            s_pos, s_neg = score(*data.triplet_inputs(pos, neg))
+            s_pos, s_neg = score(pos, neg)
         except ZeroNormError:
             continue
         scored += 1
@@ -314,8 +319,10 @@ def train_epoch(
     pairs = list(view.pairs)
     rng.shuffle(pairs)
 
-    def step(*inputs) -> tuple[float, float]:
-        _, s_pos, s_neg, tgrads, vgrads = triplet_grads(model, *inputs, config.methodology, config.margin)
+    def step(pos, neg) -> tuple[float, float]:
+        _, s_pos, s_neg, tgrads, vgrads = triplet_grads(
+            model, *data.triplet_inputs(pos, neg), config.methodology, config.margin
+        )
         if tgrads is not None:
             sgd_step((model.textual_net, model.visual_net), (tgrads, vgrads), lr)
         return s_pos, s_neg
@@ -333,12 +340,24 @@ def validate(
 
     Positive pairs cycle the validation split in sorted order; each draws
     one negative per the configured methodology. A constant-scoring model
-    reads 100%.
+    reads 100%. The model does not change here, so each image and caption
+    is embedded once per call and looked up by its id or key after that.
     """
     view = data.view("val")
     positives = itertools.islice(itertools.cycle(view.pairs), config.val_pairs_per_epoch)
-    return _error_pct(data, config, view, positives, rng,
-                      lambda *inputs: score_triplet(model, *inputs, config.methodology)[:2])
+    embedded: dict = {}
+
+    def embed(net: Net, key: str | tuple[str, int]) -> tuple:
+        if key not in embedded:
+            x = data.image_vec(key) if isinstance(key, str) else data.encoding(*key)
+            embedded[key] = forward(net, x)
+        return embedded[key]
+
+    def score(pos, neg) -> tuple[float, float]:
+        neg_image, neg_caption = neg
+        return score_triplet(model, pos[0], pos, neg_image, neg_caption, config.methodology, embed)[:2]
+
+    return _error_pct(data, config, view, positives, rng, score)
 
 
 def epoch_seed(seed: int, epoch: int) -> int:

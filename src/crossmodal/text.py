@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Caption
+from .corpus import Caption, atomic_write, text_lines
 from .errors import EmptySequenceError, VocabularyError
 
 MODES = ("unigram", "bigram", "trigram", "trigram_skip")
@@ -184,7 +184,7 @@ def vocabulary_text(vocab: Vocabulary) -> str:
 
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(vocabulary_text(vocab))
 
 
@@ -197,31 +197,31 @@ def _ints(fields: list[str], where: str) -> list[int]:
 
 def load_vocabulary(path: str) -> Vocabulary:
     """Read ``vocab.tsv``: indices exactly 0..size-1, each once; doc_freq in 1..n_docs."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] not in MODES:
-            raise VocabularyError(f"{path}:1: expected header 'mode size n_docs'")
-        mode, (size, n_docs) = header[0], _ints(header[1:], f"{path}:1")
-        term_to_index: dict[str, int] = {}
-        doc_freq: dict[str, int] = {}
-        used: set[int] = set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise VocabularyError(f"{path}:{lineno}: expected 'term<TAB>index<TAB>doc_freq'")
-            term, (index, count) = parts[0], _ints(parts[1:], f"{path}:{lineno}")
-            if term in term_to_index:
-                raise VocabularyError(f"{path}:{lineno}: duplicate term {term!r}")
-            if not 0 <= index < size or index in used:
-                raise VocabularyError(f"{path}:{lineno}: index {index} is not a free index in 0..{size - 1}")
-            if not 1 <= count <= n_docs:
-                raise VocabularyError(f"{path}:{lineno}: doc_freq {count} outside 1..{n_docs}")
-            used.add(index)
-            term_to_index[term] = index
-            doc_freq[term] = count
+    lines = text_lines(path, VocabularyError)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 3 or header[0] not in MODES:
+        raise VocabularyError(f"{path}:1: expected header 'mode size n_docs'")
+    mode, (size, n_docs) = header[0], _ints(header[1:], f"{path}:1")
+    term_to_index: dict[str, int] = {}
+    doc_freq: dict[str, int] = {}
+    used: set[int] = set()
+    for lineno, line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise VocabularyError(f"{path}:{lineno}: expected 'term<TAB>index<TAB>doc_freq'")
+        term, (index, count) = parts[0], _ints(parts[1:], f"{path}:{lineno}")
+        if term in term_to_index:
+            raise VocabularyError(f"{path}:{lineno}: duplicate term {term!r}")
+        if not 0 <= index < size or index in used:
+            raise VocabularyError(f"{path}:{lineno}: index {index} is not a free index in 0..{size - 1}")
+        if not 1 <= count <= n_docs:
+            raise VocabularyError(f"{path}:{lineno}: doc_freq {count} outside 1..{n_docs}")
+        used.add(index)
+        term_to_index[term] = index
+        doc_freq[term] = count
     if len(term_to_index) != size:
         raise VocabularyError(f"{path}:1: header declares {size} terms, found {len(term_to_index)}")
     return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs, max_size=size)

@@ -22,7 +22,7 @@ from crossmodal.corpus import PretrainedEmbeddings
 from crossmodal.errors import NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
 from crossmodal.nets import (
-    Net, NetSpec, RowGrad, Tape, _glorot, accumulate, backward, forward, lr_schedule, relu, sgd_step,
+    Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, accumulate, backward, forward, lr_schedule, relu, sgd_step,
 )
 from crossmodal.ranker import (
     RetrievalDataset,
@@ -40,7 +40,14 @@ from crossmodal.text import SparseVector, TokenSequence, Vocabulary
 
 
 def densify(param, grad):
-    """A gradient as a dense array of its parameter's shape."""
+    """A gradient as a dense array of its parameter's shape; an ``OuterGrad``
+    is summed term by term, in order, as the dense ``accumulate`` adds them."""
+    if isinstance(grad, OuterGrad):
+        dense = np.outer(grad.lefts[0], grad.rights[0])
+        for left, right in zip(grad.lefts[1:], grad.rights[1:]):
+            dense = dense + np.outer(left, right)
+        assert dense.shape == param.shape
+        return dense
     if not isinstance(grad, RowGrad):
         return grad
     assert grad.rows.dtype == np.int64 and np.all(np.diff(grad.rows) > 0)

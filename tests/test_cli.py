@@ -84,6 +84,17 @@ class TestSynthAndPreprocess:
         assert run(capsys, *args, "--out", str(b))[0] == 0
         assert (a / "vocab.tsv").read_bytes() == (b / "vocab.tsv").read_bytes()
 
+    def test_non_utf8_captions_fail_before_writing(self, tmp_path, corpus, capsys):
+        text = (corpus / "captions.tsv").read_bytes()
+        bad = tmp_path / "captions.tsv"
+        bad.write_bytes(text + b"\xff\xfe")
+        out = tmp_path / "prep"
+        rc, _, err = run(capsys, "preprocess", "--captions", str(bad), "--out", str(out))
+        assert rc != 0
+        line = text.count(b"\n") + 1
+        assert err == f"error CorpusFormatError: {bad}:{line}: not valid UTF-8\n"
+        assert not (out / "vocab.tsv").exists()
+
     def test_vocab_respects_max_size(self, tmp_path, corpus, capsys):
         out = tmp_path / "prep5"
         rc, _, _ = run(capsys, "preprocess", "--captions", str(corpus / "captions.tsv"),
@@ -190,6 +201,28 @@ class TestTrain:
         assert rc != 0
         assert err.startswith(f"error VocabularyError: {vocab}:") and err.count("\n") == 1
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, error",
+        [("--captions", "CorpusFormatError"), ("--features", "CorpusFormatError"),
+         ("--vocab", "VocabularyError"), ("--embeddings", "CorpusFormatError"),
+         ("--config", "ConfigError")],
+    )
+    def test_non_utf8_input_fails_before_writing(self, tmp_path, corpus, prepped, capsys, flag, error):
+        args = train_args(corpus, prepped, tmp_path / "bad")
+        if flag in args:
+            text = Path(args[args.index(flag) + 1]).read_bytes()
+        else:
+            text = b"c0w1 0.5 0.25\n" if flag == "--embeddings" else b"margin = 0.3\n"
+            args += [flag, ""]
+        bad = tmp_path / "input"
+        bad.write_bytes(text + b"\xff\xfe")
+        args[args.index(flag) + 1] = str(bad)
+        rc, _, err = run(capsys, *args)
+        assert rc != 0
+        line = text.count(b"\n") + 1
+        assert err == f"error {error}: {bad}:{line}: not valid UTF-8\n"
+        assert not (tmp_path / "bad" / "manifest.json").exists()
 
     def test_config_file_and_flag_priority(self, tmp_path, corpus, prepped, capsys):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ from crossmodal.corpus import (
     Caption,
     FeatureStore,
     ImageRecord,
+    atomic_write,
     generate_synthetic_corpus,
     load_captions,
     load_image_features,
@@ -16,7 +17,7 @@ from crossmodal.corpus import (
     write_features,
 )
 from crossmodal.errors import CorpusFormatError
-from crossmodal.ranker import cosine_score
+from crossmodal.ranker import EpochStats, TrainHistory, cosine_score, write_history
 
 
 def write(tmp_path, name, content):
@@ -64,6 +65,51 @@ class TestLoadCaptions:
         path = write(tmp_path, "c.tsv", "a\t5\tx\n")
         with pytest.raises(CorpusFormatError, match="outside"):
             load_captions(path, strict=False)
+
+
+class TestTextLines:
+    def test_bad_byte_past_the_first_read_names_its_line(self, tmp_path):
+        # about 30 KB: the bad byte sits past the first chunk a text file reads
+        lines = caption_lines([f"img{i:03d}" for i in range(150)]).encode().splitlines(keepends=True)
+        lines[400] = lines[400].replace(b"some", b"so\xffme")
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:401: not valid UTF-8")):
+            load_captions(str(path))
+
+    def test_utf8_and_crlf_read_as_text_mode_reads_them(self, tmp_path):
+        content = caption_lines(["café", "b"])
+        want = load_captions(write(tmp_path, "lf.tsv", content))
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(content.replace("\n", "\r\n").encode("utf-8"))
+        got = load_captions(str(crlf))
+        assert [(c.image_id, c.caption_index, c.text) for c in got] == [
+            (c.image_id, c.caption_index, c.text) for c in want
+        ]
+        assert got[0].image_id == "café"
+
+
+class TestAtomicWrite:
+    def boom(self):
+        raise OSError("disk full")
+
+    @pytest.mark.parametrize("writer", ["atomic_write", "write_history"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, writer):
+        path = tmp_path / "out.tsv"
+        write_history(TrainHistory([EpochStats(1, 0.1, 50.0, 40.0)], 1), str(path))
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            if writer == "atomic_write":
+                with atomic_write(str(path)) as fh:
+                    fh.write("half a file")
+                    self.boom()
+            else:
+                # the second row's lr fails to format after the first row is written
+                bad_lr = type("BadFloat", (), {"__repr__": lambda _: self.boom()})()
+                rows = [EpochStats(1, 0.2, 30.0, 20.0), EpochStats(2, bad_lr, 10.0, 5.0)]
+                write_history(TrainHistory(rows, 2), str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
 
 
 class TestLoadImageFeatures:

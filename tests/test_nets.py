@@ -4,9 +4,11 @@ from hypothesis import example, given, strategies as st
 
 from crossmodal.corpus import PretrainedEmbeddings
 from crossmodal.errors import NonFiniteGradientError
+import crossmodal.nets as nets_mod
 from crossmodal.nets import (
     Net,
     NetSpec,
+    OuterGrad,
     RowGrad,
     accumulate,
     backward,
@@ -17,7 +19,7 @@ from crossmodal.nets import (
     sgd_step,
 )
 from crossmodal.text import SparseVector, TokenSequence, Vocabulary
-from oracles import densify, oracle_dense_accumulate
+from oracles import densify, oracle_dense_accumulate, oracle_dense_sgd_step
 
 
 def sparse(indices, values):
@@ -302,6 +304,72 @@ class TestSgdAndSchedule:
         for net, w0 in zip((first, second), before):
             assert net.params["w0"].tobytes() == w0.tobytes()
 
+    @staticmethod
+    def outer_grad(lefts, rights):
+        return OuterGrad(tuple(np.array(v, dtype=np.float64) for v in lefts),
+                         tuple(np.array(v, dtype=np.float64) for v in rights))
+
+    @staticmethod
+    def count_outer_blocks(monkeypatch):
+        """Count ``_outer_blocks`` passes: one applies a step, one more is the
+        full finite check."""
+        calls = []
+        original = nets_mod._outer_blocks
+        monkeypatch.setattr(nets_mod, "_outer_blocks",
+                            lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    def test_outer_grad_bit_identical_to_dense_oracle(self, monkeypatch, n_terms):
+        # 600 rows: two full row blocks and a partial one
+        spec = NetSpec(kind="bag", input_dim=600, n_emb=7)
+        rng = np.random.default_rng(n_terms)
+        grad = self.outer_grad(rng.normal(size=(n_terms, 600)), rng.normal(size=(n_terms, 7)))
+        got, want = init_net(spec, seed=4), init_net(spec, seed=4)
+        calls = self.count_outer_blocks(monkeypatch)
+        sgd_step([got], [{"w0": grad}], lr=0.05)
+        assert len(calls) == 1  # a finite factor bound needs no full finite check
+        oracle_dense_sgd_step(want, {"w0": densify(want.params["w0"], grad)}, lr=0.05)
+        assert got.params["w0"].tobytes() == want.params["w0"].tobytes()
+
+    def test_overflowing_bound_with_finite_elements_accepted(self, monkeypatch):
+        # each term's bound is 1e308, their sum is inf; no element exceeds 1e308
+        lefts = np.zeros((2, 4))
+        lefts[0, 0] = lefts[1, 1] = 1e308
+        grad = self.outer_grad(lefts, np.ones((2, 2)))
+        spec = NetSpec(kind="bag", input_dim=4, n_emb=2)
+        got, want = init_net(spec, seed=1), init_net(spec, seed=1)
+        calls = self.count_outer_blocks(monkeypatch)
+        sgd_step([got], [{"w0": grad}], lr=0.5)
+        assert len(calls) == 2
+        oracle_dense_sgd_step(want, {"w0": densify(want.params["w0"], grad)}, lr=0.5)
+        assert got.params["w0"].tobytes() == want.params["w0"].tobytes()
+        assert np.all(np.isfinite(got.params["w0"]))
+
+    @pytest.mark.parametrize(
+        "lefts, rights, error",
+        [
+            ([[1.0, np.nan, 0.0, 2.0]], [[1.0, 1.0]], NonFiniteGradientError),
+            ([[1.0, 2.0, 0.0, 2.0]], [[1.0, np.inf]], NonFiniteGradientError),
+            ([[0.0, 0.0, 0.0, 0.0]], [[np.inf, 1.0]], NonFiniteGradientError),  # 0 * inf
+            ([[1e200, 1.0, 0.0, 0.0]], [[1e200, 1.0]], NonFiniteGradientError),
+            ([[1.0, 2.0, 3.0]], [[1.0, 1.0]], ValueError),
+            ([[1.0, 2.0, 3.0, 4.0]], [[1.0, 1.0, 1.0]], ValueError),
+            ([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]], [[1.0, 1.0]], ValueError),
+        ],
+        ids=["nan_left", "inf_right", "zero_times_inf", "overflowing_element",
+             "short_left", "long_right", "unpaired_factor"],
+    )
+    def test_bad_outer_grad_refused_and_moves_no_net(self, lefts, rights, error):
+        first = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=1)
+        second = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=2)
+        before = [{k: v.tobytes() for k, v in net.params.items()} for net in (first, second)]
+        good = {"w0": self.outer_grad([[1.0, 2.0, 3.0, 4.0]], [[1.0, -1.0]]), "b0": np.ones(2)}
+        with pytest.raises(error, match="w0"):
+            sgd_step([first, second], [good, {"w0": self.outer_grad(lefts, rights)}], lr=0.1)
+        for net, params in zip((first, second), before):
+            assert {k: v.tobytes() for k, v in net.params.items()} == params
+
     def test_lr_schedule_values(self):
         assert lr_schedule(0.001, 0) == pytest.approx(0.001)
         assert lr_schedule(0.001, 100) == pytest.approx(0.00001)
@@ -337,3 +405,23 @@ class TestAccumulate:
         assert isinstance(total, RowGrad)
         np.testing.assert_array_equal(total.rows, np.union1d(first.rows, second.rows))
         assert np.array_equal(densify(param, total), dense["w0"])
+
+@st.composite
+def single_term_outer_grads(draw):
+    values = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    left = draw(st.lists(values, min_size=5, max_size=5))
+    right = draw(st.lists(values, min_size=3, max_size=3))
+    return OuterGrad((np.array(left),), (np.array(right),))
+
+
+class TestAccumulateOuter:
+    @given(grads=st.lists(single_term_outer_grads(), min_size=1, max_size=4))
+    def test_outer_grads_sum_like_dense(self, grads):
+        # one backward gives one term; summing them in turn is the dense path
+        param = np.zeros((5, 3))
+        total, dense = {}, {}
+        for grad in grads:
+            total = accumulate(total, {"w0": grad})
+            dense = oracle_dense_accumulate(dense, {"w0": densify(param, grad)})
+        assert isinstance(total["w0"], OuterGrad) and len(total["w0"].lefts) == len(grads)
+        assert densify(param, total["w0"]).tobytes() == dense["w0"].tobytes()

@@ -344,6 +344,16 @@ class TestRowSparseTraining:
     @pytest.mark.parametrize("textual", ["bag", "bag_hidden", "bag_tfidf", "sequence"])
     @pytest.mark.parametrize("methodology", ["I2T", "T2I"])
     def test_bit_identical_to_dense_oracle(self, monkeypatch, methodology, textual):
+        self.check_against_oracles(monkeypatch, methodology, textual, visual_n_hu=0)
+
+    @pytest.mark.parametrize("textual", ["bag", "sequence"])
+    @pytest.mark.parametrize("methodology", ["I2T", "T2I"])
+    def test_visual_hidden_layer_bit_identical_to_dense_oracle(self, monkeypatch, methodology, textual):
+        # the visual w0 gradient's right factor has gone through the relu
+        self.check_against_oracles(monkeypatch, methodology, textual, visual_n_hu=5)
+
+    @staticmethod
+    def check_against_oracles(monkeypatch, methodology, textual, visual_n_hu):
         kind = "sequence" if textual == "sequence" else "bag"
         weighting = "tfidf" if textual == "bag_tfidf" else "binary"
         images, captions = generate_synthetic_corpus(3, 4, 8, 6, 0.3, 7)
@@ -379,7 +389,7 @@ class TestRowSparseTraining:
                 monkeypatch.setattr(ranker_mod, "backward", oracle_dense_backward)
                 monkeypatch.setattr(ranker_mod, "accumulate", oracle_dense_accumulate)
                 monkeypatch.setattr(ranker_mod, "sgd_step", dense_sgd_step)
-            model = ScoreModel(init_net(tspec, 7), init_net(NetSpec("bag", 8, 8), 8))
+            model = ScoreModel(init_net(tspec, 7), init_net(NetSpec("bag", 8, 8, n_hu=visual_n_hu), 8))
             best, history = train(model, data, config)
             runs.append(([net.params for net in (model.textual_net, model.visual_net,
                                                  best.textual_net, best.visual_net)], history))
@@ -445,6 +455,30 @@ class TestValidate:
                 validate(model, data, TrainConfig(seed=seed, val_pairs_per_epoch=400), random.Random(seed))
             )
         assert 40.0 < sum(errs) / len(errs) < 60.0
+
+    @pytest.mark.parametrize("methodology", ["I2T", "T2I"])
+    def test_embeds_each_item_once_per_call(self, monkeypatch, methodology):
+        data, store, vocab = make_dataset(
+            n_clusters=3, images_per_cluster=4, noise=0.2, seed=2,
+            train_ids=[f"c{c}img{i:03d}" for c in range(3) for i in range(2)],
+            val_ids=[f"c{c}img{i:03d}" for c in range(3) for i in range(2, 4)],
+        )
+        model = make_model(vocab.size, store.feature_dim, seed=2)
+        config = TrainConfig(seed=2, methodology=methodology, val_pairs_per_epoch=90)
+        view = data.view("val")
+        items = {id(data.image_vec(img)) for img in view.image_ids}
+        items |= {id(data.encoding(*key)) for key in view.pairs}
+        calls = []
+        original = ranker_mod.forward
+        monkeypatch.setattr(ranker_mod, "forward",
+                            lambda net, x: calls[-1].append(id(x)) or original(net, x))
+        for _ in range(2):
+            calls.append([])
+            got = validate(model, data, config, random.Random(5))
+            assert len(calls[-1]) == len(set(calls[-1])) and set(calls[-1]) <= items
+        assert calls[0] == calls[1]  # nothing is kept from one call to the next
+        monkeypatch.undo()
+        assert got == oracle_validate(model, data, config, random.Random(5))
 
 
 class TestTrain:
