@@ -7,6 +7,11 @@ On-disk formats:
   ``image_id v1 ... v_dim`` (decimal reals).
 * ``embeddings.txt`` word2vec text format: ``word v1 ... vD`` per line.
 
+Feature and embedding rows share one parser, :func:`_vector_rows`. It reads a
+block of rows at a time with ``np.loadtxt``; any block that reader refuses is
+re-read row by row under the same rule, so what is accepted and every error
+message do not depend on the block.
+
 Text is read through :func:`text_lines`, so bytes that are not UTF-8 end as a
 typed error naming ``path:line``; outputs are written through
 :func:`atomic_write`, so a failed write leaves the previous file as it was.
@@ -16,6 +21,7 @@ construction, so loaded corpora can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -28,6 +34,9 @@ import numpy as np
 from .errors import CorpusFormatError, CrossmodalError
 
 CAPTIONS_PER_IMAGE = 5
+# values parsed per np.loadtxt call in _vector_rows: 16 rows of 4096-d features,
+# 218 of 300-d embeddings; only one block of text is held at a time
+ROW_BLOCK_VALUES = 1 << 16
 
 
 @dataclass
@@ -177,29 +186,90 @@ def load_captions(path: str, strict: bool = True) -> list[Caption]:
     return captions
 
 
+def _vector_row(path: str, lineno: int, line: str, dim: int | None):
+    """The row rule: (name, vector) for one ``name v1 ... vD`` line, or None
+    for a blank line. The row has ``dim`` values (any count of at least 1 when
+    ``dim`` is None), each a finite decimal; every error names ``path:line``."""
+    parts = line.split()
+    if not parts:
+        return None
+    name, values = parts[0], parts[1:]
+    if dim is None:
+        dim = len(values)
+    where = f"{path}:{lineno}: {name!r}"
+    if len(values) != dim or not values:
+        raise CorpusFormatError(f"{where} has {len(values)} values, expected {dim or 'at least 1'}")
+    try:
+        vec = np.array([float(v) for v in values], dtype=np.float64)
+    except ValueError:
+        raise CorpusFormatError(f"{where} has a non-numeric value") from None
+    if not np.all(np.isfinite(vec)):
+        raise CorpusFormatError(f"{where} has a non-finite value")
+    return name, vec
+
+
+def _loadtxt_block(block, dim: int):
+    """(names, values) for a block of (line number, ``line.split(None, 1)``)
+    pairs as ``np.loadtxt`` reads them, or None when a row has a name and no
+    values, ``loadtxt`` raises, the shape is not (rows, dim) or a value is not
+    finite."""
+    rows = [parts for _, parts in block if parts]
+    if not rows or any(len(parts) == 1 for parts in rows):
+        return None
+    try:
+        # no usecols: it would drop the extra values of a row that is too long
+        values = np.loadtxt([rest for _, rest in rows], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rows), dim) or not np.isfinite(values).all():
+        return None
+    return [name for name, _ in rows], values
+
+
 def _vector_rows(path: str, numbered_lines, dim: int | None = None):
     """Yield (name, vector) for each ``name v1 ... vD`` row, skipping blank lines.
 
     Every row has ``dim`` values (the first row's count when ``dim`` is
-    None), each a finite decimal; every error names ``path:line``.
+    None), each a finite decimal; every error names ``path:line``. Lines are
+    read and parsed a block of at most ``ROW_BLOCK_VALUES`` values at a time
+    by ``np.loadtxt``; a block it refuses is re-read row by row under the same
+    rule, so what is accepted and every error message stay those of the row
+    rule. Vectors are rows of the block's array.
     """
-    for lineno, line in numbered_lines:
-        parts = line.split()
-        if not parts:
-            continue
-        name, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-        where = f"{path}:{lineno}: {name!r}"
-        if len(values) != dim or not values:
-            raise CorpusFormatError(f"{where} has {len(values)} values, expected {dim or 'at least 1'}")
+    lines = iter(numbered_lines)
+    if dim is None:
+        # the first row sets dim
+        for lineno, line in lines:
+            row = _vector_row(path, lineno, line, None)
+            if row:
+                yield row
+                dim = len(row[1])
+                break
+        else:
+            return
+    block_rows = max(1, ROW_BLOCK_VALUES // dim)
+    while True:
+        # each line is held once, as its name and the rest
+        block, unreadable = [], None
         try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
-        except ValueError:
-            raise CorpusFormatError(f"{where} has a non-numeric value") from None
-        if not np.all(np.isfinite(vec)):
-            raise CorpusFormatError(f"{where} has a non-finite value")
-        yield name, vec
+            for lineno, line in itertools.islice(lines, block_rows):
+                block.append((lineno, line.split(None, 1)))
+        except CrossmodalError as exc:
+            # rows before an unreadable line come out (or fail) first
+            unreadable = exc
+        fast = _loadtxt_block(block, dim)
+        if fast:
+            yield from zip(*fast)
+        else:
+            for lineno, parts in block:
+                # name + " " + rest splits into the line's own tokens
+                row = _vector_row(path, lineno, " ".join(parts), dim)
+                if row:
+                    yield row
+        if unreadable:
+            raise unreadable
+        if len(block) < block_rows:
+            return
 
 
 def load_image_features(path: str) -> FeatureStore:
@@ -270,13 +340,13 @@ def load_word_embeddings(path: str) -> PretrainedEmbeddings:
 
 
 def write_captions(captions: list[Caption], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for cap in captions:
             fh.write(f"{cap.image_id}\t{cap.caption_index}\t{cap.text}\n")
 
 
 def write_features(records: list[ImageRecord], feature_dim: int, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{len(records)} {feature_dim}\n")
         for rec in records:
             vals = " ".join(repr(float(v)) for v in rec.features)

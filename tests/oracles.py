@@ -6,7 +6,8 @@ one scored-pair loop replaced, the pair-by-pair ranking loop the batched
 cosine kernel replaced, the dense-gradient forward/backward/update the
 row-sparse first-layer gradients replaced, and the hand-built parameter
 dicts and in-memory checkpoint writer that ``nets.param_shapes`` and the
-streamed save replaced."""
+streamed save replaced, and the row-by-row vector parser that the blocked
+``np.loadtxt`` reader replaced."""
 
 import itertools
 import json
@@ -19,7 +20,7 @@ import numpy as np
 
 from crossmodal.checkpoint import FORMAT_VERSION, MAGIC, _vocab_to_json, vocab_digest
 from crossmodal.corpus import PretrainedEmbeddings
-from crossmodal.errors import NonFiniteGradientError, ZeroNormError
+from crossmodal.errors import CorpusFormatError, NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
 from crossmodal.nets import (
     Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, accumulate, backward, forward, lr_schedule, relu, sgd_step,
@@ -500,3 +501,28 @@ def random_ranking_set(rng, direction, n_images=None):
             rng.shuffle(perm)
             results[cid] = perm
     return RankingSet(direction, results, image_ids, captions_of)
+
+
+def oracle_vector_rows(path: str, numbered_lines, dim: int | None = None):
+    """Yield (name, vector) for each ``name v1 ... vD`` row, skipping blank lines.
+
+    Every row has ``dim`` values (the first row's count when ``dim`` is
+    None), each a finite decimal; every error names ``path:line``.
+    """
+    for lineno, line in numbered_lines:
+        parts = line.split()
+        if not parts:
+            continue
+        name, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+        where = f"{path}:{lineno}: {name!r}"
+        if len(values) != dim or not values:
+            raise CorpusFormatError(f"{where} has {len(values)} values, expected {dim or 'at least 1'}")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise CorpusFormatError(f"{where} has a non-numeric value") from None
+        if not np.all(np.isfinite(vec)):
+            raise CorpusFormatError(f"{where} has a non-finite value")
+        yield name, vec

@@ -1,8 +1,12 @@
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crossmodal import corpus
 from crossmodal.corpus import (
     Caption,
     FeatureStore,
@@ -18,6 +22,8 @@ from crossmodal.corpus import (
 )
 from crossmodal.errors import CorpusFormatError
 from crossmodal.ranker import EpochStats, TrainHistory, cosine_score, write_history
+
+from oracles import oracle_vector_rows
 
 
 def write(tmp_path, name, content):
@@ -111,6 +117,26 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
 
+    @pytest.mark.parametrize("writer", ["write_captions", "write_features"])
+    def test_failed_corpus_write_leaves_nothing(self, tmp_path, writer):
+        path = tmp_path / "out.txt"
+        # the second row fails to format after the first row is written
+        bad_text = type("BadText", (), {"__format__": lambda _, spec: self.boom()})()
+        bad_value = type("BadValue", (), {"__float__": lambda _: self.boom()})()
+        if writer == "write_captions":
+            write = lambda second: write_captions([Caption("a", 0, "x y"), Caption("b", 0, second)], str(path))
+            good, bad, expected = "z", bad_text, "a\t0\tx y\nb\t0\tz\n"
+        else:
+            write = lambda second: write_features(
+                [ImageRecord("a", [0.1, -0.0]), ImageRecord("b", [5e-324, second])], 2, str(path)
+            )
+            good, bad, expected = 1.0, bad_value, "2 2\na 0.1 -0.0\nb 5e-324 1.0\n"
+        with pytest.raises(OSError, match="disk full"):
+            write(bad)
+        assert list(tmp_path.iterdir()) == []
+        write(good)
+        assert path.read_bytes() == expected.encode("utf-8")
+
 
 class TestLoadImageFeatures:
     def test_well_formed(self, tmp_path):
@@ -202,6 +228,123 @@ class TestLoadWordEmbeddings:
             emb = load_word_embeddings(path)
         assert len(rec) == 1
         np.testing.assert_array_equal(emb.vectors["dog"], [1, 2])
+
+
+# finite values float() reads, some of which np.loadtxt refuses (1_0, Arabic-Indic one)
+GOOD_VALUES = ["-0.0", "5e-324", "1.7976931348623157e308", "1_0", "\u0661"]
+BAD_VALUES = ["nan", "inf", "1e400", "x"]
+DEFECTS = ["bad_value", "short", "long", "bare_name", "not_utf8"]
+
+
+@st.composite
+def vector_files(draw):
+    """(kind, file bytes): rows of one width, a few defects, mixed whitespace.
+    Every row after the first can be one value too long, a whole block of them."""
+    kind = draw(st.sampled_from(["features", "embeddings"]))
+    dim = draw(st.integers(1, 5))
+    extra = draw(st.sampled_from([0, 0, 0, 1]))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(GOOD_VALUES))
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    ending = st.sampled_from(["\n", "\r\n"])
+
+    def row(values):
+        parts = [draw(st.sampled_from(["a", "b", "img1", "w", "7"]))] + values
+        text = draw(st.sampled_from(["", " ", "\t"])) + "".join(p + draw(sep) for p in parts[:-1]) + parts[-1]
+        return (text + draw(st.sampled_from(["", " "])) + draw(ending)).encode("utf-8")
+
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        lines.append(row([draw(value) for _ in range(dim + (extra if i else 0))]))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append((draw(st.sampled_from(["", " ", "\t", " \t "])) + draw(ending)).encode("utf-8"))
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(DEFECTS))
+        values = [draw(value) for _ in range(dim)]
+        if defect == "bad_value":
+            values[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(BAD_VALUES))
+        elif defect == "short":
+            values = values[:-1] or values + values
+        elif defect == "long":
+            values.append(draw(value))
+        elif defect == "bare_name":
+            values = []
+        line = b"\xff 1\n" if defect == "not_utf8" else row(values)
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip(b"\r\n")
+    body = b"".join(lines)
+    if kind == "features":
+        rows = sum(1 for line in lines if line.strip())
+        body = f"{rows} {dim}\n".encode("ascii") + body
+    return kind, body
+
+
+def load_outcome(kind, path):
+    """What a loader returns, as names and float64 bytes, or its error
+    message, with the warnings it gave either way."""
+    load = load_image_features if kind == "features" else load_word_embeddings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = load(path)
+        except CorpusFormatError as exc:
+            result = ("error", str(exc))
+        else:
+            items = [(i, got.get(i)) for i in got.ids()] if kind == "features" else list(got.vectors.items())
+            for _, vec in items:
+                assert vec.dtype == np.float64 and vec.flags.c_contiguous and vec.flags.aligned
+            result = ("ok", [(name, vec.shape, vec.tobytes()) for name, vec in items])
+    return result, [str(w.message) for w in caught]
+
+
+class TestVectorRows:
+    @settings(max_examples=300, deadline=None)
+    @given(vector_files(), st.integers(1, 12))
+    def test_loaders_match_row_by_row_oracle(self, tmp_path_factory, case, block_values):
+        kind, body = case
+        path = tmp_path_factory.mktemp("rows") / "vectors.txt"
+        path.write_bytes(body)
+        with mock.patch.object(corpus, "ROW_BLOCK_VALUES", block_values):
+            got = load_outcome(kind, str(path))
+        with mock.patch.object(corpus, "_vector_rows", oracle_vector_rows):
+            expected = load_outcome(kind, str(path))
+        assert got == expected
+
+    @pytest.mark.parametrize("late", ["0.25", "1_0", "nan", "0.25 0.5"])
+    def test_paper_width_rows_across_blocks_match_oracle(self, tmp_path, late):
+        # 40 rows of 4096 values span three blocks; row 37 is in the last one
+        rng = np.random.default_rng(3)
+        rows = [f"img{i} " + " ".join(map(repr, rng.normal(size=4096).tolist())) for i in range(40)]
+        rows[36] = rows[36].rsplit(" ", 1)[0] + " " + late
+        path = write(tmp_path, "f.txt", "40 4096\n" + "\n".join(rows) + "\n")
+        got = load_outcome("features", path)
+        with mock.patch.object(corpus, "_vector_rows", oracle_vector_rows):
+            assert got == load_outcome("features", path)
+
+    def test_rows_before_an_unreadable_line_come_first(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"dog 1 2\ncat 3 x\n\xff 4\n")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: 'cat' has a non-numeric"):
+            load_word_embeddings(str(path))
+
+    @pytest.mark.parametrize("dim", [4096, None])
+    def test_reads_at_most_one_block_ahead(self, dim):
+        width = dim or 300
+        block_rows = corpus.ROW_BLOCK_VALUES // width
+        consumed = 0
+
+        def lines():
+            nonlocal consumed
+            for i in range(3 * block_rows + 5):
+                consumed += 1
+                yield i + 1, f"r{i} " + " ".join(["0.5"] * width) + "\n"
+
+        # the first embedding row is read alone: it sets dim
+        ahead = block_rows + (dim is None)
+        for n, (name, vec) in enumerate(corpus._vector_rows("v.txt", lines(), dim), start=1):
+            assert consumed <= n - 1 + ahead
+            assert vec.shape == (width,)
+        assert n == consumed == 3 * block_rows + 5
 
 
 class TestSyntheticCorpus:
