@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -39,6 +40,7 @@ from .ranker import (
     RetrievalDataset,
     ScoreModel,
     TrainConfig,
+    sample_negative,
     train,
     write_history,
 )
@@ -240,9 +242,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         features, captions, split, vocab,
         weighting=config.weighting, textual_kind=tspec.kind,
     )
-    for name in ("train", "val"):
-        if config.max_epochs and not data.view(name).pairs:
+    for name in ("train", "val") if config.max_epochs else ():
+        view = data.view(name)
+        if not view.pairs:
             raise ConfigError(f"the {name} split has no scoreable pairs; check n_test and val_frac")
+        try:
+            # a view that gives one positive a negative gives every positive one
+            sample_negative(view.pairs[0], view, config.methodology, random.Random(0))
+        except ValueError as exc:
+            raise ConfigError(f"the {name} split: {exc}; check n_test and val_frac") from None
     _report_unencodable(data)
     model = ScoreModel(
         textual_net=init_net(tspec, config.seed, pretrained=pretrained, vocab=vocab),
@@ -281,10 +289,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     captions = load_captions(args.captions, strict=not args.lenient)
     features = load_image_features(args.features)
     config = ckpt.train_config
-    split = split_dataset(
-        features.records(), captions, ckpt.data_config["n_test"], ckpt.data_config["val_frac"],
-        config.seed,
-    )
+    try:
+        split = split_dataset(
+            features.records(), captions, ckpt.data_config["n_test"], ckpt.data_config["val_frac"],
+            config.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     data = RetrievalDataset(
         features, captions, split, ckpt.vocabulary, weighting=config.weighting,
         textual_kind=ckpt.model.textual_net.spec.kind,
@@ -327,7 +338,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         embs = [forward(visual, features.get(image_id))[0] for image_id in ids]
     else:
         if args.image_id not in features:
-            raise KeyError(f"unknown image id {args.image_id!r}")
+            raise ConfigError(f"unknown image id {args.image_id!r}")
         if not args.captions:
             raise ConfigError("--captions is required for image queries")
         captions = load_captions(args.captions, strict=False)

@@ -186,16 +186,14 @@ def load_captions(path: str, strict: bool = True) -> list[Caption]:
     return captions
 
 
-def _vector_row(path: str, lineno: int, line: str, dim: int | None):
+def _vector_row(path: str, lineno: int, line: str, dim: int):
     """The row rule: (name, vector) for one ``name v1 ... vD`` line, or None
-    for a blank line. The row has ``dim`` values (any count of at least 1 when
-    ``dim`` is None), each a finite decimal; every error names ``path:line``."""
+    for a blank line. The row has ``dim`` values, at least 1, each a finite
+    decimal; every error names ``path:line``."""
     parts = line.split()
     if not parts:
         return None
     name, values = parts[0], parts[1:]
-    if dim is None:
-        dim = len(values)
     where = f"{path}:{lineno}: {name!r}"
     if len(values) != dim or not values:
         raise CorpusFormatError(f"{where} has {len(values)} values, expected {dim or 'at least 1'}")
@@ -226,28 +224,17 @@ def _loadtxt_block(block, dim: int):
     return [name for name, _ in rows], values
 
 
-def _vector_rows(path: str, numbered_lines, dim: int | None = None):
-    """Yield (name, vector) for each ``name v1 ... vD`` row, skipping blank lines.
+def _vector_rows(path: str, numbered_lines, dim: int):
+    """Yield (name, vector) for each non-blank line, by :func:`_vector_row`.
 
-    Every row has ``dim`` values (the first row's count when ``dim`` is
-    None), each a finite decimal; every error names ``path:line``. Lines are
-    read and parsed a block of at most ``ROW_BLOCK_VALUES`` values at a time
-    by ``np.loadtxt``; a block it refuses is re-read row by row under the same
-    rule, so what is accepted and every error message stay those of the row
-    rule. Vectors are rows of the block's array.
+    Lines are read and parsed a block of at most ``ROW_BLOCK_VALUES`` values
+    at a time by ``np.loadtxt``; a block it refuses is re-read row by row, so
+    what is accepted and every error message stay those of the row rule.
+    Vectors are rows of the block's array.
     """
     lines = iter(numbered_lines)
-    if dim is None:
-        # the first row sets dim
-        for lineno, line in lines:
-            row = _vector_row(path, lineno, line, None)
-            if row:
-                yield row
-                dim = len(row[1])
-                break
-        else:
-            return
-    block_rows = max(1, ROW_BLOCK_VALUES // dim)
+    # no row has 0 values, so a 0-d block is one line: it fails before the next is read
+    block_rows = max(1, ROW_BLOCK_VALUES // dim) if dim else 1
     while True:
         # each line is held once, as its name and the rest
         block, unreadable = [], None
@@ -287,7 +274,10 @@ def load_image_features(path: str) -> FeatureStore:
     records = [ImageRecord(*row) for row in _vector_rows(path, lines, dim)]
     if len(records) != count:
         raise CorpusFormatError(f"{path}: header declares {count} records, found {len(records)}")
-    return FeatureStore(records, dim)
+    try:
+        return FeatureStore(records, dim)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from None
 
 
 def split_dataset(
@@ -325,18 +315,21 @@ def split_dataset(
 def load_word_embeddings(path: str) -> PretrainedEmbeddings:
     """Parse word2vec-style text embeddings.
 
-    Words appearing more than once keep their first vector; each repeat
-    emits a UserWarning.
+    ``dim`` is the first non-blank line's value count, as a header's would
+    be. A word seen again keeps its first vector and emits a UserWarning.
     """
+    lines = text_lines(path)
+    first = next(((lineno, line) for lineno, line in lines if line.split()), None)
+    if first is None:
+        raise CorpusFormatError(f"{path}: no embeddings found")
+    dim = len(first[1].split()) - 1
     vectors: dict[str, np.ndarray] = {}
-    for word, vec in _vector_rows(path, text_lines(path)):
+    for word, vec in _vector_rows(path, itertools.chain([first], lines), dim):
         if word in vectors:
             warnings.warn(f"duplicate embedding for word {word!r}; keeping first", stacklevel=2)
             continue
         vectors[word] = vec
-    if not vectors:
-        raise CorpusFormatError(f"{path}: no embeddings found")
-    return PretrainedEmbeddings(dim=len(next(iter(vectors.values()))), vectors=vectors)
+    return PretrainedEmbeddings(dim=dim, vectors=vectors)
 
 
 def write_captions(captions: list[Caption], path: str) -> None:

@@ -183,29 +183,25 @@ def sample_negative(
     methodology: str,
     rng: random.Random,
 ) -> tuple[str, tuple[str, int]]:
-    """Draw one negative for a positive pair.
+    """Draw one negative for a positive pair: (image_id, caption key).
 
-    I2T keeps the positive image and draws a caption uniformly from the
-    view's pairs, excluding every caption of the positive image. T2I keeps
-    the positive caption and draws a different image uniformly. Returns
-    (negative image_id, negative caption key).
+    I2T pairs the positive image with a caption key from the view's pairs,
+    T2I the positive caption with an image id from the view's images. One
+    loop draws uniformly and redraws a negative whose image and caption
+    match, which only a candidate of the positive's image gives.
     """
-    if methodology not in METHODOLOGIES:
-        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
-    pos_image = pos[0]
     if methodology == "I2T":
-        if not any(key[0] != pos_image for key in view.pairs):
-            raise ValueError("I2T sampling needs captions from at least two images")
-        while True:
-            cand = view.pairs[rng.randrange(len(view.pairs))]
-            if cand[0] != pos_image:
-                return pos_image, cand
-    if len(view.image_ids) < 2:
-        raise ValueError("T2I sampling needs at least two images")
+        pool, negative = view.pairs, lambda key: (pos[0], key)
+    elif methodology == "T2I":
+        pool, negative = view.image_ids, lambda image_id: (image_id, pos)
+    else:
+        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
+    if all(image == caption[0] for image, caption in map(negative, pool)):
+        raise ValueError(f"{methodology} sampling needs candidates from at least two images")
     while True:
-        cand_img = view.image_ids[rng.randrange(len(view.image_ids))]
-        if cand_img != pos_image:
-            return cand_img, pos
+        image, caption = negative(pool[rng.randrange(len(pool))])
+        if image != caption[0]:
+            return image, caption
 
 
 def score_triplet(
@@ -223,9 +219,8 @@ def score_triplet(
     the positive caption against the negative caption (neg_image unused);
     T2I anchors on the caption and ranks two images (neg_caption unused).
     ``embed(net, x)`` returns the (embedding, tape) pair of ``forward``,
-    which it defaults to; ``validate`` passes image ids and caption keys with
-    an ``embed`` that looks them up. Returns (s_pos, s_neg, (anchor,
-    positive, negative)), each of the last an ``embed`` result.
+    which it defaults to. Returns (s_pos, s_neg, (anchor, positive,
+    negative)), each of the last an ``embed`` result.
     """
     if methodology == "I2T":
         anchor_net, cand_net = model.visual_net, model.textual_net
@@ -280,9 +275,9 @@ def _error_pct(
 ) -> float:
     """Mistake % over ``positives``, each against one sampled negative.
 
-    ``score(pos, neg)`` returns (s_pos, s_neg) for a positive caption key and
-    a ``sample_negative`` draw; ties count as mistakes, and a pair with a
-    zero-norm embedding is skipped.
+    ``score(*inputs)`` returns (s_pos, s_neg) for the ``triplet_inputs`` of a
+    positive caption key and its ``sample_negative`` draw; ties count as
+    mistakes, and a pair with a zero-norm embedding is skipped.
     """
     if not view.pairs:
         raise RuntimeError(f"the {view.name} split has no scoreable pairs")
@@ -290,7 +285,7 @@ def _error_pct(
     for pos in positives:
         neg = sample_negative(pos, view, config.methodology, rng)
         try:
-            s_pos, s_neg = score(pos, neg)
+            s_pos, s_neg = score(*data.triplet_inputs(pos, neg))
         except ZeroNormError:
             continue
         scored += 1
@@ -319,9 +314,9 @@ def train_epoch(
     pairs = list(view.pairs)
     rng.shuffle(pairs)
 
-    def step(pos, neg) -> tuple[float, float]:
+    def step(*inputs) -> tuple[float, float]:
         _, s_pos, s_neg, tgrads, vgrads = triplet_grads(
-            model, *data.triplet_inputs(pos, neg), config.methodology, config.margin
+            model, *inputs, config.methodology, config.margin
         )
         if tgrads is not None:
             sgd_step((model.textual_net, model.visual_net), (tgrads, vgrads), lr)
@@ -340,22 +335,21 @@ def validate(
 
     Positive pairs cycle the validation split in sorted order; each draws
     one negative per the configured methodology. A constant-scoring model
-    reads 100%. The model does not change here, so each image and caption
-    is embedded once per call and looked up by its id or key after that.
+    reads 100%. The model does not change here, so each image vector and
+    caption encoding is embedded once per call.
     """
     view = data.view("val")
     positives = itertools.islice(itertools.cycle(view.pairs), config.val_pairs_per_epoch)
-    embedded: dict = {}
+    # keyed by id(x), safe as every input is an object data owns for the whole call
+    embedded: dict[int, tuple] = {}
 
-    def embed(net: Net, key: str | tuple[str, int]) -> tuple:
-        if key not in embedded:
-            x = data.image_vec(key) if isinstance(key, str) else data.encoding(*key)
-            embedded[key] = forward(net, x)
-        return embedded[key]
+    def embed(net: Net, x) -> tuple:
+        if id(x) not in embedded:
+            embedded[id(x)] = forward(net, x)
+        return embedded[id(x)]
 
-    def score(pos, neg) -> tuple[float, float]:
-        neg_image, neg_caption = neg
-        return score_triplet(model, pos[0], pos, neg_image, neg_caption, config.methodology, embed)[:2]
+    def score(*inputs) -> tuple[float, float]:
+        return score_triplet(model, *inputs, config.methodology, embed)[:2]
 
     return _error_pct(data, config, view, positives, rng, score)
 

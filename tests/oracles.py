@@ -6,28 +6,33 @@ one scored-pair loop replaced, the pair-by-pair ranking loop the batched
 cosine kernel replaced, the dense-gradient forward/backward/update the
 row-sparse first-layer gradients replaced, and the hand-built parameter
 dicts and in-memory checkpoint writer that ``nets.param_shapes`` and the
-streamed save replaced, and the row-by-row vector parser that the blocked
-``np.loadtxt`` reader replaced."""
+streamed save replaced, the row-by-row vector parser that the blocked
+``np.loadtxt`` reader replaced, the embeddings loader whose first row set
+``dim`` inside that parser, and the two-loop negative sampler that one
+rejection loop replaced."""
 
 import itertools
 import json
 import random
 import struct
+import warnings
 import zlib
 from dataclasses import asdict
 
 import numpy as np
 
 from crossmodal.checkpoint import FORMAT_VERSION, MAGIC, _vocab_to_json, vocab_digest
-from crossmodal.corpus import PretrainedEmbeddings
+from crossmodal.corpus import PretrainedEmbeddings, text_lines
 from crossmodal.errors import CorpusFormatError, NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
 from crossmodal.nets import (
     Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, accumulate, backward, forward, lr_schedule, relu, sgd_step,
 )
 from crossmodal.ranker import (
+    METHODOLOGIES,
     RetrievalDataset,
     ScoreModel,
+    SplitView,
     TrainConfig,
     TrainHistory,
     cosine_backward,
@@ -526,3 +531,51 @@ def oracle_vector_rows(path: str, numbered_lines, dim: int | None = None):
         if not np.all(np.isfinite(vec)):
             raise CorpusFormatError(f"{where} has a non-finite value")
         yield name, vec
+
+
+def oracle_load_word_embeddings(path: str) -> PretrainedEmbeddings:
+    """Parse word2vec-style text embeddings.
+
+    Words appearing more than once keep their first vector; each repeat
+    emits a UserWarning.
+    """
+    vectors: dict[str, np.ndarray] = {}
+    for word, vec in oracle_vector_rows(path, text_lines(path)):
+        if word in vectors:
+            warnings.warn(f"duplicate embedding for word {word!r}; keeping first", stacklevel=2)
+            continue
+        vectors[word] = vec
+    if not vectors:
+        raise CorpusFormatError(f"{path}: no embeddings found")
+    return PretrainedEmbeddings(dim=len(next(iter(vectors.values()))), vectors=vectors)
+
+
+def oracle_sample_negative(
+    pos: tuple[str, int],
+    view: SplitView,
+    methodology: str,
+    rng: random.Random,
+) -> tuple[str, tuple[str, int]]:
+    """Draw one negative for a positive pair.
+
+    I2T keeps the positive image and draws a caption uniformly from the
+    view's pairs, excluding every caption of the positive image. T2I keeps
+    the positive caption and draws a different image uniformly. Returns
+    (negative image_id, negative caption key).
+    """
+    if methodology not in METHODOLOGIES:
+        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
+    pos_image = pos[0]
+    if methodology == "I2T":
+        if not any(key[0] != pos_image for key in view.pairs):
+            raise ValueError("I2T sampling needs captions from at least two images")
+        while True:
+            cand = view.pairs[rng.randrange(len(view.pairs))]
+            if cand[0] != pos_image:
+                return pos_image, cand
+    if len(view.image_ids) < 2:
+        raise ValueError("T2I sampling needs at least two images")
+    while True:
+        cand_img = view.image_ids[rng.randrange(len(view.image_ids))]
+        if cand_img != pos_image:
+            return cand_img, pos

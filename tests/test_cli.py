@@ -156,6 +156,11 @@ class TestTrain:
             ("--n-test", "-1"),
             ("--val-frac", "0.01"),  # rounds to no validation image
             ("--textual", "sse", "--window", "0"),
+            # 9 images after the test split: one validation image, then one training image
+            ("--val-frac", "0.1"),
+            ("--val-frac", "0.1", "--methodology", "t2i"),
+            ("--val-frac", "0.9"),
+            ("--val-frac", "0.9", "--methodology", "t2i"),
         ],
         ids=" ".join,
     )
@@ -168,8 +173,7 @@ class TestTrain:
         rc, _, err = run(capsys, *train_args(corpus, prepped, out, *bad))
         assert rc != 0
         assert err.startswith("error ConfigError: ") and err.count("\n") == 1
-        assert not (out / "manifest.json").exists()
-        assert not (out / "checkpoint.bin").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit",
@@ -368,6 +372,21 @@ class TestEvaluate:
         assert "n_test" in err
         assert not out.exists()
 
+    def test_n_test_past_the_image_count_refused(self, tmp_path, corpus, trained, capsys):
+        # the checkpoint holds out 3 test images; these features hold 2
+        rows = (corpus / "features.txt").read_text().splitlines()
+        features = tmp_path / "features.txt"
+        features.write_text("\n".join([f"2 {rows[0].split()[1]}"] + rows[1:3]) + "\n")
+        out = tmp_path / "eval_small"
+        rc, stdout, err = run(
+            capsys, "evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+            "--captions", str(corpus / "captions.tsv"),
+            "--features", str(features), "--out", str(out),
+        )
+        assert rc != 0 and stdout == ""
+        assert err == "error ConfigError: n_test=3 must be in [0, 2), the image count\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("ks", ["0,1", "", "1,,5", "1,x", "-3"])
     def test_bad_ks_fail_before_loading(self, tmp_path, ks, capsys):
         out = tmp_path / "eval_ks"
@@ -504,13 +523,14 @@ class TestQuery:
         assert len(out.strip().splitlines()) == 5
 
     def test_unknown_image_id_fails(self, corpus, trained, capsys):
-        rc, _, err = run(
+        rc, stdout, err = run(
             capsys, "query", "--checkpoint", str(trained / "checkpoint.bin"),
             "--features", str(corpus / "features.txt"),
             "--captions", str(corpus / "captions.tsv"),
             "--image-id", "ghost",
         )
-        assert rc != 0 and "ghost" in err
+        assert rc != 0 and stdout == ""
+        assert err == "error ConfigError: unknown image id 'ghost'\n"
 
     @pytest.mark.parametrize("top_k", ["0", "-1", "", "x", "2.5"])
     def test_bad_top_k_fails_before_loading(self, tmp_path, top_k, capsys):

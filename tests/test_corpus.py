@@ -23,7 +23,7 @@ from crossmodal.corpus import (
 from crossmodal.errors import CorpusFormatError
 from crossmodal.ranker import EpochStats, TrainHistory, cosine_score, write_history
 
-from oracles import oracle_vector_rows
+from oracles import oracle_load_word_embeddings, oracle_vector_rows
 
 
 def write(tmp_path, name, content):
@@ -158,7 +158,7 @@ class TestLoadImageFeatures:
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = write(tmp_path, "f.txt", "2 2\nimg1 1 2\nimg1 3 4\n")
-        with pytest.raises(CorpusFormatError, match="duplicate"):
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(path)}: duplicate image_id 'img1'$"):
             load_image_features(path)
 
     def test_count_mismatch_rejected(self, tmp_path):
@@ -279,10 +279,10 @@ def vector_files(draw):
     return kind, body
 
 
-def load_outcome(kind, path):
-    """What a loader returns, as names and float64 bytes, or its error
-    message, with the warnings it gave either way."""
-    load = load_image_features if kind == "features" else load_word_embeddings
+def load_outcome(kind, path, load_embeddings=load_word_embeddings):
+    """What a loader returns, as its dim, names and float64 bytes, or its
+    error message, with the warnings it gave either way."""
+    load = load_image_features if kind == "features" else load_embeddings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -290,11 +290,21 @@ def load_outcome(kind, path):
         except CorpusFormatError as exc:
             result = ("error", str(exc))
         else:
-            items = [(i, got.get(i)) for i in got.ids()] if kind == "features" else list(got.vectors.items())
+            if kind == "features":
+                dim, items = got.feature_dim, [(i, got.get(i)) for i in got.ids()]
+            else:
+                dim, items = got.dim, list(got.vectors.items())
             for _, vec in items:
                 assert vec.dtype == np.float64 and vec.flags.c_contiguous and vec.flags.aligned
-            result = ("ok", [(name, vec.shape, vec.tobytes()) for name, vec in items])
+            result = ("ok", dim, [(name, vec.shape, vec.tobytes()) for name, vec in items])
     return result, [str(w.message) for w in caught]
+
+
+def oracle_outcome(kind, path):
+    """``load_outcome`` through the row-by-row parser, and for embeddings
+    the loader whose first row set ``dim`` inside that parser."""
+    with mock.patch.object(corpus, "_vector_rows", oracle_vector_rows):
+        return load_outcome(kind, path, oracle_load_word_embeddings)
 
 
 class TestVectorRows:
@@ -306,9 +316,24 @@ class TestVectorRows:
         path.write_bytes(body)
         with mock.patch.object(corpus, "ROW_BLOCK_VALUES", block_values):
             got = load_outcome(kind, str(path))
-        with mock.patch.object(corpus, "_vector_rows", oracle_vector_rows):
-            expected = load_outcome(kind, str(path))
-        assert got == expected
+        assert got == oracle_outcome(kind, str(path))
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            (b"", ": no embeddings found"),
+            (b"\n \n\t\r\n", ": no embeddings found"),
+            (b"\n dog\ncat 1 2\n", ":2: 'dog' has 0 values, expected at least 1"),
+            (b"\n\xff 1\ndog 1 2\n", ":2: not valid UTF-8"),
+        ],
+        ids=["empty", "blank_lines", "bare_first_word", "not_utf8_before_first_row"],
+    )
+    def test_embeddings_before_the_first_row_match_oracle(self, tmp_path, body, error):
+        path = tmp_path / "e.txt"
+        path.write_bytes(body)
+        got = load_outcome("embeddings", str(path))
+        assert got == (("error", f"{path}{error}"), [])
+        assert got == oracle_outcome("embeddings", str(path))
 
     @pytest.mark.parametrize("late", ["0.25", "1_0", "nan", "0.25 0.5"])
     def test_paper_width_rows_across_blocks_match_oracle(self, tmp_path, late):
@@ -317,9 +342,7 @@ class TestVectorRows:
         rows = [f"img{i} " + " ".join(map(repr, rng.normal(size=4096).tolist())) for i in range(40)]
         rows[36] = rows[36].rsplit(" ", 1)[0] + " " + late
         path = write(tmp_path, "f.txt", "40 4096\n" + "\n".join(rows) + "\n")
-        got = load_outcome("features", path)
-        with mock.patch.object(corpus, "_vector_rows", oracle_vector_rows):
-            assert got == load_outcome("features", path)
+        assert load_outcome("features", path) == oracle_outcome("features", path)
 
     def test_rows_before_an_unreadable_line_come_first(self, tmp_path):
         path = tmp_path / "e.txt"
@@ -327,24 +350,27 @@ class TestVectorRows:
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: 'cat' has a non-numeric"):
             load_word_embeddings(str(path))
 
-    @pytest.mark.parametrize("dim", [4096, None])
+    @pytest.mark.parametrize("dim", [4096, 300])
     def test_reads_at_most_one_block_ahead(self, dim):
-        width = dim or 300
-        block_rows = corpus.ROW_BLOCK_VALUES // width
+        block_rows = corpus.ROW_BLOCK_VALUES // dim
         consumed = 0
 
-        def lines():
+        def lines(first=None):
             nonlocal consumed
+            consumed = 0
             for i in range(3 * block_rows + 5):
                 consumed += 1
-                yield i + 1, f"r{i} " + " ".join(["0.5"] * width) + "\n"
+                yield i + 1, first if i == 0 and first else f"r{i} " + " ".join(["0.5"] * dim) + "\n"
 
-        # the first embedding row is read alone: it sets dim
-        ahead = block_rows + (dim is None)
         for n, (name, vec) in enumerate(corpus._vector_rows("v.txt", lines(), dim), start=1):
-            assert consumed <= n - 1 + ahead
-            assert vec.shape == (width,)
+            assert consumed <= n - 1 + block_rows
+            assert vec.shape == (dim,)
         assert n == consumed == 3 * block_rows + 5
+        # a bare first word gives embeddings dim 0, and fails before the next line is read
+        with mock.patch.object(corpus, "text_lines", lambda path: lines(first="bare\n")):
+            with pytest.raises(CorpusFormatError, match="^v.txt:1: 'bare' has 0 values, expected at least 1$"):
+                load_word_embeddings("v.txt")
+        assert consumed == 1
 
 
 class TestSyntheticCorpus:

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crossmodal.ranker as ranker_mod
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
@@ -12,6 +13,7 @@ from crossmodal.ranker import (
     EpochStats,
     RetrievalDataset,
     ScoreModel,
+    SplitView,
     TrainConfig,
     cosine_backward,
     cosine_score,
@@ -29,6 +31,7 @@ from oracles import (
     oracle_dense_backward,
     oracle_dense_sgd_step,
     oracle_loop_forward,
+    oracle_sample_negative,
     oracle_train_epoch,
     oracle_triplet_grads,
     oracle_validate,
@@ -258,6 +261,28 @@ class TestSampleNegative:
         view = data.view("train")
         with pytest.raises(ValueError):
             sample_negative(view.pairs[0], view, "I2T", random.Random(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_draws_as_two_loop_oracle(self, data):
+        # images with 0-5 scoreable captions each; the positive is any caption
+        # of any image in the view, as every positive of a split is
+        scoreable = data.draw(st.lists(st.sets(st.integers(0, 4)), min_size=1, max_size=6))
+        image_ids = [f"img{i}" for i in range(len(scoreable))]
+        pairs = [(image_id, j) for image_id, js in zip(image_ids, scoreable) for j in sorted(js)]
+        view = SplitView("train", image_ids, pairs)
+        pos = (data.draw(st.sampled_from(image_ids)), data.draw(st.integers(0, 4)))
+        methodology = data.draw(st.sampled_from(["I2T", "T2I", "i2t"]))
+        seed = data.draw(st.integers(0, 2**32))
+        outcomes = []
+        for sample in (sample_negative, oracle_sample_negative):
+            rng = random.Random(seed)
+            try:
+                draws = [sample(pos, view, methodology, rng) for _ in range(3)]
+            except ValueError:
+                draws = ValueError
+            outcomes.append((draws, rng.getstate()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTrainEpoch:
