@@ -29,7 +29,7 @@ from .corpus import atomic_write
 from .errors import CheckpointCorruptError, CheckpointVersionError
 from .nets import Net, NetSpec, param_shapes
 from .ranker import EpochStats, ScoreModel, TrainConfig, TrainHistory
-from .text import Vocabulary, vocabulary_text
+from .text import MODES, Vocabulary, valid_doc_freq, vocabulary_text
 
 MAGIC = b"XMRK"
 FORMAT_VERSION = 1
@@ -60,6 +60,8 @@ def _vocab_to_json(vocab: Vocabulary) -> dict:
 
 
 def _vocab_from_json(blob: dict) -> Vocabulary:
+    if blob["mode"] not in MODES or not all(valid_doc_freq(df, blob["n_docs"]) for _, df in blob["terms"]):
+        raise ValueError("vocabulary breaks the vocab.tsv rules")
     term_to_index = {term: i for i, (term, _) in enumerate(blob["terms"])}
     doc_freq = {term: df for term, df in blob["terms"]}
     return Vocabulary(
@@ -137,6 +139,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         if header["params"] != {side: [[name, list(shape)] for name, shape in shapes]
                                 for side, shapes in layout.items()}:
             raise ValueError("parameter manifest does not match the net specs")
+        if {k: type(v) for k, v in dict.items(header["data_config"])} not in (
+                {}, {"n_test": int, "val_frac": float}):  # dict.items refuses a non-dict
+            raise ValueError("data_config must be {} or an int n_test and a float val_frac")
         sizes = [math.prod(shape) for shapes in layout.values() for _, shape in shapes]
         if header_end + 8 * sum(sizes) != len(blob) - 4:
             raise CheckpointCorruptError(f"{path}: parameter data size does not match the header")

@@ -1,8 +1,8 @@
 """Command-line pipeline: synth, preprocess, train, evaluate, query.
 
-Progress goes to stderr, data to stdout. Every command exits 0 on success
-and nonzero with one machine-parsable ``error <Class>: <message>`` line on
-failure.
+Progress goes to stderr, data to stdout. Every command exits 0 on success;
+bad input exits 1 with one ``error <Class>: <message>`` line naming a
+CrossmodalError or OSError. Any other exception is a bug: it ends in a traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint, vocab_digest
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, vocab_digest
 from .corpus import (
     atomic_write,
     generate_synthetic_corpus,
@@ -164,6 +164,14 @@ def _report_unencodable(data: RetrievalDataset) -> None:
         _progress(f"captions with no in-vocabulary term, not scored: {data.unencodable}")
 
 
+def _load_features(path: str, ckpt: Checkpoint):
+    """``--features`` for a checkpoint: as wide as its visual net's input."""
+    features, width = load_image_features(path), ckpt.model.visual_net.spec.input_dim
+    if features.feature_dim != width:
+        raise ConfigError(f"{path} has {features.feature_dim}-d features, the checkpoint takes {width}")
+    return features
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     images, captions = generate_synthetic_corpus(
         n_clusters=args.clusters,
@@ -230,32 +238,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     features = load_image_features(args.features)
     pretrained = load_word_embeddings(args.embeddings) if args.embeddings else None
     # every value is checked by the object that enforces it before anything is written
-    try:
-        tspec, vspec = _net_specs(typed, vocab.size, features.feature_dim)
-        config = TrainConfig(**{opt.field: typed[opt.name] for opt in OPTIONS if opt.field})
-        split = split_dataset(
-            features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    tspec, vspec = _net_specs(typed, vocab.size, features.feature_dim)
+    config = TrainConfig(**{opt.field: typed[opt.name] for opt in OPTIONS if opt.field})
+    split = split_dataset(
+        features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
+    )
     data = RetrievalDataset(
         features, captions, split, vocab,
         weighting=config.weighting, textual_kind=tspec.kind,
     )
     for name in ("train", "val") if config.max_epochs else ():
         view = data.view(name)
-        if not view.pairs:
-            raise ConfigError(f"the {name} split has no scoreable pairs; check n_test and val_frac")
-        try:
-            # a view that gives one positive a negative gives every positive one
-            sample_negative(view.pairs[0], view, config.methodology, random.Random(0))
-        except ValueError as exc:
-            raise ConfigError(f"the {name} split: {exc}; check n_test and val_frac") from None
-    _report_unencodable(data)
+        # a view that gives one positive a negative gives every positive one
+        sample_negative(view.pairs[0], view, config.methodology, random.Random(0))
     model = ScoreModel(
         textual_net=init_net(tspec, config.seed, pretrained=pretrained, vocab=vocab),
         visual_net=init_net(vspec, config.seed + 1),
     )
+    _report_unencodable(data)  # once every check passed, so a failure is one line
     os.makedirs(args.out, exist_ok=True)
     _write_manifest(os.path.join(args.out, "manifest.json"), typed, args)
     best, history = train(
@@ -276,7 +276,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ks = tuple(_parse_k(k, "--ks") for k in args.ks.split(","))
     ckpt = load_checkpoint(args.checkpoint)
-    if not {"n_test", "val_frac"} <= ckpt.data_config.keys():
+    if not ckpt.data_config:
         raise ConfigError(
             f"{args.checkpoint} records no n_test/val_frac, so its test split is unknown"
         )
@@ -287,21 +287,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"vocabulary digest mismatch: {args.vocab} does not match the checkpoint's vocabulary"
             )
     captions = load_captions(args.captions, strict=not args.lenient)
-    features = load_image_features(args.features)
+    features = _load_features(args.features, ckpt)
     config = ckpt.train_config
-    try:
-        split = split_dataset(
-            features.records(), captions, ckpt.data_config["n_test"], ckpt.data_config["val_frac"],
-            config.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    split = split_dataset(features.records(), captions, **ckpt.data_config, seed=config.seed)
     data = RetrievalDataset(
         features, captions, split, ckpt.vocabulary, weighting=config.weighting,
         textual_kind=ckpt.model.textual_net.spec.kind,
     )
-    _report_unencodable(data)
     annotation, search = build_rankings(ckpt.model, data, subset="test")
+    _report_unencodable(data)  # after the last check, as in train
     os.makedirs(args.out, exist_ok=True)
     for rankings in (annotation, search):
         report = evaluate_rankings(rankings, ks=ks, rnd_seed=args.seed)
@@ -321,7 +315,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if (args.sentence is None) == (args.image_id is None):
         raise ConfigError("provide exactly one of --sentence or --image-id")
     ckpt = load_checkpoint(args.checkpoint)
-    features = load_image_features(args.features)
+    features = _load_features(args.features, ckpt)
     textual, visual = ckpt.model.textual_net, ckpt.model.visual_net
 
     def encode(text: str):
@@ -347,6 +341,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         ids = [caption_id(cap.image_id, cap.caption_index) for cap, _ in pool]
         labels = [f"{cid}\t{cap.text}" for cid, (cap, _) in zip(ids, pool)]
         embs = [forward(textual, enc)[0] for _, enc in pool]
+    if not ids:
+        raise ConfigError("nothing to rank: no image, or no caption with an in-vocabulary term")
     order, scores = rank_by_cosine(query[None], np.array(embs), ids)
     # zero-norm candidates cannot be scored; they sort last and are not shown
     for rank, (j, score) in enumerate(zip(order[0][:top_k], scores[0]), start=1):
@@ -420,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CrossmodalError, ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (CrossmodalError, OSError) as exc:
         message = str(exc) or type(exc).__name__
         print(f"error {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
@@ -428,3 +424,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusFormatError, CrossmodalError
+from .errors import ConfigError, CorpusFormatError, CrossmodalError
 
 CAPTIONS_PER_IMAGE = 5
 # values parsed per np.loadtxt call in _vector_rows: 16 rows of 4096-d features,
@@ -79,10 +79,7 @@ class FeatureStore:
         return image_id in self._vectors
 
     def get(self, image_id: str) -> np.ndarray:
-        try:
-            return self._vectors[image_id]
-        except KeyError:
-            raise KeyError(f"unknown image_id {image_id!r}") from None
+        return self._vectors[image_id]
 
     def ids(self) -> list[str]:
         return sorted(self._vectors)
@@ -295,9 +292,9 @@ def split_dataset(
     """
     ids = sorted(rec.image_id for rec in images)
     if not 0 <= n_test < len(ids):
-        raise ValueError(f"n_test={n_test} must be in [0, {len(ids)}), the image count")
+        raise ConfigError(f"n_test={n_test} must be in [0, {len(ids)}), the image count")
     if not 0.0 < val_frac < 1.0:
-        raise ValueError(f"val_frac={val_frac} outside (0, 1)")
+        raise ConfigError(f"val_frac={val_frac} outside (0, 1)")
     known = set(ids)
     for cap in captions:
         if cap.image_id not in known:
@@ -362,9 +359,9 @@ def generate_synthetic_corpus(
     from the cluster's token set. Fully deterministic for a fixed seed.
     """
     if min(n_clusters, images_per_cluster, feature_dim, vocab_per_cluster) <= 0:
-        raise ValueError("all synthetic corpus counts must be positive")
+        raise ConfigError("all synthetic corpus counts must be positive")
     if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+        raise ConfigError("noise_sigma must be nonnegative")
     rng = np.random.default_rng(seed)
     images: list[ImageRecord] = []
     captions: list[Caption] = []

@@ -18,7 +18,7 @@ class EmptySequenceError(CrossmodalError):
 
 
 class ZeroNormError(CrossmodalError):
-    """An embedding has zero norm and cannot be cosine-scored."""
+    """An embedding has zero norm and cannot be cosine-scored; for a split, every pair had one."""
 
 
 class NonFiniteGradientError(CrossmodalError):
@@ -37,5 +37,5 @@ class CheckpointCorruptError(CheckpointError):
     """The checkpoint file is truncated or fails its integrity check."""
 
 
-class ConfigError(CrossmodalError):
-    """A run configuration value is missing or invalid."""
+class ConfigError(CrossmodalError, ValueError):
+    """A run configuration value is missing or invalid; also a ValueError, like JSONDecodeError."""

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import PretrainedEmbeddings
-from .errors import NonFiniteGradientError
+from .errors import ConfigError, NonFiniteGradientError
 from .text import SparseVector, TokenSequence, Vocabulary
 
 
@@ -45,13 +45,13 @@ class NetSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("bag", "sequence"):
-            raise ValueError(f"unknown net kind {self.kind!r}")
+            raise ConfigError(f"unknown net kind {self.kind!r}")
         if self.input_dim < 1 or self.n_emb < 1:
-            raise ValueError("input_dim and n_emb must be positive")
+            raise ConfigError("input_dim and n_emb must be positive")
         if self.n_hu < 0:
-            raise ValueError("n_hu must be nonnegative")
+            raise ConfigError("n_hu must be nonnegative")
         if self.kind == "sequence" and min(self.word_dim, self.kernel_count, self.window) < 1:
-            raise ValueError("sequence nets need word_dim, kernel_count and window >= 1")
+            raise ConfigError("sequence nets need word_dim, kernel_count and window >= 1")
 
 
 class RowGrad(NamedTuple):
@@ -144,7 +144,7 @@ def init_net(
     row_key, (_, row_width) = shapes[0]
     if pretrained is not None:
         if pretrained.dim != row_width:
-            raise ValueError(
+            raise ConfigError(
                 f"pretrained embeddings have dim {pretrained.dim}, first layer rows are {row_width}"
             )
         if vocab is None:

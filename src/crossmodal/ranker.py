@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Caption, FeatureStore, SplitDataset, atomic_write
-from .errors import ZeroNormError
+from .errors import ConfigError, ZeroNormError
 from .nets import Net, accumulate, backward, clone_net, forward, lr_schedule, sgd_step
 from .text import WEIGHTINGS, Encoding, Vocabulary, encode_caption, normalize_tokenize
 
@@ -45,17 +45,19 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.margin <= 0:
-            raise ValueError("margin must be positive")
+            raise ConfigError("margin must be positive")
         if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+            raise ConfigError("lr0 must be positive")
         if self.max_epochs < 0:
-            raise ValueError("max_epochs must be nonnegative")
+            raise ConfigError("max_epochs must be nonnegative")
         if self.methodology not in METHODOLOGIES:
-            raise ValueError(f"methodology must be one of {METHODOLOGIES}")
+            raise ConfigError(f"methodology must be one of {METHODOLOGIES}")
         if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
+            raise ConfigError(f"weighting must be one of {WEIGHTINGS}")
         if self.val_pairs_per_epoch < 1:
-            raise ValueError("val_pairs_per_epoch must be positive")
+            raise ConfigError("val_pairs_per_epoch must be positive")
+        if type(self.seed) is not int:
+            raise ConfigError("seed must be an integer")
 
 
 @dataclass
@@ -165,7 +167,7 @@ class RetrievalDataset:
                 self.image_vec(neg_image), self.encoding(*neg_caption))
 
     def view(self, name: str) -> SplitView:
-        """Pairs with usable encodings in the split, sorted for determinism."""
+        """Pairs with usable encodings in the split, sorted; refuses a split with none."""
         if name not in self._views:
             member = self.split.subset(name)
             pairs = sorted(
@@ -173,6 +175,8 @@ class RetrievalDataset:
                 for key, enc in self._encodings.items()
                 if key[0] in member and enc is not None
             )
+            if not pairs:
+                raise ConfigError(f"the {name} split has no scoreable pairs; check n_test and val_frac")
             self._views[name] = SplitView(name=name, image_ids=sorted(member), pairs=pairs)
         return self._views[name]
 
@@ -197,7 +201,8 @@ def sample_negative(
     else:
         raise ValueError(f"methodology must be one of {METHODOLOGIES}")
     if all(image == caption[0] for image, caption in map(negative, pool)):
-        raise ValueError(f"{methodology} sampling needs candidates from at least two images")
+        raise ConfigError(f"the {view.name} split: {methodology} sampling needs candidates "
+                          "from at least two images; check n_test and val_frac")
     while True:
         image, caption = negative(pool[rng.randrange(len(pool))])
         if image != caption[0]:
@@ -279,8 +284,6 @@ def _error_pct(
     positive caption key and its ``sample_negative`` draw; ties count as
     mistakes, and a pair with a zero-norm embedding is skipped.
     """
-    if not view.pairs:
-        raise RuntimeError(f"the {view.name} split has no scoreable pairs")
     mistakes = scored = 0
     for pos in positives:
         neg = sample_negative(pos, view, config.methodology, rng)
@@ -291,7 +294,7 @@ def _error_pct(
         scored += 1
         mistakes += s_pos <= s_neg
     if scored == 0:
-        raise RuntimeError(f"every {view.name} pair was skipped")
+        raise ZeroNormError(f"every {view.name} pair was skipped")
     return 100.0 * mistakes / scored
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Caption, atomic_write, text_lines
-from .errors import EmptySequenceError, VocabularyError
+from .errors import ConfigError, EmptySequenceError, VocabularyError
 
 MODES = ("unigram", "bigram", "trigram", "trigram_skip")
 WEIGHTINGS = ("binary", "tfidf")
@@ -96,9 +96,9 @@ def build_vocabulary(captions: list[Caption], mode: str, max_size: int) -> Vocab
     tie-break, so construction is fully deterministic.
     """
     if not captions:
-        raise ValueError("cannot build a vocabulary from zero captions")
+        raise VocabularyError("cannot build a vocabulary from zero captions")
     if max_size < 1:
-        raise ValueError("max_size must be positive")
+        raise ConfigError("max_size must be positive")
     totals: Counter[str] = Counter()
     doc_freq: Counter[str] = Counter()
     for cap in captions:
@@ -152,7 +152,7 @@ def featurize(tokens: list[str], vocab: Vocabulary, weighting: str) -> SparseVec
 def encode_sequence(tokens: list[str], vocab: Vocabulary) -> TokenSequence:
     """Map tokens to vocabulary indices in order, dropping OOV tokens."""
     if vocab.mode != "unigram":
-        raise ValueError("sequence encoding requires a unigram vocabulary")
+        raise ConfigError("sequence encoding requires a unigram vocabulary")
     indices = [vocab.term_to_index[t] for t in tokens if t in vocab.term_to_index]
     if not indices:
         raise EmptySequenceError("no in-vocabulary tokens in caption")
@@ -188,6 +188,11 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
         fh.write(vocabulary_text(vocab))
 
 
+def valid_doc_freq(count, n_docs) -> bool:
+    """The vocab.tsv doc_freq rule, which checkpoint vocabularies follow too: an int in 1..n_docs."""
+    return type(count) is type(n_docs) is int and 1 <= count <= n_docs
+
+
 def _ints(fields: list[str], where: str) -> list[int]:
     try:
         return [int(field) for field in fields]
@@ -217,7 +222,7 @@ def load_vocabulary(path: str) -> Vocabulary:
             raise VocabularyError(f"{path}:{lineno}: duplicate term {term!r}")
         if not 0 <= index < size or index in used:
             raise VocabularyError(f"{path}:{lineno}: index {index} is not a free index in 0..{size - 1}")
-        if not 1 <= count <= n_docs:
+        if not valid_doc_freq(count, n_docs):
             raise VocabularyError(f"{path}:{lineno}: doc_freq {count} outside 1..{n_docs}")
         used.add(index)
         term_to_index[term] = index

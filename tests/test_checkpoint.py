@@ -97,10 +97,13 @@ class TestRoundTrip:
 
 
 def resign(path, blob, header=None, payload=None):
-    """Write ``blob`` back with its header and/or payload replaced and a valid CRC."""
+    """Write ``blob`` back with its header (a dict, or raw bytes) and/or
+    payload replaced and a valid CRC."""
     header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
     header_bytes = (
-        blob[16:header_end] if header is None else json.dumps(header, sort_keys=True).encode()
+        blob[16:header_end] if header is None
+        else header if isinstance(header, bytes)
+        else json.dumps(header, sort_keys=True).encode()
     )
     payload = blob[header_end:-4] if payload is None else payload
     body = blob[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + payload
@@ -205,6 +208,12 @@ class TestFailureModes:
             lambda h: h["train_config"].update(margin=-1),
             lambda h: h["params"]["textual"].insert(0, h["params"]["textual"].pop(1)),
             lambda h: h["visual_spec"].update(input_dim=4),
+            lambda h: h.update(data_config={"n_test": "8", "val_frac": 0.15}),
+            lambda h: h.update(data_config=[1, 2]),
+            lambda h: h.update(data_config=[]),
+            lambda h: h["vocabulary"].update(mode=None),
+            lambda h: h["vocabulary"]["terms"][0].__setitem__(1, h["vocabulary"]["n_docs"] + 1),
+            lambda h: h["train_config"].update(seed=[1]),
         ],
         ids=[
             "unknown_train_config_key",
@@ -212,6 +221,12 @@ class TestFailureModes:
             "negative_margin",
             "reordered_manifest",
             "spec_mismatches_manifest",
+            "string_n_test",
+            "list_data_config",
+            "empty_list_data_config",
+            "null_vocabulary_mode",
+            "doc_freq_past_n_docs",
+            "list_seed",
         ],
     )
     def test_bad_header_with_valid_checksum(self, setup, mutate):

@@ -2,10 +2,13 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import build_parser, main
 
@@ -14,6 +17,31 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def assert_one_error_line(capsys, error, out, *argv):
+    """``main(argv)`` exits 1 with one ``error <error>:`` line on stderr, prints
+    nothing on stdout and leaves no ``out``."""
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 1 and stdout == ""
+    assert err.startswith(f"error {error}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    return err
+
+
+def write_narrow_features(corpus, path, dim):
+    """The corpus's features cut to their first ``dim`` values."""
+    rows = (corpus / "features.txt").read_text().splitlines()
+    count = rows[0].split()[0]
+    path.write_text("\n".join([f"{count} {dim}"] + [" ".join(r.split()[: dim + 1]) for r in rows[1:]]) + "\n")
+    return path
+
+
+def write_oov_captions(corpus, path):
+    """The corpus's captions with every text replaced by out-of-vocabulary words."""
+    lines = (corpus / "captions.tsv").read_text().splitlines()
+    path.write_text("".join("\t".join(line.split("\t")[:2] + ["zzz qqq"]) + "\n" for line in lines))
+    return path
 
 
 @pytest.fixture
@@ -112,6 +140,34 @@ class TestSynthAndPreprocess:
         rc, _, _ = run(capsys, "preprocess", "--captions", str(out / "captions.tsv"),
                        "--out", str(tmp_path / "flatprep"))
         assert rc == 0
+
+    def test_zero_max_size_refused(self, tmp_path, corpus, capsys):
+        out = tmp_path / "prep0"
+        assert_one_error_line(capsys, "ConfigError", out, "preprocess", "--captions",
+                              str(corpus / "captions.tsv"), "--max-size", "0", "--out", str(out))
+
+    def test_empty_captions_file_refused(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        out = tmp_path / "prep_empty"
+        assert_one_error_line(capsys, "VocabularyError", out, "preprocess", "--captions", str(empty),
+                              "--out", str(out))
+
+    def test_zero_clusters_refused(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert_one_error_line(capsys, "ConfigError", out, "synth", "--clusters", "0", "--out", str(out))
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "corpus"
+        proc = subprocess.run(
+            [sys.executable, "-m", "crossmodal.cli", "synth", "--clusters", "1",
+             "--images-per-cluster", "2", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "captions.tsv").exists()
 
     def test_missing_captions_file(self, tmp_path, capsys):
         rc, _, err = run(capsys, "preprocess", "--captions", str(tmp_path / "nope.tsv"),
@@ -284,10 +340,22 @@ class TestTrain:
     def test_pretrained_embeddings_dim_mismatch(self, tmp_path, corpus, prepped, capsys):
         emb_path = tmp_path / "emb.txt"
         emb_path.write_text("c0w1 1.0 2.0 3.0\n")
-        rc, _, err = run(capsys, *train_args(
-            corpus, prepped, tmp_path / "bad_emb", "--embeddings", str(emb_path),
+        out = tmp_path / "bad_emb"
+        err = assert_one_error_line(capsys, "ConfigError", out, *train_args(
+            corpus, prepped, out, "--embeddings", str(emb_path),
         ))
-        assert rc != 0 and "dim 3" in err
+        assert err == "error ConfigError: pretrained embeddings have dim 3, first layer rows are 8\n"
+
+    def test_sequence_net_on_a_bigram_vocabulary_refused(self, tmp_path, corpus, capsys):
+        prep = tmp_path / "prep2g"
+        rc, _, _ = run(capsys, "preprocess", "--captions", str(corpus / "captions.tsv"),
+                       "--mode", "2g", "--out", str(prep))
+        assert rc == 0
+        out = tmp_path / "sse_2g"
+        assert_one_error_line(capsys, "ConfigError", out, *train_args(
+            corpus, prep, out, "--textual", "sse", "--word-dim", "6", "--kernels", "6",
+            "--window", "3",
+        ))
 
     def test_non_finite_embedding_fails_before_writing(self, tmp_path, corpus, prepped, capsys):
         emb_path = tmp_path / "emb.txt"
@@ -386,6 +454,46 @@ class TestEvaluate:
         assert rc != 0 and stdout == ""
         assert err == "error ConfigError: n_test=3 must be in [0, 2), the image count\n"
         assert not out.exists()
+
+    def test_checkpoint_without_test_images_refused(self, tmp_path, corpus, prepped, capsys):
+        run_dir = tmp_path / "no_test"
+        args = train_args(corpus, prepped, run_dir)
+        args[args.index("--n-test") + 1] = "0"
+        assert run(capsys, *args)[0] == 0
+        out = tmp_path / "eval"
+        err = assert_one_error_line(
+            capsys, "ConfigError", out, "evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+            "--captions", str(corpus / "captions.tsv"), "--features", str(corpus / "features.txt"),
+            "--out", str(out),
+        )
+        assert err == "error ConfigError: the test split has no scoreable pairs; check n_test and val_frac\n"
+
+    def test_no_encodable_test_caption_refused(self, tmp_path, corpus, trained, capsys):
+        out = tmp_path / "eval"
+        assert_one_error_line(
+            capsys, "ConfigError", out, "evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+            "--captions", str(write_oov_captions(corpus, tmp_path / "oov.tsv")),
+            "--features", str(corpus / "features.txt"), "--out", str(out),
+        )
+
+    def test_features_narrower_than_the_checkpoint_refused(self, tmp_path, corpus, trained, capsys):
+        features = write_narrow_features(corpus, tmp_path / "features4.txt", 4)
+        out = tmp_path / "eval"
+        err = assert_one_error_line(
+            capsys, "ConfigError", out, "evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+            "--captions", str(corpus / "captions.tsv"), "--features", str(features), "--out", str(out),
+        )
+        assert err == f"error ConfigError: {features} has 4-d features, the checkpoint takes 8\n"
+
+    def test_a_bug_in_a_command_is_a_traceback(self, tmp_path, corpus, trained, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a user error")
+
+        monkeypatch.setattr(cli, "build_rankings", broken)
+        with pytest.raises(ValueError, match="not a user error"):
+            main(["evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+                  "--captions", str(corpus / "captions.tsv"),
+                  "--features", str(corpus / "features.txt"), "--out", str(tmp_path / "eval")])
 
     @pytest.mark.parametrize("ks", ["0,1", "", "1,,5", "1,x", "-3"])
     def test_bad_ks_fail_before_loading(self, tmp_path, ks, capsys):
@@ -531,6 +639,26 @@ class TestQuery:
         )
         assert rc != 0 and stdout == ""
         assert err == "error ConfigError: unknown image id 'ghost'\n"
+
+    def test_features_narrower_than_the_checkpoint_refused(self, tmp_path, corpus, trained, capsys):
+        features = write_narrow_features(corpus, tmp_path / "features4.txt", 4)
+        err = assert_one_error_line(
+            capsys, "ConfigError", tmp_path / "none", "query", "--checkpoint",
+            str(trained / "checkpoint.bin"), "--features", str(features), "--sentence", "c0w1",
+        )
+        assert err == f"error ConfigError: {features} has 4-d features, the checkpoint takes 8\n"
+
+    def test_nothing_to_rank_refused(self, tmp_path, corpus, trained, capsys):
+        ckpt = str(trained / "checkpoint.bin")
+        oov = str(write_oov_captions(corpus, tmp_path / "oov.tsv"))
+        no_images = tmp_path / "features0.txt"
+        no_images.write_text("0 8\n")
+        for query in (["--features", str(corpus / "features.txt"), "--captions", oov,
+                       "--image-id", "c0img000"],
+                      ["--features", str(no_images), "--sentence", "c0w1"]):
+            err = assert_one_error_line(capsys, "ConfigError", tmp_path / "none", "query",
+                                        "--checkpoint", ckpt, *query)
+            assert err.startswith("error ConfigError: nothing to rank: ")
 
     @pytest.mark.parametrize("top_k", ["0", "-1", "", "x", "2.5"])
     def test_bad_top_k_fails_before_loading(self, tmp_path, top_k, capsys):

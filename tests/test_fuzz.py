@@ -1,0 +1,224 @@
+"""Fuzz the loaders and the command line with edited copies of valid files.
+
+A loader either returns or raises a ``CrossmodalError``. ``main`` exits 0, or
+exits 1 with exactly one stderr line ``error <Name>: ...`` that names a
+``CrossmodalError`` or ``OSError`` subclass, and leaves no ``--out`` behind.
+Any other exception escapes ``main`` and fails the test, as it would end a
+run in a traceback.
+"""
+
+import builtins
+import copy
+import io
+import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from crossmodal import errors
+from crossmodal.checkpoint import load_checkpoint
+from crossmodal.cli import main
+from crossmodal.corpus import load_captions, load_image_features, load_word_embeddings
+from crossmodal.text import load_vocabulary
+
+from test_checkpoint import read_header, resign
+
+# what an edit writes where a value or a separator was: non-finite, overflowing,
+# non-numeric and non-UTF-8 values, and separators
+TOKENS = [
+    b"nan", b"inf", b"-inf", b"1e999", b"1e300", b"-1e300", b"5e-324", b"0", b"-1", b"1.5",
+    b"99999999999999999999", b"x", b"1_0", b"", b" ", b"\t", b"\n", b"\r\n", b"\x00",
+    b"\xff\xfe", b"\xc3(",
+]
+
+# values an edited checkpoint header holds in place of one of its own
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.sampled_from([10**30, 0.0, -0.0, 0.15, 1.5, 1e300, 5e-324,
+                      float("nan"), float("inf"), float("-inf")])
+    | st.sampled_from(["", "x", "nan", "1e999", "unigram", "bigram", "bag", "sequence",
+                      "T2I", "tfidf", "8", "\udcff"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["n_test", "val_frac", "mode", "kind", "x"]), children,
+                      max_size=3),
+    max_leaves=6,
+)
+
+LOADERS = {
+    "captions": load_captions,
+    "features": load_image_features,
+    "vocab": load_vocabulary,
+    "embeddings": load_word_embeddings,
+    "checkpoint": load_checkpoint,
+}
+
+
+@st.composite
+def edited_bytes(draw, blob: bytes) -> bytes:
+    """``blob`` after one to three edits: a space- or tab-separated field
+    replaced by a token, a token inserted, or a line deleted or repeated.
+    Half the edits fall on the first two lines, which hold a file's header or
+    the row that sets its width."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = blob.split(b"\n")
+        i = draw(st.integers(0, 1) | st.integers(0, len(lines) - 1)) % len(lines)
+        kind = draw(st.sampled_from(["field", "insert", "delete", "repeat"]))
+        if kind == "field":
+            parts = re.split(rb"([\t ])", lines[i])  # fields at even indices
+            parts[2 * draw(st.integers(0, len(parts) // 2))] = draw(st.sampled_from(TOKENS))
+            lines[i] = b"".join(parts)
+        elif kind == "insert":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from(TOKENS)) + lines[i][at:]
+        elif kind == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        blob = b"\n".join(lines)
+    return blob
+
+
+@st.composite
+def edited_header(draw, header: dict) -> dict:
+    """A copy of ``header`` with one node replaced or deleted, or a key or
+    item added to it. The node is found by descending from the root, stopping
+    or entering one child at each level."""
+    root = node = copy.deepcopy(header)
+    parent = key = None
+    while isinstance(node, (dict, list)) and node:
+        keys = sorted(node) if isinstance(node, dict) else [draw(st.integers(0, len(node) - 1))]
+        child = draw(st.sampled_from([None, *keys]))
+        if child is None:
+            break
+        parent, key, node = node, child, node[child]
+    op = draw(st.sampled_from(["replace", "delete", "add"]))
+    if op == "add" and isinstance(node, list):
+        node.append(draw(JSON_VALUES))
+    elif op == "add" and isinstance(node, dict):
+        node[draw(st.sampled_from(["n_test", "x", "mode", "seed"]))] = draw(JSON_VALUES)
+    elif op == "delete" and parent is not None:
+        del parent[key]
+    elif parent is not None:
+        parent[key] = draw(JSON_VALUES)
+    else:
+        return draw(JSON_VALUES)
+    return root
+
+
+def quietly(call, *args):
+    """``call(*args)`` with warnings recorded as a run prints them, not raised;
+    a duplicate embedding is the one warning an edit may cause."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    assert all("duplicate embedding" in str(w.message) for w in caught), [
+        str(w.message) for w in caught
+    ]
+    return result
+
+
+def run_main(argv: list[str], out: Path | None = None) -> int:
+    """``main(argv)``, checked against what a run must show."""
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        rc = quietly(main, argv)
+    if rc != 0:
+        assert rc == 1
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        name = re.fullmatch(r"error (\w+): .+", lines[0]).group(1)
+        cls = getattr(errors, name, None) or getattr(builtins, name)
+        assert issubclass(cls, (errors.CrossmodalError, OSError)), lines[0]
+        assert out is None or not out.exists()
+    return rc
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A valid corpus, vocabulary, 6-d embeddings, and one bag and one
+    sequence checkpoint trained on them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus, prep = root / "corpus", root / "prep"
+    with redirect_stderr(io.StringIO()):
+        assert main(["synth", "--out", str(corpus), "--clusters", "3", "--images-per-cluster",
+                     "4", "--feature-dim", "6", "--vocab-per-cluster", "5", "--seed", "3"]) == 0
+        assert main(["preprocess", "--captions", str(corpus / "captions.tsv"),
+                     "--out", str(prep)]) == 0
+        terms = load_vocabulary(str(prep / "vocab.tsv")).term_to_index
+        (root / "embeddings.txt").write_text(
+            "".join(f"{t} 0.5 -0.25 0.001 2 0 {i}\n" for i, t in enumerate(terms))
+        )
+        files = {"captions": corpus / "captions.tsv", "features": corpus / "features.txt",
+                 "vocab": prep / "vocab.tsv", "embeddings": root / "embeddings.txt"}
+        ckpts = {}
+        for kind, extra in (("bag", []), ("sse", ["--word-dim", "4", "--kernels", "5",
+                                                  "--window", "3"])):
+            assert main(train_args(files, root / kind, "--epochs", "1", "--textual", kind,
+                                   *extra)) == 0
+            ckpts[kind] = root / kind / "checkpoint.bin"
+    return SimpleNamespace(root=root, files=files, ckpts=ckpts)
+
+
+def train_args(files: dict, out: Path, *extra: str) -> list[str]:
+    return ["train", "--captions", str(files["captions"]), "--features", str(files["features"]),
+            "--vocab", str(files["vocab"]), "--n-test", "3", "--val-frac", "0.25",
+            "--n-emb", "6", "--val-pairs", "20", "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loaders_return_or_raise_typed(inputs, name, data):
+    """Byte edits; a checkpoint's land in its header, which is re-signed, so
+    they reach the header checks instead of the checksum."""
+    with tempfile.TemporaryDirectory(dir=inputs.root) as tmp:
+        path = Path(tmp) / name
+        if name == "checkpoint":
+            blob = inputs.ckpts[data.draw(st.sampled_from(sorted(inputs.ckpts)))].read_bytes()
+            header_end = 16 + int.from_bytes(blob[8:16], "little")
+            resign(path, blob, header=data.draw(edited_bytes(blob[16:header_end])))
+        else:
+            path.write_bytes(data.draw(edited_bytes(inputs.files[name].read_bytes())))
+        try:
+            quietly(LOADERS[name], str(path))
+        except errors.CrossmodalError:
+            pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_preprocess_and_train_on_edited_inputs(inputs, data):
+    name = data.draw(st.sampled_from(sorted(inputs.files)))
+    with tempfile.TemporaryDirectory(dir=inputs.root) as tmp:
+        files = {**inputs.files, name: Path(tmp) / name}
+        files[name].write_bytes(data.draw(edited_bytes(inputs.files[name].read_bytes())))
+        if name == "captions":
+            out = Path(tmp) / "prep"
+            run_main(["preprocess", "--captions", str(files[name]), "--out", str(out)], out)
+        out = Path(tmp) / "run"
+        run_main(train_args(files, out, "--epochs", "0", "--embeddings", str(files["embeddings"])),
+                 out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_evaluate_and_query_on_edited_headers(inputs, data):
+    blob = inputs.ckpts[data.draw(st.sampled_from(sorted(inputs.ckpts)))].read_bytes()
+    header = data.draw(edited_header(read_header(blob)))
+    captions, features = str(inputs.files["captions"]), str(inputs.files["features"])
+    with tempfile.TemporaryDirectory(dir=inputs.root) as tmp:
+        ckpt, out = str(Path(tmp) / "checkpoint.bin"), Path(tmp) / "eval"
+        resign(ckpt, blob, header=header)
+        run_main(["evaluate", "--checkpoint", ckpt, "--captions", captions,
+                  "--features", features, "--out", str(out)], out)
+        run_main(["query", "--checkpoint", ckpt, "--features", features,
+                  "--sentence", "c0w1 c1w2 c0w3"])
+        run_main(["query", "--checkpoint", ckpt, "--features", features,
+                  "--captions", captions, "--image-id", "c2img001"])
