@@ -8,14 +8,14 @@ Layout (all integers little-endian):
 The header carries both net specs, the training and data configuration, the
 vocabulary, the epoch history, and a parameter manifest (name + shape per
 net) that must equal the layout the specs give: ``nets.param_shapes`` order,
-textual net first. Saves stream to ``<path>.tmp`` and rename it over
-``path``; loads return the parameters as views of one buffer. Parameters
-round-trip bit-exactly.
+textual net first. The vocabulary follows the vocab.tsv rule and has one
+term per textual net input row. Saves stream to ``<path>.tmp`` and rename
+it over ``path``; loads return the parameters as views of one buffer.
+Parameters round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .corpus import atomic_write
-from .errors import CheckpointCorruptError, CheckpointVersionError
+from .errors import CheckpointCorruptError, CheckpointVersionError, VocabularyError
 from .nets import Net, NetSpec, param_shapes
 from .ranker import EpochStats, ScoreModel, TrainConfig, TrainHistory
-from .text import MODES, Vocabulary, valid_doc_freq, vocabulary_text
+from .text import Vocabulary, vocabulary_from_rows, vocabulary_rows
 
 MAGIC = b"XMRK"
 FORMAT_VERSION = 1
@@ -45,32 +45,23 @@ class Checkpoint:
     vocab_digest: str
 
 
-def vocab_digest(vocab: Vocabulary) -> str:
-    return hashlib.sha256(vocabulary_text(vocab).encode("utf-8")).hexdigest()
-
-
 def _vocab_to_json(vocab: Vocabulary) -> dict:
-    by_index = sorted(vocab.term_to_index.items(), key=lambda kv: kv[1])
     return {
         "mode": vocab.mode,
         "n_docs": vocab.n_docs,
         "max_size": vocab.max_size,
-        "terms": [[term, vocab.doc_freq[term]] for term, _ in by_index],
+        "terms": [[term, count] for term, _, count in vocabulary_rows(vocab)],
     }
 
 
-def _vocab_from_json(blob: dict) -> Vocabulary:
-    if blob["mode"] not in MODES or not all(valid_doc_freq(df, blob["n_docs"]) for _, df in blob["terms"]):
-        raise ValueError("vocabulary breaks the vocab.tsv rules")
-    term_to_index = {term: i for i, (term, _) in enumerate(blob["terms"])}
-    doc_freq = {term: df for term, df in blob["terms"]}
-    return Vocabulary(
-        mode=blob["mode"],
-        term_to_index=term_to_index,
-        doc_freq=doc_freq,
-        n_docs=blob["n_docs"],
-        max_size=blob["max_size"],
-    )
+def _vocab_from_json(blob: dict, textual: NetSpec) -> Vocabulary:
+    """The header vocabulary under the vocab.tsv rule: a term's index is its list
+    position, and the textual net's input rows declare the size."""
+    rows = ((i, term, i, count) for i, (term, count) in enumerate(blob["terms"]))
+    vocab = vocabulary_from_rows("vocabulary", "vocabulary term {}".format, blob["mode"],
+                                 textual.input_dim, blob["n_docs"], rows)
+    vocab.max_size = blob["max_size"]
+    return vocab
 
 
 def save_checkpoint(
@@ -86,13 +77,15 @@ def save_checkpoint(
     for side, net in nets.items():
         if [(name, arr.shape) for name, arr in net.params.items()] != layout[side]:
             raise ValueError(f"{side} net parameters do not match its spec")
+    if vocab.size != model.textual_net.spec.input_dim:  # one first-layer row per term
+        raise ValueError("the vocabulary does not fit the textual net's input rows")
     header = {
         "textual_spec": asdict(model.textual_net.spec),
         "visual_spec": asdict(model.visual_net.spec),
         "train_config": asdict(train_config),
         "data_config": data_config or {},
         "vocabulary": _vocab_to_json(vocab),
-        "vocab_digest": vocab_digest(vocab),
+        "vocab_digest": vocab.digest,
         "history": {
             "best_epoch": history.best_epoch,
             "epochs": [[e.epoch, e.lr, e.train_err, e.val_err] for e in history.epochs],
@@ -157,13 +150,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
         return Checkpoint(
             model=ScoreModel(textual_net=nets["textual"], visual_net=nets["visual"]),
-            vocabulary=_vocab_from_json(header["vocabulary"]),
+            vocabulary=_vocab_from_json(header["vocabulary"], specs["textual"]),
             train_config=TrainConfig(**header["train_config"]),
             data_config=header["data_config"],
             history=history,
             vocab_digest=header["vocab_digest"],
         )
-    except (KeyError, TypeError, ValueError) as exc:  # JSON and Unicode errors are ValueErrors
+    except (KeyError, TypeError, ValueError, VocabularyError) as exc:  # JSON and Unicode errors are ValueErrors
         raise CheckpointCorruptError(
             f"{path}: invalid header ({type(exc).__name__}: {exc})"
         ) from None

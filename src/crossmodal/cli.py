@@ -19,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, vocab_digest
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import (
     atomic_write,
     generate_synthetic_corpus,
@@ -281,8 +281,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"{args.checkpoint} records no n_test/val_frac, so its test split is unknown"
         )
     if args.vocab:
-        given = vocab_digest(load_vocabulary(args.vocab))
-        if given != ckpt.vocab_digest:
+        if load_vocabulary(args.vocab).digest != ckpt.vocab_digest:
             raise ConfigError(
                 f"vocabulary digest mismatch: {args.vocab} does not match the checkpoint's vocabulary"
             )

@@ -67,8 +67,9 @@ class FeatureStore:
                 raise CorpusFormatError(
                     f"image {rec.image_id!r}: expected {feature_dim} features, got {vec.shape}"
                 )
-            if not np.all(np.isfinite(vec)):
-                raise CorpusFormatError(f"image {rec.image_id!r}: non-finite feature value")
+            with np.errstate(over="ignore"):  # the overflow is reported below, not warned
+                if not np.isfinite(np.dot(vec, vec)):
+                    raise CorpusFormatError(f"image {rec.image_id!r}: non-finite feature value or squared norm")
             vec.setflags(write=False)
             self._vectors[rec.image_id] = vec
 

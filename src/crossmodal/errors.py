@@ -25,15 +25,11 @@ class NonFiniteGradientError(CrossmodalError):
     """A gradient contained NaN or inf; the epoch must abort."""
 
 
-class CheckpointError(CrossmodalError):
-    """Base class for checkpoint load/save failures."""
-
-
-class CheckpointVersionError(CheckpointError):
+class CheckpointVersionError(CrossmodalError):
     """The checkpoint was written with an unsupported format version."""
 
 
-class CheckpointCorruptError(CheckpointError):
+class CheckpointCorruptError(CrossmodalError):
     """The checkpoint file is truncated or fails its integrity check."""
 
 

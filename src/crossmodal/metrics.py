@@ -211,8 +211,8 @@ def median_rank(rankings: RankingSet) -> int:
     return _median_of_avg_txt(_variant_ranks(rankings, ("avg_txt",), 0)["avg_txt"])
 
 
-def r_precision(rankings: RankingSet, relevant_count: int = 5) -> float:
-    """Mean percentage of an image's captions found in its top-R results.
+def r_precision(rankings: RankingSet) -> float:
+    """Mean percentage of an image's captions found in its top R = CAPTIONS_PER_IMAGE results.
 
     The denominator is always R: a caption that could not be scored is not
     in the ranking, so it counts as not found.
@@ -222,12 +222,10 @@ def r_precision(rankings: RankingSet, relevant_count: int = 5) -> float:
     total = 0.0
     for img in rankings.image_ids:
         own = rankings.captions_of[img]
-        if len(own) > relevant_count:
-            raise ValueError(
-                f"image {img!r} has {len(own)} captions, expected at most {relevant_count}"
-            )
-        top = rankings.results[img][:relevant_count]
-        total += 100.0 * len(set(top) & set(own)) / relevant_count
+        if len(own) > CAPTIONS_PER_IMAGE:
+            raise ValueError(f"image {img!r} has {len(own)} captions, expected at most {CAPTIONS_PER_IMAGE}")
+        top = rankings.results[img][:CAPTIONS_PER_IMAGE]
+        total += 100.0 * len(set(top) & set(own)) / CAPTIONS_PER_IMAGE
     return total / len(rankings.image_ids)
 
 

@@ -44,10 +44,10 @@ class TrainConfig:
     val_pairs_per_epoch: int = 500
 
     def __post_init__(self) -> None:
-        if self.margin <= 0:
-            raise ConfigError("margin must be positive")
-        if self.lr0 <= 0:
-            raise ConfigError("lr0 must be positive")
+        if not 0 < self.margin < math.inf:  # false for NaN too
+            raise ConfigError("margin must be positive and finite")
+        if not 0 < self.lr0 < math.inf:
+            raise ConfigError("lr0 must be positive and finite")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be nonnegative")
         if self.methodology not in METHODOLOGIES:
@@ -141,14 +141,12 @@ class RetrievalDataset:
         if textual_kind not in ("bag", "sequence"):
             raise ValueError(f"unknown textual kind {textual_kind!r}")
         self.features = features
-        self.captions: dict[tuple[str, int], Caption] = {
-            (cap.image_id, cap.caption_index): cap for cap in captions
-        }
         self.split = split
         self._encodings: dict[tuple[str, int], Encoding | None] = {}
-        for key, cap in self.captions.items():
+        for cap in captions:
             if cap.tokens is None:
                 cap.tokens = normalize_tokenize(cap.text)
+            key = (cap.image_id, cap.caption_index)
             self._encodings[key] = encode_caption(cap.tokens, vocab, textual_kind, weighting)
         self.unencodable = sum(enc is None for enc in self._encodings.values())
         self._views: dict[str, SplitView] = {}
@@ -376,20 +374,18 @@ def train(
 
     The passed model is trained in place to its final-epoch state; the
     returned model is a copy of the parameters at the epoch with the lowest
-    validation error (ties keep the earlier epoch). ``progress``, if given,
-    is called with each EpochStats as it is recorded.
+    validation error (ties keep the earlier epoch), or of the passed model
+    when no epoch runs. ``progress``, if given, is called with each
+    EpochStats as it is recorded.
     """
     history = TrainHistory()
-    best = clone_model(model)
-    best_val = float("inf")
+    best, best_val = None, float("inf")
     rng = random.Random(config.seed)
     for e in range(1, config.max_epochs + 1):
         train_err = train_epoch(model, data, config, e - 1, rng)
         val_rng = random.Random(epoch_seed(config.seed, e))
         val_err = validate(model, data, config, val_rng)
-        stats = EpochStats(
-            epoch=e, lr=lr_schedule(config.lr0, e - 1), train_err=train_err, val_err=val_err
-        )
+        stats = EpochStats(e, lr_schedule(config.lr0, e - 1), train_err, val_err)
         history.epochs.append(stats)
         if progress is not None:
             progress(stats)
@@ -397,4 +393,4 @@ def train(
             best_val = val_err
             best = clone_model(model)
             history.best_epoch = e
-    return best, history
+    return (best if best is not None else clone_model(model)), history

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,11 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.term_to_index)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of :func:`vocabulary_text`, taken once: no vocabulary changes once built or loaded."""
+        return hashlib.sha256(vocabulary_text(self).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -175,11 +182,16 @@ def encode_caption(
     return vec if len(vec) else None
 
 
+def vocabulary_rows(vocab: Vocabulary) -> list[tuple[str, int, int]]:
+    """(term, index, doc_freq) in index order: how every writer walks a vocabulary."""
+    rows = ((term, index, vocab.doc_freq[term]) for term, index in vocab.term_to_index.items())
+    return sorted(rows, key=lambda row: row[1])
+
+
 def vocabulary_text(vocab: Vocabulary) -> str:
     """Canonical serialized form, also used for integrity digests."""
     lines = [f"{vocab.mode} {vocab.size} {vocab.n_docs}\n"]
-    for term, index in sorted(vocab.term_to_index.items(), key=lambda kv: kv[1]):
-        lines.append(f"{term}\t{index}\t{vocab.doc_freq[term]}\n")
+    lines += [f"{term}\t{index}\t{count}\n" for term, index, count in vocabulary_rows(vocab)]
     return "".join(lines)
 
 
@@ -188,9 +200,26 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
         fh.write(vocabulary_text(vocab))
 
 
-def valid_doc_freq(count, n_docs) -> bool:
-    """The vocab.tsv doc_freq rule, which checkpoint vocabularies follow too: an int in 1..n_docs."""
-    return type(count) is type(n_docs) is int and 1 <= count <= n_docs
+def vocabulary_from_rows(where: str, row_where, mode, size: int, n_docs, rows) -> Vocabulary:
+    """The vocab.tsv rule, which checkpoint headers follow too: a known mode, distinct terms,
+    indices exactly 0..size-1 each once, every doc_freq an int in 1..n_docs. ``rows`` hold
+    (position, term, index, doc_freq); errors name ``where`` or ``row_where(position)``."""
+    if mode not in MODES:
+        raise VocabularyError(f"{where}: expected header 'mode size n_docs'")
+    term_to_index, doc_freq, used = {}, {}, set()
+    for pos, term, index, count in rows:
+        if term in term_to_index:
+            raise VocabularyError(f"{row_where(pos)}: duplicate term {term!r}")
+        if not 0 <= index < size or index in used:
+            raise VocabularyError(f"{row_where(pos)}: index {index} is not a free index in 0..{size - 1}")
+        if not (type(count) is type(n_docs) is int and 1 <= count <= n_docs):
+            raise VocabularyError(f"{row_where(pos)}: doc_freq {count} outside 1..{n_docs}")
+        used.add(index)
+        term_to_index[term] = index
+        doc_freq[term] = count
+    if len(term_to_index) != size:
+        raise VocabularyError(f"{where}: header declares {size} terms, found {len(term_to_index)}")
+    return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs, max_size=size)
 
 
 def _ints(fields: list[str], where: str) -> list[int]:
@@ -201,32 +230,20 @@ def _ints(fields: list[str], where: str) -> list[int]:
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    """Read ``vocab.tsv``: indices exactly 0..size-1, each once; doc_freq in 1..n_docs."""
+    """Read ``vocab.tsv`` under :func:`vocabulary_from_rows`, naming ``path:line``."""
     lines = text_lines(path, VocabularyError)
     header = next(lines, (1, ""))[1].split()
-    if len(header) != 3 or header[0] not in MODES:
+    if len(header) != 3:
         raise VocabularyError(f"{path}:1: expected header 'mode size n_docs'")
-    mode, (size, n_docs) = header[0], _ints(header[1:], f"{path}:1")
-    term_to_index: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
-    used: set[int] = set()
-    for lineno, line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise VocabularyError(f"{path}:{lineno}: expected 'term<TAB>index<TAB>doc_freq'")
-        term, (index, count) = parts[0], _ints(parts[1:], f"{path}:{lineno}")
-        if term in term_to_index:
-            raise VocabularyError(f"{path}:{lineno}: duplicate term {term!r}")
-        if not 0 <= index < size or index in used:
-            raise VocabularyError(f"{path}:{lineno}: index {index} is not a free index in 0..{size - 1}")
-        if not valid_doc_freq(count, n_docs):
-            raise VocabularyError(f"{path}:{lineno}: doc_freq {count} outside 1..{n_docs}")
-        used.add(index)
-        term_to_index[term] = index
-        doc_freq[term] = count
-    if len(term_to_index) != size:
-        raise VocabularyError(f"{path}:1: header declares {size} terms, found {len(term_to_index)}")
-    return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs, max_size=size)
+
+    def rows():
+        for lineno, line in lines:
+            parts = line.rstrip("\n").split("\t")
+            if parts == [""]:
+                continue
+            if len(parts) != 3:
+                raise VocabularyError(f"{path}:{lineno}: expected 'term<TAB>index<TAB>doc_freq'")
+            yield lineno, parts[0], *_ints(parts[1:], f"{path}:{lineno}")
+
+    size, n_docs = _ints(header[1:], f"{path}:1")
+    return vocabulary_from_rows(f"{path}:1", lambda lineno: f"{path}:{lineno}", header[0], size, n_docs, rows())

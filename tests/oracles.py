@@ -8,9 +8,11 @@ row-sparse first-layer gradients replaced, and the hand-built parameter
 dicts and in-memory checkpoint writer that ``nets.param_shapes`` and the
 streamed save replaced, the row-by-row vector parser that the blocked
 ``np.loadtxt`` reader replaced, the embeddings loader whose first row set
-``dim`` inside that parser, and the two-loop negative sampler that one
-rejection loop replaced."""
+``dim`` inside that parser, the two-loop negative sampler that one
+rejection loop replaced, and the vocabulary writers, digest and
+``vocab.tsv`` reader that the one vocabulary rule and writer walk replaced."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -21,9 +23,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from crossmodal.checkpoint import FORMAT_VERSION, MAGIC, _vocab_to_json, vocab_digest
+from crossmodal.checkpoint import FORMAT_VERSION, MAGIC
 from crossmodal.corpus import PretrainedEmbeddings, text_lines
-from crossmodal.errors import CorpusFormatError, NonFiniteGradientError, ZeroNormError
+from crossmodal.errors import CorpusFormatError, NonFiniteGradientError, VocabularyError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
 from crossmodal.nets import (
     Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, accumulate, backward, forward, lr_schedule, relu, sgd_step,
@@ -42,7 +44,7 @@ from crossmodal.ranker import (
     score_triplet,
     triplet_grads,
 )
-from crossmodal.text import SparseVector, TokenSequence, Vocabulary
+from crossmodal.text import MODES, SparseVector, TokenSequence, Vocabulary
 
 
 def densify(param, grad):
@@ -355,6 +357,66 @@ def oracle_init_net(
     return Net(spec=spec, params=params)
 
 
+def oracle_vocabulary_text(vocab: Vocabulary) -> str:
+    lines = [f"{vocab.mode} {vocab.size} {vocab.n_docs}\n"]
+    for term, index in sorted(vocab.term_to_index.items(), key=lambda kv: kv[1]):
+        lines.append(f"{term}\t{index}\t{vocab.doc_freq[term]}\n")
+    return "".join(lines)
+
+
+def oracle_vocab_digest(vocab: Vocabulary) -> str:
+    return hashlib.sha256(oracle_vocabulary_text(vocab).encode("utf-8")).hexdigest()
+
+
+def oracle_vocab_to_json(vocab: Vocabulary) -> dict:
+    by_index = sorted(vocab.term_to_index.items(), key=lambda kv: kv[1])
+    return {
+        "mode": vocab.mode,
+        "n_docs": vocab.n_docs,
+        "max_size": vocab.max_size,
+        "terms": [[term, vocab.doc_freq[term]] for term, _ in by_index],
+    }
+
+
+def _oracle_ints(fields: list[str], where: str) -> list[int]:
+    try:
+        return [int(field) for field in fields]
+    except ValueError:
+        raise VocabularyError(f"{where}: expected integers, got {' '.join(fields)!r}") from None
+
+
+def oracle_load_vocabulary(path: str) -> Vocabulary:
+    """Read ``vocab.tsv``: indices exactly 0..size-1, each once; doc_freq in 1..n_docs."""
+    lines = text_lines(path, VocabularyError)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 3 or header[0] not in MODES:
+        raise VocabularyError(f"{path}:1: expected header 'mode size n_docs'")
+    mode, (size, n_docs) = header[0], _oracle_ints(header[1:], f"{path}:1")
+    term_to_index: dict[str, int] = {}
+    doc_freq: dict[str, int] = {}
+    used: set[int] = set()
+    for lineno, line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise VocabularyError(f"{path}:{lineno}: expected 'term<TAB>index<TAB>doc_freq'")
+        term, (index, count) = parts[0], _oracle_ints(parts[1:], f"{path}:{lineno}")
+        if term in term_to_index:
+            raise VocabularyError(f"{path}:{lineno}: duplicate term {term!r}")
+        if not 0 <= index < size or index in used:
+            raise VocabularyError(f"{path}:{lineno}: index {index} is not a free index in 0..{size - 1}")
+        if not (type(count) is type(n_docs) is int and 1 <= count <= n_docs):
+            raise VocabularyError(f"{path}:{lineno}: doc_freq {count} outside 1..{n_docs}")
+        used.add(index)
+        term_to_index[term] = index
+        doc_freq[term] = count
+    if len(term_to_index) != size:
+        raise VocabularyError(f"{path}:1: header declares {size} terms, found {len(term_to_index)}")
+    return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs, max_size=size)
+
+
 def oracle_save_checkpoint(
     path: str,
     model: ScoreModel,
@@ -368,8 +430,8 @@ def oracle_save_checkpoint(
         "visual_spec": asdict(model.visual_net.spec),
         "train_config": asdict(train_config),
         "data_config": data_config or {},
-        "vocabulary": _vocab_to_json(vocab),
-        "vocab_digest": vocab_digest(vocab),
+        "vocabulary": oracle_vocab_to_json(vocab),
+        "vocab_digest": oracle_vocab_digest(vocab),
         "history": {
             "best_epoch": history.best_epoch,
             "epochs": [[e.epoch, e.lr, e.train_err, e.val_err] for e in history.epochs],

@@ -9,11 +9,8 @@ import numpy as np
 import pytest
 
 import crossmodal.checkpoint as checkpoint_mod
-from crossmodal.checkpoint import (
-    load_checkpoint,
-    save_checkpoint,
-    vocab_digest,
-)
+import crossmodal.text as text_mod
+from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.corpus import (
     FeatureStore,
     PretrainedEmbeddings,
@@ -31,9 +28,9 @@ from crossmodal.ranker import (
     cosine_score,
     train,
 )
-from crossmodal.text import build_vocabulary, featurize
+from crossmodal.text import build_vocabulary, featurize, vocabulary_text
 
-from oracles import oracle_init_net, oracle_save_checkpoint
+from oracles import oracle_init_net, oracle_save_checkpoint, oracle_vocab_digest
 
 
 @pytest.fixture
@@ -72,7 +69,7 @@ class TestRoundTrip:
         assert ckpt.vocabulary.doc_freq == vocab.doc_freq
         assert ckpt.vocabulary.n_docs == vocab.n_docs
         assert ckpt.data_config == {"n_test": 3, "val_frac": 0.1}
-        assert ckpt.vocab_digest == vocab_digest(vocab)
+        assert ckpt.vocab_digest == oracle_vocab_digest(vocab)
 
     def test_scores_bit_identical_after_round_trip(self, setup):
         """Train a little first so the saved parameters are non-trivial."""
@@ -214,6 +211,9 @@ class TestFailureModes:
             lambda h: h["vocabulary"].update(mode=None),
             lambda h: h["vocabulary"]["terms"][0].__setitem__(1, h["vocabulary"]["n_docs"] + 1),
             lambda h: h["train_config"].update(seed=[1]),
+            lambda h: h["vocabulary"]["terms"].append(["zzz", 1]),
+            lambda h: h["vocabulary"]["terms"].pop(),
+            lambda h: h["vocabulary"]["terms"][1].__setitem__(0, h["vocabulary"]["terms"][0][0]),
         ],
         ids=[
             "unknown_train_config_key",
@@ -227,6 +227,9 @@ class TestFailureModes:
             "null_vocabulary_mode",
             "doc_freq_past_n_docs",
             "list_seed",
+            "extra_term",
+            "missing_term",
+            "duplicate_term",
         ],
     )
     def test_bad_header_with_valid_checksum(self, setup, mutate):
@@ -238,6 +241,28 @@ class TestFailureModes:
         resign(path, blob, header=header)
         with pytest.raises(CheckpointCorruptError, match="invalid header"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", ["extra_term", "missing_term", "duplicate_term"])
+    def test_header_vocabulary_follows_the_vocab_tsv_rule(self, setup, case):
+        """The textual net's input rows declare the size; the fault is named as in vocab.tsv."""
+        images, captions, store, vocab, model, config, history, path = setup
+        save_checkpoint(path, model, vocab, config, history)
+        blob = Path(path).read_bytes()
+        header = read_header(blob)
+        terms, size = header["vocabulary"]["terms"], vocab.size
+        if case == "extra_term":
+            terms.append(["zzz", 1])
+            inner = f"vocabulary term {size}: index {size} is not a free index in 0..{size - 1}"
+        elif case == "missing_term":
+            terms.pop()
+            inner = f"vocabulary: header declares {size} terms, found {size - 1}"
+        else:
+            terms[1][0] = terms[0][0]
+            inner = f"vocabulary term 1: duplicate term {terms[0][0]!r}"
+        resign(path, blob, header=header)
+        with pytest.raises(CheckpointCorruptError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: invalid header (VocabularyError: {inner})"
 
     @pytest.mark.parametrize("extra", [8, -8], ids=["8_bytes_long", "8_bytes_short"])
     def test_payload_size_with_valid_checksum(self, setup, extra):
@@ -267,6 +292,30 @@ class TestSave:
         with pytest.raises(ValueError, match="textual net parameters do not match its spec"):
             save_checkpoint(path, model, vocab, config, history)
         assert os.listdir(os.path.dirname(path)) == []
+
+    @pytest.mark.parametrize("delta", [1, -1], ids=["one_term_more", "one_term_fewer"])
+    def test_vocabulary_not_fitting_the_textual_net_refused(self, setup, delta):
+        images, captions, store, vocab, model, config, history, path = setup
+        spec = NetSpec("bag", vocab.size + delta, 8, n_hu=5)
+        model.textual_net = init_net(spec, 4)
+        with pytest.raises(ValueError, match="does not fit the textual net"):
+            save_checkpoint(path, model, vocab, config, history)
+        assert os.listdir(os.path.dirname(path)) == []
+
+    def test_vocabulary_hashed_once_per_object(self, setup, tmp_path, monkeypatch):
+        images, captions, store, vocab, model, config, history, path = setup
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return vocabulary_text(v)
+
+        monkeypatch.setattr(text_mod, "vocabulary_text", counting)
+        for i in range(3):
+            save_checkpoint(path, model, vocab, config, history)
+            oracle_save_checkpoint(str(tmp_path / "oracle.ckpt"), model, vocab, config, history)
+            assert Path(path).read_bytes() == (tmp_path / "oracle.ckpt").read_bytes()
+        assert calls == [vocab]
 
     def test_failed_save_keeps_previous_file(self, setup, monkeypatch):
         images, captions, store, vocab, model, config, history, path = setup

@@ -12,6 +12,8 @@ from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import build_parser, main
 
+from test_checkpoint import read_header, resign
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -217,6 +219,10 @@ class TestTrain:
             ("--val-frac", "0.1", "--methodology", "t2i"),
             ("--val-frac", "0.9"),
             ("--val-frac", "0.9", "--methodology", "t2i"),
+            ("--margin", "nan"),
+            ("--margin", "inf"),
+            ("--lr", "nan"),
+            ("--lr", "inf"),
         ],
         ids=" ".join,
     )
@@ -366,6 +372,19 @@ class TestTrain:
         assert err.startswith(f"error CorpusFormatError: {emb_path}:1:") and err.count("\n") == 1
         assert not (out / "manifest.json").exists()
 
+    def test_overflowing_features_fail_before_writing(self, tmp_path, corpus, prepped, capsys):
+        """Finite values whose squared norm overflows; before this was refused,
+        training exited 0 with a RuntimeWarning and 100% error."""
+        rows = (corpus / "features.txt").read_text().splitlines()
+        features = tmp_path / "features.txt"
+        features.write_text("\n".join(rows[:1] + [re.sub(r" \S+", " 1e300", r, count=1) for r in rows[1:]]) + "\n")
+        args = train_args(corpus, prepped, tmp_path / "overflow")
+        args[args.index("--features") + 1] = str(features)
+        first = rows[1].split()[0]
+        err = assert_one_error_line(capsys, "CorpusFormatError", tmp_path / "overflow", *args)
+        assert err == (f"error CorpusFormatError: {features}: image {first!r}: "
+                       "non-finite feature value or squared norm\n")
+
     def test_sse_textual_model_trains(self, tmp_path, corpus, prepped, capsys):
         out = tmp_path / "sse_run"
         rc, _, err = run(capsys, *train_args(
@@ -484,6 +503,23 @@ class TestEvaluate:
             "--captions", str(corpus / "captions.tsv"), "--features", str(features), "--out", str(out),
         )
         assert err == f"error ConfigError: {features} has 4-d features, the checkpoint takes 8\n"
+
+    def test_header_with_an_extra_vocabulary_term_refused(self, tmp_path, corpus, trained, capsys):
+        """A re-signed header that lists one term more than the textual net has
+        rows; ``query`` on that term used to end in an IndexError traceback."""
+        blob = (trained / "checkpoint.bin").read_bytes()
+        header = read_header(blob)
+        header["vocabulary"]["terms"].append(["zzz", 1])
+        ckpt = tmp_path / "extra.bin"
+        resign(ckpt, blob, header=header)
+        out = tmp_path / "eval"
+        for argv in (
+            ["evaluate", "--captions", str(corpus / "captions.tsv"), "--out", str(out)],
+            ["query", "--sentence", "zzz c0w1"],
+        ):
+            err = assert_one_error_line(capsys, "CheckpointCorruptError", out, *argv,
+                                        "--checkpoint", str(ckpt), "--features", str(corpus / "features.txt"))
+            assert err.startswith(f"error CheckpointCorruptError: {ckpt}: invalid header (VocabularyError: ")
 
     def test_a_bug_in_a_command_is_a_traceback(self, tmp_path, corpus, trained, monkeypatch):
         def broken(*args, **kwargs):

@@ -156,6 +156,21 @@ class TestLoadImageFeatures:
         with pytest.raises(CorpusFormatError, match="non-finite"):
             load_image_features(path)
 
+    @pytest.mark.parametrize("values", ["1e300 0", "1e200 1e200", "-1.7976931348623157e308 1"])
+    def test_overflowing_squared_norm_rejected(self, tmp_path, values):
+        """Finite values whose squared norm is not; refused with no RuntimeWarning
+        (pytest turns warnings into errors)."""
+        path = write(tmp_path, "f.txt", f"2 2\nimg1 1 2\nimg2 {values}\n")
+        message = f"{path}: image 'img2': non-finite feature value or squared norm"
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(message)}$"):
+            load_image_features(path)
+        with pytest.raises(CorpusFormatError, match="^image 'img2': non-finite feature value or squared norm$"):
+            FeatureStore([ImageRecord("img2", np.array([float(v) for v in values.split()]))], 2)
+
+    def test_large_finite_squared_norm_accepted(self, tmp_path):
+        path = write(tmp_path, "f.txt", "1 2\nimg1 1e153 1e153\n")
+        assert load_image_features(path).get("img1")[0] == 1e153
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = write(tmp_path, "f.txt", "2 2\nimg1 1 2\nimg1 3 4\n")
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(path)}: duplicate image_id 'img1'$"):

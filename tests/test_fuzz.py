@@ -88,8 +88,9 @@ def edited_bytes(draw, blob: bytes) -> bytes:
 @st.composite
 def edited_header(draw, header: dict) -> dict:
     """A copy of ``header`` with one node replaced or deleted, or a key or
-    item added to it. The node is found by descending from the root, stopping
-    or entering one child at each level."""
+    item added to it; an item added to a list may repeat one of its own, such
+    as a vocabulary term. The node is found by descending from the root,
+    stopping or entering one child at each level."""
     root = node = copy.deepcopy(header)
     parent = key = None
     while isinstance(node, (dict, list)) and node:
@@ -100,7 +101,8 @@ def edited_header(draw, header: dict) -> dict:
         parent, key, node = node, child, node[child]
     op = draw(st.sampled_from(["replace", "delete", "add"]))
     if op == "add" and isinstance(node, list):
-        node.append(draw(JSON_VALUES))
+        repeat = node and draw(st.booleans())
+        node.append(copy.deepcopy(draw(st.sampled_from(node))) if repeat else draw(JSON_VALUES))
     elif op == "add" and isinstance(node, dict):
         node[draw(st.sampled_from(["n_test", "x", "mode", "seed"]))] = draw(JSON_VALUES)
     elif op == "delete" and parent is not None:
@@ -207,11 +209,22 @@ def test_preprocess_and_train_on_edited_inputs(inputs, data):
                  out)
 
 
+def header_terms(header) -> list[str]:
+    """The string terms an edited header's vocabulary lists, wherever the edit fell."""
+    try:
+        return [row[0] for row in header["vocabulary"]["terms"] if isinstance(row[0], str)]
+    except (KeyError, TypeError, IndexError):
+        return []
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_evaluate_and_query_on_edited_headers(inputs, data):
+    """The sentence query also holds every term of the edited vocabulary, so
+    a term an edit added is looked up."""
     blob = inputs.ckpts[data.draw(st.sampled_from(sorted(inputs.ckpts)))].read_bytes()
     header = data.draw(edited_header(read_header(blob)))
+    sentence = " ".join(["c0w1 c1w2 c0w3", *header_terms(header)])
     captions, features = str(inputs.files["captions"]), str(inputs.files["features"])
     with tempfile.TemporaryDirectory(dir=inputs.root) as tmp:
         ckpt, out = str(Path(tmp) / "checkpoint.bin"), Path(tmp) / "eval"
@@ -219,6 +232,6 @@ def test_evaluate_and_query_on_edited_headers(inputs, data):
         run_main(["evaluate", "--checkpoint", ckpt, "--captions", captions,
                   "--features", features, "--out", str(out)], out)
         run_main(["query", "--checkpoint", ckpt, "--features", features,
-                  "--sentence", "c0w1 c1w2 c0w3"])
+                  "--sentence", sentence])
         run_main(["query", "--checkpoint", ckpt, "--features", features,
                   "--captions", captions, "--image-id", "c2img001"])

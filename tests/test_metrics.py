@@ -323,8 +323,7 @@ class TestRankCandidates:
         model, data, store, vocab = self.toy_model_and_data()
         # every term of caption c0img000#0 embeds to zero and the net has no bias
         model.textual_net.params["b0"][:] = 0.0
-        for term in data.captions[("c0img000", 0)].tokens:
-            model.textual_net.params["w0"][vocab.term_to_index[term]] = 0.0
+        model.textual_net.params["w0"][data.encoding("c0img000", 0).indices] = 0.0
         zero = {f"{i}#{j}" for i, j in data.view("test").pairs
                 if not np.any(forward(model.textual_net, data.encoding(i, j))[0])}
         assert "c0img000#0" in zero

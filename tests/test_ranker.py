@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import crossmodal.ranker as ranker_mod
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
-from crossmodal.errors import NonFiniteGradientError, ZeroNormError
+from crossmodal.errors import ConfigError, NonFiniteGradientError, ZeroNormError
 from crossmodal.nets import NetSpec, init_net
 from crossmodal.ranker import (
     EpochStats,
@@ -539,6 +539,27 @@ class TestTrain:
         for name in before:
             np.testing.assert_array_equal(best.textual_net.params[name], before[name])
 
+    @pytest.mark.parametrize(
+        "val_errs, clones",
+        [([], 1), ([50.0, 40.0, 42.0, 39.0, 39.0], 3), ([50.0, 60.0, 70.0], 1)],
+        ids=["no_epoch", "three_improvements", "first_epoch_only"],
+    )
+    def test_clones_only_an_improving_epoch(self, monkeypatch, val_errs, clones):
+        """One clone per improving epoch, and one of the passed model when no epoch runs."""
+        data, store, vocab = make_dataset(
+            train_ids=["c0img000", "c1img000", "c2img000"],
+            val_ids=["c0img001", "c1img001"],
+        )
+        model = make_model(vocab.size, store.feature_dim)
+        fake_vals = iter(val_errs)
+        monkeypatch.setattr(ranker_mod, "validate", lambda *a, **k: next(fake_vals))
+        cloned = []
+        real_clone = ranker_mod.clone_model
+        monkeypatch.setattr(ranker_mod, "clone_model", lambda m: cloned.append(m) or real_clone(m))
+        best, _ = train(model, data, TrainConfig(seed=0, max_epochs=len(val_errs)))
+        assert len(cloned) == clones and all(m is model for m in cloned)
+        assert best is not model
+
     def test_returned_model_is_best_snapshot(self):
         data, store, vocab = make_dataset(
             n_clusters=3,
@@ -562,6 +583,11 @@ class TestTrainConfig:
             TrainConfig(margin=0.0)
         with pytest.raises(ValueError):
             TrainConfig(lr0=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="margin must be positive and finite"):
+                TrainConfig(margin=bad)
+            with pytest.raises(ConfigError, match="lr0 must be positive and finite"):
+                TrainConfig(lr0=bad)
         with pytest.raises(ValueError):
             TrainConfig(methodology="X2Y")
         with pytest.raises(ValueError):

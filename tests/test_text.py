@@ -1,13 +1,15 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossmodal.corpus import Caption
 from crossmodal.errors import EmptySequenceError, VocabularyError
 from crossmodal.text import (
+    MODES,
     Vocabulary,
     build_vocabulary,
     encode_sequence,
@@ -16,7 +18,10 @@ from crossmodal.text import (
     load_vocabulary,
     normalize_tokenize,
     save_vocabulary,
+    vocabulary_text,
 )
+
+from oracles import oracle_load_vocabulary, oracle_vocab_digest, oracle_vocabulary_text
 
 
 class TestNormalizeTokenize:
@@ -178,6 +183,49 @@ class TestVocabularySerialization:
         assert loaded.term_to_index == vocab.term_to_index
         assert loaded.doc_freq == vocab.doc_freq
         assert loaded.n_docs == vocab.n_docs
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_loader_matches_row_by_row_oracle(self, tmp_path_factory, data):
+        """Edited vocab.tsv files load to equal vocabularies, with equal text and
+        digests, or fail with the same message. One exception: a header whose
+        mode is unknown and whose counts are not integers now names the counts."""
+        vocab = build_vocabulary(caps(["dog runs fast", "cat naps", "dog naps here"]), "unigram", 6)
+        rows = [vocabulary_text(vocab).split("\n")[0].split(" ")] + [
+            line.split("\t") for line in vocabulary_text(vocab).splitlines()[1:]]
+        tokens = ["0", "1", "2", "3", "5", "-1", "99", "x", "1.5", "", "dog", "cat", "unigram",
+                  "bigram", "pentagram", "\t", " "]
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(rows) - 1)) if rows else 0
+            kind = data.draw(st.sampled_from(["field", "delete", "repeat", "blank"]))
+            if kind == "field" and rows:
+                rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = data.draw(st.sampled_from(tokens))
+            elif kind == "delete" and rows:
+                del rows[i]
+            elif kind == "repeat" and rows:
+                rows.insert(i, list(rows[i]))
+            else:
+                rows.insert(i, [""])
+        text = "".join((" " if i == 0 else "\t").join(r) + "\n" for i, r in enumerate(rows))
+        path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
+        path.write_text(text)
+        try:
+            expected = oracle_load_vocabulary(str(path))
+        except VocabularyError as exc:
+            with pytest.raises(VocabularyError) as got:
+                load_vocabulary(str(path))
+            header = text.split("\n")[0].split()
+            unknown_mode_and_bad_counts = (len(header) == 3 and header[0] not in MODES
+                                           and not all(re.fullmatch(r"-?\d+", f) for f in header[1:]))
+            if unknown_mode_and_bad_counts:
+                assert "expected integers" in str(got.value)
+            else:
+                assert str(got.value) == str(exc)
+            return
+        loaded = load_vocabulary(str(path))
+        assert loaded == expected
+        assert vocabulary_text(loaded) == oracle_vocabulary_text(expected)
+        assert loaded.digest == oracle_vocab_digest(expected)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "vocab.tsv"
