@@ -390,7 +390,7 @@ def train(
         if progress is not None:
             progress(stats)
         if val_err < best_val:
-            best_val = val_err
+            best_val, best = val_err, None  # free the old snapshot first: one at a time
             best = clone_model(model)
             history.best_epoch = e
     return (best if best is not None else clone_model(model)), history

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -545,7 +546,8 @@ class TestTrain:
         ids=["no_epoch", "three_improvements", "first_epoch_only"],
     )
     def test_clones_only_an_improving_epoch(self, monkeypatch, val_errs, clones):
-        """One clone per improving epoch, and one of the passed model when no epoch runs."""
+        """One clone per improving epoch, and one of the passed model when no epoch runs;
+        the previous snapshot is freed before the next is taken, so at most one is held."""
         data, store, vocab = make_dataset(
             train_ids=["c0img000", "c1img000", "c2img000"],
             val_ids=["c0img001", "c1img001"],
@@ -553,11 +555,20 @@ class TestTrain:
         model = make_model(vocab.size, store.feature_dim)
         fake_vals = iter(val_errs)
         monkeypatch.setattr(ranker_mod, "validate", lambda *a, **k: next(fake_vals))
-        cloned = []
+        cloned, snapshots, held = [], [], []
         real_clone = ranker_mod.clone_model
-        monkeypatch.setattr(ranker_mod, "clone_model", lambda m: cloned.append(m) or real_clone(m))
+
+        def clone(m):
+            cloned.append(m)
+            held.append(sum(ref() is not None for ref in snapshots))
+            snapshot = real_clone(m)
+            snapshots.append(weakref.ref(snapshot))
+            return snapshot
+
+        monkeypatch.setattr(ranker_mod, "clone_model", clone)
         best, _ = train(model, data, TrainConfig(seed=0, max_epochs=len(val_errs)))
         assert len(cloned) == clones and all(m is model for m in cloned)
+        assert held == [0] * clones
         assert best is not model
 
     def test_returned_model_is_best_snapshot(self):
