@@ -8,10 +8,10 @@ Layout (all integers little-endian):
 The header carries both net specs, the training and data configuration, the
 vocabulary, the epoch history, and a parameter manifest (name + shape per
 net) that must equal the layout the specs give: ``nets.param_shapes`` order,
-textual net first. The vocabulary follows the vocab.tsv rule and has one
-term per textual net input row. Saves stream to ``<path>.tmp`` and rename
-it over ``path``; loads return the parameters as views of one buffer.
-Parameters round-trip bit-exactly.
+textual net first. The vocabulary follows the vocab.tsv rule, has one
+term per textual net input row and hashes to ``vocab_digest``. Saves
+stream to ``<path>.tmp`` and rename it over ``path``; loads return the
+parameters as views of one buffer. Parameters round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class Checkpoint:
     train_config: TrainConfig
     data_config: dict
     history: TrainHistory
-    vocab_digest: str
 
 
 def _vocab_to_json(vocab: Vocabulary) -> dict:
@@ -54,13 +53,15 @@ def _vocab_to_json(vocab: Vocabulary) -> dict:
     }
 
 
-def _vocab_from_json(blob: dict, textual: NetSpec) -> Vocabulary:
-    """The header vocabulary under the vocab.tsv rule: a term's index is its list
-    position, and the textual net's input rows declare the size."""
+def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
+    """The header vocabulary under the vocab.tsv rule (a term's index is its list position,
+    the textual net's input rows declare the size), whose own digest must be ``digest``."""
     rows = ((i, term, i, count) for i, (term, count) in enumerate(blob["terms"]))
     vocab = vocabulary_from_rows("vocabulary", "vocabulary term {}".format, blob["mode"],
                                  textual.input_dim, blob["n_docs"], rows)
     vocab.max_size = blob["max_size"]
+    if vocab.digest != digest:
+        raise ValueError("vocab_digest is not the digest of the vocabulary")
     return vocab
 
 
@@ -150,11 +151,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
         return Checkpoint(
             model=ScoreModel(textual_net=nets["textual"], visual_net=nets["visual"]),
-            vocabulary=_vocab_from_json(header["vocabulary"], specs["textual"]),
+            vocabulary=_vocab_from_json(header["vocabulary"], header["vocab_digest"], specs["textual"]),
             train_config=TrainConfig(**header["train_config"]),
             data_config=header["data_config"],
             history=history,
-            vocab_digest=header["vocab_digest"],
         )
     except (KeyError, TypeError, ValueError, VocabularyError) as exc:  # JSON and Unicode errors are ValueErrors
         raise CheckpointCorruptError(

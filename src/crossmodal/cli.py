@@ -71,6 +71,7 @@ class Option:
     choices: tuple = ()
     help: str = ""
     field: str | None = None  # the TrainConfig field it sets
+    flag = property(lambda self: "--" + self.name.replace("_", "-"))
 
 
 def _train_option(name: str, field_name: str, type_, help: str, choices: tuple = ()) -> Option:
@@ -116,27 +117,28 @@ def parse_config_file(path: str) -> dict[str, Any]:
         opt = OPTION_BY_NAME.get(key.strip())
         if opt is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        try:
-            value = opt.type(raw.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {opt.name}: {exc}") from None
-        if opt.choices and value not in opt.choices:
-            raise ConfigError(
-                f"{path}:{lineno}: {opt.name} must be one of {opt.choices}, got {raw.strip()!r}"
-            )
-        values[opt.name] = value
+        values[opt.name] = typed_value(opt, raw.strip(), f"{path}:{lineno}")
     return values
 
 
+def typed_value(opt: Option, raw: str, where: str) -> Any:
+    """``raw`` typed and checked by ``opt``; errors open with ``where``, a path:line or --flag."""
+    try:
+        value = opt.type(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {opt.name}: {exc}") from None
+    if opt.choices and value not in opt.choices:
+        raise ConfigError(f"{where}: {opt.name} must be one of {opt.choices}, got {raw!r}")
+    return value
+
+
 def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags; all typed by typed_value."""
     resolved = {opt.name: opt.default for opt in OPTIONS}
     if args.config:
         resolved.update(parse_config_file(args.config))
-    for opt in OPTIONS:
-        flag = getattr(args, opt.name)
-        if flag is not None:
-            resolved[opt.name] = flag
+    resolved.update({opt.name: typed_value(opt, raw, opt.flag) for opt in OPTIONS
+                     if (raw := getattr(args, opt.name)) is not None})
     return resolved
 
 
@@ -280,11 +282,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"{args.checkpoint} records no n_test/val_frac, so its test split is unknown"
         )
-    if args.vocab:
-        if load_vocabulary(args.vocab).digest != ckpt.vocab_digest:
-            raise ConfigError(
-                f"vocabulary digest mismatch: {args.vocab} does not match the checkpoint's vocabulary"
-            )
+    if args.vocab and load_vocabulary(args.vocab).digest != ckpt.vocabulary.digest:
+        raise ConfigError(f"vocabulary digest mismatch: {args.vocab} does not match the "
+                          "checkpoint's vocabulary")
     captions = load_captions(args.captions, strict=not args.lenient)
     features = _load_features(args.features, ckpt)
     config = ckpt.train_config
@@ -380,10 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="optional word2vec text file for first-layer init")
     p.add_argument("--config", help="flat key = value config file")
     for opt in OPTIONS:
-        p.add_argument(
-            "--" + opt.name.replace("_", "-"), dest=opt.name, type=opt.type,
-            choices=opt.choices or None, help=f"{opt.help} (default {opt.default})",
-        )
+        p.add_argument(opt.flag, dest=opt.name, help=f"{opt.help} (default {opt.default})",
+                       metavar="{%s}" % ",".join(opt.choices) if opt.choices else None)
     p.add_argument("--lenient", action="store_true", help=LENIENT_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -361,8 +361,12 @@ def generate_synthetic_corpus(
     """
     if min(n_clusters, images_per_cluster, feature_dim, vocab_per_cluster) <= 0:
         raise ConfigError("all synthetic corpus counts must be positive")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     if noise_sigma < 0:
         raise ConfigError("noise_sigma must be nonnegative")
+    if not noise_sigma < math.inf:  # true for NaN too
+        raise ConfigError("noise_sigma must be finite")
     rng = np.random.default_rng(seed)
     images: list[ImageRecord] = []
     captions: list[Caption] = []

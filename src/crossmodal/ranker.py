@@ -58,6 +58,8 @@ class TrainConfig:
             raise ConfigError("val_pairs_per_epoch must be positive")
         if type(self.seed) is not int:
             raise ConfigError("seed must be an integer")
+        if self.seed < 0:  # numpy seeds only nonnegative integers
+            raise ConfigError("seed must be nonnegative")
 
 
 @dataclass

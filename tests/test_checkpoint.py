@@ -69,7 +69,7 @@ class TestRoundTrip:
         assert ckpt.vocabulary.doc_freq == vocab.doc_freq
         assert ckpt.vocabulary.n_docs == vocab.n_docs
         assert ckpt.data_config == {"n_test": 3, "val_frac": 0.1}
-        assert ckpt.vocab_digest == oracle_vocab_digest(vocab)
+        assert ckpt.vocabulary.digest == oracle_vocab_digest(vocab)
 
     def test_scores_bit_identical_after_round_trip(self, setup):
         """Train a little first so the saved parameters are non-trivial."""
@@ -214,6 +214,8 @@ class TestFailureModes:
             lambda h: h["vocabulary"]["terms"].append(["zzz", 1]),
             lambda h: h["vocabulary"]["terms"].pop(),
             lambda h: h["vocabulary"]["terms"][1].__setitem__(0, h["vocabulary"]["terms"][0][0]),
+            lambda h: h["vocabulary"]["terms"].insert(0, h["vocabulary"]["terms"].pop(1)),
+            lambda h: h.update(vocab_digest="0" * 64),
         ],
         ids=[
             "unknown_train_config_key",
@@ -230,6 +232,8 @@ class TestFailureModes:
             "extra_term",
             "missing_term",
             "duplicate_term",
+            "swapped_terms",
+            "stale_digest",
         ],
     )
     def test_bad_header_with_valid_checksum(self, setup, mutate):

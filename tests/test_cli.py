@@ -10,7 +10,7 @@ import pytest
 
 from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
-from crossmodal.cli import build_parser, main
+from crossmodal.cli import build_parser, main, resolve_config
 
 from test_checkpoint import read_header, resign
 
@@ -159,6 +159,21 @@ class TestSynthAndPreprocess:
         out = tmp_path / "none"
         assert_one_error_line(capsys, "ConfigError", out, "synth", "--clusters", "0", "--out", str(out))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(("--seed", "-1"), "seed must be nonnegative"),
+         (("--noise-sigma", "nan"), "noise_sigma must be finite"),
+         (("--noise-sigma", "inf"), "noise_sigma must be finite"),
+         (("--noise-sigma", "-1"), "noise_sigma must be nonnegative")],
+        ids=["--seed -1", "--noise-sigma nan", "--noise-sigma inf", "--noise-sigma -1"],
+    )
+    def test_bad_seed_or_noise_refused(self, tmp_path, capsys, bad, message):
+        """Refused before anything is written: numpy seeds no negative integer, and
+        non-finite noise would write a features.txt that every loader refuses."""
+        out = tmp_path / "none"
+        err = assert_one_error_line(capsys, "ConfigError", out, "synth", *bad, "--out", str(out))
+        assert err == f"error ConfigError: {message}\n"
+
     def test_python_m_runs_the_cli(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -223,6 +238,11 @@ class TestTrain:
             ("--margin", "inf"),
             ("--lr", "nan"),
             ("--lr", "inf"),
+            ("--seed", "-1"),
+            # typed like a config-file value, so no argparse usage message
+            ("--epochs", "abc"),
+            ("--methodology", "xyz"),
+            ("--textual", "lstm"),
         ],
         ids=" ".join,
     )
@@ -309,10 +329,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", ["epochs = many", "methodology = x2y", "textual = lstm"])
     def test_bad_config_value(self, tmp_path, corpus, prepped, capsys, line):
+        """The same value fails with the same text from the file and as a flag,
+        naming ``path:line`` or ``--flag``."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        rc, _, err = run(capsys, *train_args(corpus, prepped, tmp_path / "x", "--config", str(cfg)))
-        assert rc != 0 and err.startswith("error ConfigError: ") and "run.cfg:1" in err
+        out = tmp_path / "x"
+        err = assert_one_error_line(capsys, "ConfigError", out,
+                                    *train_args(corpus, prepped, out, "--config", str(cfg)))
+        assert err.startswith(f"error ConfigError: {cfg}:1: ")
+        key, _, value = line.partition(" = ")
+        flag = "--" + key.replace("_", "-")
+        flag_err = assert_one_error_line(capsys, "ConfigError", out,
+                                         *train_args(corpus, prepped, out, flag, value))
+        assert flag_err == err.replace(f"{cfg}:1", flag, 1)
 
     def test_history_format(self, trained):
         lines = (trained / "history.tsv").read_text().splitlines()
@@ -520,6 +549,28 @@ class TestEvaluate:
             err = assert_one_error_line(capsys, "CheckpointCorruptError", out, *argv,
                                         "--checkpoint", str(ckpt), "--features", str(corpus / "features.txt"))
             assert err.startswith(f"error CheckpointCorruptError: {ckpt}: invalid header (VocabularyError: ")
+
+    def test_header_with_swapped_vocabulary_terms_refused(self, tmp_path, corpus, prepped, trained,
+                                                          capsys):
+        """A re-signed header whose first two terms trade places still follows the
+        vocab.tsv rule, but its stored vocab_digest is no longer its vocabulary's;
+        ``evaluate --vocab`` used to vouch for it and print other R@K rows."""
+        blob = (trained / "checkpoint.bin").read_bytes()
+        header = read_header(blob)
+        terms = header["vocabulary"]["terms"]
+        terms[0], terms[1] = terms[1], terms[0]
+        ckpt = tmp_path / "swapped.bin"
+        resign(ckpt, blob, header=header)
+        out = tmp_path / "eval"
+        for argv in (
+            ["evaluate", "--captions", str(corpus / "captions.tsv"),
+             "--vocab", str(prepped / "vocab.tsv"), "--out", str(out)],
+            ["query", "--sentence", "c0w1"],
+        ):
+            err = assert_one_error_line(capsys, "CheckpointCorruptError", out, *argv,
+                                        "--checkpoint", str(ckpt), "--features", str(corpus / "features.txt"))
+            assert err == (f"error CheckpointCorruptError: {ckpt}: invalid header "
+                           "(ValueError: vocab_digest is not the digest of the vocabulary)\n")
 
     def test_a_bug_in_a_command_is_a_traceback(self, tmp_path, corpus, trained, monkeypatch):
         def broken(*args, **kwargs):
@@ -762,5 +813,7 @@ class TestReadme:
         for line in lines:
             argv = shlex.split(line)[1:]
             args = build_parser().parse_args(argv)  # exits on an unknown flag or bad value
+            if args.command == "train":
+                resolve_config(args)  # types the train values, which argparse leaves strings
             commands.add(args.command)
         assert commands == {"synth", "preprocess", "train", "evaluate", "query"}

@@ -10,6 +10,7 @@ run in a traceback.
 import builtins
 import copy
 import io
+import json
 import re
 import tempfile
 import warnings
@@ -87,11 +88,30 @@ def edited_bytes(draw, blob: bytes) -> bytes:
 
 @st.composite
 def edited_header(draw, header: dict) -> dict:
-    """A copy of ``header`` with one node replaced or deleted, or a key or
-    item added to it; an item added to a list may repeat one of its own, such
-    as a vocabulary term. The node is found by descending from the root,
-    stopping or entering one child at each level."""
+    """A copy of ``header`` with one edit. A third of the edits fall on the
+    vocabulary's term list: two terms swapped, one repeated, dropped or
+    appended new, or one doc_freq set to another value in 1..n_docs. The
+    rest replace or delete one node, or add a key or item to it; an item
+    added to a list may repeat one of its own. That node is found by
+    descending from the root, stopping or entering one child at each level."""
     root = node = copy.deepcopy(header)
+    if draw(st.integers(0, 2)) == 0:
+        terms, n_docs = root["vocabulary"]["terms"], root["vocabulary"]["n_docs"]
+        i, j = draw(st.lists(st.integers(0, len(terms) - 1), min_size=2, max_size=2, unique=True))
+        edit = draw(st.sampled_from(["swap", "repeat", "drop", "append", "doc_freq"]))
+        if edit == "swap":
+            terms[i], terms[j] = terms[j], terms[i]
+        elif edit == "repeat":
+            terms.insert(j, copy.deepcopy(terms[i]))
+        elif edit == "drop":
+            del terms[i]
+        elif edit == "append":
+            terms.append([draw(st.sampled_from(["zzz", "c9w9", "c0w1_c0w2"])),
+                          draw(st.integers(1, n_docs))])
+        else:  # 1..n_docs - 1 mapped onto 1..n_docs without the current value
+            freq = draw(st.integers(1, n_docs - 1))
+            terms[i][1] = freq if freq < terms[i][1] else freq + 1
+        return root
     parent = key = None
     while isinstance(node, (dict, list)) and node:
         keys = sorted(node) if isinstance(node, dict) else [draw(st.integers(0, len(node) - 1))]
@@ -209,6 +229,15 @@ def test_preprocess_and_train_on_edited_inputs(inputs, data):
                  out)
 
 
+def vocabulary_identity(header) -> str | None:
+    """An edited header's vocabulary as JSON text: its mode, n_docs and terms,
+    which fix its digest; None where the edit removed one of them."""
+    try:
+        return json.dumps([header["vocabulary"][k] for k in ("mode", "n_docs", "terms")])
+    except (KeyError, TypeError):
+        return None
+
+
 def header_terms(header) -> list[str]:
     """The string terms an edited header's vocabulary lists, wherever the edit fell."""
     try:
@@ -221,17 +250,28 @@ def header_terms(header) -> list[str]:
 @given(data=st.data())
 def test_evaluate_and_query_on_edited_headers(inputs, data):
     """The sentence query also holds every term of the edited vocabulary, so
-    a term an edit added is looked up."""
+    a term an edit added is looked up. ``evaluate --vocab`` checks the edited
+    vocabulary against the vocab.tsv the checkpoints were trained on. Unless
+    the edit left the vocabulary as it was, every command fails, since a
+    header's stored digest no longer matches its vocabulary."""
     blob = inputs.ckpts[data.draw(st.sampled_from(sorted(inputs.ckpts)))].read_bytes()
-    header = data.draw(edited_header(read_header(blob)))
+    original = read_header(blob)
+    header = data.draw(edited_header(original))
     sentence = " ".join(["c0w1 c1w2 c0w3", *header_terms(header)])
     captions, features = str(inputs.files["captions"]), str(inputs.files["features"])
     with tempfile.TemporaryDirectory(dir=inputs.root) as tmp:
-        ckpt, out = str(Path(tmp) / "checkpoint.bin"), Path(tmp) / "eval"
-        resign(ckpt, blob, header=header)
-        run_main(["evaluate", "--checkpoint", ckpt, "--captions", captions,
-                  "--features", features, "--out", str(out)], out)
-        run_main(["query", "--checkpoint", ckpt, "--features", features,
-                  "--sentence", sentence])
-        run_main(["query", "--checkpoint", ckpt, "--features", features,
-                  "--captions", captions, "--image-id", "c2img001"])
+        ckpt, out, vouched = str(Path(tmp) / "checkpoint.bin"), Path(tmp) / "eval", Path(tmp) / "vouched"
+        # as bytes, so that a root replaced by null is written, not the original header
+        resign(ckpt, blob, header=json.dumps(header, sort_keys=True).encode())
+        codes = [
+            run_main(["evaluate", "--checkpoint", ckpt, "--captions", captions,
+                      "--features", features, "--out", str(out)], out),
+            run_main(["evaluate", "--checkpoint", ckpt, "--captions", captions,
+                      "--features", features, "--vocab", str(inputs.files["vocab"]),
+                      "--out", str(vouched)], vouched),
+            run_main(["query", "--checkpoint", ckpt, "--features", features,
+                      "--sentence", sentence]),
+            run_main(["query", "--checkpoint", ckpt, "--features", features,
+                      "--captions", captions, "--image-id", "c2img001"]),
+        ]
+        assert codes == [1] * 4 or vocabulary_identity(header) == vocabulary_identity(original)

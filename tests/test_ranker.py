@@ -603,6 +603,8 @@ class TestTrainConfig:
             TrainConfig(methodology="X2Y")
         with pytest.raises(ValueError):
             TrainConfig(weighting="ternary")
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            TrainConfig(seed=-1)
 
     def test_score_model_requires_matching_widths(self):
         with pytest.raises(ValueError):
