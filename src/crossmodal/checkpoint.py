@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import atomic_write
 from .errors import CheckpointCorruptError, CheckpointVersionError, VocabularyError
-from .nets import Net, NetSpec, param_shapes
+from .nets import Net, NetSpec, fold_pending, param_shapes
 from .ranker import EpochStats, ScoreModel, TrainConfig, TrainHistory
 from .text import Vocabulary, vocabulary_from_rows, vocabulary_rows
 
@@ -76,6 +76,7 @@ def save_checkpoint(
     nets = {"textual": model.textual_net, "visual": model.visual_net}
     layout = {side: param_shapes(net.spec) for side, net in nets.items()}
     for side, net in nets.items():
+        fold_pending(net)
         if [(name, arr.shape) for name, arr in net.params.items()] != layout[side]:
             raise ValueError(f"{side} net parameters do not match its spec")
     if vocab.size != model.textual_net.spec.input_dim:  # one first-layer row per term

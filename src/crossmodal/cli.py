@@ -34,7 +34,7 @@ from .corpus import (
 from .errors import ConfigError, CrossmodalError, EmptySequenceError
 from .metrics import (build_rankings, caption_id, evaluate_rankings, format_report,
                       rank_by_cosine, report_to_kv)
-from .nets import NetSpec, forward, init_net
+from .nets import NetSpec, embed_dense, forward, init_net
 from .ranker import (
     METHODOLOGIES,
     RetrievalDataset,
@@ -122,13 +122,19 @@ def parse_config_file(path: str) -> dict[str, Any]:
 
 
 def typed_value(opt: Option, raw: str, where: str) -> Any:
-    """``raw`` typed and checked by ``opt``; errors open with ``where``, a path:line or --flag."""
+    """``raw`` typed and checked by ``opt``, and by ``TrainConfig`` for a field it sets;
+    errors open with ``where``, a path:line or --flag."""
     try:
         value = opt.type(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {opt.name}: {exc}") from None
     if opt.choices and value not in opt.choices:
         raise ConfigError(f"{where}: {opt.name} must be one of {opt.choices}, got {raw!r}")
+    if opt.field:
+        try:  # the value alone, the other fields at their defaults
+            TrainConfig(**{opt.field: value})
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return value
 
 
@@ -258,14 +264,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         visual_net=init_net(vspec, config.seed + 1),
     )
     _report_unencodable(data)  # once every check passed, so a failure is one line
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(os.path.join(args.out, "manifest.json"), typed, args)
     best, history = train(
         model, data, config,
         progress=lambda s: _progress(
             f"epoch {s.epoch} lr {s.lr:.6g} train_err {s.train_err:.2f}% val_err {s.val_err:.2f}%"
         ),
     )
+    # only a run that trained writes anything, so a failed one leaves no --out
+    os.makedirs(args.out, exist_ok=True)
+    _write_manifest(os.path.join(args.out, "manifest.json"), typed, args)
     write_history(history, os.path.join(args.out, "history.tsv"))
     save_checkpoint(
         os.path.join(args.out, "checkpoint.bin"), best, vocab, config, history,
@@ -328,7 +335,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             raise EmptySequenceError("sentence has no in-vocabulary terms")
         query, _ = forward(textual, enc)
         ids = labels = features.ids()
-        embs = [forward(visual, features.get(image_id))[0] for image_id in ids]
+        embs = embed_dense(visual, [features.get(image_id) for image_id in ids])
     else:
         if args.image_id not in features:
             raise ConfigError(f"unknown image id {args.image_id!r}")
@@ -339,10 +346,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         pool = [(cap, enc) for cap in captions if (enc := encode(cap.text)) is not None]
         ids = [caption_id(cap.image_id, cap.caption_index) for cap, _ in pool]
         labels = [f"{cid}\t{cap.text}" for cid, (cap, _) in zip(ids, pool)]
-        embs = [forward(textual, enc)[0] for _, enc in pool]
+        embs = np.array([forward(textual, enc)[0] for _, enc in pool])
     if not ids:
         raise ConfigError("nothing to rank: no image, or no caption with an in-vocabulary term")
-    order, scores = rank_by_cosine(query[None], np.array(embs), ids)
+    order, scores = rank_by_cosine(query[None], embs, ids)
     # zero-norm candidates cannot be scored; they sort last and are not shown
     for rank, (j, score) in enumerate(zip(order[0][:top_k], scores[0]), start=1):
         if score == -np.inf:

@@ -22,7 +22,7 @@ class ZeroNormError(CrossmodalError):
 
 
 class NonFiniteGradientError(CrossmodalError):
-    """A gradient contained NaN or inf; the epoch must abort."""
+    """A gradient, or an embedding it comes from, contained NaN or inf; the epoch must abort."""
 
 
 class CheckpointVersionError(CrossmodalError):

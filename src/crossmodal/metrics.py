@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import CAPTIONS_PER_IMAGE
 from .errors import ZeroNormError
-from .nets import forward
+from .nets import embed_dense, forward
 from .ranker import RetrievalDataset, ScoreModel
 
 VARIANTS = ("first_txt", "rnd_txt", "avg_txt", "any_txt")
@@ -84,13 +84,13 @@ def build_rankings(
 ) -> tuple[RankingSet, RankingSet]:
     """Full annotation and search rankings over one split.
 
-    Embeds every item once and orders each direction with one
-    ``rank_by_cosine`` call. A caption that embeds to the zero vector ranks
-    last for every image and is not a search query.
+    Embeds every item once, the images as stacked products, and orders each
+    direction with one ``rank_by_cosine`` call. A caption that embeds to the
+    zero vector ranks last for every image and is not a search query.
     """
     view = data.view(subset)
     images = view.image_ids
-    img_embs = np.array([forward(model.visual_net, data.image_vec(i))[0] for i in images])
+    img_embs = embed_dense(model.visual_net, [data.image_vec(i) for i in images])
     cap_ids = [caption_id(image_id, index) for image_id, index in view.pairs]
     cap_embs = np.array([forward(model.textual_net, data.encoding(*key))[0] for key in view.pairs])
     captions_of: dict[str, list[str]] = {i: [] for i in images}

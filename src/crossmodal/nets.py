@@ -7,16 +7,24 @@ Two architectures share one interface:
   vectors -> average over positions -> relu -> linear -> embedding
 
 Everything runs in float64; gradients are exact, which the finite-difference
-test suite relies on.
+test suite relies on. The convolution is linear, so the sequence net
+averages its windows first and convolves the one mean window.
 
 First-layer gradients are never dense. A caption touches only the ``w0``
 rows (bag) or ``lookup`` rows (sequence) of its terms, so ``backward``
 returns that gradient as a ``RowGrad`` of those rows, and ``sgd_step``
-updates only them. A dense input's ``w0`` gradient is an outer product, so
-``backward`` returns its factors as an ``OuterGrad``; ``sgd_step`` checks
-finiteness on the factors and applies the product in row blocks, with the
-same operations, in the same order, as the dense update. Every other
-gradient is a dense array of its parameter's shape.
+updates only them. A dense input's ``w0`` gradient, and the sequence net's
+``conv_w`` gradient, is an outer product, so ``backward`` returns its
+factors as an ``OuterGrad``. ``sgd_step`` checks finiteness on the factors
+and then defers the step: it appends the factors and the learning rate to
+the layer's ``Pending`` terms, and ``forward`` computes
+``x @ w - ((x @ lefts.T) * lrs) @ rights``. Every ``FOLD_TERMS`` terms the
+pending terms are folded into the weights by one row-blocked product; a
+fold of one step's terms runs the dense update's operations, in its order.
+``fold_pending`` folds them on demand, before anything reads ``params``
+directly: ``clone_net``, ``save_checkpoint`` and the end of training. Every
+other gradient is a dense array of its parameter's shape and is applied at
+once.
 """
 
 from __future__ import annotations
@@ -66,9 +74,10 @@ class RowGrad(NamedTuple):
 
 
 class OuterGrad(NamedTuple):
-    """Gradient of a dense-input first layer: sum_i outer(lefts[i], rights[i]).
+    """Gradient of a layer whose input is one dense vector per pass (a dense
+    first layer, the sequence net's convolution): sum_i outer(lefts[i], rights[i]).
 
-    Never materialized whole; ``sgd_step`` applies it a row block at a time.
+    Never materialized whole; ``sgd_step`` defers it as pending terms.
     Being a tuple, ``+`` concatenates fields wrongly: sum with ``accumulate``.
     """
 
@@ -78,14 +87,32 @@ class OuterGrad(NamedTuple):
 
 Grads = dict[str, np.ndarray | RowGrad | OuterGrad]
 
-# rows of an OuterGrad materialized at once: 256 x 300 float64 is 600 KB
+# rows of a weight matrix updated at once by a fold: 256 x 300 float64 is 600 KB
 OUTER_BLOCK_ROWS = 256
+# pending terms that trigger a fold: a 4096 x 300 layer holds 1 MB of them
+FOLD_TERMS = 32
+# image rows stacked at once by ``embed_dense``: 32 x 4096 float64 is 1 MB
+EMBED_CHUNK_ROWS = 32
+
+
+@dataclass
+class Pending:
+    """Steps deferred on one layer: its weights are ``param - sum_i lrs[i] *
+    outer(lefts[i], rights[i])`` over the first ``n`` rows of the buffers,
+    which ``steps`` calls of ``sgd_step`` appended."""
+
+    lefts: np.ndarray  # (capacity, param rows)
+    rights: np.ndarray  # (capacity, param columns)
+    lrs: np.ndarray  # (capacity,)
+    n: int = 0
+    steps: int = 0
 
 
 @dataclass
 class Net:
     spec: NetSpec
     params: dict[str, np.ndarray]
+    pending: dict[str, Pending] = field(default_factory=dict)
 
 
 @dataclass
@@ -156,6 +183,36 @@ def init_net(
     return Net(spec=spec, params=params)
 
 
+def _times(net: Net, name: str, x: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a row or a stack of rows ``x``, where ``w`` is
+    ``net.params[name]`` less its pending terms."""
+    out = x @ net.params[name]
+    pending = net.pending.get(name)
+    if pending is not None and pending.n:
+        n = pending.n
+        out -= ((x @ pending.lefts[:n].T) * pending.lrs[:n]) @ pending.rights[:n]
+    return out
+
+
+def _times_transposed(net: Net, name: str, y: np.ndarray) -> np.ndarray:
+    """``w @ y`` for a vector ``y``, ``w`` as in ``_times``."""
+    out = net.params[name] @ y
+    pending = net.pending.get(name)
+    if pending is not None and pending.n:
+        n = pending.n
+        out -= pending.lefts[:n].T @ (pending.lrs[:n] * (pending.rights[:n] @ y))
+    return out
+
+
+def _bag_output(net: Net, h0: np.ndarray, record: dict) -> np.ndarray:
+    """The bag net's layers after ``h0``, for one row or a stack of rows."""
+    p = net.params
+    if net.spec.n_hu > 0:
+        a = record["a"] = relu(h0)
+        return a @ p["w1"] + p["b1"]
+    return h0
+
+
 def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.ndarray, Tape]:
     """Embed one input, recording the activations needed for backward."""
     spec = net.spec
@@ -165,6 +222,7 @@ def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.
         if isinstance(x, TokenSequence):
             raise TypeError("bag nets take sparse or dense vectors, not token sequences")
         if isinstance(x, SparseVector):
+            fold_pending(net)  # the rows are read directly
             h0 = p["b0"].copy()
             if len(x):
                 h0 += x.values @ p["w0"][x.indices]
@@ -172,15 +230,11 @@ def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.
             dense = np.asarray(x, dtype=np.float64)
             if dense.shape != (spec.input_dim,):
                 raise ValueError(f"dense input shape {dense.shape} != ({spec.input_dim},)")
-            h0 = dense @ p["w0"] + p["b0"]
+            h0 = _times(net, "w0", dense) + p["b0"]
             x = dense
         tape.data["input"] = x
         tape.data["h0"] = h0
-        if spec.n_hu > 0:
-            a = relu(h0)
-            tape.data["a"] = a
-            return a @ p["w1"] + p["b1"], tape
-        return h0, tape
+        return _bag_output(net, h0, tape.data), tape
     if not isinstance(x, TokenSequence):
         raise TypeError("sequence nets take TokenSequence inputs")
     if len(x) == 0:
@@ -189,24 +243,41 @@ def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.
     # zero rows pad a caption shorter than the window to one window
     emb_rows = np.zeros((max(t_len, spec.window), m))
     emb_rows[:t_len] = p["lookup"][x.indices]
-    # row pos is tokens pos .. pos+window-1 concatenated (reshape copies)
-    windows = sliding_window_view(emb_rows, (spec.window, m)).reshape(-1, spec.window * m)
-    z = windows @ p["conv_w"] + p["conv_b"]  # (P, K)
-    avg = z.mean(axis=0)
+    # window pos is tokens pos .. pos+window-1 concatenated; the convolution
+    # is linear, so convolving the mean window gives the mean output
+    windows = sliding_window_view(emb_rows, (spec.window, m))
+    mean_window = windows.mean(axis=0).reshape(-1)
+    avg = _times(net, "conv_w", mean_window) + p["conv_b"]
     r = relu(avg)
     tape.data["tokens"] = x.indices
-    tape.data["windows"] = windows
+    tape.data["mean_window"] = mean_window
+    tape.data["n_pos"] = len(windows)
     tape.data["avg"] = avg
     tape.data["r"] = r
     return r @ p["out_w"] + p["out_b"], tape
+
+
+def embed_dense(net: Net, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Embeddings of dense inputs to a bag net, one row each: ``forward``'s
+    up to rounding, from stacked products over chunks of rows, with no tape."""
+    if net.spec.kind != "bag":
+        raise TypeError("embed_dense takes dense inputs to a bag net")
+    out = np.empty((len(vectors), net.spec.n_emb))
+    for start in range(0, len(vectors), EMBED_CHUNK_ROWS):
+        x = np.array(vectors[start : start + EMBED_CHUNK_ROWS], dtype=np.float64)
+        if x.shape[1:] != (net.spec.input_dim,):
+            raise ValueError(f"dense input shape {x.shape[1:]} != ({net.spec.input_dim},)")
+        out[start : start + len(x)] = _bag_output(net, _times(net, "w0", x) + net.params["b0"], {})
+    return out
 
 
 def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
     """Exact gradients of embedding . grad_out w.r.t. all parameters.
 
     The first layer's gradient is a ``RowGrad`` over the input's rows for
-    sparse vectors and token sequences, an ``OuterGrad`` for dense vectors.
-    The relu subgradient at 0 is taken as 0.
+    sparse vectors and token sequences, an ``OuterGrad`` for dense vectors;
+    ``conv_w``'s is an ``OuterGrad`` of the mean window. The relu
+    subgradient at 0 is taken as 0.
     """
     if tape.used:
         raise RuntimeError("tape already consumed by a previous backward pass")
@@ -231,17 +302,14 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
         else:
             grads["w0"] = OuterGrad((x,), (dh0,))
         return grads
-    windows = tape.data["windows"]
-    n_pos = windows.shape[0]
     grads["out_w"] = np.outer(tape.data["r"], g)
     grads["out_b"] = g.copy()
     dr = p["out_w"] @ g
     davg = dr * (tape.data["avg"] > 0)
-    # every position's conv output enters the average with weight 1/P
-    dz = np.tile(davg / n_pos, (n_pos, 1))
-    grads["conv_w"] = windows.T @ dz
+    grads["conv_w"] = OuterGrad((tape.data["mean_window"],), (davg,))
     grads["conv_b"] = davg.copy()
-    dwindows = dz @ p["conv_w"].T  # (P, window*M)
+    # every window enters the mean with weight 1/P, so all get this gradient
+    dwindow = _times_transposed(net, "conv_w", davg / tape.data["n_pos"])
     tokens = tape.data["tokens"]
     m = spec.word_dim
     rows, slot = np.unique(tokens, return_inverse=True)
@@ -249,9 +317,8 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
     slot = np.pad(slot, (0, max(spec.window - len(tokens), 0)), constant_values=len(rows))
     # contributions in (position, offset) order: each row gets the same
     # additions in the same order as a per-position loop
-    slot = sliding_window_view(slot, spec.window).reshape(-1)
     values = np.zeros((len(rows) + 1, m))
-    np.add.at(values, slot, dwindows.reshape(-1, m))
+    np.add.at(values, sliding_window_view(slot, spec.window), dwindow.reshape(spec.window, m))
     grads["lookup"] = RowGrad(rows, values[:-1])
     return grads
 
@@ -296,11 +363,11 @@ def _check_outer(name: str, grad: OuterGrad, shape: tuple[int, ...]) -> None:
 def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:
     """In-place p <- p - lr * g for each net and its gradients (``grads[i]``
     belongs to ``nets[i]``); a ``RowGrad`` changes only its rows, and an
-    ``OuterGrad`` is built and applied a row block at a time.
+    ``OuterGrad`` is appended to its layer's pending terms.
 
     Every gradient is checked (known parameter, shape, rows in range,
     finite) before any parameter changes, so a refused step leaves every net
-    as it was.
+    and its pending terms as they were.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -328,13 +395,46 @@ def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:
             if isinstance(grad, RowGrad):
                 net.params[name][grad.rows] -= lr * grad.values
             elif isinstance(grad, OuterGrad):
-                # the dense update's operations, in its order, a block at a time
-                param = net.params[name]
-                for rows, step in _outer_blocks(grad, param.shape):
-                    np.multiply(lr, step, out=step)
-                    np.subtract(param[rows], step, out=param[rows])
+                _defer(net, name, grad, lr)
             else:
                 net.params[name] -= lr * grad
+
+
+def _defer(net: Net, name: str, grad: OuterGrad, lr: float) -> None:
+    """Append one step's terms to the layer's pending terms; fold at ``FOLD_TERMS``."""
+    k, pending = len(grad.lefts), net.pending.get(name)
+    if pending is None or pending.n + k > len(pending.lrs):  # no room: fold, and make room
+        fold_pending(net)
+        size, (rows, cols) = max(FOLD_TERMS, k), net.params[name].shape
+        pending = Pending(np.empty((size, rows)), np.empty((size, cols)), np.empty(size))
+        net.pending[name] = pending
+    n = pending.n
+    pending.lefts[n : n + k] = grad.lefts
+    pending.rights[n : n + k] = grad.rights
+    pending.lrs[n : n + k] = lr
+    pending.n, pending.steps = n + k, pending.steps + 1
+    if pending.n >= FOLD_TERMS:
+        fold_pending(net)
+
+
+def fold_pending(net: Net) -> None:
+    """Apply every pending term to ``net.params``, a block of rows at a time."""
+    for name, pending in net.pending.items():
+        n = pending.n
+        if not n:
+            continue
+        param, lefts, rights = net.params[name], pending.lefts[:n], pending.rights[:n]
+        if pending.steps == 1:
+            # one step's terms: the dense update's operations, in its order
+            for rows, step in _outer_blocks(OuterGrad(tuple(lefts), tuple(rights)), param.shape):
+                np.multiply(pending.lrs[0], step, out=step)
+                np.subtract(param[rows], step, out=param[rows])
+        else:
+            scaled = pending.lrs[:n, None] * rights
+            for start in range(0, param.shape[0], OUTER_BLOCK_ROWS):
+                rows = slice(start, start + OUTER_BLOCK_ROWS)
+                param[rows] -= lefts[:, rows].T @ scaled
+        pending.n = pending.steps = 0
 
 
 def lr_schedule(lr0: float, epoch: int) -> float:
@@ -371,4 +471,6 @@ def accumulate(total: Grads, grads: Grads) -> Grads:
 
 
 def clone_net(net: Net) -> Net:
+    """A copy of ``net`` with its pending terms folded in (into ``net`` too)."""
+    fold_pending(net)
     return Net(spec=net.spec, params={k: v.copy() for k, v in net.params.items()})

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Caption, FeatureStore, SplitDataset, atomic_write
-from .errors import ConfigError, ZeroNormError
-from .nets import Net, accumulate, backward, clone_net, forward, lr_schedule, sgd_step
+from .errors import ConfigError, NonFiniteGradientError, ZeroNormError
+from .nets import (Net, accumulate, backward, clone_net, embed_dense, fold_pending, forward,
+                   lr_schedule, sgd_step)
 from .text import WEIGHTINGS, Encoding, Vocabulary, encode_caption, normalize_tokenize
 
 METHODOLOGIES = ("I2T", "T2I")
@@ -82,16 +83,27 @@ def write_history(history: TrainHistory, path: str) -> None:
             fh.write(f"{row.epoch}\t{row.lr!r}\t{row.train_err!r}\t{row.val_err!r}\n")
 
 
+def _cosine_dots(v_img: np.ndarray, v_txt: np.ndarray, what: str) -> tuple[float, float, float]:
+    """(img . img, txt . txt, img . txt). An overflow inside the nets first
+    shows here, as a non-finite dot or product of squared norms: it ends as
+    a typed error, not as a RuntimeWarning and a NaN score."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+        dot_ii, dot_tt = float(np.dot(v_img, v_img)), float(np.dot(v_txt, v_txt))
+        dot_it = float(np.dot(v_img, v_txt))
+    if not (math.isfinite(dot_ii * dot_tt) and math.isfinite(dot_it)):
+        raise NonFiniteGradientError(f"cannot {what} a non-finite or overflowing embedding")
+    if dot_ii * dot_tt == 0.0:  # also when the product underflows: it divides
+        raise ZeroNormError(f"cannot {what} a zero-norm or vanishing embedding")
+    return dot_ii, dot_tt, dot_it
+
+
 def cosine_score(v_img: np.ndarray, v_txt: np.ndarray) -> float:
     # dot / sqrt(dot_ii * dot_tt) scores bit-identical vectors as exactly 1.0;
     # the clamp only trims ulp-level Cauchy-Schwarz violations. Swapping the
     # arguments gives the same bits (products commute, sums keep index order),
     # and likewise swaps cosine_backward's outputs, so either side can anchor.
-    dot_ii = float(np.dot(v_img, v_img))
-    dot_tt = float(np.dot(v_txt, v_txt))
-    if dot_ii == 0.0 or dot_tt == 0.0:
-        raise ZeroNormError("cannot cosine-score a zero-norm embedding")
-    s = float(np.dot(v_img, v_txt)) / math.sqrt(dot_ii * dot_tt)
+    dot_ii, dot_tt, dot_it = _cosine_dots(v_img, v_txt, "cosine-score")
+    s = dot_it / math.sqrt(dot_ii * dot_tt)
     return min(1.0, max(-1.0, s))
 
 
@@ -108,12 +120,9 @@ def cosine_backward(
     v_img: np.ndarray, v_txt: np.ndarray, d_score: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain-rule gradients of the cosine score w.r.t. both embeddings."""
-    dot_ii = float(np.dot(v_img, v_img))
-    dot_tt = float(np.dot(v_txt, v_txt))
-    if dot_ii == 0.0 or dot_tt == 0.0:
-        raise ZeroNormError("cannot differentiate through a zero-norm embedding")
+    dot_ii, dot_tt, dot_it = _cosine_dots(v_img, v_txt, "differentiate through")
     norm_prod = math.sqrt(dot_ii * dot_tt)
-    s = float(np.dot(v_img, v_txt)) / norm_prod
+    s = dot_it / norm_prod
     grad_img = d_score * (v_txt / norm_prod - s * v_img / dot_ii)
     grad_txt = d_score * (v_img / norm_prod - s * v_txt / dot_tt)
     return grad_img, grad_txt
@@ -338,21 +347,22 @@ def validate(
 
     Positive pairs cycle the validation split in sorted order; each draws
     one negative per the configured methodology. A constant-scoring model
-    reads 100%. The model does not change here, so each image vector and
-    caption encoding is embedded once per call.
+    reads 100%. The model does not change here, so each caption encoding is
+    embedded once per call, and the split's images all at once.
     """
     view = data.view("val")
     positives = itertools.islice(itertools.cycle(view.pairs), config.val_pairs_per_epoch)
+    images = [data.image_vec(image_id) for image_id in view.image_ids]
     # keyed by id(x), safe as every input is an object data owns for the whole call
-    embedded: dict[int, tuple] = {}
+    embedded = {id(x): (v, None) for x, v in zip(images, embed_dense(model.visual_net, images))}
 
-    def embed(net: Net, x) -> tuple:
+    def embed_once(net: Net, x) -> tuple:
         if id(x) not in embedded:
             embedded[id(x)] = forward(net, x)
         return embedded[id(x)]
 
     def score(*inputs) -> tuple[float, float]:
-        return score_triplet(model, *inputs, config.methodology, embed)[:2]
+        return score_triplet(model, *inputs, config.methodology, embed_once)[:2]
 
     return _error_pct(data, config, view, positives, rng, score)
 
@@ -395,4 +405,6 @@ def train(
             best_val, best = val_err, None  # free the old snapshot first: one at a time
             best = clone_model(model)
             history.best_epoch = e
+    fold_pending(model.textual_net)
+    fold_pending(model.visual_net)
     return (best if best is not None else clone_model(model)), history

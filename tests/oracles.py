@@ -4,13 +4,20 @@ metric definitions), the two-branch triplet gradient the trainer's single
 anchor/candidate path replaced, the training and validation pair loops the
 one scored-pair loop replaced, the pair-by-pair ranking loop the batched
 cosine kernel replaced, the dense-gradient forward/backward/update the
-row-sparse first-layer gradients replaced, and the hand-built parameter
+row-sparse first-layer gradients replaced (its sequence net averages the
+windows first, as the library's does), and the hand-built parameter
 dicts and in-memory checkpoint writer that ``nets.param_shapes`` and the
 streamed save replaced, the row-by-row vector parser that the blocked
 ``np.loadtxt`` reader replaced, the embeddings loader whose first row set
 ``dim`` inside that parser, the two-loop negative sampler that one
 rejection loop replaced, and the vocabulary writers, digest and
-``vocab.tsv`` reader that the one vocabulary rule and writer walk replaced."""
+``vocab.tsv`` reader that the one vocabulary rule and writer walk replaced.
+
+Three byte references for changes that round differently, which tests
+compare within 1e-12 relative: the eager SGD step that pending terms and
+their folds replaced, the per-window sequence forward and backward that
+averaging the windows first replaced, and the per-image ``forward`` loop
+that the stacked ``nets.embed_dense`` replaced."""
 
 import hashlib
 import itertools
@@ -22,13 +29,15 @@ import zlib
 from dataclasses import asdict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from crossmodal.checkpoint import FORMAT_VERSION, MAGIC
 from crossmodal.corpus import PretrainedEmbeddings, text_lines
 from crossmodal.errors import CorpusFormatError, NonFiniteGradientError, VocabularyError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
 from crossmodal.nets import (
-    Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, accumulate, backward, forward, lr_schedule, relu, sgd_step,
+    Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, _outer_blocks, accumulate, backward, forward, lr_schedule,
+    relu, sgd_step,
 )
 from crossmodal.ranker import (
     METHODOLOGIES,
@@ -217,8 +226,8 @@ def oracle_loop_forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) 
         windows = np.empty((n_pos, width))
         for pos in range(n_pos):
             windows[pos] = emb_rows[pos : pos + spec.window].reshape(-1)
-    z = windows @ p["conv_w"] + p["conv_b"]  # (P, K)
-    avg = z.mean(axis=0)
+    # the convolution is linear: convolve the mean window
+    avg = windows.mean(axis=0) @ p["conv_w"] + p["conv_b"]
     r = relu(avg)
     tape.data["tokens"] = x.indices
     tape.data["windows"] = windows
@@ -264,24 +273,87 @@ def oracle_dense_backward(tape: Tape, grad_out: np.ndarray) -> dict[str, np.ndar
     grads["out_b"] = g.copy()
     dr = p["out_w"] @ g
     davg = dr * (tape.data["avg"] > 0)
-    # every position's conv output enters the average with weight 1/P
-    dz = np.tile(davg / n_pos, (n_pos, 1))
-    grads["conv_w"] = windows.T @ dz
+    grads["conv_w"] = np.outer(windows.mean(axis=0), davg)
     grads["conv_b"] = davg.copy()
-    dwindows = dz @ p["conv_w"].T  # (P, window*M)
+    # every window enters the mean with weight 1/P, so all get this gradient
+    dwindow = p["conv_w"] @ (davg / n_pos)
     tokens = tape.data["tokens"]
     m = spec.word_dim
     grads["lookup"] = np.zeros_like(p["lookup"])
     t_len = len(tokens)
     if t_len < spec.window:
-        drows = dwindows[0, : t_len * m].reshape(t_len, m)
+        drows = dwindow[: t_len * m].reshape(t_len, m)
         np.add.at(grads["lookup"], tokens, drows)
     else:
         for pos in range(n_pos):
-            drows = dwindows[pos].reshape(spec.window, m)
+            drows = dwindow.reshape(spec.window, m)
             np.add.at(grads["lookup"], tokens[pos : pos + spec.window], drows)
     return grads
 
+
+
+def oracle_eager_sgd_step(nets, grads, lr: float) -> None:
+    """The SGD step before steps were deferred: every gradient applied at once,
+    an ``OuterGrad`` a block of rows at a time with the dense update's
+    operations in its order. Gradients are assumed checked."""
+    for net, net_grads in zip(nets, grads, strict=True):
+        assert not any(pending.n for pending in net.pending.values())
+        for name, grad in net_grads.items():
+            param = net.params[name]
+            if isinstance(grad, RowGrad):
+                param[grad.rows] -= lr * grad.values
+            elif isinstance(grad, OuterGrad):
+                for rows, step in _outer_blocks(grad, param.shape):
+                    np.multiply(lr, step, out=step)
+                    np.subtract(param[rows], step, out=param[rows])
+            else:
+                param -= lr * grad
+
+
+def oracle_window_forward(net: Net, x: TokenSequence) -> tuple[np.ndarray, Tape]:
+    """The sequence net's forward before the windows were averaged first:
+    every window is convolved, then the outputs are averaged."""
+    spec, p = net.spec, net.params
+    assert spec.kind == "sequence" and not any(pending.n for pending in net.pending.values())
+    t_len, m = len(x), spec.word_dim
+    emb_rows = np.zeros((max(t_len, spec.window), m))
+    emb_rows[:t_len] = p["lookup"][x.indices]
+    windows = sliding_window_view(emb_rows, (spec.window, m)).reshape(-1, spec.window * m)
+    z = windows @ p["conv_w"] + p["conv_b"]  # (P, K)
+    avg = z.mean(axis=0)
+    r = relu(avg)
+    tape = Tape(net=net, data={"tokens": x.indices, "windows": windows, "avg": avg, "r": r})
+    return r @ p["out_w"] + p["out_b"], tape
+
+
+def oracle_window_backward(tape: Tape, grad_out: np.ndarray) -> dict:
+    """The sequence net's backward before the windows were averaged first: the
+    average's gradient tiled over the P positions, and P equal window rows."""
+    spec, p = tape.net.spec, tape.net.params
+    g = np.asarray(grad_out, dtype=np.float64)
+    windows = tape.data["windows"]
+    n_pos = windows.shape[0]
+    grads = {"out_w": np.outer(tape.data["r"], g), "out_b": g.copy()}
+    davg = (p["out_w"] @ g) * (tape.data["avg"] > 0)
+    # every position's conv output enters the average with weight 1/P
+    dz = np.tile(davg / n_pos, (n_pos, 1))
+    grads["conv_w"] = windows.T @ dz
+    grads["conv_b"] = davg.copy()
+    dwindows = dz @ p["conv_w"].T  # (P, window*M)
+    tokens, m = tape.data["tokens"], spec.word_dim
+    rows, slot = np.unique(tokens, return_inverse=True)
+    slot = np.pad(slot, (0, max(spec.window - len(tokens), 0)), constant_values=len(rows))
+    slot = sliding_window_view(slot, spec.window).reshape(-1)
+    values = np.zeros((len(rows) + 1, m))
+    np.add.at(values, slot, dwindows.reshape(-1, m))
+    grads["lookup"] = RowGrad(rows, values[:-1])
+    return grads
+
+
+def oracle_embed_loop(net: Net, vectors) -> np.ndarray:
+    """Embeddings of dense inputs as ``validate``, ``build_rankings`` and
+    ``query --sentence`` built them before ``nets.embed_dense``: one ``forward`` each."""
+    return np.array([forward(net, x)[0] for x in vectors])
 
 
 def oracle_dense_sgd_step(net: Net, grads: dict[str, np.ndarray], lr: float) -> None:

@@ -327,7 +327,8 @@ class TestTrain:
         rc, _, err = run(capsys, *train_args(corpus, prepped, tmp_path / "x", "--config", str(cfg)))
         assert rc != 0 and "ConfigError" in err
 
-    @pytest.mark.parametrize("line", ["epochs = many", "methodology = x2y", "textual = lstm"])
+    @pytest.mark.parametrize("line", ["epochs = many", "methodology = x2y", "textual = lstm",
+                                      "epochs = -2", "lr = 0", "val_pairs = 0"])
     def test_bad_config_value(self, tmp_path, corpus, prepped, capsys, line):
         """The same value fails with the same text from the file and as a flag,
         naming ``path:line`` or ``--flag``."""
@@ -342,6 +343,17 @@ class TestTrain:
         flag_err = assert_one_error_line(capsys, "ConfigError", out,
                                          *train_args(corpus, prepped, out, flag, value))
         assert flag_err == err.replace(f"{cfg}:1", flag, 1)
+
+    @pytest.mark.parametrize("extra", [(), ("--textual", "sse", "--word-dim", "6", "--kernels", "6",
+                                            "--window", "3", "--methodology", "t2i")],
+                             ids=["bag", "sequence"])
+    def test_overflow_in_training_is_one_error_line(self, tmp_path, corpus, prepped, capsys, extra):
+        """Finite inputs whose embeddings overflow once the weights have grown
+        huge: one typed line, no warning (the suite makes one an error) and no ``--out``."""
+        out = tmp_path / "overflow"
+        err = assert_one_error_line(capsys, "NonFiniteGradientError", out,
+                                    *train_args(corpus, prepped, out, "--lr", "1e300", *extra))
+        assert "embedding" in err
 
     def test_history_format(self, trained):
         lines = (trained / "history.tsv").read_text().splitlines()

@@ -12,6 +12,8 @@ from crossmodal.nets import (
     RowGrad,
     accumulate,
     backward,
+    embed_dense,
+    fold_pending,
     forward,
     init_net,
     lr_schedule,
@@ -19,7 +21,15 @@ from crossmodal.nets import (
     sgd_step,
 )
 from crossmodal.text import SparseVector, TokenSequence, Vocabulary
-from oracles import densify, oracle_dense_accumulate, oracle_dense_sgd_step
+from oracles import (
+    densify,
+    oracle_dense_accumulate,
+    oracle_dense_sgd_step,
+    oracle_eager_sgd_step,
+    oracle_embed_loop,
+    oracle_window_backward,
+    oracle_window_forward,
+)
 
 
 def sparse(indices, values):
@@ -319,6 +329,7 @@ class TestSgdAndSchedule:
                             lambda *args: calls.append(args) or original(*args))
         return calls
 
+    @pytest.mark.usefixtures("fold_every_term")
     @pytest.mark.parametrize("n_terms", [1, 2, 3])
     def test_outer_grad_bit_identical_to_dense_oracle(self, monkeypatch, n_terms):
         # 600 rows: two full row blocks and a partial one
@@ -332,6 +343,7 @@ class TestSgdAndSchedule:
         oracle_dense_sgd_step(want, {"w0": densify(want.params["w0"], grad)}, lr=0.05)
         assert got.params["w0"].tobytes() == want.params["w0"].tobytes()
 
+    @pytest.mark.usefixtures("fold_every_term")
     def test_overflowing_bound_with_finite_elements_accepted(self, monkeypatch):
         # each term's bound is 1e308, their sum is inf; no element exceeds 1e308
         lefts = np.zeros((2, 4))
@@ -425,3 +437,102 @@ class TestAccumulateOuter:
             dense = oracle_dense_accumulate(dense, {"w0": densify(param, grad)})
         assert isinstance(total["w0"], OuterGrad) and len(total["w0"].lefts) == len(grads)
         assert densify(param, total["w0"]).tobytes() == dense["w0"].tobytes()
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    """``got`` within ``rtol`` of ``want``, relative to ``want``'s largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+DEFERRED_SPECS = {
+    # 600 rows: two full row blocks and a partial one
+    "bag": NetSpec(kind="bag", input_dim=600, n_emb=7),
+    "bag_hidden": NetSpec(kind="bag", input_dim=600, n_emb=7, n_hu=5),
+    "sequence": NetSpec(kind="sequence", input_dim=30, n_emb=6, word_dim=5, kernel_count=7, window=3),
+}
+
+
+def training_input(spec, rng):
+    if spec.kind == "sequence":
+        return TokenSequence(rng.integers(0, spec.input_dim, size=rng.integers(1, 9)).astype(np.int64))
+    return rng.normal(size=spec.input_dim)
+
+
+def shared_state(kind, seed=0, n_steps=45):
+    """One state twice: a net after ``n_steps`` SGD steps, of one or two
+    backward passes each, that ``sgd_step`` took (one fold ran, and some
+    terms are pending), and its copy that took the same steps eagerly."""
+    spec = DEFERRED_SPECS[kind]
+    rng = np.random.default_rng(seed)
+    lazy, eager = init_net(spec, seed), init_net(spec, seed)
+    for _ in range(n_steps):
+        grads = {}
+        for _ in range(rng.integers(1, 3)):
+            _, tape = forward(lazy, training_input(spec, rng))
+            grads = accumulate(grads, backward(tape, rng.normal(size=spec.n_emb)))
+        lr = rng.uniform(0.01, 0.1)  # as the schedule does, steps differ in their rate
+        sgd_step([lazy], [grads], lr)
+        oracle_eager_sgd_step([eager], [grads], lr)
+    assert sum(pending.n for pending in lazy.pending.values()) > 0
+    return lazy, eager, rng
+
+
+class TestDeferredSteps:
+    """Pending terms round differently from eager steps; from one shared state
+    each result agrees with its eager byte reference within 1e-12 relative."""
+
+    @pytest.mark.parametrize("kind", sorted(DEFERRED_SPECS))
+    def test_one_step(self, kind):
+        lazy, eager, rng = shared_state(kind)
+        _, tape = forward(lazy, training_input(lazy.spec, rng))
+        grads = backward(tape, rng.normal(size=lazy.spec.n_emb))
+        sgd_step([lazy], [grads], lr=0.05)
+        oracle_eager_sgd_step([eager], [grads], lr=0.05)
+        fold_pending(lazy)
+        for name, param in eager.params.items():
+            assert_rel_close(lazy.params[name], param)
+
+    @pytest.mark.parametrize("kind", sorted(DEFERRED_SPECS))
+    def test_one_forward(self, kind):
+        lazy, eager, rng = shared_state(kind)
+        x = training_input(lazy.spec, rng)
+        oracle = oracle_window_forward if kind == "sequence" else forward
+        assert_rel_close(forward(lazy, x)[0], oracle(eager, x)[0])
+
+    @pytest.mark.parametrize("kind", ["bag", "bag_hidden"])
+    def test_one_batched_embedding(self, kind):
+        lazy, eager, rng = shared_state(kind)
+        # three chunks, the last one partial
+        vectors = list(rng.normal(size=(2 * nets_mod.EMBED_CHUNK_ROWS + 5, lazy.spec.input_dim)))
+        assert_rel_close(embed_dense(lazy, vectors), oracle_embed_loop(eager, vectors))
+
+    def test_one_sequence_backward(self):
+        lazy, eager, rng = shared_state("sequence")
+        for length in (1, 2, 3, 8):  # shorter than, as long as and longer than the window
+            x = TokenSequence(rng.integers(0, lazy.spec.input_dim, size=length).astype(np.int64))
+            g = rng.normal(size=lazy.spec.n_emb)
+            got = backward(forward(lazy, x)[1], g)
+            want = oracle_window_backward(oracle_window_forward(eager, x)[1], g)
+            assert isinstance(got["conv_w"], OuterGrad) and len(got["conv_w"].lefts) == 1
+            assert sorted(got) == sorted(want)
+            for name, param in eager.params.items():
+                assert_rel_close(densify(param, got[name]), densify(param, want[name]))
+
+    @pytest.mark.parametrize("kind", sorted(DEFERRED_SPECS))
+    def test_refused_step_leaves_pending_and_params(self, kind):
+        lazy, _, rng = shared_state(kind)
+        before = {name: param.tobytes() for name, param in lazy.params.items()}
+        pending = {name: (p.n, p.steps, p.lefts[: p.n].tobytes(), p.rights[: p.n].tobytes(),
+                          p.lrs[: p.n].tobytes()) for name, p in lazy.pending.items()}
+        _, tape = forward(lazy, training_input(lazy.spec, rng))
+        grads = backward(tape, rng.normal(size=lazy.spec.n_emb))
+        # the second net's gradient is checked after the first's pass
+        other = init_net(lazy.spec, seed=1)
+        bias = "b0" if kind != "sequence" else "out_b"
+        with pytest.raises(NonFiniteGradientError, match=bias):
+            sgd_step([lazy, other], [grads, {bias: np.full_like(grads[bias], np.nan)}], lr=0.05)
+        assert {name: param.tobytes() for name, param in lazy.params.items()} == before
+        assert {name: (p.n, p.steps, p.lefts[: p.n].tobytes(), p.rights[: p.n].tobytes(),
+                       p.lrs[: p.n].tobytes()) for name, p in lazy.pending.items()} == pending

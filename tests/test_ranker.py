@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crossmodal.nets as nets_mod
 import crossmodal.ranker as ranker_mod
+from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
 from crossmodal.errors import ConfigError, NonFiniteGradientError, ZeroNormError
-from crossmodal.nets import NetSpec, init_net
+from crossmodal.nets import NetSpec, clone_net, init_net
 from crossmodal.ranker import (
     EpochStats,
     RetrievalDataset,
@@ -96,6 +98,22 @@ class TestCosineScore:
     def test_zero_norm_raises(self):
         with pytest.raises(ZeroNormError):
             cosine_score(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "v_img, v_txt, error",
+        [(np.full(3, np.inf), np.ones(3), NonFiniteGradientError),
+         (np.array([1.0, np.nan, 0.0]), np.ones(3), NonFiniteGradientError),
+         (np.full(3, 1e200), np.ones(3), NonFiniteGradientError),  # the squared norm overflows
+         (np.full(3, 1e120), np.full(3, 1e100), NonFiniteGradientError),  # their product overflows
+         (np.full(3, 1e-100), np.full(3, 1e-100), ZeroNormError)],  # their product underflows
+        ids=["inf", "nan", "overflowing_norm", "overflowing_product", "vanishing_product"],
+    )
+    def test_unscoreable_embeddings_raise_typed_errors(self, v_img, v_txt, error):
+        """No RuntimeWarning (the suite makes one an error), NaN score or ZeroDivisionError."""
+        for score in (cosine_score, lambda a, b: cosine_backward(a, b, 1.0)):
+            for a, b in ((v_img, v_txt), (v_txt, v_img)):
+                with pytest.raises(error):
+                    score(a, b)
 
 
 class TestMarginLoss:
@@ -362,6 +380,7 @@ class TestTrainEpoch:
         assert after == before
 
 
+@pytest.mark.usefixtures("fold_every_term")
 class TestRowSparseTraining:
     """Training with row-sparse first-layer gradients is bit-identical to the
     dense-gradient reference path, and training through the one scored-pair
@@ -586,6 +605,56 @@ class TestTrain:
         rng = random.Random(ranker_mod.epoch_seed(0, history.best_epoch))
         err = validate(best, data, TrainConfig(seed=0, max_epochs=6, lr0=0.02), rng)
         assert err == best_val
+
+
+class TestFoldPoints:
+    """``clone_net``, ``save_checkpoint`` and the end of ``train`` read
+    ``params`` directly, so each first folds the pending terms in."""
+
+    @staticmethod
+    def pending_terms(*nets):
+        return sum(pending.n for net in nets for pending in net.pending.values())
+
+    def setup_method(self):
+        self.data, store, self.vocab = make_dataset(
+            noise=0.2, seed=4,
+            train_ids=[f"c{c}img{i:03d}" for c in range(3) for i in range(2)],
+            val_ids=[f"c{c}img{i:03d}" for c in range(3) for i in range(2, 4)],
+        )
+        self.model = make_model(self.vocab.size, store.feature_dim, seed=4)
+        self.config = TrainConfig(seed=4, lr0=0.05, max_epochs=2, val_pairs_per_epoch=20)
+
+    def trained_epoch(self, monkeypatch):
+        monkeypatch.setattr(nets_mod, "FOLD_TERMS", 1000)  # nothing folds on its own
+        train_epoch(self.model, self.data, self.config, 0, random.Random(4))
+        assert self.pending_terms(self.model.visual_net) > 1
+        return self.model
+
+    def test_clone_net(self, monkeypatch):
+        net = self.trained_epoch(monkeypatch).visual_net
+        clone = clone_net(net)
+        assert self.pending_terms(net, clone) == 0
+        for name, param in net.params.items():
+            assert clone.params[name].tobytes() == param.tobytes()
+
+    def test_save_checkpoint(self, monkeypatch, tmp_path):
+        model = self.trained_epoch(monkeypatch)
+        path = str(tmp_path / "model.bin")
+        save_checkpoint(path, model, self.vocab, self.config, ranker_mod.TrainHistory())
+        assert self.pending_terms(model.textual_net, model.visual_net) == 0
+        saved = load_checkpoint(path).model
+        for net, loaded in ((model.textual_net, saved.textual_net), (model.visual_net, saved.visual_net)):
+            for name, param in net.params.items():
+                assert loaded.params[name].tobytes() == param.tobytes()
+
+    def test_end_of_train(self, monkeypatch):
+        monkeypatch.setattr(nets_mod, "FOLD_TERMS", 1000)  # nothing folds on its own
+        # only the first epoch improves, so no clone folds the second epoch's terms
+        val_errs = iter([50.0, 60.0])
+        monkeypatch.setattr(ranker_mod, "validate", lambda *args: next(val_errs))
+        best, _ = train(self.model, self.data, self.config)
+        nets = (self.model.textual_net, self.model.visual_net, best.textual_net, best.visual_net)
+        assert self.pending_terms(*nets) == 0
 
 
 class TestTrainConfig:
