@@ -71,6 +71,7 @@ class Option:
     choices: tuple = ()
     help: str = ""
     field: str | None = None  # the TrainConfig field it sets
+    spec_field: str | None = None  # the NetSpec field it is checked as
     flag = property(lambda self: "--" + self.name.replace("_", "-"))
 
 
@@ -91,17 +92,19 @@ OPTIONS = (
     _train_option("weighting", "weighting", str, "bag-of-terms feature weighting", WEIGHTINGS),
     _train_option("seed", "seed", int, "seed for the split, initialization and sampling"),
     _train_option("val_pairs", "val_pairs_per_epoch", int, "validation pairs scored per epoch"),
-    Option("n_hu", int, 0, help="hidden units of the bag textual net; 0 is linear"),
-    Option("n_emb", int, 300, help="width of the shared embedding space"),
-    Option("visual_n_hu", int, 0, help="hidden units of the visual net; 0 is linear"),
+    Option("n_hu", int, 0, help="hidden units of the bag textual net; 0 is linear", spec_field="n_hu"),
+    Option("n_emb", int, 300, help="width of the shared embedding space", spec_field="n_emb"),
+    Option("visual_n_hu", int, 0, help="hidden units of the visual net; 0 is linear", spec_field="n_hu"),
     Option("textual", str, "bag", ("bag", "sse"), "textual net: bag of terms or sequence"),
-    Option("word_dim", int, 300, help="sse word vector width"),
-    Option("kernels", int, 300, help="sse convolution kernels"),
-    Option("window", int, 5, help="sse convolution window, in tokens"),
+    Option("word_dim", int, 300, help="sse word vector width", spec_field="word_dim"),
+    Option("kernels", int, 300, help="sse convolution kernels", spec_field="kernel_count"),
+    Option("window", int, 5, help="sse convolution window, in tokens", spec_field="window"),
     Option("n_test", int, 1000, help="images held out for the test split"),
     Option("val_frac", float, 0.05, help="fraction of the remaining images used to validate"),
 )
 OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
+# a valid sequence NetSpec, so that one net option's value is checked alone
+SPEC_CHECK_BASE = dict(kind="sequence", input_dim=1, n_emb=1, word_dim=1, kernel_count=1, window=1)
 
 
 def parse_config_file(path: str) -> dict[str, Any]:
@@ -122,19 +125,21 @@ def parse_config_file(path: str) -> dict[str, Any]:
 
 
 def typed_value(opt: Option, raw: str, where: str) -> Any:
-    """``raw`` typed and checked by ``opt``, and by ``TrainConfig`` for a field it sets;
-    errors open with ``where``, a path:line or --flag."""
+    """``raw`` typed and checked by ``opt``, and by ``TrainConfig`` or ``NetSpec``
+    for a field it sets or is checked as; errors open with ``where``, a path:line or --flag."""
     try:
         value = opt.type(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {opt.name}: {exc}") from None
     if opt.choices and value not in opt.choices:
         raise ConfigError(f"{where}: {opt.name} must be one of {opt.choices}, got {raw!r}")
-    if opt.field:
-        try:  # the value alone, the other fields at their defaults
+    try:  # the value alone, the other fields at their defaults or SPEC_CHECK_BASE's
+        if opt.field:
             TrainConfig(**{opt.field: value})
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        if opt.spec_field:
+            NetSpec(**{**SPEC_CHECK_BASE, opt.spec_field: value})
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return value
 
 

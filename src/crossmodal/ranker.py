@@ -218,40 +218,6 @@ def sample_negative(
             return image, caption
 
 
-def score_triplet(
-    model: ScoreModel,
-    pos_image: np.ndarray,
-    pos_caption: Encoding,
-    neg_image: np.ndarray | None,
-    neg_caption: Encoding | None,
-    methodology: str,
-    embed=None,
-) -> tuple[float, float, tuple]:
-    """Embed an anchor and its two candidates, and score each against the anchor.
-
-    The methodology only picks the sides: I2T anchors on the image and ranks
-    the positive caption against the negative caption (neg_image unused);
-    T2I anchors on the caption and ranks two images (neg_caption unused).
-    ``embed(net, x)`` returns the (embedding, tape) pair of ``forward``,
-    which it defaults to. Returns (s_pos, s_neg, (anchor, positive,
-    negative)), each of the last an ``embed`` result.
-    """
-    if methodology == "I2T":
-        anchor_net, cand_net = model.visual_net, model.textual_net
-        anchor, pos, neg = pos_image, pos_caption, neg_caption
-    elif methodology == "T2I":
-        anchor_net, cand_net = model.textual_net, model.visual_net
-        anchor, pos, neg = pos_caption, pos_image, neg_image
-    else:
-        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
-    if neg is None:
-        raise ValueError(f"{methodology} triplet needs a negative candidate")
-    embed = embed or forward
-    embedded = embed(anchor_net, anchor), embed(cand_net, pos), embed(cand_net, neg)
-    (v_anchor, _), (v_pos, _), (v_neg, _) = embedded
-    return cosine_score(v_anchor, v_pos), cosine_score(v_anchor, v_neg), embedded
-
-
 def triplet_grads(
     model: ScoreModel,
     pos_image_vec: np.ndarray,
@@ -263,45 +229,58 @@ def triplet_grads(
 ) -> tuple[float, float, float, dict | None, dict | None]:
     """Scores, loss, and accumulated parameter gradients for one triplet.
 
-    The anchor net's gradient sums both branches through one backward pass;
-    the candidate net's sums two. Returns (loss, s_pos, s_neg, textual
-    grads, visual grads); the gradient dicts are None when the margin is
-    already satisfied.
+    The methodology only picks the sides: I2T anchors on the image and ranks
+    the positive caption against the negative caption (neg_image_vec
+    unused); T2I anchors on the caption and ranks two images (neg_enc
+    unused). The anchor net's gradient sums both branches through one
+    backward pass; the candidate net's sums two. Returns (loss, s_pos,
+    s_neg, textual grads, visual grads); the gradient dicts are None when
+    the margin is already satisfied.
     """
-    s_pos, s_neg, embedded = score_triplet(
-        model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, methodology
-    )
+    if methodology == "I2T":
+        anchor_net, cand_net = model.visual_net, model.textual_net
+        anchor, pos, neg = pos_image_vec, pos_enc, neg_enc
+    elif methodology == "T2I":
+        anchor_net, cand_net = model.textual_net, model.visual_net
+        anchor, pos, neg = pos_enc, pos_image_vec, neg_image_vec
+    else:
+        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
+    if neg is None:
+        raise ValueError(f"{methodology} triplet needs a negative candidate")
+    (v_anchor, tape_anchor), (v_pos, tape_pos), (v_neg, tape_neg) = (
+        forward(anchor_net, anchor), forward(cand_net, pos), forward(cand_net, neg))
+    s_pos, s_neg = cosine_score(v_anchor, v_pos), cosine_score(v_anchor, v_neg)
     loss, d_pos, d_neg = margin_loss(s_pos, s_neg, margin)
     if loss == 0.0:
         return loss, s_pos, s_neg, None, None
-    (v_anchor, tape_anchor), (v_pos, tape_pos), (v_neg, tape_neg) = embedded
     g_anchor_p, g_pos = cosine_backward(v_anchor, v_pos, d_pos)
     g_anchor_n, g_neg = cosine_backward(v_anchor, v_neg, d_neg)
     anchor_grads = backward(tape_anchor, g_anchor_p + g_anchor_n)
     cand_grads = accumulate(backward(tape_pos, g_pos), backward(tape_neg, g_neg))
-    if tape_anchor.net is model.textual_net:
+    if anchor_net is model.textual_net:
         return loss, s_pos, s_neg, anchor_grads, cand_grads
     return loss, s_pos, s_neg, cand_grads, anchor_grads
 
 
-def _error_pct(
-    data: RetrievalDataset, config: TrainConfig, view: SplitView, positives, rng: random.Random, score
-) -> float:
+def _error_pct(config: TrainConfig, view: SplitView, positives, rng: random.Random, score) -> float:
     """Mistake % over ``positives``, each against one sampled negative.
 
-    ``score(*inputs)`` returns (s_pos, s_neg) for the ``triplet_inputs`` of a
-    positive caption key and its ``sample_negative`` draw; ties count as
-    mistakes, and a pair with a zero-norm embedding is skipped.
+    ``score(pos, neg)`` returns (s_pos, s_neg) for a positive caption key and
+    its ``sample_negative`` draw; ties count as mistakes, and a pair with a
+    zero-norm embedding is skipped. An overflow inside the nets ends at the
+    cosine score or at ``sgd_step``'s finiteness check as a typed error, so
+    its RuntimeWarnings are not printed.
     """
     mistakes = scored = 0
-    for pos in positives:
-        neg = sample_negative(pos, view, config.methodology, rng)
-        try:
-            s_pos, s_neg = score(*data.triplet_inputs(pos, neg))
-        except ZeroNormError:
-            continue
-        scored += 1
-        mistakes += s_pos <= s_neg
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pos in positives:
+            neg = sample_negative(pos, view, config.methodology, rng)
+            try:
+                s_pos, s_neg = score(pos, neg)
+            except ZeroNormError:
+                continue
+            scored += 1
+            mistakes += s_pos <= s_neg
     if scored == 0:
         raise ZeroNormError(f"every {view.name} pair was skipped")
     return 100.0 * mistakes / scored
@@ -326,15 +305,15 @@ def train_epoch(
     pairs = list(view.pairs)
     rng.shuffle(pairs)
 
-    def step(*inputs) -> tuple[float, float]:
+    def step(pos, neg) -> tuple[float, float]:
         _, s_pos, s_neg, tgrads, vgrads = triplet_grads(
-            model, *inputs, config.methodology, config.margin
+            model, *data.triplet_inputs(pos, neg), config.methodology, config.margin
         )
         if tgrads is not None:
             sgd_step((model.textual_net, model.visual_net), (tgrads, vgrads), lr)
         return s_pos, s_neg
 
-    return _error_pct(data, config, view, pairs, rng, step)
+    return _error_pct(config, view, pairs, rng, step)
 
 
 def validate(
@@ -345,26 +324,27 @@ def validate(
 ) -> float:
     """Ranking error % over sampled positive/negative pairs; no updates.
 
-    Positive pairs cycle the validation split in sorted order; each draws
-    one negative per the configured methodology. A constant-scoring model
-    reads 100%. The model does not change here, so each caption encoding is
-    embedded once per call, and the split's images all at once.
+    Positive pairs cycle the validation split in sorted order; each draws one
+    negative per the configured methodology, and both score as (image, caption)
+    pairs. A constant-scoring model reads 100%. The model is fixed here, so the
+    split's images are embedded at once, each caption once per call; no tapes.
     """
     view = data.view("val")
     positives = itertools.islice(itertools.cycle(view.pairs), config.val_pairs_per_epoch)
-    images = [data.image_vec(image_id) for image_id in view.image_ids]
-    # keyed by id(x), safe as every input is an object data owns for the whole call
-    embedded = {id(x): (v, None) for x, v in zip(images, embed_dense(model.visual_net, images))}
+    vectors = [data.image_vec(image_id) for image_id in view.image_ids]
+    images = dict(zip(view.image_ids, embed_dense(model.visual_net, vectors)))
+    captions: dict[tuple[str, int], np.ndarray] = {}
 
-    def embed_once(net: Net, x) -> tuple:
-        if id(x) not in embedded:
-            embedded[id(x)] = forward(net, x)
-        return embedded[id(x)]
+    def caption(key: tuple[str, int]) -> np.ndarray:
+        if key not in captions:
+            captions[key] = forward(model.textual_net, data.encoding(*key))[0]
+        return captions[key]
 
-    def score(*inputs) -> tuple[float, float]:
-        return score_triplet(model, *inputs, config.methodology, embed_once)[:2]
+    def score(pos, neg) -> tuple[float, float]:
+        v_pos, v_neg = caption(pos), caption(neg[1])  # both before either is scored, as triplet_grads does
+        return cosine_score(images[pos[0]], v_pos), cosine_score(images[neg[0]], v_neg)
 
-    return _error_pct(data, config, view, positives, rng, score)
+    return _error_pct(config, view, positives, rng, score)
 
 
 def epoch_seed(seed: int, epoch: int) -> int:

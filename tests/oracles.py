@@ -2,7 +2,8 @@
 brute-force metric oracles (literal nested-loop re-implementations of the
 metric definitions), the two-branch triplet gradient the trainer's single
 anchor/candidate path replaced, the training and validation pair loops the
-one scored-pair loop replaced, the pair-by-pair ranking loop the batched
+one scored-pair loop replaced, the anchored ``oracle_score_triplet`` that
+validation's direct scoring of each drawn pair replaced, the pair-by-pair ranking loop the batched
 cosine kernel replaced, the dense-gradient forward/backward/update the
 row-sparse first-layer gradients replaced (its sequence net averages the
 windows first, as the library's does), and the hand-built parameter
@@ -50,10 +51,9 @@ from crossmodal.ranker import (
     cosine_score,
     margin_loss,
     sample_negative,
-    score_triplet,
     triplet_grads,
 )
-from crossmodal.text import MODES, SparseVector, TokenSequence, Vocabulary
+from crossmodal.text import MODES, Encoding, SparseVector, TokenSequence, Vocabulary
 
 
 def densify(param, grad):
@@ -104,6 +104,40 @@ def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, 
     vgrads = backward(tape_pos, g_img_p)
     vgrads = accumulate(vgrads, backward(tape_neg, g_img_n))
     return loss, s_pos, s_neg, tgrads, vgrads
+
+
+def oracle_score_triplet(
+    model: ScoreModel,
+    pos_image: np.ndarray,
+    pos_caption: Encoding,
+    neg_image: np.ndarray | None,
+    neg_caption: Encoding | None,
+    methodology: str,
+    embed=None,
+) -> tuple[float, float, tuple]:
+    """Embed an anchor and its two candidates, and score each against the anchor.
+
+    The methodology only picks the sides: I2T anchors on the image and ranks
+    the positive caption against the negative caption (neg_image unused);
+    T2I anchors on the caption and ranks two images (neg_caption unused).
+    ``embed(net, x)`` returns the (embedding, tape) pair of ``forward``,
+    which it defaults to. Returns (s_pos, s_neg, (anchor, positive,
+    negative)), each of the last an ``embed`` result.
+    """
+    if methodology == "I2T":
+        anchor_net, cand_net = model.visual_net, model.textual_net
+        anchor, pos, neg = pos_image, pos_caption, neg_caption
+    elif methodology == "T2I":
+        anchor_net, cand_net = model.textual_net, model.visual_net
+        anchor, pos, neg = pos_caption, pos_image, neg_image
+    else:
+        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
+    if neg is None:
+        raise ValueError(f"{methodology} triplet needs a negative candidate")
+    embed = embed or forward
+    embedded = embed(anchor_net, anchor), embed(cand_net, pos), embed(cand_net, neg)
+    (v_anchor, _), (v_pos, _), (v_neg, _) = embedded
+    return cosine_score(v_anchor, v_pos), cosine_score(v_anchor, v_neg), embedded
 
 
 def oracle_train_epoch(
@@ -171,7 +205,7 @@ def oracle_validate(
         pos = view.pairs[i % len(view.pairs)]
         neg = sample_negative(pos, view, config.methodology, rng)
         try:
-            s_pos, s_neg, _ = score_triplet(
+            s_pos, s_neg, _ = oracle_score_triplet(
                 model, *data.triplet_inputs(pos, neg), config.methodology
             )
         except ZeroNormError:

@@ -11,6 +11,7 @@ import pytest
 from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import build_parser, main, resolve_config
+from crossmodal.corpus import load_captions, load_image_features, split_dataset
 
 from test_checkpoint import read_header, resign
 
@@ -328,7 +329,8 @@ class TestTrain:
         assert rc != 0 and "ConfigError" in err
 
     @pytest.mark.parametrize("line", ["epochs = many", "methodology = x2y", "textual = lstm",
-                                      "epochs = -2", "lr = 0", "val_pairs = 0"])
+                                      "epochs = -2", "lr = 0", "val_pairs = 0",
+                                      "n_emb = 0", "visual_n_hu = -2", "kernels = 0"])
     def test_bad_config_value(self, tmp_path, corpus, prepped, capsys, line):
         """The same value fails with the same text from the file and as a flag,
         naming ``path:line`` or ``--flag``."""
@@ -344,15 +346,20 @@ class TestTrain:
                                          *train_args(corpus, prepped, out, flag, value))
         assert flag_err == err.replace(f"{cfg}:1", flag, 1)
 
-    @pytest.mark.parametrize("extra", [(), ("--textual", "sse", "--word-dim", "6", "--kernels", "6",
-                                            "--window", "3", "--methodology", "t2i")],
-                             ids=["bag", "sequence"])
-    def test_overflow_in_training_is_one_error_line(self, tmp_path, corpus, prepped, capsys, extra):
+    @pytest.mark.parametrize("lr, extra", [
+        ("1e300", ()),
+        ("1e300", ("--textual", "sse", "--word-dim", "6", "--kernels", "6", "--window", "3",
+                   "--methodology", "t2i")),
+        ("1e200", ("--n-hu", "6", "--visual-n-hu", "6")),
+        ("1e200", ("--textual", "sse", "--word-dim", "8", "--kernels", "12", "--window", "3")),
+    ], ids=["bag", "sequence", "hidden", "sequence_1e200"])
+    def test_overflow_in_training_is_one_error_line(self, tmp_path, corpus, prepped, capsys, lr, extra):
         """Finite inputs whose embeddings overflow once the weights have grown
-        huge: one typed line, no warning (the suite makes one an error) and no ``--out``."""
+        huge, in the linear nets, behind hidden layers or in the sequence net:
+        one typed line, no warning (the suite makes one an error) and no ``--out``."""
         out = tmp_path / "overflow"
         err = assert_one_error_line(capsys, "NonFiniteGradientError", out,
-                                    *train_args(corpus, prepped, out, "--lr", "1e300", *extra))
+                                    *train_args(corpus, prepped, out, "--lr", lr, *extra))
         assert "embedding" in err
 
     def test_history_format(self, trained):
@@ -668,6 +675,40 @@ class TestEvaluate:
             assert float(kv["recall.avg_txt.1"]) <= 80.0
             assert 1 <= int(kv["med_r"]) <= 4
         assert float(reports["annotation"]["r_precision_5"]) <= 80.0
+
+
+class TestLenient:
+    def test_short_image_fails_without_lenient_and_misses_with_it(self, tmp_path, corpus, capsys):
+        """A test image that keeps 3 of its 5 captions: ``preprocess``, ``train``
+        and ``evaluate`` each refuse it in one typed line unless ``--lenient``;
+        with it, its missing designated captions miss at every k."""
+        features = load_image_features(str(corpus / "features.txt"))
+        captions = load_captions(str(corpus / "captions.tsv"))
+        short = sorted(split_dataset(features.records(), captions, 3, 0.25, 0).test)[0]
+        kept = tmp_path / "captions.tsv"
+        kept.write_text("".join(f"{c.image_id}\t{c.caption_index}\t{c.text}\n" for c in captions
+                                if c.image_id != short or c.caption_index < 3))
+        prep, run_dir, eval_dir = tmp_path / "prep", tmp_path / "run", tmp_path / "eval"
+        train = train_args(corpus, prep, run_dir)  # its --n-test 3, --val-frac 0.25 and seed 0
+        train[train.index("--captions") + 1] = str(kept)
+        commands = [
+            (prep, ["preprocess", "--captions", str(kept), "--out", str(prep)]),
+            (run_dir, train),
+            (eval_dir, ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"), "--captions", str(kept),
+                        "--features", str(corpus / "features.txt"), "--out", str(eval_dir)]),
+        ]
+        for out, args in commands:
+            err = assert_one_error_line(capsys, "CorpusFormatError", out, *args)
+            assert err == f"error CorpusFormatError: image '{short}' has 3 captions, expected 5\n"
+            rc, _, err = run(capsys, *args, "--lenient")
+            assert rc == 0, err
+        for direction in ("annotation", "search"):
+            kv = dict(line.split("=", 1)
+                      for line in (eval_dir / f"report_{direction}.kv").read_text().splitlines())
+            # 3 test images, each scoreable designated caption within k=10;
+            # the short image's captions #3 and #4 miss in two of avg_txt's five runs
+            assert float(kv["recall.first_txt.10"]) == 100.0
+            assert float(kv["recall.avg_txt.10"]) == (3 * 100.0 + 2 * (100.0 * 2 / 3)) / 5
 
 
 class TestQuery:

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import crossmodal.nets as nets_mod
 import crossmodal.ranker as ranker_mod
@@ -28,6 +28,7 @@ from crossmodal.ranker import (
     validate,
 )
 from crossmodal.text import SparseVector, TokenSequence, build_vocabulary
+import oracles
 from oracles import (
     densify,
     oracle_dense_accumulate,
@@ -114,6 +115,40 @@ class TestCosineScore:
             for a, b in ((v_img, v_txt), (v_txt, v_img)):
                 with pytest.raises(error):
                     score(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.sampled_from([16, 300]), seed=st.integers(0, 2**32 - 1),
+           exponents=st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+           zero=st.sampled_from([None, 0, 1]), d_score=st.sampled_from([-1.0, 1.0]))
+    @example(dim=16, seed=0, exponents=(0, 0), zero=0, d_score=1.0)  # ZeroNormError
+    @example(dim=16, seed=0, exponents=(-100, -100), zero=None, d_score=1.0)  # vanishing: ZeroNormError
+    @example(dim=300, seed=0, exponents=(100, 100), zero=None, d_score=1.0)  # NonFiniteGradientError
+    @example(dim=300, seed=0, exponents=(100, -100), zero=None, d_score=-1.0)  # finite at both extremes
+    def test_swapped_arguments_give_the_same_bits(self, dim, seed, exponents, zero, d_score):
+        """cosine_score(a, b) and cosine_score(b, a) are bit-identical, and
+        cosine_backward's two gradients swap bit for bit, or both calls raise
+        the same error: so either side of a pair can come first."""
+        rng = np.random.default_rng(seed)
+        vectors = [rng.normal(size=dim) * 10.0 ** e for e in exponents]
+        if zero is not None:
+            vectors[zero][:] = 0.0
+        a, b = vectors
+
+        def outcome(call):
+            try:
+                return call()
+            except (ZeroNormError, NonFiniteGradientError) as exc:
+                return type(exc)
+
+        score_ab, score_ba = outcome(lambda: cosine_score(a, b)), outcome(lambda: cosine_score(b, a))
+        grads_ab = outcome(lambda: cosine_backward(a, b, d_score))
+        grads_ba = outcome(lambda: cosine_backward(b, a, d_score))
+        if isinstance(score_ab, float):
+            assert np.float64(score_ab).tobytes() == np.float64(score_ba).tobytes()
+            assert grads_ab[0].tobytes() == grads_ba[1].tobytes()
+            assert grads_ab[1].tobytes() == grads_ba[0].tobytes()
+        else:
+            assert score_ab is score_ba is grads_ab is grads_ba
 
 
 class TestMarginLoss:
@@ -503,6 +538,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("methodology", ["I2T", "T2I"])
     def test_embeds_each_item_once_per_call(self, monkeypatch, methodology):
+        """Each caption is embedded once per call, and the score equals the
+        triplet oracle's, also when a val caption embeds to zero: then both
+        skip the same pairs."""
         data, store, vocab = make_dataset(
             n_clusters=3, images_per_cluster=4, noise=0.2, seed=2,
             train_ids=[f"c{c}img{i:03d}" for c in range(3) for i in range(2)],
@@ -511,19 +549,39 @@ class TestValidate:
         model = make_model(vocab.size, store.feature_dim, seed=2)
         config = TrainConfig(seed=2, methodology=methodology, val_pairs_per_epoch=90)
         view = data.view("val")
+        zero_caption = ScoreModel(clone_net(model.textual_net), model.visual_net)
+        zero_caption.textual_net.params["w0"][data.encoding(*view.pairs[0]).indices] = 0.0
+        zero_caption.textual_net.params["b0"][:] = 0.0
         items = {id(data.image_vec(img)) for img in view.image_ids}
         items |= {id(data.encoding(*key)) for key in view.pairs}
-        calls = []
+        skips = []
+
+        def counted(score):
+            def wrapper(*args):
+                try:
+                    return score(*args)
+                except ZeroNormError:
+                    skips[-1] += 1
+                    raise
+            return wrapper
+
+        for module in (ranker_mod, oracles):
+            monkeypatch.setattr(module, "cosine_score", counted(module.cosine_score))
         original = ranker_mod.forward
         monkeypatch.setattr(ranker_mod, "forward",
                             lambda net, x: calls[-1].append(id(x)) or original(net, x))
-        for _ in range(2):
-            calls.append([])
-            got = validate(model, data, config, random.Random(5))
-            assert len(calls[-1]) == len(set(calls[-1])) and set(calls[-1]) <= items
-        assert calls[0] == calls[1]  # nothing is kept from one call to the next
-        monkeypatch.undo()
-        assert got == oracle_validate(model, data, config, random.Random(5))
+        for m in (model, zero_caption):
+            calls = []
+            for _ in range(2):
+                calls.append([])
+                skips.append(0)
+                got = validate(m, data, config, random.Random(5))
+                assert len(calls[-1]) == len(set(calls[-1])) and set(calls[-1]) <= items
+            assert calls[0] == calls[1]  # nothing is kept from one call to the next
+            skips.append(0)
+            assert got == oracle_validate(m, data, config, random.Random(5))
+            assert skips[-1] == skips[-2]
+        assert skips[0] == 0 < skips[-1]
 
 
 class TestTrain:
