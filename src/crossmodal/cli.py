@@ -32,8 +32,8 @@ from .corpus import (
     write_features,
 )
 from .errors import ConfigError, CrossmodalError, EmptySequenceError
-from .metrics import (build_rankings, caption_id, evaluate_rankings, format_report,
-                      rank_by_cosine, report_to_kv)
+from .metrics import (build_rankings, caption_id, cosine_scores, evaluate_rankings,
+                      format_report, lexicographic_rank, report_to_kv)
 from .nets import NetSpec, embed_dense, forward, init_net
 from .ranker import (
     METHODOLOGIES,
@@ -71,7 +71,7 @@ class Option:
     choices: tuple = ()
     help: str = ""
     field: str | None = None  # the TrainConfig field it sets
-    spec_field: str | None = None  # the NetSpec field it is checked as
+    spec_field: str | None = None  # the NetSpec field it is checked as, and sets in a textual net
     flag = property(lambda self: "--" + self.name.replace("_", "-"))
 
 
@@ -103,6 +103,8 @@ OPTIONS = (
     Option("val_frac", float, 0.05, help="fraction of the remaining images used to validate"),
 )
 OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
+# each --textual value: its NetSpec kind and the options that set its net
+TEXTUAL_NETS = {"bag": ("bag", ("n_hu",)), "sse": ("sequence", ("word_dim", "kernels", "window"))}
 # a valid sequence NetSpec, so that one net option's value is checked alone
 SPEC_CHECK_BASE = dict(kind="sequence", input_dim=1, n_emb=1, word_dim=1, kernel_count=1, window=1)
 
@@ -230,17 +232,18 @@ def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
 
 
 def _net_specs(typed: dict, vocab_size: int, feature_dim: int) -> tuple[NetSpec, NetSpec]:
-    """(textual, visual) specs for the resolved hyperparameters."""
-    if typed["textual"] == "bag":
-        tspec = NetSpec(kind="bag", input_dim=vocab_size, n_emb=typed["n_emb"], n_hu=typed["n_hu"])
-    else:
-        tspec = NetSpec(
-            kind="sequence", input_dim=vocab_size, n_emb=typed["n_emb"],
-            word_dim=typed["word_dim"], kernel_count=typed["kernels"], window=typed["window"],
-        )
-    vspec = NetSpec(
-        kind="bag", input_dim=feature_dim, n_emb=typed["n_emb"], n_hu=typed["visual_n_hu"]
-    )
+    """(textual, visual) specs for the resolved hyperparameters. An option of
+    a textual net that ``--textual`` did not choose would change nothing, so
+    it must keep its default."""
+    chosen = typed["textual"]
+    for textual, (_, names) in TEXTUAL_NETS.items():
+        for opt in map(OPTION_BY_NAME.get, names):
+            if textual != chosen and typed[opt.name] != opt.default:
+                raise ConfigError(f"{opt.flag} applies to --textual {textual}, not to --textual {chosen}")
+    kind, names = TEXTUAL_NETS[chosen]
+    tspec = NetSpec(kind=kind, input_dim=vocab_size, n_emb=typed["n_emb"],
+                    **{OPTION_BY_NAME[name].spec_field: typed[name] for name in names})
+    vspec = NetSpec(kind="bag", input_dim=feature_dim, n_emb=typed["n_emb"], n_hu=typed["visual_n_hu"])
     return tspec, vspec
 
 
@@ -354,12 +357,12 @@ def cmd_query(args: argparse.Namespace) -> int:
         embs = np.array([forward(textual, enc)[0] for _, enc in pool])
     if not ids:
         raise ConfigError("nothing to rank: no image, or no caption with an in-vocabulary term")
-    order, scores = rank_by_cosine(query[None], embs, ids)
+    scores = cosine_scores(query[None], embs)[0]
     # zero-norm candidates cannot be scored; they sort last and are not shown
-    for rank, (j, score) in enumerate(zip(order[0][:top_k], scores[0]), start=1):
-        if score == -np.inf:
+    for rank, j in enumerate(np.lexsort((lexicographic_rank(ids), -scores))[:top_k], start=1):
+        if scores[j] == -np.inf:
             break
-        print(f"{rank}\t{score:.6f}\t{labels[j]}")
+        print(f"{rank}\t{scores[j]:.6f}\t{labels[j]}")
     return 0
 
 

@@ -11,13 +11,13 @@ act as queries. any_txt ranks the full caption pool and counts a hit when
 any of the query image's five captions lands in the top k; it has no
 search-side meaning.
 
-Scoring. ``rank_by_cosine`` is the one ranking kernel: one batched cosine
-per direction, each row ordered by descending score with ties broken
-lexicographically on candidate id, so every metric is deterministic.
-Zero-norm candidates sort last. Every R@K and med r is read off one rank
-per (selection, image) from ``_designated_ranks``. A designated caption
-that could not be scored (no in-vocabulary term, or zero norm as a search
-query) misses at every k and counts as rank n for med r.
+Scoring. ``cosine_scores`` is the one scoring kernel, one batched cosine
+per direction, and nothing is sorted: every rank is a count from
+``_count_ranks``, one plus the candidates that score higher plus those that
+tie and come first by id, so every metric is deterministic. A zero-norm
+candidate scores -inf and ranks after every scored one. A designated
+caption that could not be scored (no in-vocabulary term, or zero norm as a
+search query) misses at every k and counts as rank n for med r.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections import Counter
-from itertools import repeat
 
 import numpy as np
 
@@ -42,31 +41,33 @@ def caption_id(image_id: str, index: int) -> str:
     return f"{image_id}#{index}"
 
 
+def lexicographic_rank(ids: list[str]) -> np.ndarray:
+    """Each id's 0-based position in ``ids`` sorted: the order that breaks score ties."""
+    return np.argsort(np.argsort(np.asarray(ids)))
+
+
 @dataclass
 class RankingSet:
     direction: str  # "annotation" | "search"
-    results: dict[str, list[str]]
+    results: dict[str, np.ndarray]  # query id -> its cosine with each of cand_ids
     image_ids: list[str]  # sorted query/candidate images
-    captions_of: dict[str, list[str]]  # image -> its caption ids, index order
+    captions_of: dict[str, list[str]]  # image -> its scored caption ids, index order
+    cand_ids: list[str]
+
+    def __post_init__(self) -> None:
+        self.id_rank = lexicographic_rank(self.cand_ids)
+        self.column = {cid: j for j, cid in enumerate(self.cand_ids)}  # id -> score column
 
 
 def _squared_norms(embs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", embs, embs)
 
 
-def rank_by_cosine(
-    queries: np.ndarray, candidates: np.ndarray, cand_ids: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Order every candidate for every query by descending cosine score.
-
-    ``queries`` and ``candidates`` stack one embedding per row. Returns
-    ``(order, scores)``: row i of ``order`` lists candidate indices for
-    query i, and ``scores[i, j]`` is the score of candidate ``order[i, j]``.
-    Scores are clamped to [-1, 1]; ties break lexicographically on
-    ``cand_ids``. A zero-norm candidate cannot be scored: it gets -inf and
-    sorts last. A zero-norm query raises ZeroNormError.
-    """
-    if len(cand_ids) == 0:
+def cosine_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Cosine of every query (row) with every candidate (column), both stacked
+    one embedding per row, clamped to [-1, 1]. A zero-norm candidate cannot
+    be scored: it gets -inf. A zero-norm query raises ZeroNormError."""
+    if len(candidates) == 0:
         raise ValueError("candidate pool is empty")
     q_sq, c_sq = _squared_norms(queries), _squared_norms(candidates)
     if not q_sq.all():
@@ -74,74 +75,76 @@ def rank_by_cosine(
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.clip((queries @ candidates.T) / np.sqrt(np.outer(q_sq, c_sq)), -1.0, 1.0)
     scores[:, c_sq == 0.0] = -np.inf
-    id_rank = np.argsort(np.argsort(np.asarray(cand_ids)))
-    order = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores))
-    return order, np.take_along_axis(scores, order, axis=1)
+    return scores
 
 
 def build_rankings(
     model: ScoreModel, data: RetrievalDataset, subset: str = "test"
 ) -> tuple[RankingSet, RankingSet]:
-    """Full annotation and search rankings over one split.
-
-    Embeds every item once, the images as stacked products, and orders each
-    direction with one ``rank_by_cosine`` call. A caption that embeds to the
-    zero vector ranks last for every image and is not a search query.
-    """
+    """Annotation and search scores over one split: every item embedded once,
+    the images as stacked products, and one ``cosine_scores`` call per
+    direction. A caption that embeds to the zero vector ranks last for every
+    image and is not a search query."""
     view = data.view(subset)
-    images = view.image_ids
+    images = list(view.image_ids)
     img_embs = embed_dense(model.visual_net, [data.image_vec(i) for i in images])
     cap_ids = [caption_id(image_id, index) for image_id, index in view.pairs]
     cap_embs = np.array([forward(model.textual_net, data.encoding(*key))[0] for key in view.pairs])
     captions_of: dict[str, list[str]] = {i: [] for i in images}
     for (image_id, _), cid in zip(view.pairs, cap_ids):
         captions_of[image_id].append(cid)
-    order, _ = rank_by_cosine(img_embs, cap_embs, cap_ids)
-    annotation = dict(zip(images, np.asarray(cap_ids, dtype=object)[order].tolist()))
+    annotation = dict(zip(images, cosine_scores(img_embs, cap_embs)))
     queries = np.flatnonzero(_squared_norms(cap_embs))
-    order, _ = rank_by_cosine(cap_embs[queries], img_embs, images)
-    search = dict(zip([cap_ids[q] for q in queries], np.asarray(images, dtype=object)[order].tolist()))
-    return (RankingSet("annotation", annotation, list(images), captions_of),
-            RankingSet("search", search, list(images), captions_of))
+    search = dict(zip([cap_ids[q] for q in queries], cosine_scores(cap_embs[queries], img_embs)))
+    return (RankingSet("annotation", annotation, images, captions_of, cap_ids),
+            RankingSet("search", search, images, captions_of, images))
+
+
+def _count_ranks(scores: np.ndarray, id_rank: np.ndarray, targets) -> np.ndarray:
+    """1-based rank of column ``targets[q]`` within row q of ``scores`` (one row
+    shared by all targets if it is 1-d): one plus the columns that score
+    higher, plus those that tie it and come first in ``id_rank``."""
+    targets = np.asarray(targets, dtype=np.intp)
+    scores = np.broadcast_to(scores, (len(targets), np.shape(scores)[-1]))
+    own = scores[np.arange(len(targets)), targets][:, None]
+    first = id_rank < id_rank[targets][:, None]
+    return 1 + np.count_nonzero((scores > own) | ((scores == own) & first), axis=1)
 
 
 def _designated_ranks(rankings: RankingSet, selections: list[dict[str, str]]) -> np.ndarray:
     """1-based rank of each image's designated item: one row per selection,
-    one column per image in ``image_ids`` order.
-
-    Annotation ranks the designated caption within the selection's pool
-    (the designated captions of all images). Search takes the image's rank
-    in its designated caption's ranking. A designated caption that could not
-    be scored (it is missing from the image's ranking, or is not a search
-    query) gets inf, so it misses at every k.
-    """
-    images = rankings.image_ids
+    one column per image in ``image_ids`` order. Annotation ranks the
+    designated caption among the selection's scored designated captions;
+    search ranks the image in its designated caption's row. A designated
+    caption that could not be scored (it is not a candidate, or is not a
+    search query) gets inf, so it misses at every k."""
+    images, results, column = rankings.image_ids, rankings.results, rankings.column
     ranks = np.full((len(selections), len(images)), np.inf)
-    if rankings.direction == "annotation":
-        pools = [sel[img] for sel in selections for img in images]
-        for i, img in enumerate(images):
-            position = dict(zip(rankings.results[img], range(len(rankings.results[img]))))
-            at = np.fromiter(map(position.get, pools, repeat(np.inf)), float, len(pools))
-            at = at.reshape(len(selections), len(images))
-            own = at[:, i]
-            scored = np.isfinite(own)
-            ranks[scored, i] = np.count_nonzero(at[scored] <= own[scored, None], axis=1)
-    else:
-        for run, sel in enumerate(selections):
-            for i, img in enumerate(images):
-                ranking = rankings.results.get(sel[img])
-                if ranking is not None:
-                    ranks[run, i] = ranking.index(img) + 1
+    for run, sel in enumerate(selections):
+        if rankings.direction == "annotation":
+            present = [i for i, img in enumerate(images) if sel[img] in column]
+            pool = np.array([column[sel[images[i]]] for i in present], dtype=np.intp)
+            rows = [results[images[i]][pool] for i in present]
+            id_rank, targets = rankings.id_rank[pool], range(len(pool))
+        else:
+            present = [i for i, img in enumerate(images) if sel[img] in results]
+            rows = [results[sel[images[i]]] for i in present]
+            id_rank, targets = rankings.id_rank, [column[images[i]] for i in present]
+        if present:
+            ranks[run, present] = _count_ranks(np.array(rows), id_rank, targets)
     return ranks
+
+
+def _own_caption_ranks(rankings: RankingSet, img: str) -> np.ndarray:
+    """Full-pool ranks of ``img``'s scored captions in its annotation row."""
+    own = [rankings.column[cid] for cid in rankings.captions_of[img]]
+    return _count_ranks(rankings.results[img], rankings.id_rank, own)
 
 
 def _any_txt_ranks(rankings: RankingSet) -> np.ndarray:
     """Best rank of any of an image's own captions in its full ranking."""
-    ranks = np.full((1, len(rankings.image_ids)), np.inf)
-    for i, img in enumerate(rankings.image_ids):
-        own = set(rankings.captions_of[img])
-        ranks[0, i] = next((p for p, cid in enumerate(rankings.results[img], 1) if cid in own), np.inf)
-    return ranks
+    return np.array([[min(_own_caption_ranks(rankings, img), default=np.inf)
+                      for img in rankings.image_ids]], dtype=float)
 
 
 def _selections(images: list[str], variant: str, rnd_seed: int) -> list[dict[str, str]]:
@@ -158,18 +161,10 @@ def _selections(images: list[str], variant: str, rnd_seed: int) -> list[dict[str
 
 
 def _variant_ranks(rankings: RankingSet, variants: tuple[str, ...], rnd_seed: int) -> dict[str, np.ndarray]:
-    """Per-image ranks of each R@K variant, one row per run. The
-    single-relevant variants share one ``_designated_ranks`` pass."""
-    ranks = {"any_txt": _any_txt_ranks(rankings)} if "any_txt" in variants else {}
-    single = [v for v in variants if v != "any_txt"]
-    if single:
-        runs = [_selections(rankings.image_ids, v, rnd_seed) for v in single]
-        designated = _designated_ranks(rankings, [sel for run in runs for sel in run])
-        start = 0
-        for variant, run in zip(single, runs):
-            ranks[variant] = designated[start : start + len(run)]
-            start += len(run)
-    return ranks
+    """Per-image ranks of each R@K variant, one row per run."""
+    return {v: _any_txt_ranks(rankings) if v == "any_txt"
+            else _designated_ranks(rankings, _selections(rankings.image_ids, v, rnd_seed))
+            for v in variants}
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -215,7 +210,7 @@ def r_precision(rankings: RankingSet) -> float:
     """Mean percentage of an image's captions found in its top R = CAPTIONS_PER_IMAGE results.
 
     The denominator is always R: a caption that could not be scored is not
-    in the ranking, so it counts as not found.
+    a candidate, so it counts as not found.
     """
     if rankings.direction != "annotation":
         raise ValueError("rPrecision is only defined for annotation")
@@ -224,8 +219,8 @@ def r_precision(rankings: RankingSet) -> float:
         own = rankings.captions_of[img]
         if len(own) > CAPTIONS_PER_IMAGE:
             raise ValueError(f"image {img!r} has {len(own)} captions, expected at most {CAPTIONS_PER_IMAGE}")
-        top = rankings.results[img][:CAPTIONS_PER_IMAGE]
-        total += 100.0 * len(set(top) & set(own)) / CAPTIONS_PER_IMAGE
+        found = np.count_nonzero(_own_caption_ranks(rankings, img) <= CAPTIONS_PER_IMAGE)
+        total += 100.0 * int(found) / CAPTIONS_PER_IMAGE
     return total / len(rankings.image_ids)
 
 

@@ -1,18 +1,20 @@
 """Reference implementations kept independent of the library code paths:
 brute-force metric oracles (literal nested-loop re-implementations of the
-metric definitions), the two-branch triplet gradient the trainer's single
-anchor/candidate path replaced, the training and validation pair loops the
-one scored-pair loop replaced, the anchored ``oracle_score_triplet`` that
-validation's direct scoring of each drawn pair replaced, the pair-by-pair ranking loop the batched
-cosine kernel replaced, the dense-gradient forward/backward/update the
-row-sparse first-layer gradients replaced (its sequence net averages the
-windows first, as the library's does), and the hand-built parameter
-dicts and in-memory checkpoint writer that ``nets.param_shapes`` and the
-streamed save replaced, the row-by-row vector parser that the blocked
-``np.loadtxt`` reader replaced, the embeddings loader whose first row set
-``dim`` inside that parser, the two-loop negative sampler that one
-rejection loop replaced, and the vocabulary writers, digest and
-``vocab.tsv`` reader that the one vocabulary rule and writer walk replaced.
+metric definitions, which read each query's candidates in the order
+``oracle_orderings`` sorts its scores in plain Python), the two-branch
+triplet gradient the trainer's single anchor/candidate path replaced, the
+training and validation pair loops the one scored-pair loop replaced, the
+anchored ``oracle_score_triplet`` that validation's direct scoring of each
+drawn pair replaced, the pair-by-pair ranking loop the batched cosine kernel
+replaced, the dense-gradient forward/backward/update the row-sparse
+first-layer gradients replaced (its sequence net averages the windows first,
+as the library's does), and the hand-built parameter dicts and in-memory
+checkpoint writer that ``nets.param_shapes`` and the streamed save replaced,
+the row-by-row vector parser that the blocked ``np.loadtxt`` reader
+replaced, the embeddings loader whose first row set ``dim`` inside that
+parser, the two-loop negative sampler that one rejection loop replaced, and
+the vocabulary writers, digest and ``vocab.tsv`` reader that the one
+vocabulary rule and writer walk replaced.
 
 Three byte references for changes that round differently, which tests
 compare within 1e-12 relative: the eager SGD step that pending terms and
@@ -575,6 +577,15 @@ def oracle_rank(query, candidates):
     return [cand_id for _, cand_id in scored]
 
 
+def oracle_orderings(rankings):
+    """Every query's candidate ids, sorted in plain Python by descending score,
+    ties lexicographic on id: the order each metric definition reads."""
+    return {
+        query: [cid for _, cid in sorted(zip((-float(s) for s in row), rankings.cand_ids))]
+        for query, row in rankings.results.items()
+    }
+
+
 def oracle_single_run(results, image_ids, selection, k, direction):
     hits = 0
     for img in image_ids:
@@ -594,7 +605,7 @@ def oracle_single_run(results, image_ids, selection, k, direction):
 
 
 def oracle_recall(rankings, k, variant, rnd_seed=0):
-    results, image_ids = rankings.results, rankings.image_ids
+    results, image_ids = oracle_orderings(rankings), rankings.image_ids
     if variant == "any_txt":
         hits = 0
         for img in image_ids:
@@ -623,11 +634,12 @@ def oracle_median_rank(rankings):
 
 
 def oracle_r_precision(rankings):
+    results = oracle_orderings(rankings)
     total = 0.0
     for img in rankings.image_ids:
         own = rankings.captions_of[img]
         found = 0
-        for cid in rankings.results[img][:5]:
+        for cid in results[img][:5]:
             if cid in own:
                 found += 1
         total += 100.0 * found / 5
@@ -657,23 +669,40 @@ def oracle_rouge(candidate, references):
     return num / den
 
 
+def ranking_set_from_orders(direction, orders, image_ids, captions_of):
+    """A RankingSet in which each query's row ranks its candidates in the
+    given order, scoring the candidate at position p as -p. Every order
+    lists every candidate: the captions of ``captions_of`` for annotation,
+    the images for search."""
+    if direction == "annotation":
+        cand_ids = [cid for img in image_ids for cid in captions_of[img]]
+    else:
+        cand_ids = list(image_ids)
+    results = {}
+    for query, order in orders.items():
+        assert sorted(order) == sorted(cand_ids)
+        position = {cid: p for p, cid in enumerate(order)}
+        results[query] = np.array([-float(position[cid]) for cid in cand_ids])
+    return RankingSet(direction, results, image_ids, captions_of, cand_ids)
+
+
 def random_ranking_set(rng, direction, n_images=None):
     n = n_images or rng.randint(2, 20)
     image_ids = [f"i{x:03d}" for x in range(n)]
     captions_of = {img: [caption_id(img, j) for j in range(5)] for img in image_ids}
     all_caps = [cid for img in image_ids for cid in captions_of[img]]
-    results = {}
+    orders = {}
     if direction == "annotation":
         for img in image_ids:
             perm = all_caps[:]
             rng.shuffle(perm)
-            results[img] = perm
+            orders[img] = perm
     else:
         for cid in all_caps:
             perm = image_ids[:]
             rng.shuffle(perm)
-            results[cid] = perm
-    return RankingSet(direction, results, image_ids, captions_of)
+            orders[cid] = perm
+    return ranking_set_from_orders(direction, orders, image_ids, captions_of)
 
 
 def oracle_vector_rows(path: str, numbered_lines, dim: int | None = None):

@@ -442,6 +442,34 @@ class TestTrain:
         assert rc == 0, err
         assert (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("textual, option, value", [
+        ("sse", "n_hu", "6"), ("bag", "word_dim", "8"), ("bag", "kernels", "12"), ("bag", "window", "3"),
+    ])
+    def test_option_of_the_other_textual_net_refused(self, tmp_path, corpus, prepped, capsys,
+                                                     textual, option, value, source):
+        """An option the chosen textual net does not use would change nothing
+        while the manifest recorded it: one ConfigError that names its flag,
+        whether the value came from the flag or from a config line."""
+        flag = "--" + option.replace("_", "-")
+        extra = (flag, value)
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{option} = {value}\n")
+            extra = ("--config", str(cfg))
+        out = tmp_path / "x"
+        err = assert_one_error_line(capsys, "ConfigError", out,
+                                    *train_args(corpus, prepped, out, "--textual", textual, *extra))
+        assert flag in err
+
+    def test_default_of_the_other_textual_net_accepted(self, tmp_path, corpus, prepped, capsys):
+        for textual, extra in (("sse", ("--word-dim", "6", "--kernels", "6", "--window", "3",
+                                         "--n-hu", "0")),
+                               ("bag", ("--word-dim", "300", "--kernels", "300", "--window", "5"))):
+            out = tmp_path / textual
+            rc, _, err = run(capsys, *train_args(corpus, prepped, out, "--textual", textual, *extra))
+            assert rc == 0, err
+
 
 class TestEvaluate:
     def test_reports_both_directions(self, tmp_path, corpus, trained, capsys):

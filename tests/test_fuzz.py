@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossmodal import errors
 from crossmodal.checkpoint import load_checkpoint
-from crossmodal.cli import main
+from crossmodal.cli import OPTIONS, main
 from crossmodal.corpus import load_captions, load_image_features, load_word_embeddings
 from crossmodal.text import load_vocabulary
 
@@ -51,6 +51,14 @@ JSON_VALUES = st.recursive(
                       max_size=3),
     max_leaves=6,
 )
+
+# --config lines: a value this corpus can train with, or a train key (or an
+# unknown one) set to a value out of range or of the wrong type; none makes a run slow
+GOOD_LINES = ["margin = 0.5", "lr = 0.01", "methodology = t2i", "weighting = tfidf", "seed = 5",
+              "n_hu = 3", "visual_n_hu = 3", "textual = sse", "word_dim = 6", "kernels = 3",
+              "window = 2", "epochs = 2", "val_frac = 0.4"]
+BAD_KEYS = [opt.name for opt in OPTIONS] + ["momentum"]
+BAD_VALUES = ["0", "-1", "1.5", "1e300", "nan", "x", ""]
 
 LOADERS = {
     "captions": load_captions,
@@ -214,19 +222,38 @@ def test_loaders_return_or_raise_typed(inputs, name, data):
             pass
 
 
+@st.composite
+def config_text(draw) -> str:
+    """Up to four lines, most of them good, and perhaps one without its ``=``."""
+    lines = [draw(st.sampled_from(GOOD_LINES)) if draw(st.integers(0, 3))
+             else f"{draw(st.sampled_from(BAD_KEYS))} = {draw(st.sampled_from(BAD_VALUES))}"
+             for _ in range(draw(st.integers(0, 4)))]
+    if lines and draw(st.integers(0, 9)) == 0:
+        lines[-1] = lines[-1].replace("=", "")
+    return "".join(line + "\n" for line in lines)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_preprocess_and_train_on_edited_inputs(inputs, data):
-    name = data.draw(st.sampled_from(sorted(inputs.files)))
+    """One input file edited, or none, and a drawn --config, trained for one
+    epoch: a run that exits 0 wrote every file of --out."""
+    name = data.draw(st.sampled_from([None, *sorted(inputs.files)]))
     with tempfile.TemporaryDirectory(dir=inputs.root) as tmp:
-        files = {**inputs.files, name: Path(tmp) / name}
-        files[name].write_bytes(data.draw(edited_bytes(inputs.files[name].read_bytes())))
+        files = dict(inputs.files)
+        if name is not None:
+            files[name] = Path(tmp) / name
+            files[name].write_bytes(data.draw(edited_bytes(inputs.files[name].read_bytes())))
         if name == "captions":
             out = Path(tmp) / "prep"
             run_main(["preprocess", "--captions", str(files[name]), "--out", str(out)], out)
+        config = Path(tmp) / "run.cfg"
+        config.write_text(data.draw(config_text()))
         out = Path(tmp) / "run"
-        run_main(train_args(files, out, "--epochs", "0", "--embeddings", str(files["embeddings"])),
-                 out)
+        extra = ["--embeddings", str(files["embeddings"])] if data.draw(st.booleans()) else []
+        if run_main(train_args(files, out, "--epochs", "1", "--config", str(config), *extra), out) == 0:
+            assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "history.tsv",
+                                                             "manifest.json"]
 
 
 def vocabulary_identity(header) -> str | None:

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
 from crossmodal.errors import ZeroNormError
 from crossmodal.metrics import (
-    RankingSet,
+    _count_ranks,
     bleu,
     build_rankings,
     caption_id,
+    cosine_scores,
     evaluate_rankings,
+    lexicographic_rank,
     median_rank,
     median_rank_from_ranks,
     r_precision,
-    rank_by_cosine,
     recall_at_k,
     rouge,
 )
@@ -26,13 +27,28 @@ from crossmodal.text import build_vocabulary
 from oracles import (
     oracle_bleu,
     oracle_median_rank,
+    oracle_orderings,
     oracle_r_precision,
     oracle_rank,
     oracle_recall,
     oracle_rouge,
     oracle_single_run,
     random_ranking_set,
+    ranking_set_from_orders,
 )
+
+
+def counted_ranks(scores, ids):
+    """The counted rank of every column in every row of ``scores``, one row
+    of ranks per row of scores."""
+    id_rank = lexicographic_rank(ids)
+    return np.array([_count_ranks(row, id_rank, range(len(ids))) for row in scores])
+
+
+def oracle_positions(expected, ids):
+    """The 1-based position of each of ``ids`` in the ordered id list ``expected``."""
+    position = {cid: p for p, cid in enumerate(expected, 1)}
+    return [position[cid] for cid in ids]
 
 
 class TestRecallAtK:
@@ -48,9 +64,9 @@ class TestRecallAtK:
             pool.remove(target)
             r = ranks.get(img, 1)
             pool.insert(r - 1, target)
-            # pad with this image's remaining captions at the tail
-            results[img] = pool + [caption_id(img, j) for j in range(1, 5)]
-        rankings = RankingSet("annotation", results, image_ids, captions_of)
+            # pad with every image's remaining captions at the tail
+            results[img] = pool + [caption_id(other, j) for other in image_ids for j in range(1, 5)]
+        rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
         got = recall_at_k(rankings, 5, "first_txt")
         # i0, i1 hit within top 5; i2, i3 miss; remaining 8 images hit at rank 1
         assert got == pytest.approx(100.0 * 10 / 12)
@@ -71,7 +87,7 @@ class TestRecallAtK:
             for other in sorted(image_ids, key=lambda x: (x != img, x)):
                 ordered.extend(captions_of[other])
             results[img] = ordered
-        rankings = RankingSet("annotation", results, image_ids, captions_of)
+        rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
         for k in (1, 2, 3):
             assert recall_at_k(rankings, k, "avg_txt") == recall_at_k(rankings, k, "first_txt")
 
@@ -101,9 +117,8 @@ class TestRecallAtK:
                 runs = []
                 for j in range(5):
                     sel = {img: caption_id(img, j) for img in rankings.image_ids}
-                    runs.append(
-                        oracle_single_run(rankings.results, rankings.image_ids, sel, k, "annotation")
-                    )
+                    runs.append(oracle_single_run(oracle_orderings(rankings), rankings.image_ids, sel,
+                                                  k, "annotation"))
                 assert recall_at_k(rankings, k, "avg_txt") >= min(runs) - 1e-12
 
 
@@ -128,7 +143,7 @@ class TestMedianRank:
                     pool = [x for x in image_ids if x != img]
                     pool.insert(next(it) - 1, img)
                     results[caption_id(img, j)] = pool
-            return RankingSet("search", results, image_ids, captions_of)
+            return ranking_set_from_orders("search", results, image_ids, captions_of)
 
         # [1,2,9,10] over 4 ranks needs pool >= 10; use 2 images x 5 runs = 10 ranks
         rankings = from_ranks([1, 2, 2, 1, 1, 2, 1, 2, 1, 2])
@@ -139,10 +154,11 @@ class TestMedianRank:
     def test_all_rank_one(self):
         rng = random.Random(4)
         rankings = random_ranking_set(rng, "search", n_images=4)
-        for cid in list(rankings.results):
+        orders = {}
+        for cid in rankings.results:
             img = cid.rsplit("#", 1)[0]
-            pool = [x for x in rankings.image_ids if x != img]
-            rankings.results[cid] = [img] + pool
+            orders[cid] = [img] + [x for x in rankings.image_ids if x != img]
+        rankings = ranking_set_from_orders("search", orders, rankings.image_ids, rankings.captions_of)
         assert median_rank(rankings) == 1
 
     def test_exact_fifty_percent_boundary(self):
@@ -155,7 +171,7 @@ class TestMedianRank:
             for img in image_ids:
                 other = "b" if img == "a" else "a"
                 results[caption_id(img, j)] = [img, other] if j < 3 else [other, img]
-        rankings = RankingSet("search", results, image_ids, captions_of)
+        rankings = ranking_set_from_orders("search", results, image_ids, captions_of)
         assert median_rank(rankings) == 1
 
     def test_consistency_property(self):
@@ -176,7 +192,7 @@ class TestRPrecision:
         results = {
             img: captions_of[img] + captions_of["b" if img == "a" else "a"] for img in image_ids
         }
-        rankings = RankingSet("annotation", results, image_ids, captions_of)
+        rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
         assert r_precision(rankings) == 100.0
 
     def test_single_hit_per_query(self):
@@ -186,7 +202,7 @@ class TestRPrecision:
         for img in image_ids:
             other = "b" if img == "a" else "a"
             results[img] = [captions_of[img][0]] + captions_of[other] + captions_of[img][1:]
-        rankings = RankingSet("annotation", results, image_ids, captions_of)
+        rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
         assert r_precision(rankings) == 20.0
 
     def test_mixed_queries_average(self):
@@ -196,7 +212,7 @@ class TestRPrecision:
             "a": captions_of["a"] + captions_of["b"],  # all 5 in top 5
             "b": captions_of["a"] + captions_of["b"],  # none in top 5
         }
-        rankings = RankingSet("annotation", results, image_ids, captions_of)
+        rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
         assert r_precision(rankings) == 50.0
 
     def test_search_direction_rejected(self):
@@ -261,9 +277,11 @@ class TestOracleEquivalence:
             # at most one per image, so avg_txt recall can still reach 50%
             dropped = {rng.choice(rankings.captions_of[img]) for img in rankings.image_ids
                        if rng.random() < 0.5}
-            for img in rankings.image_ids:
-                rankings.results[img] = [c for c in rankings.results[img] if c not in dropped]
-                rankings.captions_of[img] = [c for c in rankings.captions_of[img] if c not in dropped]
+            orders = {img: [c for c in order if c not in dropped]
+                      for img, order in oracle_orderings(rankings).items()}
+            captions_of = {img: [c for c in caps if c not in dropped]
+                           for img, caps in rankings.captions_of.items()}
+            rankings = ranking_set_from_orders("annotation", orders, rankings.image_ids, captions_of)
             seed = rng.randrange(1000)
             report = evaluate_rankings(rankings, (1, 2, 5, 10), seed)
             for variant, by_k in report.recall.items():
@@ -284,10 +302,15 @@ class TestOracleEquivalence:
 
 class TestRankCandidates:
     @staticmethod
-    def toy_model_and_data(seed=0, noise=0.0):
-        images, captions = generate_synthetic_corpus(3, 2, 8, 6, noise, seed=seed)
+    def toy_model_and_data(seed=0, noise=0.0, images_per_cluster=2, unencodable=()):
+        """Untrained nets on a three-cluster corpus whose captions all form the
+        test split; the captions named in ``unencodable`` have no in-vocabulary term."""
+        images, captions = generate_synthetic_corpus(3, images_per_cluster, 8, 6, noise, seed=seed)
         store = FeatureStore(images, 8)
         vocab = build_vocabulary(captions, "unigram", 500)
+        for cap in captions:
+            if caption_id(cap.image_id, cap.caption_index) in unencodable:
+                cap.tokens = ["zzz"]
         split = SplitDataset(set(), set(), {r.image_id for r in images}, seed=0)
         data = RetrievalDataset(store, captions, split, vocab)
         model = ScoreModel(
@@ -300,9 +323,10 @@ class TestRankCandidates:
         model, data, store, vocab = self.toy_model_and_data()
         query = forward(model.visual_net, store.get("c0img000"))[0]
         cand = forward(model.textual_net, data.encoding("c0img000", 0))[0]
-        order, scores = rank_by_cosine(query[None], cand[None], ["c0img000#0"])
-        assert order.tolist() == [[0]]
+        scores = cosine_scores(query[None], cand[None])
+        assert scores.shape == (1, 1)
         assert scores[0, 0] == pytest.approx(cosine_score(query, cand), abs=1e-12)
+        assert counted_ranks(scores, ["c0img000#0"]).tolist() == [[1]]
 
     def test_pairwise_matches_batched(self):
         for seed in range(5):
@@ -314,24 +338,53 @@ class TestRankCandidates:
                 for img, idx in view.pairs
             ]
             imgs = [(img, forward(model.visual_net, store.get(img))[0]) for img in view.image_ids]
-            for img, emb in imgs:
-                assert oracle_rank(emb, caps) == annotation.results[img]
-            for cid, emb in caps:
-                assert oracle_rank(emb, imgs) == search.results[cid]
+            assert annotation.cand_ids == [cid for cid, _ in caps]
+            assert search.cand_ids == view.image_ids and list(search.results) == annotation.cand_ids
+            for rankings, queries, pool in ((annotation, imgs, caps), (search, caps, imgs)):
+                for qid, emb in queries:
+                    ranks = counted_ranks([rankings.results[qid]], rankings.cand_ids)[0]
+                    assert ranks.tolist() == oracle_positions(oracle_rank(emb, pool), rankings.cand_ids)
 
     def test_zero_norm_caption_ranks_last_and_is_not_a_query(self):
         model, data, store, vocab = self.toy_model_and_data()
         # every term of caption c0img000#0 embeds to zero and the net has no bias
         model.textual_net.params["b0"][:] = 0.0
         model.textual_net.params["w0"][data.encoding("c0img000", 0).indices] = 0.0
-        zero = {f"{i}#{j}" for i, j in data.view("test").pairs
-                if not np.any(forward(model.textual_net, data.encoding(i, j))[0])}
+        caps = [(f"{i}#{j}", forward(model.textual_net, data.encoding(i, j))[0])
+                for i, j in data.view("test").pairs]
+        zero = {cid for cid, emb in caps if not np.any(emb)}
         assert "c0img000#0" in zero
         annotation, search = build_rankings(model, data, "test")
-        for ranking in annotation.results.values():
-            assert set(ranking[-len(zero):]) == zero
+        for img, row in annotation.results.items():
+            expected = oracle_rank(forward(model.visual_net, store.get(img))[0], caps)
+            assert set(expected[-len(zero):]) == zero
+            ranks = counted_ranks([row], annotation.cand_ids)[0]
+            assert ranks.tolist() == oracle_positions(expected, annotation.cand_ids)
         assert zero.isdisjoint(search.results)
         assert len(search.results) == len(data.view("test").pairs) - len(zero)
+
+    def test_build_and_evaluate_against_oracles(self):
+        """Every metric counted off ``build_rankings``' scores equals the
+        oracles', with a designated caption that has no in-vocabulary term and
+        captions that embed to zero, which tie at -inf."""
+        model, data, store, vocab = self.toy_model_and_data(
+            seed=3, noise=0.3, images_per_cluster=4, unencodable={"c1img002#0"})
+        model.textual_net.params["b0"][:] = 0.0
+        model.textual_net.params["w0"][data.encoding("c2img001", 3).indices] = 0.0
+        annotation, search = build_rankings(model, data, "test")
+        assert data.unencodable == 1 and "c1img002#0" not in annotation.cand_ids
+        row = annotation.results["c0img000"]
+        zero = {cid for cid, score in zip(annotation.cand_ids, row) if score == -np.inf}
+        assert "c2img001#3" in zero and zero.isdisjoint(search.results)
+        for seed in range(3):
+            for rankings in (annotation, search):
+                report = evaluate_rankings(rankings, (1, 2, 5, 10), seed)
+                for variant, by_k in report.recall.items():
+                    for k, pct in by_k.items():
+                        assert pct == oracle_recall(rankings, k, variant, seed), (variant, k)
+                assert report.med_r == oracle_median_rank(rankings)
+                if rankings.direction == "annotation":
+                    assert report.r_precision_5 == oracle_r_precision(rankings)
 
     def test_oracle_model_ranks_own_cluster_first(self):
         model, data, store, vocab = self.toy_model_and_data()
@@ -346,15 +399,15 @@ class TestRankCandidates:
         for term, idx in vocab.term_to_index.items():
             model.textual_net.params["w0"][idx] = store.get(f"{term.split('w')[0]}img000")
         annotation, _ = build_rankings(model, data, "test")
-        for img in annotation.image_ids:
-            cluster = img[:2]
-            own_cluster = 10  # 2 images x 5 captions per cluster
-            top = annotation.results[img][:own_cluster]
-            assert all(cid[:2] == cluster for cid in top)
+        own_cluster = 10  # 2 images x 5 captions per cluster
+        for img, row in annotation.results.items():
+            ranks = counted_ranks([row], annotation.cand_ids)[0]
+            top = [cid for cid, rank in zip(annotation.cand_ids, ranks) if rank <= own_cluster]
+            assert len(top) == own_cluster and all(cid[:2] == img[:2] for cid in top)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            rank_by_cosine(np.ones((1, 3)), np.empty((0, 3)), [])
+            cosine_scores(np.ones((1, 3)), np.empty((0, 3)))
 
     def test_zero_norm_query_rejected(self):
         model, data, store, vocab = self.toy_model_and_data()
@@ -363,7 +416,7 @@ class TestRankCandidates:
         query = forward(model.visual_net, store.get("c0img000"))[0]
         cand = forward(model.textual_net, data.encoding("c0img000", 0))[0]
         with pytest.raises(ZeroNormError):
-            rank_by_cosine(query[None], cand[None], ["x"])
+            cosine_scores(query[None], cand[None])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -375,6 +428,9 @@ class TestRankCandidates:
         dim=st.integers(1, 6),
     )
     def test_kernel_matches_pairwise_oracle(self, seed, n_queries, n_distinct, n_copies, n_zero, dim):
+        """Every counted rank lies in its oracle position's block of scores
+        within 1e-12 of each other; exact ties rank in id order and zero-norm
+        candidates last."""
         rng = np.random.default_rng(seed)
         queries = rng.normal(size=(n_queries, dim))
         distinct = rng.normal(size=(n_distinct, dim))
@@ -383,33 +439,32 @@ class TestRankCandidates:
             distinct[rng.integers(0, n_distinct, size=n_copies)],  # exact ties
             np.zeros((n_zero, dim)),
         ])
+        n_scored = len(rows) - n_zero
         # ids in an order unrelated to the rows, so ties really test id order
         ids = [f"c{x:02d}" for x in rng.permutation(len(rows))]
         pool = list(zip(ids, rows))
-        score_of = {}
-        order, scores = rank_by_cosine(queries, rows, ids)
+        scores = cosine_scores(queries, rows)
+        ranks = counted_ranks(scores, ids)
         for q, query in enumerate(queries):
-            for cid, emb in pool:
-                score_of[cid] = cosine_score(query, emb) if np.any(emb) else -np.inf
+            score_of = {cid: cosine_score(query, emb) if np.any(emb) else -np.inf for cid, emb in pool}
+            rank_of = dict(zip(ids, ranks[q].tolist()))
             expected = oracle_rank(query, pool)
-            got = [ids[j] for j in order[q]]
-            # cut both orderings wherever adjacent pairwise scores differ by more than 1e-12
+            # cut the oracle order wherever adjacent pairwise scores differ by more than 1e-12
             cuts = [0] + [
                 i for i in range(1, len(expected))
                 if score_of[expected[i - 1]] - score_of[expected[i]] > 1e-12
             ] + [len(expected)]
             for a, b in zip(cuts, cuts[1:]):
-                assert set(got[a:b]) == set(expected[a:b])
-                block = got[a:b]
+                block = expected[a:b]
+                assert sorted(rank_of[cid] for cid in block) == list(range(a + 1, b + 1))
                 for i, first in enumerate(block):
                     for later in block[i + 1:]:
                         if score_of[first] == score_of[later]:
-                            assert first < later  # exact ties in id order
-            zero_ids = sorted(ids[len(rows) - n_zero:])
-            assert got[len(rows) - n_zero:] == zero_ids
-            assert np.all(scores[q, len(rows) - n_zero:] == -np.inf)
-            finite = scores[q, : len(rows) - n_zero]
-            assert np.all(np.abs(finite - [score_of[c] for c in got[: len(rows) - n_zero]]) <= 1e-12)
+                            assert rank_of[first] < rank_of[later]  # exact ties in id order
+            zero_ids = sorted(ids[n_scored:])
+            assert [rank_of[cid] for cid in zero_ids] == list(range(n_scored + 1, len(rows) + 1))
+            assert np.all(scores[q, n_scored:] == -np.inf)
+            assert np.all(np.abs(scores[q, :n_scored] - [score_of[c] for c in ids[:n_scored]]) <= 1e-12)
 
 
 class TestEvalReport:
