@@ -205,8 +205,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     captions = load_captions(args.captions, strict=not args.lenient)
-    for cap in captions:
-        cap.tokens = normalize_tokenize(cap.text)
     mode = MODE_FLAGS[args.mode]
     vocab = build_vocabulary(captions, mode, args.max_size)
     os.makedirs(args.out, exist_ok=True)

@@ -25,7 +25,6 @@ import itertools
 import math
 import os
 import random
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -314,7 +313,7 @@ def load_word_embeddings(path: str) -> PretrainedEmbeddings:
     """Parse word2vec-style text embeddings.
 
     ``dim`` is the first non-blank line's value count, as a header's would
-    be. A word seen again keeps its first vector and emits a UserWarning.
+    be. A word seen again is refused, as a repeated image id is.
     """
     lines = text_lines(path)
     first = next(((lineno, line) for lineno, line in lines if line.split()), None)
@@ -324,8 +323,7 @@ def load_word_embeddings(path: str) -> PretrainedEmbeddings:
     vectors: dict[str, np.ndarray] = {}
     for word, vec in _vector_rows(path, itertools.chain([first], lines), dim):
         if word in vectors:
-            warnings.warn(f"duplicate embedding for word {word!r}; keeping first", stacklevel=2)
-            continue
+            raise CorpusFormatError(f"{path}: duplicate word {word!r}")
         vectors[word] = vec
     return PretrainedEmbeddings(dim=dim, vectors=vectors)
 

@@ -14,7 +14,7 @@ class VocabularyError(CrossmodalError):
 
 
 class EmptySequenceError(CrossmodalError):
-    """A caption has no in-vocabulary tokens; the sample should be skipped."""
+    """A query sentence has no in-vocabulary term, so ``query`` has nothing to score."""
 
 
 class ZeroNormError(CrossmodalError):

@@ -14,10 +14,12 @@ search-side meaning.
 Scoring. ``cosine_scores`` is the one scoring kernel, one batched cosine
 per direction, and nothing is sorted: every rank is a count from
 ``_count_ranks``, one plus the candidates that score higher plus those that
-tie and come first by id, so every metric is deterministic. A zero-norm
-candidate scores -inf and ranks after every scored one. A designated
-caption that could not be scored (no in-vocabulary term, or zero norm as a
-search query) misses at every k and counts as rank n for med r.
+tie and come first by id, so every metric is deterministic. Training's rule,
+``ranker.cosine_vanishes``, decides which pairs score: a non-finite embedding
+raises NonFiniteGradientError, and a zero-norm or vanishing pair scores -inf,
+after every scored one. A designated caption that could not be scored (no
+in-vocabulary term, or no image scores it) misses at every k and counts as
+rank n for med r.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .corpus import CAPTIONS_PER_IMAGE
 from .errors import ZeroNormError
 from .nets import embed_dense, forward
-from .ranker import RetrievalDataset, ScoreModel
+from .ranker import RetrievalDataset, ScoreModel, cosine_vanishes
 
 VARIANTS = ("first_txt", "rnd_txt", "avg_txt", "any_txt")
 DEFAULT_KS = (1, 2, 5, 10)
@@ -59,22 +61,22 @@ class RankingSet:
         self.column = {cid: j for j, cid in enumerate(self.cand_ids)}  # id -> score column
 
 
-def _squared_norms(embs: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", embs, embs)
-
-
 def cosine_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Cosine of every query (row) with every candidate (column), both stacked
-    one embedding per row, clamped to [-1, 1]. A zero-norm candidate cannot
-    be scored: it gets -inf. A zero-norm query raises ZeroNormError."""
+    one embedding per row, clamped to [-1, 1], under ``cosine_vanishes``' rule:
+    a non-finite or overflowing embedding raises NonFiniteGradientError, and a
+    pair it cannot divide by, zero-norm or vanishing, gets -inf. A zero-norm
+    query raises ZeroNormError."""
     if len(candidates) == 0:
         raise ValueError("candidate pool is empty")
-    q_sq, c_sq = _squared_norms(queries), _squared_norms(candidates)
-    if not q_sq.all():
-        raise ZeroNormError(f"query row {int(np.argmin(q_sq))} embeds to the zero vector")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.clip((queries @ candidates.T) / np.sqrt(np.outer(q_sq, c_sq)), -1.0, 1.0)
-    scores[:, c_sq == 0.0] = -np.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused or set below
+        q_sq, c_sq = (np.einsum("ij,ij->i", embs, embs) for embs in (queries, candidates))
+        dots, norm_products = queries @ candidates.T, np.outer(q_sq, c_sq)
+        vanishing = cosine_vanishes(norm_products, dots, "cosine-score")
+        if not q_sq.all():
+            raise ZeroNormError(f"query row {int(np.argmin(q_sq))} embeds to the zero vector")
+        scores = np.clip(dots / np.sqrt(norm_products), -1.0, 1.0)
+    scores[vanishing] = -np.inf
     return scores
 
 
@@ -83,8 +85,8 @@ def build_rankings(
 ) -> tuple[RankingSet, RankingSet]:
     """Annotation and search scores over one split: every item embedded once,
     the images as stacked products, and one ``cosine_scores`` call per
-    direction. A caption that embeds to the zero vector ranks last for every
-    image and is not a search query."""
+    direction. A caption that no image can score ranks last for every image
+    and is not a search query."""
     view = data.view(subset)
     images = list(view.image_ids)
     img_embs = embed_dense(model.visual_net, [data.image_vec(i) for i in images])
@@ -93,10 +95,10 @@ def build_rankings(
     captions_of: dict[str, list[str]] = {i: [] for i in images}
     for (image_id, _), cid in zip(view.pairs, cap_ids):
         captions_of[image_id].append(cid)
-    annotation = dict(zip(images, cosine_scores(img_embs, cap_embs)))
-    queries = np.flatnonzero(_squared_norms(cap_embs))
+    annotation = cosine_scores(img_embs, cap_embs)
+    queries = np.flatnonzero((annotation > -np.inf).any(axis=0))
     search = dict(zip([cap_ids[q] for q in queries], cosine_scores(cap_embs[queries], img_embs)))
-    return (RankingSet("annotation", annotation, images, captions_of, cap_ids),
+    return (RankingSet("annotation", dict(zip(images, annotation)), images, captions_of, cap_ids),
             RankingSet("search", search, images, captions_of, images))
 
 

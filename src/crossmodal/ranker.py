@@ -83,16 +83,23 @@ def write_history(history: TrainHistory, path: str) -> None:
             fh.write(f"{row.epoch}\t{row.lr!r}\t{row.train_err!r}\t{row.val_err!r}\n")
 
 
+def cosine_vanishes(norm_products, dots, what: str) -> bool | np.ndarray:
+    """The one rule for which pairs a cosine can score, from each pair's product
+    of squared norms and dot, floats or arrays: a value that is not finite raises
+    NonFiniteGradientError. Returns where the product is 0: it cannot divide."""
+    finite = norm_products - norm_products + dots - dots == 0  # x - x is 0 exactly for finite x
+    if not (finite if type(finite) is bool else finite.all()):  # no numpy call on a pair's floats
+        raise NonFiniteGradientError(f"cannot {what} a non-finite or overflowing embedding")
+    return norm_products == 0.0
+
+
 def _cosine_dots(v_img: np.ndarray, v_txt: np.ndarray, what: str) -> tuple[float, float, float]:
-    """(img . img, txt . txt, img . txt). An overflow inside the nets first
-    shows here, as a non-finite dot or product of squared norms: it ends as
-    a typed error, not as a RuntimeWarning and a NaN score."""
+    """(img . img, txt . txt, img . txt) of a pair ``cosine_vanishes`` scores;
+    ZeroNormError where it vanishes. An overflow in the nets first shows here."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
         dot_ii, dot_tt = float(np.dot(v_img, v_img)), float(np.dot(v_txt, v_txt))
         dot_it = float(np.dot(v_img, v_txt))
-    if not (math.isfinite(dot_ii * dot_tt) and math.isfinite(dot_it)):
-        raise NonFiniteGradientError(f"cannot {what} a non-finite or overflowing embedding")
-    if dot_ii * dot_tt == 0.0:  # also when the product underflows: it divides
+    if cosine_vanishes(dot_ii * dot_tt, dot_it, what):
         raise ZeroNormError(f"cannot {what} a zero-norm or vanishing embedding")
     return dot_ii, dot_tt, dot_it
 
@@ -149,8 +156,6 @@ class RetrievalDataset:
         weighting: str = "binary",
         textual_kind: str = "bag",
     ):
-        if textual_kind not in ("bag", "sequence"):
-            raise ValueError(f"unknown textual kind {textual_kind!r}")
         self.features = features
         self.split = split
         self._encodings: dict[tuple[str, int], Encoding | None] = {}

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import Caption, atomic_write, text_lines
-from .errors import ConfigError, EmptySequenceError, VocabularyError
+from .errors import ConfigError, VocabularyError
 
 MODES = ("unigram", "bigram", "trigram", "trigram_skip")
 WEIGHTINGS = ("binary", "tfidf")
@@ -157,29 +157,24 @@ def featurize(tokens: list[str], vocab: Vocabulary, weighting: str) -> SparseVec
 
 
 def encode_sequence(tokens: list[str], vocab: Vocabulary) -> TokenSequence:
-    """Map tokens to vocabulary indices in order, dropping OOV tokens."""
+    """Map tokens to vocabulary indices in order, dropping OOV tokens; a
+    caption with no in-vocabulary token yields an empty sequence."""
     if vocab.mode != "unigram":
         raise ConfigError("sequence encoding requires a unigram vocabulary")
     indices = [vocab.term_to_index[t] for t in tokens if t in vocab.term_to_index]
-    if not indices:
-        raise EmptySequenceError("no in-vocabulary tokens in caption")
     return TokenSequence(np.array(indices, dtype=np.int64))
 
 
 def encode_caption(
     tokens: list[str], vocab: Vocabulary, kind: str, weighting: str
 ) -> Encoding | None:
-    """Encode a caption for a ``bag`` or ``sequence`` textual net.
-
-    Returns None when no term of the caption is in the vocabulary.
-    """
-    if kind == "sequence":
-        try:
-            return encode_sequence(tokens, vocab)
-        except EmptySequenceError:
-            return None
-    vec = featurize(tokens, vocab, weighting)
-    return vec if len(vec) else None
+    """Encode a caption for a ``bag`` or ``sequence`` textual net, or None
+    when no term of the caption is in the vocabulary: the one place that
+    decides a caption cannot be scored."""
+    if kind not in ("bag", "sequence"):
+        raise ValueError(f"unknown textual kind {kind!r}")
+    enc = encode_sequence(tokens, vocab) if kind == "sequence" else featurize(tokens, vocab, weighting)
+    return enc if len(enc) else None
 
 
 def vocabulary_rows(vocab: Vocabulary) -> list[tuple[str, int, int]]:

@@ -27,7 +27,6 @@ import itertools
 import json
 import random
 import struct
-import warnings
 import zlib
 from dataclasses import asdict
 
@@ -733,14 +732,12 @@ def oracle_vector_rows(path: str, numbered_lines, dim: int | None = None):
 def oracle_load_word_embeddings(path: str) -> PretrainedEmbeddings:
     """Parse word2vec-style text embeddings.
 
-    Words appearing more than once keep their first vector; each repeat
-    emits a UserWarning.
+    A word appearing a second time is refused, naming the file and the word.
     """
     vectors: dict[str, np.ndarray] = {}
     for word, vec in oracle_vector_rows(path, text_lines(path)):
         if word in vectors:
-            warnings.warn(f"duplicate embedding for word {word!r}; keeping first", stacklevel=2)
-            continue
+            raise CorpusFormatError(f"{path}: duplicate word {word!r}")
         vectors[word] = vec
     if not vectors:
         raise CorpusFormatError(f"{path}: no embeddings found")

@@ -420,6 +420,15 @@ class TestTrain:
         assert err.startswith(f"error CorpusFormatError: {emb_path}:1:") and err.count("\n") == 1
         assert not (out / "manifest.json").exists()
 
+    def test_repeated_embedding_word_fails_before_writing(self, tmp_path, corpus, prepped, capsys):
+        emb_path = tmp_path / "emb.txt"
+        emb_path.write_text(("c0w1" + " 1.0" * 8 + "\n") * 2)
+        out = tmp_path / "dup_emb"
+        err = assert_one_error_line(capsys, "CorpusFormatError", out, *train_args(
+            corpus, prepped, out, "--embeddings", str(emb_path),
+        ))
+        assert err == f"error CorpusFormatError: {emb_path}: duplicate word 'c0w1'\n"
+
     def test_overflowing_features_fail_before_writing(self, tmp_path, corpus, prepped, capsys):
         """Finite values whose squared norm overflows; before this was refused,
         training exited 0 with a RuntimeWarning and 100% error."""
@@ -880,6 +889,39 @@ class TestQuery:
             "--features", str(corpus / "features.txt"),
         )
         assert rc != 0 and "ConfigError" in err
+
+
+class TestOverflowingEmbedding:
+    @pytest.fixture
+    def overflowing(self, tmp_path, capsys):
+        """A checkpoint trained one epoch on the default 40-image synth corpus,
+        then re-saved with its visual w0 scaled by 1e200: it passes every
+        check, and every image's squared norm overflows."""
+        corpus, prep, trained = tmp_path / "corpus", tmp_path / "prep", tmp_path / "run"
+        assert run(capsys, "synth", "--seed", "7", "--out", str(corpus))[0] == 0
+        assert run(capsys, "preprocess", "--captions", str(corpus / "captions.tsv"), "--out", str(prep))[0] == 0
+        rc, _, err = run(
+            capsys, "train", "--captions", str(corpus / "captions.tsv"),
+            "--features", str(corpus / "features.txt"), "--vocab", str(prep / "vocab.tsv"),
+            "--n-test", "8", "--val-frac", "0.15", "--epochs", "1", "--n-emb", "16", "--out", str(trained),
+        )
+        assert rc == 0, err
+        ckpt = load_checkpoint(str(trained / "checkpoint.bin"))
+        ckpt.model.visual_net.params["w0"] *= 1e200
+        path = tmp_path / "overflowing.bin"
+        save_checkpoint(str(path), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history,
+                        data_config=ckpt.data_config)
+        return path, corpus
+
+    @pytest.mark.parametrize("command", ["evaluate", "query"])
+    def test_one_error_line(self, tmp_path, overflowing, capsys, command):
+        """Not a RuntimeWarning (the suite makes one an error), nor NaN or 0 scores."""
+        ckpt, corpus = overflowing
+        out = tmp_path / "eval"
+        extra = (["--captions", str(corpus / "captions.tsv"), "--out", str(out)] if command == "evaluate"
+                 else ["--sentence", "c0w1 c0w2"])
+        assert_one_error_line(capsys, "NonFiniteGradientError", out, command, "--checkpoint", str(ckpt),
+                              "--features", str(corpus / "features.txt"), *extra)
 
 
 class TestReadme:

@@ -237,12 +237,10 @@ class TestLoadWordEmbeddings:
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(path)}:2: 'cat'"):
             load_word_embeddings(path)
 
-    def test_duplicate_keeps_first_and_warns(self, tmp_path):
-        path = write(tmp_path, "e.txt", "dog 1 2\ndog 3 4\n")
-        with pytest.warns(UserWarning, match="dog") as rec:
-            emb = load_word_embeddings(path)
-        assert len(rec) == 1
-        np.testing.assert_array_equal(emb.vectors["dog"], [1, 2])
+    def test_duplicate_word_refused(self, tmp_path):
+        path = write(tmp_path, "e.txt", "dog 1 2\ncat 3 4\ndog 3 4\n")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(path)}: duplicate word 'dog'$"):
+            load_word_embeddings(path)
 
 
 # finite values float() reads, some of which np.loadtxt refuses (1_0, Arabic-Indic one)

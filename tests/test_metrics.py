@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
-from crossmodal.errors import ZeroNormError
+from crossmodal.errors import NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import (
     _count_ranks,
     bleu,
@@ -465,6 +465,49 @@ class TestRankCandidates:
             assert [rank_of[cid] for cid in zero_ids] == list(range(n_scored + 1, len(rows) + 1))
             assert np.all(scores[q, n_scored:] == -np.inf)
             assert np.all(np.abs(scores[q, :n_scored] - [score_of[c] for c in ids[:n_scored]]) <= 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 300), data=st.data())
+    def test_kernel_follows_the_pairwise_rule(self, dim, data):
+        """From 1e-200 to 1e200, where squared norms and their products
+        underflow and overflow: the kernel refuses a non-finite pair exactly
+        when ``cosine_score`` does, scores -inf exactly the pairs it refuses as
+        zero-norm, and agrees with it on the rest."""
+        def embeddings(n):
+            seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+            scales = data.draw(st.lists(st.sampled_from([0.0] + [10.0 ** e for e in range(-200, 201)]),
+                                        min_size=n, max_size=n))
+            return np.array([np.random.default_rng(seed).normal(size=dim) * scale
+                             for seed, scale in zip(seeds, scales)])
+
+        def pairwise(query, cand):
+            try:
+                return cosine_score(query, cand)
+            except ZeroNormError:
+                return -np.inf
+            except NonFiniteGradientError:
+                return None
+
+        def squared_norm(emb):
+            with np.errstate(over="ignore"):
+                return np.dot(emb, emb)
+
+        queries = [q for q in embeddings(data.draw(st.integers(1, 3))) if squared_norm(q) != 0.0]
+        cands = embeddings(data.draw(st.integers(1, 4)))
+        if not queries:
+            return
+        expected = [[pairwise(q, c) for c in cands] for q in queries]
+        if any(s is None for row in expected for s in row):
+            with pytest.raises(NonFiniteGradientError):
+                cosine_scores(np.array(queries), cands)
+            return
+        scores, expected = cosine_scores(np.array(queries), cands), np.array(expected)
+        np.testing.assert_array_equal(scores == -np.inf, expected == -np.inf)
+        normal = np.finfo(float).tiny
+        for q, query in enumerate(queries):
+            for c, cand in enumerate(cands):
+                if min(squared_norm(query), squared_norm(cand)) >= normal and expected[q, c] > -np.inf:
+                    assert abs(scores[q, c] - expected[q, c]) <= 1e-12
 
 
 class TestEvalReport:

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossmodal.corpus import Caption
-from crossmodal.errors import EmptySequenceError, VocabularyError
+from crossmodal.errors import VocabularyError
 from crossmodal.text import (
     MODES,
+    SparseVector,
+    TokenSequence,
     Vocabulary,
     build_vocabulary,
+    encode_caption,
     encode_sequence,
     extract_terms,
     featurize,
@@ -161,15 +164,31 @@ class TestEncodeSequence:
         vocab = Vocabulary("unigram", {"man": 5, "bike": 2}, {}, 1, 10)
         assert list(encode_sequence(["man", "zzz", "bike"], vocab).indices) == [5, 2]
 
-    def test_all_oov_raises(self):
+    def test_all_oov_is_empty(self):
         vocab = Vocabulary("unigram", {"man": 0}, {}, 1, 10)
-        with pytest.raises(EmptySequenceError):
-            encode_sequence(["zzz"], vocab)
+        seq = encode_sequence(["zzz"], vocab)
+        assert isinstance(seq, TokenSequence) and len(seq) == 0
 
     def test_requires_unigram(self):
         vocab = Vocabulary("bigram", {"a_b": 0}, {}, 1, 10)
         with pytest.raises(ValueError):
             encode_sequence(["a", "b"], vocab)
+
+
+class TestEncodeCaption:
+    @pytest.mark.parametrize("kind, cls", [("bag", SparseVector), ("sequence", TokenSequence)])
+    def test_kinds(self, kind, cls):
+        enc = encode_caption(["dog", "zzz", "runs"], toy_vocab(), kind, "binary")
+        assert isinstance(enc, cls) and list(enc.indices) == [0, 1]
+
+    @pytest.mark.parametrize("kind", ["bag", "sequence"])
+    @pytest.mark.parametrize("tokens", [["zzz", "qqq"], []])
+    def test_no_known_term_is_none(self, kind, tokens):
+        assert encode_caption(tokens, toy_vocab(), kind, "tfidf") is None
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown textual kind 'sse'"):
+            encode_caption(["dog"], toy_vocab(), "sse", "binary")
 
 
 class TestVocabularySerialization:
