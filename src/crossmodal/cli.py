@@ -174,9 +174,9 @@ def _parse_k(text: str, flag: str) -> int:
     return int(text)
 
 
-def _report_unencodable(data: RetrievalDataset) -> None:
-    if data.unencodable:
-        _progress(f"captions with no in-vocabulary term, not scored: {data.unencodable}")
+def _report_unencodable(count: int) -> None:
+    if count:
+        _progress(f"captions with no in-vocabulary term, not scored: {count}")
 
 
 def _load_features(path: str, ckpt: Checkpoint):
@@ -257,19 +257,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     split = split_dataset(
         features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
     )
-    data = RetrievalDataset(
-        features, captions, split, vocab,
-        weighting=config.weighting, textual_kind=tspec.kind,
-    )
-    for name in ("train", "val") if config.max_epochs else ():
-        view = data.view(name)
+    data = RetrievalDataset(features, captions, split, vocab,
+                            weighting=config.weighting, textual_kind=tspec.kind)
+    views = [data.view(name) for name in ("train", "val")] if config.max_epochs else []
+    for view in views:
         # a view that gives one positive a negative gives every positive one
         sample_negative(view.pairs[0], view, config.methodology, random.Random(0))
     model = ScoreModel(
         textual_net=init_net(tspec, config.seed, pretrained=pretrained, vocab=vocab),
         visual_net=init_net(vspec, config.seed + 1),
     )
-    _report_unencodable(data)  # once every check passed, so a failure is one line
+    # once every check passed, so a failure is one line
+    _report_unencodable(sum(view.unencodable for view in views))
     best, history = train(
         model, data, config,
         progress=lambda s: _progress(
@@ -302,12 +301,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     features = _load_features(args.features, ckpt)
     config = ckpt.train_config
     split = split_dataset(features.records(), captions, **ckpt.data_config, seed=config.seed)
-    data = RetrievalDataset(
-        features, captions, split, ckpt.vocabulary, weighting=config.weighting,
-        textual_kind=ckpt.model.textual_net.spec.kind,
-    )
+    data = RetrievalDataset(features, captions, split, ckpt.vocabulary, weighting=config.weighting,
+                            textual_kind=ckpt.model.textual_net.spec.kind)
     annotation, search = build_rankings(ckpt.model, data, subset="test")
-    _report_unencodable(data)  # after the last check, as in train
+    _report_unencodable(data.view("test").unencodable)  # after the last check, as in train
     os.makedirs(args.out, exist_ok=True)
     for rankings in (annotation, search):
         report = evaluate_rankings(rankings, ks=ks, rnd_seed=args.seed)
@@ -329,6 +326,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     features = _load_features(args.features, ckpt)
     textual, visual = ckpt.model.textual_net, ckpt.model.visual_net
+    unencodable = 0
 
     def encode(text: str):
         return encode_caption(
@@ -350,12 +348,14 @@ def cmd_query(args: argparse.Namespace) -> int:
         captions = load_captions(args.captions, strict=False)
         query, _ = forward(visual, features.get(args.image_id))
         pool = [(cap, enc) for cap in captions if (enc := encode(cap.text)) is not None]
+        unencodable = len(captions) - len(pool)
         ids = [caption_id(cap.image_id, cap.caption_index) for cap, _ in pool]
         labels = [f"{cid}\t{cap.text}" for cid, (cap, _) in zip(ids, pool)]
         embs = np.array([forward(textual, enc)[0] for _, enc in pool])
     if not ids:
         raise ConfigError("nothing to rank: no image, or no caption with an in-vocabulary term")
     scores = cosine_scores(query[None], embs)[0]
+    _report_unencodable(unencodable)  # after the last check, as in train
     # zero-norm candidates cannot be scored; they sort last and are not shown
     for rank, j in enumerate(np.lexsort((lexicographic_rank(ids), -scores))[:top_k], start=1):
         if scores[j] == -np.inf:

@@ -25,8 +25,9 @@ rank n for med r.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,13 @@ class RankingSet:
         self.id_rank = lexicographic_rank(self.cand_ids)
         self.column = {cid: j for j, cid in enumerate(self.cand_ids)}  # id -> score column
 
+    @cached_property
+    def own_caption_ranks(self) -> dict[str, np.ndarray]:
+        """Annotation: each image's scored captions' ranks in its row, for any_txt and rPrecision."""
+        return {img: _count_ranks(self.results[img], self.id_rank,
+                                  [self.column[cid] for cid in self.captions_of[img]])
+                for img in self.image_ids}
+
 
 def cosine_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Cosine of every query (row) with every candidate (column), both stacked
@@ -89,7 +97,7 @@ def build_rankings(
     and is not a search query."""
     view = data.view(subset)
     images = list(view.image_ids)
-    img_embs = embed_dense(model.visual_net, [data.image_vec(i) for i in images])
+    img_embs = embed_dense(model.visual_net, [data.features.get(i) for i in images])
     cap_ids = [caption_id(image_id, index) for image_id, index in view.pairs]
     cap_embs = np.array([forward(model.textual_net, data.encoding(*key))[0] for key in view.pairs])
     captions_of: dict[str, list[str]] = {i: [] for i in images}
@@ -137,15 +145,9 @@ def _designated_ranks(rankings: RankingSet, selections: list[dict[str, str]]) ->
     return ranks
 
 
-def _own_caption_ranks(rankings: RankingSet, img: str) -> np.ndarray:
-    """Full-pool ranks of ``img``'s scored captions in its annotation row."""
-    own = [rankings.column[cid] for cid in rankings.captions_of[img]]
-    return _count_ranks(rankings.results[img], rankings.id_rank, own)
-
-
 def _any_txt_ranks(rankings: RankingSet) -> np.ndarray:
     """Best rank of any of an image's own captions in its full ranking."""
-    return np.array([[min(_own_caption_ranks(rankings, img), default=np.inf)
+    return np.array([[min(rankings.own_caption_ranks[img], default=np.inf)
                       for img in rankings.image_ids]], dtype=float)
 
 
@@ -221,7 +223,7 @@ def r_precision(rankings: RankingSet) -> float:
         own = rankings.captions_of[img]
         if len(own) > CAPTIONS_PER_IMAGE:
             raise ValueError(f"image {img!r} has {len(own)} captions, expected at most {CAPTIONS_PER_IMAGE}")
-        found = np.count_nonzero(_own_caption_ranks(rankings, img) <= CAPTIONS_PER_IMAGE)
+        found = np.count_nonzero(rankings.own_caption_ranks[img] <= CAPTIONS_PER_IMAGE)
         total += 100.0 * int(found) / CAPTIONS_PER_IMAGE
     return total / len(rankings.image_ids)
 

@@ -3,7 +3,8 @@
 A positive (image, caption) pair and a sampled negative pair are scored by
 cosine in the shared embedding space; the hinge max(0, s_neg - s_pos + margin)
 drives SGD. Negatives follow one of two methodologies: I2T keeps the image
-and swaps the caption, T2I keeps the caption and swaps the image.
+and swaps the caption, T2I keeps the caption and swaps the image. Captions
+are encoded when first read, so training never encodes a test caption.
 """
 
 from __future__ import annotations
@@ -137,15 +138,17 @@ def cosine_backward(
 
 @dataclass
 class SplitView:
-    """One split's scoreable pairs, in deterministic sorted order."""
+    """One split's scoreable pairs, sorted, and its captions with no in-vocabulary term."""
 
     name: str
     image_ids: list[str]
     pairs: list[tuple[str, int]]
+    unencodable: int = 0
 
 
 class RetrievalDataset:
-    """A corpus joined with its vocabulary, featurized once for training."""
+    """A corpus joined with its vocabulary, each caption encoded when first read;
+    a textual kind, weighting or vocabulary mode that cannot encode is refused here."""
 
     def __init__(
         self,
@@ -156,42 +159,32 @@ class RetrievalDataset:
         weighting: str = "binary",
         textual_kind: str = "bag",
     ):
+        encode_caption([], vocab, textual_kind, weighting)  # every refusal, before any caption
         self.features = features
         self.split = split
+        self._encode_with = (vocab, textual_kind, weighting)
+        self._captions = {(cap.image_id, cap.caption_index): cap for cap in captions}
         self._encodings: dict[tuple[str, int], Encoding | None] = {}
-        for cap in captions:
-            if cap.tokens is None:
-                cap.tokens = normalize_tokenize(cap.text)
-            key = (cap.image_id, cap.caption_index)
-            self._encodings[key] = encode_caption(cap.tokens, vocab, textual_kind, weighting)
-        self.unencodable = sum(enc is None for enc in self._encodings.values())
         self._views: dict[str, SplitView] = {}
 
     def encoding(self, image_id: str, caption_index: int) -> Encoding | None:
-        return self._encodings[(image_id, caption_index)]
-
-    def image_vec(self, image_id: str) -> np.ndarray:
-        return self.features.get(image_id)
-
-    def triplet_inputs(self, pos: tuple[str, int], neg: tuple[str, tuple[str, int]]) -> tuple:
-        """(positive image, positive caption, negative image, negative caption)
-        inputs for a positive caption key and a ``sample_negative`` draw."""
-        neg_image, neg_caption = neg
-        return (self.image_vec(pos[0]), self.encoding(*pos),
-                self.image_vec(neg_image), self.encoding(*neg_caption))
+        """Encodes ``Caption.tokens`` if set, else the tokenized text; None for no known term."""
+        key = (image_id, caption_index)
+        if key not in self._encodings:
+            cap = self._captions[key]
+            tokens = cap.tokens if cap.tokens is not None else normalize_tokenize(cap.text)
+            self._encodings[key] = encode_caption(tokens, *self._encode_with)
+        return self._encodings[key]
 
     def view(self, name: str) -> SplitView:
         """Pairs with usable encodings in the split, sorted; refuses a split with none."""
         if name not in self._views:
             member = self.split.subset(name)
-            pairs = sorted(
-                key
-                for key, enc in self._encodings.items()
-                if key[0] in member and enc is not None
-            )
+            keys = [key for key in self._captions if key[0] in member]
+            pairs = sorted(key for key in keys if self.encoding(*key) is not None)
             if not pairs:
                 raise ConfigError(f"the {name} split has no scoreable pairs; check n_test and val_frac")
-            self._views[name] = SplitView(name=name, image_ids=sorted(member), pairs=pairs)
+            self._views[name] = SplitView(name, sorted(member), pairs, len(keys) - len(pairs))
         return self._views[name]
 
 
@@ -311,8 +304,10 @@ def train_epoch(
     rng.shuffle(pairs)
 
     def step(pos, neg) -> tuple[float, float]:
+        image, caption = data.features.get, data.encoding
         _, s_pos, s_neg, tgrads, vgrads = triplet_grads(
-            model, *data.triplet_inputs(pos, neg), config.methodology, config.margin
+            model, image(pos[0]), caption(*pos), image(neg[0]), caption(*neg[1]),
+            config.methodology, config.margin,
         )
         if tgrads is not None:
             sgd_step((model.textual_net, model.visual_net), (tgrads, vgrads), lr)
@@ -336,7 +331,7 @@ def validate(
     """
     view = data.view("val")
     positives = itertools.islice(itertools.cycle(view.pairs), config.val_pairs_per_epoch)
-    vectors = [data.image_vec(image_id) for image_id in view.image_ids]
+    vectors = [data.features.get(image_id) for image_id in view.image_ids]
     images = dict(zip(view.image_ids, embed_dense(model.visual_net, vectors)))
     captions: dict[tuple[str, int], np.ndarray] = {}
 

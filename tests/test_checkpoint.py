@@ -28,7 +28,7 @@ from crossmodal.ranker import (
     cosine_score,
     train,
 )
-from crossmodal.text import build_vocabulary, featurize, vocabulary_text
+from crossmodal.text import build_vocabulary, featurize, normalize_tokenize, vocabulary_text
 
 from oracles import oracle_init_net, oracle_save_checkpoint, oracle_vocab_digest
 
@@ -83,7 +83,7 @@ class TestRoundTrip:
         ckpt = load_checkpoint(path)
         probe = [(cap.image_id, cap) for cap in captions[:10]]
         for image_id, cap in probe:
-            vec = featurize(cap.tokens, vocab, "binary")
+            vec = featurize(normalize_tokenize(cap.text), vocab, "binary")
             if not len(vec):
                 continue
             e_img_a, _ = forward(trained.visual_net, store.get(image_id))

@@ -4,14 +4,17 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import crossmodal.ranker as ranker_mod
 from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import build_parser, main, resolve_config
 from crossmodal.corpus import load_captions, load_image_features, split_dataset
+from crossmodal.text import normalize_tokenize
 
 from test_checkpoint import read_header, resign
 
@@ -40,11 +43,26 @@ def write_narrow_features(corpus, path, dim):
     return path
 
 
-def write_oov_captions(corpus, path):
-    """The corpus's captions with every text replaced by out-of-vocabulary words."""
-    lines = (corpus / "captions.tsv").read_text().splitlines()
-    path.write_text("".join("\t".join(line.split("\t")[:2] + ["zzz qqq"]) + "\n" for line in lines))
+def write_oov_captions(corpus, path, keys=None):
+    """The corpus's captions with the text of each (image id, index) in ``keys``,
+    or of every caption, replaced by out-of-vocabulary words."""
+    lines = []
+    for line in (corpus / "captions.tsv").read_text().splitlines():
+        image_id, index, text = line.split("\t")
+        oov = keys is None or (image_id, int(index)) in keys
+        lines.append(f"{image_id}\t{index}\t{'zzz qqq' if oov else text}\n")
+    path.write_text("".join(lines))
     return path
+
+
+def train_split(corpus):
+    """The corpus's captions and the split that ``train_args`` trains on."""
+    captions = load_captions(str(corpus / "captions.tsv"))
+    records = load_image_features(str(corpus / "features.txt")).records()
+    return captions, split_dataset(records, captions, n_test=3, val_frac=0.25, seed=0)
+
+
+NOTICE = "captions with no in-vocabulary term, not scored: {}\n"
 
 
 @pytest.fixture
@@ -652,29 +670,59 @@ class TestEvaluate:
         assert not out.exists()
 
     def test_unencodable_captions_reported(self, tmp_path, corpus, prepped, capsys):
-        lines = (corpus / "captions.tsv").read_text().splitlines(keepends=True)
-        image_id, index, _ = lines[0].split("\t")
-        lines[0] = f"{image_id}\t{index}\tentirely unknown words\n"
-        oov = tmp_path / "oov_captions.tsv"
-        oov.write_text("".join(lines))
+        """One caption with no known term on a train image and one on a test
+        image: ``train`` counts the first and ``evaluate`` the second."""
+        _, split = train_split(corpus)
+        oov = write_oov_captions(corpus, tmp_path / "oov_captions.tsv",
+                                 keys={(min(split.train), 0), (min(split.test), 0)})
         out = tmp_path / "oov_run"
         args = train_args(corpus, prepped, out)
         args[args.index("--captions") + 1] = str(oov)
         rc, stdout, err = run(capsys, *args)
         assert rc == 0 and stdout == ""
-        notice = "captions with no in-vocabulary term, not scored: 1\n"
-        assert err.count(notice) == 1
+        assert err.count(NOTICE.format(1)) == 1 and err.count("in-vocabulary") == 1
         eval_args = [
             "evaluate", "--checkpoint", str(out / "checkpoint.bin"),
             "--features", str(corpus / "features.txt"),
         ]
         rc, stdout, err = run(capsys, *eval_args, "--captions", str(oov), "--out", str(tmp_path / "e1"))
-        assert rc == 0 and err.count(notice) == 1
-        assert notice not in stdout
+        assert rc == 0 and err.count(NOTICE.format(1)) == 1 and err.count("in-vocabulary") == 1
+        assert "in-vocabulary" not in stdout
         rc, _, err = run(
             capsys, *eval_args, "--captions", str(corpus / "captions.tsv"), "--out", str(tmp_path / "e2")
         )
         assert rc == 0 and "in-vocabulary" not in err
+
+    def test_each_command_encodes_only_the_splits_it_scores(self, tmp_path, corpus, prepped, capsys,
+                                                            monkeypatch):
+        """``train`` encodes each train and val caption once and no test caption,
+        ``evaluate`` each test caption once and nothing else; each also encodes
+        one empty caption, the check of its kind and weighting."""
+        captions, split = train_split(corpus)
+        encoded = Counter()
+        original = ranker_mod.encode_caption
+        monkeypatch.setattr(ranker_mod, "encode_caption",
+                            lambda tokens, *rest: encoded.update([tuple(tokens)]) or original(tokens, *rest))
+
+        def tokens_of(*names):
+            images = set().union(*map(split.subset, names))
+            return Counter([()] + [tuple(normalize_tokenize(cap.text))
+                                   for cap in captions if cap.image_id in images])
+
+        out = tmp_path / "run"
+        rc, _, err = run(capsys, *train_args(corpus, prepped, out))
+        assert rc == 0, err
+        assert encoded == tokens_of("train", "val")
+        encoded.clear()
+        rc, _, err = run(capsys, "evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                         "--captions", str(corpus / "captions.tsv"),
+                         "--features", str(corpus / "features.txt"), "--out", str(tmp_path / "eval"))
+        assert rc == 0, err
+        assert encoded == tokens_of("test")
+        encoded.clear()
+        rc, _, err = run(capsys, *train_args(corpus, prepped, tmp_path / "run0", "--epochs", "0"))
+        assert rc == 0, err
+        assert encoded == Counter([()])
 
     def test_unscoreable_designated_captions(self, tmp_path, corpus, prepped, capsys):
         lines = []
@@ -696,7 +744,7 @@ class TestEvaluate:
             "--out", str(tmp_path / "eval"),
         )
         assert rc == 0, err
-        assert "captions with no in-vocabulary term, not scored: 12\n" in err
+        assert err.count(NOTICE.format(4)) == 1  # caption #2 of each of the 4 test images
         reports = {
             direction: dict(
                 line.split("=", 1)
@@ -806,6 +854,26 @@ class TestQuery:
         )
         assert rc == 0
         assert len(out.strip().splitlines()) == 5
+
+    def test_image_query_reports_unencodable_captions(self, tmp_path, corpus, trained, capsys):
+        """Captions with no known term are counted on stderr and left out of
+        the results, which are those of a file without them."""
+        keys = {("c0img000", 1), ("c2img001", 4)}
+        oov = write_oov_captions(corpus, tmp_path / "oov.tsv", keys)
+        dropped = tmp_path / "dropped.tsv"
+        dropped.write_text("".join(line for line in oov.read_text().splitlines(keepends=True)
+                                   if "zzz qqq" not in line))
+        outputs = []
+        for captions in (oov, dropped):
+            rc, out, err = run(
+                capsys, "query", "--checkpoint", str(trained / "checkpoint.bin"),
+                "--features", str(corpus / "features.txt"), "--captions", str(captions),
+                "--image-id", "c2img001", "--top-k", "100",
+            )
+            assert rc == 0, err
+            outputs.append((out, err))
+        assert outputs[0][1] == NOTICE.format(2) and outputs[1][1] == ""
+        assert outputs[0][0] == outputs[1][0] and len(outputs[0][0].splitlines()) == 58
 
     def test_unknown_image_id_fails(self, corpus, trained, capsys):
         rc, stdout, err = run(

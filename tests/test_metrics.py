@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crossmodal.metrics as metrics_mod
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
 from crossmodal.errors import NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import (
@@ -372,7 +373,7 @@ class TestRankCandidates:
         model.textual_net.params["b0"][:] = 0.0
         model.textual_net.params["w0"][data.encoding("c2img001", 3).indices] = 0.0
         annotation, search = build_rankings(model, data, "test")
-        assert data.unencodable == 1 and "c1img002#0" not in annotation.cand_ids
+        assert data.view("test").unencodable == 1 and "c1img002#0" not in annotation.cand_ids
         row = annotation.results["c0img000"]
         zero = {cid for cid, score in zip(annotation.cand_ids, row) if score == -np.inf}
         assert "c2img001#3" in zero and zero.isdisjoint(search.results)
@@ -385,6 +386,18 @@ class TestRankCandidates:
                 assert report.med_r == oracle_median_rank(rankings)
                 if rankings.direction == "annotation":
                     assert report.r_precision_5 == oracle_r_precision(rankings)
+
+    def test_own_caption_ranks_counted_once(self, monkeypatch):
+        """An annotation report counts each image's own-caption ranks, one row
+        per image, once for any_txt and rPrecision both."""
+        model, data, store, vocab = self.toy_model_and_data(seed=1, noise=0.2)
+        annotation, _ = build_rankings(model, data, "test")
+        rows = []
+        monkeypatch.setattr(metrics_mod, "_count_ranks",
+                            lambda scores, *rest: rows.append(np.ndim(scores)) or _count_ranks(scores, *rest))
+        report = evaluate_rankings(annotation)
+        assert rows.count(1) == len(annotation.image_ids) == 6
+        assert report.r_precision_5 == oracle_r_precision(annotation)
 
     def test_oracle_model_ranks_own_cluster_first(self):
         model, data, store, vocab = self.toy_model_and_data()

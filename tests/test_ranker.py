@@ -260,6 +260,36 @@ class TestTripletGrads:
         assert outcomes == {True, False}  # both margin-satisfied and violated cases ran
 
 
+class TestRetrievalDataset:
+    @pytest.mark.parametrize("mode, kind, weighting, error", [
+        ("unigram", "sse", "binary", ValueError),
+        ("bigram", "sequence", "binary", ConfigError),
+        ("unigram", "bag", "counts", ValueError),
+    ])
+    def test_refuses_at_construction_without_captions(self, mode, kind, weighting, error):
+        images, captions = generate_synthetic_corpus(2, 2, 4, 3, 0.0, 0)
+        vocab = build_vocabulary(captions, mode, 100)
+        split = SplitDataset({r.image_id for r in images}, set(), set(), seed=0)
+        with pytest.raises(error):
+            RetrievalDataset(FeatureStore(images, 4), [], split, vocab, weighting=weighting, textual_kind=kind)
+
+    def test_a_view_encodes_only_its_split(self, monkeypatch):
+        encoded = []
+        original = ranker_mod.encode_caption
+        monkeypatch.setattr(ranker_mod, "encode_caption",
+                            lambda tokens, *rest: encoded.append(tokens) or original(tokens, *rest))
+        images, captions = generate_synthetic_corpus(2, 2, 4, 3, 0.0, 0)
+        ids = sorted(r.image_id for r in images)
+        split = SplitDataset({ids[0]}, {ids[1]}, set(ids[2:]), seed=0)
+        vocab = build_vocabulary(captions, "unigram", 100)
+        data = RetrievalDataset(FeatureStore(images, 4), captions, split, vocab)
+        assert encoded == [[]]  # the construction check's empty caption
+        view = data.view("train")
+        assert len(encoded) == 1 + len(view.pairs) == 6 and view.unencodable == 0
+        assert all(data.encoding(*key) is data.encoding(*key) for key in view.pairs)
+        assert len(encoded) == 6 and all(cap.tokens is None for cap in captions)
+
+
 class TestSampleNegative:
     def test_i2t_never_draws_own_captions(self):
         data, _, _ = make_dataset()
@@ -552,7 +582,7 @@ class TestValidate:
         zero_caption = ScoreModel(clone_net(model.textual_net), model.visual_net)
         zero_caption.textual_net.params["w0"][data.encoding(*view.pairs[0]).indices] = 0.0
         zero_caption.textual_net.params["b0"][:] = 0.0
-        items = {id(data.image_vec(img)) for img in view.image_ids}
+        items = {id(data.features.get(img)) for img in view.image_ids}
         items |= {id(data.encoding(*key)) for key in view.pairs}
         skips = []
 
