@@ -22,6 +22,7 @@ from . import __version__
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import (
     atomic_write,
+    check_split_values,
     generate_synthetic_corpus,
     load_captions,
     load_image_features,
@@ -49,7 +50,6 @@ from .text import (
     build_vocabulary,
     encode_caption,
     load_vocabulary,
-    normalize_tokenize,
     save_vocabulary,
 )
 
@@ -103,6 +103,8 @@ OPTIONS = (
     Option("val_frac", float, 0.05, help="fraction of the remaining images used to validate"),
 )
 OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
+# the options a checkpoint records as its data_config, checked by check_split_values
+SPLIT_OPTIONS = ("n_test", "val_frac")
 # each --textual value: its NetSpec kind and the options that set its net
 TEXTUAL_NETS = {"bag": ("bag", ("n_hu",)), "sse": ("sequence", ("word_dim", "kernels", "window"))}
 # a valid sequence NetSpec, so that one net option's value is checked alone
@@ -127,8 +129,9 @@ def parse_config_file(path: str) -> dict[str, Any]:
 
 
 def typed_value(opt: Option, raw: str, where: str) -> Any:
-    """``raw`` typed and checked by ``opt``, and by ``TrainConfig`` or ``NetSpec``
-    for a field it sets or is checked as; errors open with ``where``, a path:line or --flag."""
+    """``raw`` typed and checked by ``opt``, by ``TrainConfig`` or ``NetSpec`` for a field
+    it sets or is checked as, and by ``check_split_values`` for a split option; errors open
+    with ``where``, a path:line or --flag."""
     try:
         value = opt.type(raw)
     except ValueError as exc:
@@ -140,6 +143,8 @@ def typed_value(opt: Option, raw: str, where: str) -> Any:
             TrainConfig(**{opt.field: value})
         if opt.spec_field:
             NetSpec(**{**SPEC_CHECK_BASE, opt.spec_field: value})
+        if opt.name in SPLIT_OPTIONS:
+            check_split_values(**{opt.name: value})
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return value
@@ -281,7 +286,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_history(history, os.path.join(args.out, "history.tsv"))
     save_checkpoint(
         os.path.join(args.out, "checkpoint.bin"), best, vocab, config, history,
-        data_config={"n_test": typed["n_test"], "val_frac": typed["val_frac"]},
+        data_config={name: typed[name] for name in SPLIT_OPTIONS},
     )
     _progress(f"best epoch {history.best_epoch}; checkpoint written to {args.out}")
     return 0
@@ -289,6 +294,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ks = tuple(_parse_k(k, "--ks") for k in args.ks.split(","))
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"--ks repeats a cutoff: {args.ks!r}")
     ckpt = load_checkpoint(args.checkpoint)
     if not ckpt.data_config:
         raise ConfigError(
@@ -303,18 +310,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     split = split_dataset(features.records(), captions, **ckpt.data_config, seed=config.seed)
     data = RetrievalDataset(features, captions, split, ckpt.vocabulary, weighting=config.weighting,
                             textual_kind=ckpt.model.textual_net.spec.kind)
-    annotation, search = build_rankings(ckpt.model, data, subset="test")
+    reports = [evaluate_rankings(rankings, ks=ks, rnd_seed=args.seed)
+               for rankings in build_rankings(ckpt.model, data, subset="test")]
+    texts = [format_report(report) for report in reports]
     _report_unencodable(data.view("test").unencodable)  # after the last check, as in train
     os.makedirs(args.out, exist_ok=True)
-    for rankings in (annotation, search):
-        report = evaluate_rankings(rankings, ks=ks, rnd_seed=args.seed)
-        text = format_report(report)
-        sys.stdout.write(text)
+    for report, text in zip(reports, texts):
         base = os.path.join(args.out, f"report_{report.direction}")
         with atomic_write(base + ".txt") as fh:
             fh.write(text)
         with atomic_write(base + ".kv") as fh:
             fh.write(report_to_kv(report))
+    # every file is written before stdout, so a reader that closes early loses none
+    sys.stdout.writelines(texts)
     _progress(f"reports written to {args.out}")
     return 0
 
@@ -329,9 +337,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     unencodable = 0
 
     def encode(text: str):
-        return encode_caption(
-            normalize_tokenize(text), ckpt.vocabulary, textual.spec.kind, ckpt.train_config.weighting
-        )
+        return encode_caption(text, ckpt.vocabulary, textual.spec.kind, ckpt.train_config.weighting)
 
     if args.sentence is not None:
         enc = encode(args.sentence)

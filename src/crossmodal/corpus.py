@@ -40,10 +40,11 @@ ROW_BLOCK_VALUES = 1 << 16
 
 @dataclass
 class Caption:
+    """One ``captions.tsv`` line; only :mod:`crossmodal.text` turns its text into tokens."""
+
     image_id: str
     caption_index: int
     text: str
-    tokens: list[str] | None = None
 
 
 @dataclass(frozen=True)
@@ -277,6 +278,15 @@ def load_image_features(path: str) -> FeatureStore:
         raise CorpusFormatError(f"{path}: {exc}") from None
 
 
+def check_split_values(n_test: int = 0, val_frac: float = 0.5) -> None:
+    """The rule for each split value alone, n_test at least 0 and val_frac in (0, 1);
+    an omitted value passes. The image-count bound on n_test is split_dataset's."""
+    if n_test < 0:
+        raise ConfigError(f"n_test={n_test} must be at least 0")
+    if not 0.0 < val_frac < 1.0:
+        raise ConfigError(f"val_frac={val_frac} outside (0, 1)")
+
+
 def split_dataset(
     images: list[ImageRecord],
     captions: list[Caption],
@@ -291,10 +301,9 @@ def split_dataset(
     Captions follow their image's split, so only image ids are recorded.
     """
     ids = sorted(rec.image_id for rec in images)
-    if not 0 <= n_test < len(ids):
+    check_split_values(n_test, val_frac)
+    if n_test >= len(ids):
         raise ConfigError(f"n_test={n_test} must be in [0, {len(ids)}), the image count")
-    if not 0.0 < val_frac < 1.0:
-        raise ConfigError(f"val_frac={val_frac} outside (0, 1)")
     known = set(ids)
     for cap in captions:
         if cap.image_id not in known:

@@ -20,7 +20,7 @@ from .corpus import Caption, FeatureStore, SplitDataset, atomic_write
 from .errors import ConfigError, NonFiniteGradientError, ZeroNormError
 from .nets import (Net, accumulate, backward, clone_net, embed_dense, fold_pending, forward,
                    lr_schedule, sgd_step)
-from .text import WEIGHTINGS, Encoding, Vocabulary, encode_caption, normalize_tokenize
+from .text import WEIGHTINGS, Encoding, Vocabulary, encode_caption
 
 METHODOLOGIES = ("I2T", "T2I")
 
@@ -147,8 +147,9 @@ class SplitView:
 
 
 class RetrievalDataset:
-    """A corpus joined with its vocabulary, each caption encoded when first read;
-    a textual kind, weighting or vocabulary mode that cannot encode is refused here."""
+    """A corpus joined with its vocabulary: each caption's text, by (image_id,
+    caption_index), encoded when first read; no ``Caption`` object is kept.
+    A textual kind, weighting or vocabulary mode that cannot encode is refused here."""
 
     def __init__(
         self,
@@ -159,28 +160,26 @@ class RetrievalDataset:
         weighting: str = "binary",
         textual_kind: str = "bag",
     ):
-        encode_caption([], vocab, textual_kind, weighting)  # every refusal, before any caption
+        encode_caption("", vocab, textual_kind, weighting)  # every refusal, before any caption
         self.features = features
         self.split = split
         self._encode_with = (vocab, textual_kind, weighting)
-        self._captions = {(cap.image_id, cap.caption_index): cap for cap in captions}
+        self._texts = {(cap.image_id, cap.caption_index): cap.text for cap in captions}
         self._encodings: dict[tuple[str, int], Encoding | None] = {}
         self._views: dict[str, SplitView] = {}
 
     def encoding(self, image_id: str, caption_index: int) -> Encoding | None:
-        """Encodes ``Caption.tokens`` if set, else the tokenized text; None for no known term."""
+        """The caption's text encoded on the first call and kept; None for no known term."""
         key = (image_id, caption_index)
         if key not in self._encodings:
-            cap = self._captions[key]
-            tokens = cap.tokens if cap.tokens is not None else normalize_tokenize(cap.text)
-            self._encodings[key] = encode_caption(tokens, *self._encode_with)
+            self._encodings[key] = encode_caption(self._texts[key], *self._encode_with)
         return self._encodings[key]
 
     def view(self, name: str) -> SplitView:
         """Pairs with usable encodings in the split, sorted; refuses a split with none."""
         if name not in self._views:
             member = self.split.subset(name)
-            keys = [key for key in self._captions if key[0] in member]
+            keys = [key for key in self._texts if key[0] in member]
             pairs = sorted(key for key in keys if self.encoding(*key) is not None)
             if not pairs:
                 raise ConfigError(f"the {name} split has no scoreable pairs; check n_test and val_frac")

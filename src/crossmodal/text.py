@@ -109,8 +109,7 @@ def build_vocabulary(captions: list[Caption], mode: str, max_size: int) -> Vocab
     totals: Counter[str] = Counter()
     doc_freq: Counter[str] = Counter()
     for cap in captions:
-        tokens = cap.tokens if cap.tokens is not None else normalize_tokenize(cap.text)
-        terms = extract_terms(tokens, mode)
+        terms = extract_terms(normalize_tokenize(cap.text), mode)
         totals.update(terms)
         doc_freq.update(set(terms))
     if not totals:
@@ -165,14 +164,13 @@ def encode_sequence(tokens: list[str], vocab: Vocabulary) -> TokenSequence:
     return TokenSequence(np.array(indices, dtype=np.int64))
 
 
-def encode_caption(
-    tokens: list[str], vocab: Vocabulary, kind: str, weighting: str
-) -> Encoding | None:
-    """Encode a caption for a ``bag`` or ``sequence`` textual net, or None
-    when no term of the caption is in the vocabulary: the one place that
-    decides a caption cannot be scored."""
+def encode_caption(text: str, vocab: Vocabulary, kind: str, weighting: str) -> Encoding | None:
+    """Tokenize a caption's text and encode it for a ``bag`` or ``sequence``
+    textual net, or None when no term of it is in the vocabulary: the one
+    place that turns a caption into an input and decides it cannot be scored."""
     if kind not in ("bag", "sequence"):
         raise ValueError(f"unknown textual kind {kind!r}")
+    tokens = normalize_tokenize(text)
     enc = encode_sequence(tokens, vocab) if kind == "sequence" else featurize(tokens, vocab, weighting)
     return enc if len(enc) else None
 

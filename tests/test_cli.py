@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -14,7 +15,6 @@ from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import build_parser, main, resolve_config
 from crossmodal.corpus import load_captions, load_image_features, split_dataset
-from crossmodal.text import normalize_tokenize
 
 from test_checkpoint import read_header, resign
 
@@ -348,7 +348,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", ["epochs = many", "methodology = x2y", "textual = lstm",
                                       "epochs = -2", "lr = 0", "val_pairs = 0",
-                                      "n_emb = 0", "visual_n_hu = -2", "kernels = 0"])
+                                      "n_emb = 0", "visual_n_hu = -2", "kernels = 0",
+                                      "val_frac = 1.5", "val_frac = nan", "n_test = -1"])
     def test_bad_config_value(self, tmp_path, corpus, prepped, capsys, line):
         """The same value fails with the same text from the file and as a flag,
         naming ``path:line`` or ``--flag``."""
@@ -656,7 +657,7 @@ class TestEvaluate:
                   "--captions", str(corpus / "captions.tsv"),
                   "--features", str(corpus / "features.txt"), "--out", str(tmp_path / "eval")])
 
-    @pytest.mark.parametrize("ks", ["0,1", "", "1,,5", "1,x", "-3"])
+    @pytest.mark.parametrize("ks", ["0,1", "", "1,,5", "1,x", "-3", "5,5"])
     def test_bad_ks_fail_before_loading(self, tmp_path, ks, capsys):
         out = tmp_path / "eval_ks"
         rc, stdout, err = run(
@@ -668,6 +669,26 @@ class TestEvaluate:
         assert rc != 0 and stdout == ""
         assert err.startswith("error ConfigError: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_a_closed_stdout_leaves_every_report(self, tmp_path, corpus, trained, monkeypatch):
+        """A reader that closes stdout after the first report still finds all four files."""
+        class ClosingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", ClosingStdout())
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+                   "--captions", str(corpus / "captions.tsv"),
+                   "--features", str(corpus / "features.txt"), "--out", str(out)])
+        assert rc == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"]
 
     def test_unencodable_captions_reported(self, tmp_path, corpus, prepped, capsys):
         """One caption with no known term on a train image and one on a test
@@ -702,27 +723,26 @@ class TestEvaluate:
         encoded = Counter()
         original = ranker_mod.encode_caption
         monkeypatch.setattr(ranker_mod, "encode_caption",
-                            lambda tokens, *rest: encoded.update([tuple(tokens)]) or original(tokens, *rest))
+                            lambda text, *rest: encoded.update([text]) or original(text, *rest))
 
-        def tokens_of(*names):
+        def texts_of(*names):
             images = set().union(*map(split.subset, names))
-            return Counter([()] + [tuple(normalize_tokenize(cap.text))
-                                   for cap in captions if cap.image_id in images])
+            return Counter([""] + [cap.text for cap in captions if cap.image_id in images])
 
         out = tmp_path / "run"
         rc, _, err = run(capsys, *train_args(corpus, prepped, out))
         assert rc == 0, err
-        assert encoded == tokens_of("train", "val")
+        assert encoded == texts_of("train", "val")
         encoded.clear()
         rc, _, err = run(capsys, "evaluate", "--checkpoint", str(out / "checkpoint.bin"),
                          "--captions", str(corpus / "captions.tsv"),
                          "--features", str(corpus / "features.txt"), "--out", str(tmp_path / "eval"))
         assert rc == 0, err
-        assert encoded == tokens_of("test")
+        assert encoded == texts_of("test")
         encoded.clear()
         rc, _, err = run(capsys, *train_args(corpus, prepped, tmp_path / "run0", "--epochs", "0"))
         assert rc == 0, err
-        assert encoded == Counter([()])
+        assert encoded == Counter([""])
 
     def test_unscoreable_designated_captions(self, tmp_path, corpus, prepped, capsys):
         lines = []

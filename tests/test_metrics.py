@@ -311,7 +311,7 @@ class TestRankCandidates:
         vocab = build_vocabulary(captions, "unigram", 500)
         for cap in captions:
             if caption_id(cap.image_id, cap.caption_index) in unencodable:
-                cap.tokens = ["zzz"]
+                cap.text = "zzz"
         split = SplitDataset(set(), set(), {r.image_id for r in images}, seed=0)
         data = RetrievalDataset(store, captions, split, vocab)
         model = ScoreModel(

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import weakref
@@ -277,17 +278,29 @@ class TestRetrievalDataset:
         encoded = []
         original = ranker_mod.encode_caption
         monkeypatch.setattr(ranker_mod, "encode_caption",
-                            lambda tokens, *rest: encoded.append(tokens) or original(tokens, *rest))
+                            lambda text, *rest: encoded.append(text) or original(text, *rest))
         images, captions = generate_synthetic_corpus(2, 2, 4, 3, 0.0, 0)
         ids = sorted(r.image_id for r in images)
         split = SplitDataset({ids[0]}, {ids[1]}, set(ids[2:]), seed=0)
         vocab = build_vocabulary(captions, "unigram", 100)
         data = RetrievalDataset(FeatureStore(images, 4), captions, split, vocab)
-        assert encoded == [[]]  # the construction check's empty caption
+        assert encoded == [""]  # the construction check's empty caption
         view = data.view("train")
         assert len(encoded) == 1 + len(view.pairs) == 6 and view.unencodable == 0
         assert all(data.encoding(*key) is data.encoding(*key) for key in view.pairs)
-        assert len(encoded) == 6 and all(cap.tokens is None for cap in captions)
+        assert encoded[1:] == [cap.text for cap in captions if cap.image_id == ids[0]]
+
+    def test_keeps_no_caption_object(self):
+        """The dataset holds each caption's text, so the caller's captions can be freed."""
+        images, captions = generate_synthetic_corpus(2, 2, 4, 3, 0.0, 0)
+        split = SplitDataset({r.image_id for r in images}, set(), set(), seed=0)
+        data = RetrievalDataset(FeatureStore(images, 4), captions, split,
+                                build_vocabulary(captions, "unigram", 100))
+        refs = [weakref.ref(cap) for cap in captions]
+        del captions
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert len(data.view("train").pairs) == 20
 
 
 class TestSampleNegative:

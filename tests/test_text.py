@@ -178,17 +178,17 @@ class TestEncodeSequence:
 class TestEncodeCaption:
     @pytest.mark.parametrize("kind, cls", [("bag", SparseVector), ("sequence", TokenSequence)])
     def test_kinds(self, kind, cls):
-        enc = encode_caption(["dog", "zzz", "runs"], toy_vocab(), kind, "binary")
+        enc = encode_caption("The dog, zzz RUNS", toy_vocab(), kind, "binary")
         assert isinstance(enc, cls) and list(enc.indices) == [0, 1]
 
     @pytest.mark.parametrize("kind", ["bag", "sequence"])
     @pytest.mark.parametrize("tokens", [["zzz", "qqq"], []])
     def test_no_known_term_is_none(self, kind, tokens):
-        assert encode_caption(tokens, toy_vocab(), kind, "tfidf") is None
+        assert encode_caption(" ".join(tokens), toy_vocab(), kind, "tfidf") is None
 
     def test_unknown_kind_refused(self):
         with pytest.raises(ValueError, match="unknown textual kind 'sse'"):
-            encode_caption(["dog"], toy_vocab(), "sse", "binary")
+            encode_caption("dog", toy_vocab(), "sse", "binary")
 
 
 class TestVocabularySerialization:
