@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import atomic_write
+from .corpus import atomic_write, check_split_values
 from .errors import CheckpointCorruptError, CheckpointVersionError, VocabularyError
 from .nets import Net, NetSpec, fold_pending, param_shapes
 from .ranker import EpochStats, ScoreModel, TrainConfig, TrainHistory
@@ -137,6 +137,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if {k: type(v) for k, v in dict.items(header["data_config"])} not in (
                 {}, {"n_test": int, "val_frac": float}):  # dict.items refuses a non-dict
             raise ValueError("data_config must be {} or an int n_test and a float val_frac")
+        check_split_values(**header["data_config"])
         sizes = [math.prod(shape) for shapes in layout.values() for _, shape in shapes]
         if header_end + 8 * sum(sizes) != len(blob) - 4:
             raise CheckpointCorruptError(f"{path}: parameter data size does not match the header")

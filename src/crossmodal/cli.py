@@ -151,12 +151,19 @@ def typed_value(opt: Option, raw: str, where: str) -> Any:
 
 
 def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
-    """Defaults, overlaid by the config file, overlaid by explicit flags; all typed by typed_value."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags; all typed by
+    typed_value. The one place a train value is refused, so nothing is read first."""
     resolved = {opt.name: opt.default for opt in OPTIONS}
     if args.config:
         resolved.update(parse_config_file(args.config))
     resolved.update({opt.name: typed_value(opt, raw, opt.flag) for opt in OPTIONS
                      if (raw := getattr(args, opt.name)) is not None})
+    # an option of a textual net that --textual did not choose would change nothing
+    chosen = resolved["textual"]
+    for textual, (_, names) in TEXTUAL_NETS.items():
+        for opt in map(OPTION_BY_NAME.get, names):
+            if textual != chosen and resolved[opt.name] != opt.default:
+                raise ConfigError(f"{opt.flag} applies to --textual {textual}, not to --textual {chosen}")
     return resolved
 
 
@@ -235,15 +242,8 @@ def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
 
 
 def _net_specs(typed: dict, vocab_size: int, feature_dim: int) -> tuple[NetSpec, NetSpec]:
-    """(textual, visual) specs for the resolved hyperparameters. An option of
-    a textual net that ``--textual`` did not choose would change nothing, so
-    it must keep its default."""
-    chosen = typed["textual"]
-    for textual, (_, names) in TEXTUAL_NETS.items():
-        for opt in map(OPTION_BY_NAME.get, names):
-            if textual != chosen and typed[opt.name] != opt.default:
-                raise ConfigError(f"{opt.flag} applies to --textual {textual}, not to --textual {chosen}")
-    kind, names = TEXTUAL_NETS[chosen]
+    """(textual, visual) specs for the hyperparameters ``resolve_config`` checked."""
+    kind, names = TEXTUAL_NETS[typed["textual"]]
     tspec = NetSpec(kind=kind, input_dim=vocab_size, n_emb=typed["n_emb"],
                     **{OPTION_BY_NAME[name].spec_field: typed[name] for name in names})
     vspec = NetSpec(kind="bag", input_dim=feature_dim, n_emb=typed["n_emb"], n_hu=typed["visual_n_hu"])
@@ -331,6 +331,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     top_k = _parse_k(args.top_k, "--top-k")
     if (args.sentence is None) == (args.image_id is None):
         raise ConfigError("provide exactly one of --sentence or --image-id")
+    if args.image_id is not None and not args.captions:
+        raise ConfigError("--captions is required for image queries")
     ckpt = load_checkpoint(args.checkpoint)
     features = _load_features(args.features, ckpt)
     textual, visual = ckpt.model.textual_net, ckpt.model.visual_net
@@ -349,8 +351,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         if args.image_id not in features:
             raise ConfigError(f"unknown image id {args.image_id!r}")
-        if not args.captions:
-            raise ConfigError("--captions is required for image queries")
         captions = load_captions(args.captions, strict=False)
         query, _ = forward(visual, features.get(args.image_id))
         pool = [(cap, enc) for cap in captions if (enc := encode(cap.text)) is not None]

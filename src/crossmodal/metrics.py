@@ -1,5 +1,6 @@
 """Bidirectional retrieval metrics: R@K variants, median rank, rPrecision,
-plus unigram clipped-precision BLEU and pooled-recall ROUGE.
+plus unigram clipped-precision BLEU and pooled-recall ROUGE. A retrieval
+metric has one way out: ``evaluate_rankings`` reads all of a direction's.
 
 Ranking protocol. Test captions are identified as ``image_id#j`` for
 j in 0..4. Annotation queries are images ranked against captions; search
@@ -27,7 +28,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class RankingSet:
     def __post_init__(self) -> None:
         self.id_rank = lexicographic_rank(self.cand_ids)
         self.column = {cid: j for j, cid in enumerate(self.cand_ids)}  # id -> score column
-
-    @cached_property
-    def own_caption_ranks(self) -> dict[str, np.ndarray]:
-        """Annotation: each image's scored captions' ranks in its row, for any_txt and rPrecision."""
-        return {img: _count_ranks(self.results[img], self.id_rank,
-                                  [self.column[cid] for cid in self.captions_of[img]])
-                for img in self.image_ids}
 
 
 def cosine_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -145,12 +138,6 @@ def _designated_ranks(rankings: RankingSet, selections: list[dict[str, str]]) ->
     return ranks
 
 
-def _any_txt_ranks(rankings: RankingSet) -> np.ndarray:
-    """Best rank of any of an image's own captions in its full ranking."""
-    return np.array([[min(rankings.own_caption_ranks[img], default=np.inf)
-                      for img in rankings.image_ids]], dtype=float)
-
-
 def _selections(images: list[str], variant: str, rnd_seed: int) -> list[dict[str, str]]:
     """The designated caption of every image, one selection per run of a
     single-relevant variant."""
@@ -164,13 +151,6 @@ def _selections(images: list[str], variant: str, rnd_seed: int) -> list[dict[str
     return [{img: caption_id(img, j) for img, j in zip(images, pick)} for pick in picks]
 
 
-def _variant_ranks(rankings: RankingSet, variants: tuple[str, ...], rnd_seed: int) -> dict[str, np.ndarray]:
-    """Per-image ranks of each R@K variant, one row per run."""
-    return {v: _any_txt_ranks(rankings) if v == "any_txt"
-            else _designated_ranks(rankings, _selections(rankings.image_ids, v, rnd_seed))
-            for v in variants}
-
-
 def _recall(ranks: np.ndarray, k: int) -> float:
     """Hit percentage at k of each run (row), averaged over runs."""
     if k < 1:
@@ -182,49 +162,26 @@ def _recall(ranks: np.ndarray, k: int) -> float:
     return sum(pcts) / len(pcts)
 
 
-def recall_at_k(rankings: RankingSet, k: int, variant: str, rnd_seed: int = 0) -> float:
-    """Percentage of queries whose relevant item lands in the top k."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "any_txt" and rankings.direction != "annotation":
-        raise ValueError("any_txt is only defined for annotation")
-    return _recall(_variant_ranks(rankings, (variant,), rnd_seed)[variant], k)
+def _median_rank(ranks: np.ndarray) -> int:
+    """Smallest k at which the runs' recall reaches 50%: the ceil(m/2)-th of
+    the m ranks, where a caption that is not a search query counts as the
+    worst rank, n."""
+    ordered = np.sort(np.minimum(ranks, ranks.shape[1]), axis=None)
+    return int(ordered[(len(ordered) + 1) // 2 - 1])
 
 
-def median_rank_from_ranks(ranks: list[int] | np.ndarray) -> int:
-    """Smallest k covering at least half of the given ranks."""
-    if len(ranks) == 0:
-        raise ValueError("no ranks to take a median over")
-    ordered = sorted(ranks)
-    half = (len(ordered) + 1) // 2
-    return int(ordered[half - 1])
-
-
-def _median_of_avg_txt(ranks: np.ndarray) -> int:
-    # a caption that is not a search query counts as the worst rank, n
-    return median_rank_from_ranks(np.minimum(ranks, ranks.shape[1]).ravel())
-
-
-def median_rank(rankings: RankingSet) -> int:
-    """Smallest k at which avg_txt recall reaches 50%."""
-    return _median_of_avg_txt(_variant_ranks(rankings, ("avg_txt",), 0)["avg_txt"])
-
-
-def r_precision(rankings: RankingSet) -> float:
-    """Mean percentage of an image's captions found in its top R = CAPTIONS_PER_IMAGE results.
+def _r_precision(rankings: RankingSet, own_ranks: list[np.ndarray]) -> float:
+    """Mean percentage of an image's captions found in its top R = CAPTIONS_PER_IMAGE
+    results, from each image's own-caption ranks in ``image_ids`` order.
 
     The denominator is always R: a caption that could not be scored is not
     a candidate, so it counts as not found.
     """
-    if rankings.direction != "annotation":
-        raise ValueError("rPrecision is only defined for annotation")
     total = 0.0
-    for img in rankings.image_ids:
-        own = rankings.captions_of[img]
-        if len(own) > CAPTIONS_PER_IMAGE:
-            raise ValueError(f"image {img!r} has {len(own)} captions, expected at most {CAPTIONS_PER_IMAGE}")
-        found = np.count_nonzero(rankings.own_caption_ranks[img] <= CAPTIONS_PER_IMAGE)
-        total += 100.0 * int(found) / CAPTIONS_PER_IMAGE
+    for img, ranks in zip(rankings.image_ids, own_ranks):
+        if len(ranks) > CAPTIONS_PER_IMAGE:
+            raise ValueError(f"image {img!r} has {len(ranks)} captions, expected at most {CAPTIONS_PER_IMAGE}")
+        total += 100.0 * int(np.count_nonzero(ranks <= CAPTIONS_PER_IMAGE)) / CAPTIONS_PER_IMAGE
     return total / len(rankings.image_ids)
 
 
@@ -271,16 +228,25 @@ class EvalReport:
 def evaluate_rankings(
     rankings: RankingSet, ks: tuple[int, ...] = DEFAULT_KS, rnd_seed: int = 0
 ) -> EvalReport:
-    variants = VARIANTS if rankings.direction == "annotation" else VARIANTS[:3]
-    ranks = _variant_ranks(rankings, variants, rnd_seed)
-    recall = {variant: {k: _recall(ranks[variant], k) for k in ks} for variant in variants}
+    """Every metric of one direction, each rank counted once: R@K of each
+    variant, med r over avg_txt's runs and, for annotation, rPrecision from
+    the same own-caption ranks as any_txt."""
+    images = rankings.image_ids
+    ranks = {v: _designated_ranks(rankings, _selections(images, v, rnd_seed)) for v in VARIANTS[:3]}
+    own_ranks = None
+    if rankings.direction == "annotation":
+        # each image's own captions ranked in its full row, for any_txt and rPrecision
+        own_ranks = [_count_ranks(rankings.results[img], rankings.id_rank,
+                                  [rankings.column[cid] for cid in rankings.captions_of[img]])
+                     for img in images]
+        ranks["any_txt"] = np.array([[min(r, default=np.inf) for r in own_ranks]], dtype=float)
     return EvalReport(
         direction=rankings.direction,
         ks=tuple(ks),
-        recall=recall,
-        med_r=_median_of_avg_txt(ranks["avg_txt"]),
-        r_precision_5=r_precision(rankings) if rankings.direction == "annotation" else None,
-        query_count=len(rankings.image_ids),
+        recall={variant: {k: _recall(ranks[variant], k) for k in ks} for variant in ranks},
+        med_r=_median_rank(ranks["avg_txt"]),
+        r_precision_5=None if own_ranks is None else _r_precision(rankings, own_ranks),
+        query_count=len(images),
         rnd_seed=rnd_seed,
     )
 

@@ -21,9 +21,7 @@ from crossmodal.errors import ZeroNormError
 from crossmodal.metrics import (
     bleu,
     build_rankings,
-    median_rank,
-    r_precision,
-    recall_at_k,
+    evaluate_rankings,
     rouge,
 )
 from crossmodal.nets import NetSpec, forward, init_net
@@ -206,11 +204,11 @@ def test_criterion_metric_oracle_equivalence():
         )
         for variant in variants:
             for k in (1, 2, 5, 10):
-                if recall_at_k(rankings, k, variant, seed) != oracle_recall(rankings, k, variant, seed):
+                if evaluate_rankings(rankings, (k,), seed).recall[variant][k] != oracle_recall(rankings, k, variant, seed):
                     mismatches += 1
-        if median_rank(rankings) != oracle_median_rank(rankings):
+        if evaluate_rankings(rankings).med_r != oracle_median_rank(rankings):
             mismatches += 1
-        if direction == "annotation" and r_precision(rankings) != oracle_r_precision(rankings):
+        if direction == "annotation" and evaluate_rankings(rankings).r_precision_5 != oracle_r_precision(rankings):
             mismatches += 1
     alphabet = list("abcdef")
     for _ in range(100):
@@ -271,7 +269,7 @@ def test_criterion_convergence():
     best, history = train(model, data, config)
     best_val = min(e.val_err for e in history.epochs)
     annotation, _ = build_rankings(best, data, "test")
-    r1 = recall_at_k(annotation, 1, "avg_txt")
+    r1 = evaluate_rankings(annotation, (1,)).recall["avg_txt"][1]
     finish(
         "convergence",
         best_val < 5.0 and r1 > 80.0,
@@ -305,8 +303,8 @@ def test_criterion_directional_specialization():
             best, history = train(model, data, config)
             annotation, search = build_rankings(best, data, "test")
             scores[methodology] = (
-                recall_at_k(annotation, 10, "avg_txt"),
-                recall_at_k(search, 10, "avg_txt"),
+                evaluate_rankings(annotation, (10,)).recall["avg_txt"][10],
+                evaluate_rankings(search, (10,)).recall["avg_txt"][10],
             )
             val_errs.append(min(e.val_err for e in history.epochs))
         i2t_ann, i2t_srch = scores["I2T"]

@@ -208,6 +208,8 @@ class TestFailureModes:
             lambda h: h.update(data_config={"n_test": "8", "val_frac": 0.15}),
             lambda h: h.update(data_config=[1, 2]),
             lambda h: h.update(data_config=[]),
+            lambda h: h.update(data_config={"n_test": -1, "val_frac": 0.15}),
+            lambda h: h.update(data_config={"n_test": 8, "val_frac": 1.5}),
             lambda h: h["vocabulary"].update(mode=None),
             lambda h: h["vocabulary"]["terms"][0].__setitem__(1, h["vocabulary"]["n_docs"] + 1),
             lambda h: h["train_config"].update(seed=[1]),
@@ -226,6 +228,8 @@ class TestFailureModes:
             "string_n_test",
             "list_data_config",
             "empty_list_data_config",
+            "negative_n_test",
+            "val_frac_past_one",
             "null_vocabulary_mode",
             "doc_freq_past_n_docs",
             "list_seed",

@@ -461,6 +461,17 @@ class TestTrain:
         assert err == (f"error CorpusFormatError: {features}: image {first!r}: "
                        "non-finite feature value or squared norm\n")
 
+    def test_every_train_pair_skipped_fails_before_writing(self, tmp_path, corpus, prepped, capsys):
+        """Zero features embed to zero through the freshly initialized visual
+        net, so no pair can be scored: the run stops instead of training on nothing."""
+        rows = (corpus / "features.txt").read_text().splitlines()
+        features = tmp_path / "zero.txt"
+        features.write_text("\n".join(rows[:1] + [re.sub(r" \S+", " 0", r) for r in rows[1:]]) + "\n")
+        args = train_args(corpus, prepped, tmp_path / "zero")
+        args[args.index("--features") + 1] = str(features)
+        err = assert_one_error_line(capsys, "ZeroNormError", tmp_path / "zero", *args)
+        assert err == "error ZeroNormError: every train pair was skipped\n"
+
     def test_sse_textual_model_trains(self, tmp_path, corpus, prepped, capsys):
         out = tmp_path / "sse_run"
         rc, _, err = run(capsys, *train_args(
@@ -470,7 +481,7 @@ class TestTrain:
         assert rc == 0, err
         assert (out / "checkpoint.bin").exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "config", "missing_features"])
     @pytest.mark.parametrize("textual, option, value", [
         ("sse", "n_hu", "6"), ("bag", "word_dim", "8"), ("bag", "kernels", "12"), ("bag", "window", "3"),
     ])
@@ -478,7 +489,8 @@ class TestTrain:
                                                      textual, option, value, source):
         """An option the chosen textual net does not use would change nothing
         while the manifest recorded it: one ConfigError that names its flag,
-        whether the value came from the flag or from a config line."""
+        whether the value came from the flag or from a config line, and before
+        any input file is read."""
         flag = "--" + option.replace("_", "-")
         extra = (flag, value)
         if source == "config":
@@ -486,8 +498,10 @@ class TestTrain:
             cfg.write_text(f"{option} = {value}\n")
             extra = ("--config", str(cfg))
         out = tmp_path / "x"
-        err = assert_one_error_line(capsys, "ConfigError", out,
-                                    *train_args(corpus, prepped, out, "--textual", textual, *extra))
+        args = train_args(corpus, prepped, out, "--textual", textual, *extra)
+        if source == "missing_features":
+            args[args.index("--features") + 1] = str(tmp_path / "missing.txt")
+        err = assert_one_error_line(capsys, "ConfigError", out, *args)
         assert flag in err
 
     def test_default_of_the_other_textual_net_accepted(self, tmp_path, corpus, prepped, capsys):
@@ -624,6 +638,21 @@ class TestEvaluate:
             err = assert_one_error_line(capsys, "CheckpointCorruptError", out, *argv,
                                         "--checkpoint", str(ckpt), "--features", str(corpus / "features.txt"))
             assert err.startswith(f"error CheckpointCorruptError: {ckpt}: invalid header (VocabularyError: ")
+
+    def test_header_with_an_out_of_range_split_refused(self, tmp_path, corpus, trained, capsys):
+        blob = (trained / "checkpoint.bin").read_bytes()
+        header = read_header(blob)
+        header["data_config"]["n_test"] = -1
+        ckpt = tmp_path / "negative.bin"
+        resign(ckpt, blob, header=header)
+        out = tmp_path / "eval"
+        err = assert_one_error_line(
+            capsys, "CheckpointCorruptError", out, "evaluate", "--checkpoint", str(ckpt),
+            "--captions", str(corpus / "captions.tsv"), "--features", str(corpus / "features.txt"),
+            "--out", str(out),
+        )
+        assert err == (f"error CheckpointCorruptError: {ckpt}: invalid header "
+                       "(ConfigError: n_test=-1 must be at least 0)\n")
 
     def test_header_with_swapped_vocabulary_terms_refused(self, tmp_path, corpus, prepped, trained,
                                                           capsys):
@@ -970,6 +999,14 @@ class TestQuery:
         )
         assert rc != 0 and out == ""
         assert err.startswith("error ZeroNormError: ") and err.count("\n") == 1
+
+    def test_image_query_without_captions_fails_before_loading(self, tmp_path, capsys):
+        err = assert_one_error_line(
+            capsys, "ConfigError", tmp_path / "none", "query",
+            "--checkpoint", str(tmp_path / "missing.bin"), "--features", str(tmp_path / "missing.txt"),
+            "--image-id", "c1img003",
+        )
+        assert err == "error ConfigError: --captions is required for image queries\n"
 
     def test_requires_exactly_one_query_kind(self, corpus, trained, capsys):
         rc, _, err = run(

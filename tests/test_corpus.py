@@ -72,6 +72,11 @@ class TestLoadCaptions:
         with pytest.raises(CorpusFormatError, match="outside"):
             load_captions(path, strict=False)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        lines = caption_lines(["a"]).splitlines(keepends=True)
+        path = write(tmp_path, "c.tsv", "\n" + "".join(lines[:2]) + "\n\n" + "".join(lines[2:]) + "\n")
+        assert load_captions(path) == load_captions(write(tmp_path, "plain.tsv", "".join(lines)))
+
 
 class TestTextLines:
     def test_bad_byte_past_the_first_read_names_its_line(self, tmp_path):
@@ -174,6 +179,12 @@ class TestLoadImageFeatures:
     def test_duplicate_id_rejected(self, tmp_path):
         path = write(tmp_path, "f.txt", "2 2\nimg1 1 2\nimg1 3 4\n")
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(path)}: duplicate image_id 'img1'$"):
+            load_image_features(path)
+
+    @pytest.mark.parametrize("header", ["-1 2", "1 0", "1 -2"])
+    def test_header_values_out_of_range_rejected(self, tmp_path, header):
+        path = write(tmp_path, "f.txt", f"{header}\nimg1 1 2\n")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(path)}:1: invalid header values "):
             load_image_features(path)
 
     def test_count_mismatch_rejected(self, tmp_path):

@@ -9,16 +9,13 @@ from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_cor
 from crossmodal.errors import NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import (
     _count_ranks,
+    _median_rank,
     bleu,
     build_rankings,
     caption_id,
     cosine_scores,
     evaluate_rankings,
     lexicographic_rank,
-    median_rank,
-    median_rank_from_ranks,
-    r_precision,
-    recall_at_k,
     rouge,
 )
 from crossmodal.nets import NetSpec, forward, init_net
@@ -68,15 +65,16 @@ class TestRecallAtK:
             # pad with every image's remaining captions at the tail
             results[img] = pool + [caption_id(other, j) for other in image_ids for j in range(1, 5)]
         rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
-        got = recall_at_k(rankings, 5, "first_txt")
+        got = evaluate_rankings(rankings, (5,)).recall["first_txt"][5]
         # i0, i1 hit within top 5; i2, i3 miss; remaining 8 images hit at rank 1
         assert got == pytest.approx(100.0 * 10 / 12)
 
     def test_k_at_pool_size_saturates(self):
         rng = random.Random(0)
         rankings = random_ranking_set(rng, "annotation", n_images=6)
-        assert recall_at_k(rankings, 6, "first_txt") == 100.0
-        assert recall_at_k(rankings, 30, "any_txt") == 100.0
+        recall = evaluate_rankings(rankings, (6, 30)).recall
+        assert recall["first_txt"][6] == 100.0
+        assert recall["any_txt"][30] == 100.0
 
     def test_tied_scores_make_avg_equal_first(self):
         # same candidate order in every run implies identical hit sets per run
@@ -89,47 +87,42 @@ class TestRecallAtK:
                 ordered.extend(captions_of[other])
             results[img] = ordered
         rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
-        for k in (1, 2, 3):
-            assert recall_at_k(rankings, k, "avg_txt") == recall_at_k(rankings, k, "first_txt")
-
-    def test_any_txt_annotation_only(self):
-        rng = random.Random(1)
-        rankings = random_ranking_set(rng, "search")
-        with pytest.raises(ValueError):
-            recall_at_k(rankings, 5, "any_txt")
+        recall = evaluate_rankings(rankings, (1, 2, 3)).recall
+        assert recall["avg_txt"] == recall["first_txt"]
 
     def test_monotone_in_k(self):
         rng = random.Random(2)
         for direction in ("annotation", "search"):
             for _ in range(20):
                 rankings = random_ranking_set(rng, direction)
-                variants = ("first_txt", "rnd_txt", "avg_txt") + (
-                    ("any_txt",) if direction == "annotation" else ()
-                )
-                for variant in variants:
-                    values = [recall_at_k(rankings, k, variant, rnd_seed=7) for k in range(1, 12)]
+                report = evaluate_rankings(rankings, tuple(range(1, 12)), rnd_seed=7)
+                assert len(report.recall) == (4 if direction == "annotation" else 3)
+                for by_k in report.recall.values():
+                    values = list(by_k.values())
                     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_avg_bounded_below_by_worst_run(self):
         rng = random.Random(3)
         for _ in range(20):
             rankings = random_ranking_set(rng, "annotation")
+            recall = evaluate_rankings(rankings, (1, 3, 5)).recall["avg_txt"]
             for k in (1, 3, 5):
                 runs = []
                 for j in range(5):
                     sel = {img: caption_id(img, j) for img in rankings.image_ids}
                     runs.append(oracle_single_run(oracle_orderings(rankings), rankings.image_ids, sel,
                                                   k, "annotation"))
-                assert recall_at_k(rankings, k, "avg_txt") >= min(runs) - 1e-12
+                assert recall[k] >= min(runs) - 1e-12
 
 
 class TestMedianRank:
     def test_rank_multiset_examples(self):
-        assert median_rank_from_ranks([1, 2, 9, 10]) == 2
-        assert median_rank_from_ranks([1, 1, 1, 1]) == 1
-        assert median_rank_from_ranks([5, 5]) == 5  # the 50% boundary is inclusive
-        with pytest.raises(ValueError):
-            median_rank_from_ranks([])
+        # one row per run, one column per query; a rank past n counts as n
+        assert _median_rank(np.array([[3, 1, 2]])) == 2
+        assert _median_rank(np.array([[1, 1], [1, 1]])) == 1
+        assert _median_rank(np.array([[4, 4, 1, 1]])) == 1  # the 50% boundary is inclusive
+        assert _median_rank(np.array([[1, np.inf, np.inf], [2, 2, np.inf]])) == 2
+        assert _median_rank(np.array([[np.inf, np.inf, 1]])) == 3
 
     def test_examples(self):
         # build a search ranking set with known flattened avg_txt ranks
@@ -148,9 +141,9 @@ class TestMedianRank:
 
         # [1,2,9,10] over 4 ranks needs pool >= 10; use 2 images x 5 runs = 10 ranks
         rankings = from_ranks([1, 2, 2, 1, 1, 2, 1, 2, 1, 2])
-        assert median_rank(rankings) == 1
+        assert evaluate_rankings(rankings).med_r == 1
         rankings = from_ranks([2, 2, 2, 2, 2, 2, 2, 2, 1, 1])
-        assert median_rank(rankings) == 2
+        assert evaluate_rankings(rankings).med_r == 2
 
     def test_all_rank_one(self):
         rng = random.Random(4)
@@ -160,7 +153,7 @@ class TestMedianRank:
             img = cid.rsplit("#", 1)[0]
             orders[cid] = [img] + [x for x in rankings.image_ids if x != img]
         rankings = ranking_set_from_orders("search", orders, rankings.image_ids, rankings.captions_of)
-        assert median_rank(rankings) == 1
+        assert evaluate_rankings(rankings).med_r == 1
 
     def test_exact_fifty_percent_boundary(self):
         # two runs at rank 5, two at rank 1: half the mass at or below 1? no:
@@ -173,17 +166,18 @@ class TestMedianRank:
                 other = "b" if img == "a" else "a"
                 results[caption_id(img, j)] = [img, other] if j < 3 else [other, img]
         rankings = ranking_set_from_orders("search", results, image_ids, captions_of)
-        assert median_rank(rankings) == 1
+        assert evaluate_rankings(rankings).med_r == 1
 
     def test_consistency_property(self):
         rng = random.Random(5)
         for direction in ("annotation", "search"):
             for _ in range(15):
                 rankings = random_ranking_set(rng, direction)
-                med = median_rank(rankings)
-                assert recall_at_k(rankings, med, "avg_txt") >= 50.0
+                med = evaluate_rankings(rankings).med_r
+                recall = evaluate_rankings(rankings, tuple(range(1, med + 1))).recall["avg_txt"]
+                assert recall[med] >= 50.0
                 if med > 1:
-                    assert recall_at_k(rankings, med - 1, "avg_txt") < 50.0
+                    assert recall[med - 1] < 50.0
 
 
 class TestRPrecision:
@@ -194,7 +188,7 @@ class TestRPrecision:
             img: captions_of[img] + captions_of["b" if img == "a" else "a"] for img in image_ids
         }
         rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
-        assert r_precision(rankings) == 100.0
+        assert evaluate_rankings(rankings).r_precision_5 == 100.0
 
     def test_single_hit_per_query(self):
         image_ids = ["a", "b"]
@@ -204,7 +198,7 @@ class TestRPrecision:
             other = "b" if img == "a" else "a"
             results[img] = [captions_of[img][0]] + captions_of[other] + captions_of[img][1:]
         rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
-        assert r_precision(rankings) == 20.0
+        assert evaluate_rankings(rankings).r_precision_5 == 20.0
 
     def test_mixed_queries_average(self):
         image_ids = ["a", "b"]
@@ -214,12 +208,7 @@ class TestRPrecision:
             "b": captions_of["a"] + captions_of["b"],  # none in top 5
         }
         rankings = ranking_set_from_orders("annotation", results, image_ids, captions_of)
-        assert r_precision(rankings) == 50.0
-
-    def test_search_direction_rejected(self):
-        rng = random.Random(6)
-        with pytest.raises(ValueError):
-            r_precision(random_ranking_set(rng, "search"))
+        assert evaluate_rankings(rankings).r_precision_5 == 50.0
 
 
 class TestBleuRouge:
@@ -257,17 +246,14 @@ class TestOracleEquivalence:
             direction = "annotation" if i % 2 == 0 else "search"
             rankings = random_ranking_set(rng, direction)
             seed = rng.randrange(1000)
-            variants = ("first_txt", "rnd_txt", "avg_txt") + (
-                ("any_txt",) if direction == "annotation" else ()
-            )
-            for variant in variants:
-                for k in (1, 2, 5, 10):
-                    assert recall_at_k(rankings, k, variant, seed) == oracle_recall(
-                        rankings, k, variant, seed
-                    )
-            assert median_rank(rankings) == oracle_median_rank(rankings)
+            report = evaluate_rankings(rankings, (1, 2, 5, 10), seed)
+            assert len(report.recall) == (4 if direction == "annotation" else 3)
+            for variant, by_k in report.recall.items():
+                for k, pct in by_k.items():
+                    assert pct == oracle_recall(rankings, k, variant, seed), (variant, k)
+            assert report.med_r == oracle_median_rank(rankings)
             if direction == "annotation":
-                assert r_precision(rankings) == oracle_r_precision(rankings)
+                assert report.r_precision_5 == oracle_r_precision(rankings)
 
     def test_unscoreable_captions_against_oracle(self):
         """A caption that could not be scored is in no ranking: as a designated
