@@ -65,6 +65,18 @@ def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
     return vocab
 
 
+def _check_run_record(data_config: dict, history: TrainHistory) -> None:
+    """The run record's rule, at save and at load: ``data_config`` is ``{}`` or an int
+    ``n_test`` and a float ``val_frac`` under ``check_split_values``, and ``best_epoch`` is 0
+    exactly when no epoch ran, else one of the epochs. Raises ValueError."""
+    if {k: type(v) for k, v in dict.items(data_config)} not in (
+            {}, {"n_test": int, "val_frac": float}):  # dict.items refuses a non-dict
+        raise ValueError("data_config must be {} or an int n_test and a float val_frac")
+    check_split_values(**data_config)
+    if history.best_epoch not in (range(1, len(history.epochs) + 1) if history.epochs else (0,)):
+        raise ValueError(f"best_epoch {history.best_epoch} is not one of the {len(history.epochs)} epochs")
+
+
 def save_checkpoint(
     path: str,
     model: ScoreModel,
@@ -73,6 +85,8 @@ def save_checkpoint(
     history: TrainHistory,
     data_config: dict | None = None,
 ) -> None:
+    data_config = data_config or {}
+    _check_run_record(data_config, history)
     nets = {"textual": model.textual_net, "visual": model.visual_net}
     layout = {side: param_shapes(net.spec) for side, net in nets.items()}
     for side, net in nets.items():
@@ -85,7 +99,7 @@ def save_checkpoint(
         "textual_spec": asdict(model.textual_net.spec),
         "visual_spec": asdict(model.visual_net.spec),
         "train_config": asdict(train_config),
-        "data_config": data_config or {},
+        "data_config": data_config,
         "vocabulary": _vocab_to_json(vocab),
         "vocab_digest": vocab.digest,
         "history": {
@@ -134,10 +148,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         if header["params"] != {side: [[name, list(shape)] for name, shape in shapes]
                                 for side, shapes in layout.items()}:
             raise ValueError("parameter manifest does not match the net specs")
-        if {k: type(v) for k, v in dict.items(header["data_config"])} not in (
-                {}, {"n_test": int, "val_frac": float}):  # dict.items refuses a non-dict
-            raise ValueError("data_config must be {} or an int n_test and a float val_frac")
-        check_split_values(**header["data_config"])
         sizes = [math.prod(shape) for shapes in layout.values() for _, shape in shapes]
         if header_end + 8 * sum(sizes) != len(blob) - 4:
             raise CheckpointCorruptError(f"{path}: parameter data size does not match the header")
@@ -151,6 +161,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             epochs=[EpochStats(*row) for row in header["history"]["epochs"]],
             best_epoch=header["history"]["best_epoch"],
         )
+        _check_run_record(header["data_config"], history)
         return Checkpoint(
             model=ScoreModel(textual_net=nets["textual"], visual_net=nets["visual"]),
             vocabulary=_vocab_from_json(header["vocabulary"], header["vocab_digest"], specs["textual"]),

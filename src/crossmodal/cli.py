@@ -112,8 +112,9 @@ SPEC_CHECK_BASE = dict(kind="sequence", input_dim=1, n_emb=1, word_dim=1, kernel
 
 
 def parse_config_file(path: str) -> dict[str, Any]:
-    """Flat ``key = value`` lines, typed by OPTIONS; blank lines and # comments ignored."""
+    """Flat ``key = value`` lines, each key once, typed by OPTIONS; blank lines and # comments ignored."""
     values: dict[str, Any] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in text_lines(path, ConfigError):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -124,6 +125,9 @@ def parse_config_file(path: str) -> dict[str, Any]:
         opt = OPTION_BY_NAME.get(key.strip())
         if opt is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
+        if opt.name in first_line:
+            raise ConfigError(f"{path}:{lineno}: {opt.name} is already set on line {first_line[opt.name]}")
+        first_line[opt.name] = lineno
         values[opt.name] = typed_value(opt, raw.strip(), f"{path}:{lineno}")
     return values
 
@@ -333,6 +337,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise ConfigError("provide exactly one of --sentence or --image-id")
     if args.image_id is not None and not args.captions:
         raise ConfigError("--captions is required for image queries")
+    if args.sentence is not None and args.captions is not None:
+        raise ConfigError("--captions applies to --image-id queries, not to --sentence queries")
     ckpt = load_checkpoint(args.checkpoint)
     features = _load_features(args.features, ckpt)
     textual, visual = ckpt.model.textual_net, ckpt.model.visual_net

@@ -218,6 +218,10 @@ class TestFailureModes:
             lambda h: h["vocabulary"]["terms"][1].__setitem__(0, h["vocabulary"]["terms"][0][0]),
             lambda h: h["vocabulary"]["terms"].insert(0, h["vocabulary"]["terms"].pop(1)),
             lambda h: h.update(vocab_digest="0" * 64),
+            lambda h: h["history"].update(best_epoch=99),
+            lambda h: h["history"].update(best_epoch=-4),
+            lambda h: h["history"].update(best_epoch=0),
+            lambda h: h["history"].update(best_epoch=3, epochs=[]),
         ],
         ids=[
             "unknown_train_config_key",
@@ -238,6 +242,10 @@ class TestFailureModes:
             "duplicate_term",
             "swapped_terms",
             "stale_digest",
+            "best_epoch_past_the_epochs",
+            "negative_best_epoch",
+            "zero_best_epoch_after_epochs",
+            "best_epoch_without_epochs",
         ],
     )
     def test_bad_header_with_valid_checksum(self, setup, mutate):
@@ -299,6 +307,33 @@ class TestSave:
         mutate(model.textual_net)
         with pytest.raises(ValueError, match="textual net parameters do not match its spec"):
             save_checkpoint(path, model, vocab, config, history)
+        assert os.listdir(os.path.dirname(path)) == []
+
+    @pytest.mark.parametrize(
+        "data_config, best_epoch, epochs, message",
+        [
+            ({"n_test": -1, "val_frac": 0.5}, 2, 2, "n_test=-1 must be at least 0"),
+            ({"n_test": 8, "val_frac": 2.0}, 2, 2, "val_frac=2.0 outside"),
+            ({"n_test": 8.0, "val_frac": 0.15}, 2, 2, "data_config must be"),
+            ({"n_test": 8}, 2, 2, "data_config must be"),
+            ({"n_test": 8, "val_frac": 0.15, "seed": 4}, 2, 2, "data_config must be"),
+            (None, 99, 2, "best_epoch 99 is not one of the 2 epochs"),
+            (None, -4, 2, "best_epoch -4 is not one of the 2 epochs"),
+            (None, 0, 2, "best_epoch 0 is not one of the 2 epochs"),
+            (None, 3, 0, "best_epoch 3 is not one of the 0 epochs"),
+        ],
+        ids=["negative_n_test", "val_frac_past_one", "float_n_test", "no_val_frac", "extra_key",
+             "best_epoch_past_the_epochs", "negative_best_epoch", "zero_best_epoch_after_epochs",
+             "best_epoch_without_epochs"],
+    )
+    def test_run_record_that_load_refuses_is_not_saved(self, setup, data_config, best_epoch, epochs,
+                                                        message):
+        """The rule load_checkpoint holds a header's data_config and best_epoch to,
+        checked before the temp file opens."""
+        images, captions, store, vocab, model, config, history, path = setup
+        history = TrainHistory(epochs=history.epochs[:epochs], best_epoch=best_epoch)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(path, model, vocab, config, history, data_config)
         assert os.listdir(os.path.dirname(path)) == []
 
     @pytest.mark.parametrize("delta", [1, -1], ids=["one_term_more", "one_term_fewer"])

@@ -19,14 +19,28 @@ from crossmodal.corpus import load_captions, load_image_features, split_dataset
 from test_checkpoint import read_header, resign
 
 
+def cli_process(*argv, **popen) -> subprocess.Popen:
+    """``python -m crossmodal.cli argv`` in a new process that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "crossmodal.cli", *argv], env=env, **popen)
+
+
 def run(capsys, *argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, or with ``capsys`` None of
+    ``argv`` in a new ``python -m crossmodal.cli`` process."""
+    if capsys is None:
+        with cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            stdout, err = proc.communicate(timeout=120)
+        return proc.returncode, stdout, err
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
 
 def assert_one_error_line(capsys, error, out, *argv):
-    """``main(argv)`` exits 1 with one ``error <error>:`` line on stderr, prints
+    """The one check of a refused command: ``main(argv)`` (a new process with
+    ``capsys`` None) exits 1 with one ``error <error>:`` line on stderr, prints
     nothing on stdout and leaves no ``out``."""
     rc, stdout, err = run(capsys, *argv)
     assert rc == 1 and stdout == ""
@@ -138,11 +152,10 @@ class TestSynthAndPreprocess:
         bad = tmp_path / "captions.tsv"
         bad.write_bytes(text + b"\xff\xfe")
         out = tmp_path / "prep"
-        rc, _, err = run(capsys, "preprocess", "--captions", str(bad), "--out", str(out))
-        assert rc != 0
+        err = assert_one_error_line(capsys, "CorpusFormatError", out,
+                                    "preprocess", "--captions", str(bad), "--out", str(out))
         line = text.count(b"\n") + 1
         assert err == f"error CorpusFormatError: {bad}:{line}: not valid UTF-8\n"
-        assert not (out / "vocab.tsv").exists()
 
     def test_vocab_respects_max_size(self, tmp_path, corpus, capsys):
         out = tmp_path / "prep5"
@@ -194,22 +207,16 @@ class TestSynthAndPreprocess:
         assert err == f"error ConfigError: {message}\n"
 
     def test_python_m_runs_the_cli(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "corpus"
-        proc = subprocess.run(
-            [sys.executable, "-m", "crossmodal.cli", "synth", "--clusters", "1",
-             "--images-per-cluster", "2", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        rc, _, err = run(None, "synth", "--clusters", "1", "--images-per-cluster", "2", "--out", str(out))
+        assert rc == 0, err
         assert (out / "captions.tsv").exists()
 
     def test_missing_captions_file(self, tmp_path, capsys):
-        rc, _, err = run(capsys, "preprocess", "--captions", str(tmp_path / "nope.tsv"),
-                         "--out", str(tmp_path / "p"))
-        assert rc != 0
-        assert "error" in err and "nope.tsv" in err
+        out = tmp_path / "p"
+        err = assert_one_error_line(capsys, "FileNotFoundError", out, "preprocess",
+                                    "--captions", str(tmp_path / "nope.tsv"), "--out", str(out))
+        assert "nope.tsv" in err
 
 
 class TestTrain:
@@ -236,7 +243,8 @@ class TestTrain:
         assert manifest["config"]["methodology"] == "T2I"
 
     def test_invalid_margin_fails_before_training(self, tmp_path, corpus, prepped, capsys):
-        self.assert_fails_before_writing(tmp_path, corpus, prepped, capsys, "--margin", "0")
+        out = tmp_path / "bad"
+        assert_one_error_line(capsys, "ConfigError", out, *train_args(corpus, prepped, out, "--margin", "0"))
 
     @pytest.mark.parametrize(
         "bad",
@@ -266,15 +274,8 @@ class TestTrain:
         ids=" ".join,
     )
     def test_invalid_value_fails_before_writing(self, tmp_path, corpus, prepped, capsys, bad):
-        self.assert_fails_before_writing(tmp_path, corpus, prepped, capsys, *bad)
-
-    @staticmethod
-    def assert_fails_before_writing(tmp_path, corpus, prepped, capsys, *bad):
         out = tmp_path / "bad"
-        rc, _, err = run(capsys, *train_args(corpus, prepped, out, *bad))
-        assert rc != 0
-        assert err.startswith("error ConfigError: ") and err.count("\n") == 1
-        assert not out.exists()
+        assert_one_error_line(capsys, "ConfigError", out, *train_args(corpus, prepped, out, *bad))
 
     @pytest.mark.parametrize(
         "edit",
@@ -302,10 +303,8 @@ class TestTrain:
         out = tmp_path / "bad"
         args = train_args(corpus, prepped, out)
         args[args.index("--vocab") + 1] = str(vocab)
-        rc, _, err = run(capsys, *args)
-        assert rc != 0
-        assert err.startswith(f"error VocabularyError: {vocab}:") and err.count("\n") == 1
-        assert not (out / "manifest.json").exists()
+        err = assert_one_error_line(capsys, "VocabularyError", out, *args)
+        assert err.startswith(f"error VocabularyError: {vocab}:")
 
     @pytest.mark.parametrize(
         "flag, error",
@@ -314,7 +313,8 @@ class TestTrain:
          ("--config", "ConfigError")],
     )
     def test_non_utf8_input_fails_before_writing(self, tmp_path, corpus, prepped, capsys, flag, error):
-        args = train_args(corpus, prepped, tmp_path / "bad")
+        out = tmp_path / "bad"
+        args = train_args(corpus, prepped, out)
         if flag in args:
             text = Path(args[args.index(flag) + 1]).read_bytes()
         else:
@@ -323,11 +323,9 @@ class TestTrain:
         bad = tmp_path / "input"
         bad.write_bytes(text + b"\xff\xfe")
         args[args.index(flag) + 1] = str(bad)
-        rc, _, err = run(capsys, *args)
-        assert rc != 0
+        err = assert_one_error_line(capsys, error, out, *args)
         line = text.count(b"\n") + 1
         assert err == f"error {error}: {bad}:{line}: not valid UTF-8\n"
-        assert not (tmp_path / "bad" / "manifest.json").exists()
 
     def test_config_file_and_flag_priority(self, tmp_path, corpus, prepped, capsys):
         cfg = tmp_path / "run.cfg"
@@ -343,8 +341,21 @@ class TestTrain:
     def test_unknown_config_key(self, tmp_path, corpus, prepped, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("momentum = 0.9\n")
-        rc, _, err = run(capsys, *train_args(corpus, prepped, tmp_path / "x", "--config", str(cfg)))
-        assert rc != 0 and "ConfigError" in err
+        out = tmp_path / "x"
+        err = assert_one_error_line(capsys, "ConfigError", out,
+                                    *train_args(corpus, prepped, out, "--config", str(cfg)))
+        assert err == f"error ConfigError: {cfg}:1: unknown config key 'momentum'\n"
+
+    def test_config_key_set_twice_refused(self, tmp_path, corpus, prepped, capsys):
+        """The second line is refused, naming the first, before any input is
+        read, as a repeated --ks cutoff is; the file once trained with its last value."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_emb = 16\n# narrower\nn_emb = 8\n")
+        out = tmp_path / "x"
+        args = train_args(corpus, prepped, out, "--config", str(cfg))
+        args[args.index("--features") + 1] = str(tmp_path / "missing.txt")
+        err = assert_one_error_line(capsys, "ConfigError", out, *args)
+        assert err == f"error ConfigError: {cfg}:3: n_emb is already set on line 1\n"
 
     @pytest.mark.parametrize("line", ["epochs = many", "methodology = x2y", "textual = lstm",
                                       "epochs = -2", "lr = 0", "val_pairs = 0",
@@ -434,10 +445,19 @@ class TestTrain:
         emb_path = tmp_path / "emb.txt"
         emb_path.write_text("c0w1 nan" + " 1.0" * 7 + "\n")
         out = tmp_path / "nan_emb"
-        rc, _, err = run(capsys, *train_args(corpus, prepped, out, "--embeddings", str(emb_path)))
-        assert rc != 0
-        assert err.startswith(f"error CorpusFormatError: {emb_path}:1:") and err.count("\n") == 1
-        assert not (out / "manifest.json").exists()
+        err = assert_one_error_line(capsys, "CorpusFormatError", out,
+                                    *train_args(corpus, prepped, out, "--embeddings", str(emb_path)))
+        assert err.startswith(f"error CorpusFormatError: {emb_path}:1:")
+
+    def test_word2vec_count_dim_line_refused(self, tmp_path, corpus, prepped, capsys):
+        """word2vec's own text files open with a ``count dim`` line; read as a row
+        of one value, it makes the first word row fail, so it must be removed."""
+        emb_path = tmp_path / "w2v.txt"
+        emb_path.write_text("2 3\nc0w1 0.1 0.2 0.3\n")
+        out = tmp_path / "w2v_emb"
+        err = assert_one_error_line(capsys, "CorpusFormatError", out,
+                                    *train_args(corpus, prepped, out, "--embeddings", str(emb_path)))
+        assert err == f"error CorpusFormatError: {emb_path}:2: 'c0w1' has 3 values, expected 1\n"
 
     def test_repeated_embedding_word_fails_before_writing(self, tmp_path, corpus, prepped, capsys):
         emb_path = tmp_path / "emb.txt"
@@ -550,32 +570,29 @@ class TestEvaluate:
         rc, _, _ = run(capsys, "preprocess", "--captions", str(corpus / "captions.tsv"),
                        "--mode", "2g", "--max-size", "10", "--out", str(other))
         assert rc == 0
-        rc, _, err = run(
-            capsys, "evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+        out = tmp_path / "eval_bad"
+        err = assert_one_error_line(
+            capsys, "ConfigError", out, "evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
             "--captions", str(corpus / "captions.tsv"),
             "--features", str(corpus / "features.txt"),
             "--vocab", str(other / "vocab.tsv"),
-            "--out", str(tmp_path / "eval_bad"),
+            "--out", str(out),
         )
-        assert rc != 0 and "digest mismatch" in err
-
+        assert "digest mismatch" in err
 
     def test_checkpoint_without_test_split_refused(self, tmp_path, corpus, trained, capsys):
         ckpt = load_checkpoint(str(trained / "checkpoint.bin"))
         bare = tmp_path / "bare.bin"
         save_checkpoint(str(bare), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history)
         out = tmp_path / "eval_bare"
-        rc, _, err = run(
-            capsys, "evaluate", "--checkpoint", str(bare),
+        err = assert_one_error_line(
+            capsys, "ConfigError", out, "evaluate", "--checkpoint", str(bare),
             # missing corpus files show that nothing is loaded after the checkpoint
             "--captions", str(tmp_path / "missing.tsv"),
             "--features", str(tmp_path / "missing.txt"),
             "--out", str(out),
         )
-        assert rc != 0
-        assert err.startswith("error ConfigError: ") and err.count("\n") == 1
         assert "n_test" in err
-        assert not out.exists()
 
     def test_n_test_past_the_image_count_refused(self, tmp_path, corpus, trained, capsys):
         # the checkpoint holds out 3 test images; these features hold 2
@@ -583,14 +600,12 @@ class TestEvaluate:
         features = tmp_path / "features.txt"
         features.write_text("\n".join([f"2 {rows[0].split()[1]}"] + rows[1:3]) + "\n")
         out = tmp_path / "eval_small"
-        rc, stdout, err = run(
-            capsys, "evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+        err = assert_one_error_line(
+            capsys, "ConfigError", out, "evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
             "--captions", str(corpus / "captions.tsv"),
             "--features", str(features), "--out", str(out),
         )
-        assert rc != 0 and stdout == ""
         assert err == "error ConfigError: n_test=3 must be in [0, 2), the image count\n"
-        assert not out.exists()
 
     def test_checkpoint_without_test_images_refused(self, tmp_path, corpus, prepped, capsys):
         run_dir = tmp_path / "no_test"
@@ -654,6 +669,21 @@ class TestEvaluate:
         assert err == (f"error CheckpointCorruptError: {ckpt}: invalid header "
                        "(ConfigError: n_test=-1 must be at least 0)\n")
 
+    def test_header_with_a_best_epoch_past_its_epochs_refused(self, tmp_path, corpus, trained, capsys):
+        blob = (trained / "checkpoint.bin").read_bytes()
+        header = read_header(blob)
+        header["history"]["best_epoch"] = 99
+        ckpt = tmp_path / "best99.bin"
+        resign(ckpt, blob, header=header)
+        out = tmp_path / "eval"
+        err = assert_one_error_line(
+            capsys, "CheckpointCorruptError", out, "evaluate", "--checkpoint", str(ckpt),
+            "--captions", str(corpus / "captions.tsv"), "--features", str(corpus / "features.txt"),
+            "--out", str(out),
+        )
+        assert err == (f"error CheckpointCorruptError: {ckpt}: invalid header "
+                       "(ValueError: best_epoch 99 is not one of the 2 epochs)\n")
+
     def test_header_with_swapped_vocabulary_terms_refused(self, tmp_path, corpus, prepped, trained,
                                                           capsys):
         """A re-signed header whose first two terms trade places still follows the
@@ -689,15 +719,13 @@ class TestEvaluate:
     @pytest.mark.parametrize("ks", ["0,1", "", "1,,5", "1,x", "-3", "5,5"])
     def test_bad_ks_fail_before_loading(self, tmp_path, ks, capsys):
         out = tmp_path / "eval_ks"
-        rc, stdout, err = run(
-            capsys, "evaluate", "--checkpoint", str(tmp_path / "missing.bin"),
+        err = assert_one_error_line(
+            capsys, "ConfigError", out, "evaluate", "--checkpoint", str(tmp_path / "missing.bin"),
             "--captions", str(tmp_path / "missing.tsv"),
             "--features", str(tmp_path / "missing.txt"),
             "--ks", ks, "--out", str(out),
         )
-        assert rc != 0 and stdout == ""
-        assert err.startswith("error ConfigError: ") and err.count("\n") == 1
-        assert not out.exists()
+        assert err.startswith("error ConfigError: --ks ")
 
     def test_a_closed_stdout_leaves_every_report(self, tmp_path, corpus, trained, monkeypatch):
         """A reader that closes stdout after the first report still finds all four files."""
@@ -886,13 +914,13 @@ class TestQuery:
         assert rc == 0
         assert len(out.strip().splitlines()) == 12
 
-    def test_all_oov_sentence_fails(self, corpus, trained, capsys):
-        rc, _, err = run(
-            capsys, "query", "--checkpoint", str(trained / "checkpoint.bin"),
-            "--features", str(corpus / "features.txt"),
+    def test_all_oov_sentence_fails(self, tmp_path, corpus, trained, capsys):
+        err = assert_one_error_line(
+            capsys, "EmptySequenceError", tmp_path / "none", "query", "--checkpoint",
+            str(trained / "checkpoint.bin"), "--features", str(corpus / "features.txt"),
             "--sentence", "entirely unknown words",
         )
-        assert rc != 0 and "error" in err
+        assert err == "error EmptySequenceError: sentence has no in-vocabulary terms\n"
 
     def test_image_query_ranks_captions(self, corpus, trained, capsys):
         rc, out, _ = run(
@@ -924,14 +952,13 @@ class TestQuery:
         assert outputs[0][1] == NOTICE.format(2) and outputs[1][1] == ""
         assert outputs[0][0] == outputs[1][0] and len(outputs[0][0].splitlines()) == 58
 
-    def test_unknown_image_id_fails(self, corpus, trained, capsys):
-        rc, stdout, err = run(
-            capsys, "query", "--checkpoint", str(trained / "checkpoint.bin"),
+    def test_unknown_image_id_fails(self, tmp_path, corpus, trained, capsys):
+        err = assert_one_error_line(
+            capsys, "ConfigError", tmp_path / "none", "query", "--checkpoint", str(trained / "checkpoint.bin"),
             "--features", str(corpus / "features.txt"),
             "--captions", str(corpus / "captions.tsv"),
             "--image-id", "ghost",
         )
-        assert rc != 0 and stdout == ""
         assert err == "error ConfigError: unknown image id 'ghost'\n"
 
     def test_features_narrower_than_the_checkpoint_refused(self, tmp_path, corpus, trained, capsys):
@@ -956,13 +983,12 @@ class TestQuery:
 
     @pytest.mark.parametrize("top_k", ["0", "-1", "", "x", "2.5"])
     def test_bad_top_k_fails_before_loading(self, tmp_path, top_k, capsys):
-        rc, stdout, err = run(
-            capsys, "query", "--checkpoint", str(tmp_path / "missing.bin"),
+        err = assert_one_error_line(
+            capsys, "ConfigError", tmp_path / "none", "query", "--checkpoint", str(tmp_path / "missing.bin"),
             "--features", str(tmp_path / "missing.txt"),
             "--sentence", "c0w1", "--top-k", top_k,
         )
-        assert rc != 0 and stdout == ""
-        assert err.startswith("error ConfigError: ") and err.count("\n") == 1
+        assert err.startswith("error ConfigError: --top-k ")
 
     @pytest.fixture
     def zero_norm_image(self, tmp_path, corpus, trained):
@@ -991,14 +1017,12 @@ class TestQuery:
         ids = [line.split("\t")[2] for line in out.splitlines()]
         assert len(ids) == 11 and "c0img000" not in ids
 
-    def test_zero_norm_image_query_fails(self, corpus, zero_norm_image, capsys):
+    def test_zero_norm_image_query_fails(self, tmp_path, corpus, zero_norm_image, capsys):
         ckpt, features = zero_norm_image
-        rc, out, err = run(
-            capsys, "query", "--checkpoint", str(ckpt), "--features", str(features),
-            "--captions", str(corpus / "captions.tsv"), "--image-id", "c0img000",
+        assert_one_error_line(
+            capsys, "ZeroNormError", tmp_path / "none", "query", "--checkpoint", str(ckpt),
+            "--features", str(features), "--captions", str(corpus / "captions.tsv"), "--image-id", "c0img000",
         )
-        assert rc != 0 and out == ""
-        assert err.startswith("error ZeroNormError: ") and err.count("\n") == 1
 
     def test_image_query_without_captions_fails_before_loading(self, tmp_path, capsys):
         err = assert_one_error_line(
@@ -1008,12 +1032,23 @@ class TestQuery:
         )
         assert err == "error ConfigError: --captions is required for image queries\n"
 
-    def test_requires_exactly_one_query_kind(self, corpus, trained, capsys):
-        rc, _, err = run(
-            capsys, "query", "--checkpoint", str(trained / "checkpoint.bin"),
-            "--features", str(corpus / "features.txt"),
+    def test_sentence_query_with_captions_fails_before_loading(self, tmp_path, capsys):
+        """A sentence query never reads --captions, so a file that does not exist
+        was accepted; it is refused as an image query without it is."""
+        err = assert_one_error_line(
+            capsys, "ConfigError", tmp_path / "none", "query",
+            "--checkpoint", str(tmp_path / "missing.bin"), "--features", str(tmp_path / "missing.txt"),
+            "--sentence", "c0w1", "--captions", str(tmp_path / "nope.tsv"), "--top-k", "2",
         )
-        assert rc != 0 and "ConfigError" in err
+        assert err == "error ConfigError: --captions applies to --image-id queries, not to --sentence queries\n"
+
+    def test_requires_exactly_one_query_kind(self, tmp_path, corpus, trained, capsys):
+        for kinds in ([], ["--sentence", "c0w1", "--image-id", "c0img000"]):
+            err = assert_one_error_line(
+                capsys, "ConfigError", tmp_path / "none", "query", "--checkpoint", str(trained / "checkpoint.bin"),
+                "--features", str(corpus / "features.txt"), *kinds,
+            )
+            assert err == "error ConfigError: provide exactly one of --sentence or --image-id\n"
 
 
 class TestOverflowingEmbedding:
@@ -1047,6 +1082,50 @@ class TestOverflowingEmbedding:
                  else ["--sentence", "c0w1 c0w2"])
         assert_one_error_line(capsys, "NonFiniteGradientError", out, command, "--checkpoint", str(ckpt),
                               "--features", str(corpus / "features.txt"), *extra)
+
+
+class TestProcess:
+    """The installed ``crossmodal`` script runs the same ``cli.entry`` as ``python -m crossmodal.cli``."""
+
+    def test_refusals_in_a_new_process(self, tmp_path, corpus, prepped, trained):
+        """A refusal before any file is read, a corrupt checkpoint and an overflow
+        behind hidden layers: exit 1, nothing on stdout, no traceback or warning
+        on stderr beside the one error line, and no ``--out``."""
+        out = tmp_path / "out"
+        err = assert_one_error_line(
+            None, "ConfigError", out, "evaluate", "--checkpoint", str(tmp_path / "missing.bin"),
+            "--captions", str(tmp_path / "missing.tsv"), "--features", str(tmp_path / "missing.txt"),
+            "--ks", "5,5", "--out", str(out),
+        )
+        assert err == "error ConfigError: --ks repeats a cutoff: '5,5'\n"
+        blob = (trained / "checkpoint.bin").read_bytes()
+        header = read_header(blob)
+        header["data_config"]["n_test"] = -1
+        resign(tmp_path / "negative.bin", blob, header=header)
+        assert_one_error_line(
+            None, "CheckpointCorruptError", out, "evaluate", "--checkpoint", str(tmp_path / "negative.bin"),
+            "--captions", str(corpus / "captions.tsv"), "--features", str(corpus / "features.txt"),
+            "--out", str(out),
+        )
+        assert_one_error_line(None, "NonFiniteGradientError", out, *train_args(
+            corpus, prepped, out, "--lr", "1e200", "--n-hu", "6", "--visual-n-hu", "6"))
+
+    def test_evaluate_into_a_reader_that_closes_after_one_byte(self, tmp_path, corpus, trained):
+        """The reports are written before stdout, so each run leaves all four. A run
+        whose stdout write meets the closed pipe ends as one BrokenPipeError line."""
+        for attempt in range(3):
+            out = tmp_path / f"eval{attempt}"
+            with cli_process("evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+                             "--captions", str(corpus / "captions.tsv"),
+                             "--features", str(corpus / "features.txt"), "--out", str(out),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0) as proc:
+                assert len(proc.stdout.read(1)) == 1
+                proc.stdout.close()
+                err = proc.stderr.read().decode()
+            assert (proc.returncode, err) == (0, f"reports written to {out}\n") or (
+                proc.returncode == 1 and err == "error BrokenPipeError: [Errno 32] Broken pipe\n"), err
+            assert sorted(p.name for p in out.iterdir()) == [
+                "report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"]
 
 
 class TestReadme:
