@@ -105,8 +105,9 @@ OPTIONS = (
 OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
 # the options a checkpoint records as its data_config, checked by check_split_values
 SPLIT_OPTIONS = ("n_test", "val_frac")
-# each --textual value: its NetSpec kind and the options that set its net
-TEXTUAL_NETS = {"bag": ("bag", ("n_hu",)), "sse": ("sequence", ("word_dim", "kernels", "window"))}
+# each --textual value: its NetSpec kind and the options only its net reads
+TEXTUAL_NETS = {"bag": ("bag", ("n_hu", "weighting")),
+                "sse": ("sequence", ("word_dim", "kernels", "window"))}
 # a valid sequence NetSpec, so that one net option's value is checked alone
 SPEC_CHECK_BASE = dict(kind="sequence", input_dim=1, n_emb=1, word_dim=1, kernel_count=1, window=1)
 
@@ -249,7 +250,8 @@ def _net_specs(typed: dict, vocab_size: int, feature_dim: int) -> tuple[NetSpec,
     """(textual, visual) specs for the hyperparameters ``resolve_config`` checked."""
     kind, names = TEXTUAL_NETS[typed["textual"]]
     tspec = NetSpec(kind=kind, input_dim=vocab_size, n_emb=typed["n_emb"],
-                    **{OPTION_BY_NAME[name].spec_field: typed[name] for name in names})
+                    **{opt.spec_field: typed[opt.name] for opt in map(OPTION_BY_NAME.get, names)
+                       if opt.spec_field})
     vspec = NetSpec(kind="bag", input_dim=feature_dim, n_emb=typed["n_emb"], n_hu=typed["visual_n_hu"])
     return tspec, vspec
 
@@ -315,7 +317,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = RetrievalDataset(features, captions, split, ckpt.vocabulary, weighting=config.weighting,
                             textual_kind=ckpt.model.textual_net.spec.kind)
     reports = [evaluate_rankings(rankings, ks=ks, rnd_seed=args.seed)
-               for rankings in build_rankings(ckpt.model, data, subset="test")]
+               for rankings in build_rankings(ckpt.model, data)]
     texts = [format_report(report) for report in reports]
     _report_unencodable(data.view("test").unencodable)  # after the last check, as in train
     os.makedirs(args.out, exist_ok=True)

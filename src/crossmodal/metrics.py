@@ -5,12 +5,12 @@ metric has one way out: ``evaluate_rankings`` reads all of a direction's.
 Ranking protocol. Test captions are identified as ``image_id#j`` for
 j in 0..4. Annotation queries are images ranked against captions; search
 queries are captions ranked against images. The single-relevant R@K
-variants (1st_txt, rnd_txt, and the five runs averaged by avg_txt)
-designate one caption per image: for annotation that designated set is
-also the candidate pool of the run, for search it selects which captions
-act as queries. any_txt ranks the full caption pool and counts a hit when
-any of the query image's five captions lands in the top k; it has no
-search-side meaning.
+variants (rnd_txt, and the five runs averaged by avg_txt, whose first run,
+caption #0 of every image, is 1st_txt) designate one caption per image:
+for annotation that designated set is also the candidate pool of the run,
+for search it selects which captions act as queries. any_txt ranks the
+full caption pool and counts a hit when any of the query image's five
+captions lands in the top k; it has no search-side meaning.
 
 Scoring. ``cosine_scores`` is the one scoring kernel, one batched cosine
 per direction, and nothing is sorted: every rank is a count from
@@ -36,7 +36,6 @@ from .errors import ZeroNormError
 from .nets import embed_dense, forward
 from .ranker import RetrievalDataset, ScoreModel, cosine_vanishes
 
-VARIANTS = ("first_txt", "rnd_txt", "avg_txt", "any_txt")
 DEFAULT_KS = (1, 2, 5, 10)
 
 
@@ -81,14 +80,12 @@ def cosine_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return scores
 
 
-def build_rankings(
-    model: ScoreModel, data: RetrievalDataset, subset: str = "test"
-) -> tuple[RankingSet, RankingSet]:
-    """Annotation and search scores over one split: every item embedded once,
-    the images as stacked products, and one ``cosine_scores`` call per
+def build_rankings(model: ScoreModel, data: RetrievalDataset) -> tuple[RankingSet, RankingSet]:
+    """Annotation and search scores over the test split: every item embedded
+    once, the images as stacked products, and one ``cosine_scores`` call per
     direction. A caption that no image can score ranks last for every image
     and is not a search query."""
-    view = data.view(subset)
+    view = data.view("test")
     images = list(view.image_ids)
     img_embs = embed_dense(model.visual_net, [data.features.get(i) for i in images])
     cap_ids = [caption_id(image_id, index) for image_id, index in view.pairs]
@@ -138,16 +135,12 @@ def _designated_ranks(rankings: RankingSet, selections: list[dict[str, str]]) ->
     return ranks
 
 
-def _selections(images: list[str], variant: str, rnd_seed: int) -> list[dict[str, str]]:
-    """The designated caption of every image, one selection per run of a
-    single-relevant variant."""
-    if variant == "first_txt":
-        picks = [[0] * len(images)]
-    elif variant == "rnd_txt":
-        rng = random.Random(rnd_seed)
-        picks = [[rng.randrange(CAPTIONS_PER_IMAGE) for _ in images]]
-    else:
-        picks = [[j] * len(images) for j in range(CAPTIONS_PER_IMAGE)]
+def _selections(images: list[str], rnd_seed: int) -> list[dict[str, str]]:
+    """The designated caption of every image, one selection per run: rnd_txt's
+    seeded draw, then avg_txt's five runs, caption #j of every image in run j."""
+    rng = random.Random(rnd_seed)
+    picks = [[rng.randrange(CAPTIONS_PER_IMAGE) for _ in images]]
+    picks += [[j] * len(images) for j in range(CAPTIONS_PER_IMAGE)]
     return [{img: caption_id(img, j) for img, j in zip(images, pick)} for pick in picks]
 
 
@@ -229,10 +222,11 @@ def evaluate_rankings(
     rankings: RankingSet, ks: tuple[int, ...] = DEFAULT_KS, rnd_seed: int = 0
 ) -> EvalReport:
     """Every metric of one direction, each rank counted once: R@K of each
-    variant, med r over avg_txt's runs and, for annotation, rPrecision from
-    the same own-caption ranks as any_txt."""
+    variant, 1st_txt from avg_txt's first run, med r over avg_txt's runs and,
+    for annotation, rPrecision from the same own-caption ranks as any_txt."""
     images = rankings.image_ids
-    ranks = {v: _designated_ranks(rankings, _selections(images, v, rnd_seed)) for v in VARIANTS[:3]}
+    runs = _designated_ranks(rankings, _selections(images, rnd_seed))
+    ranks = {"first_txt": runs[1:2], "rnd_txt": runs[:1], "avg_txt": runs[1:]}
     own_ranks = None
     if rankings.direction == "annotation":
         # each image's own captions ranked in its full row, for any_txt and rPrecision

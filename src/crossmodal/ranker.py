@@ -2,9 +2,10 @@
 
 A positive (image, caption) pair and a sampled negative pair are scored by
 cosine in the shared embedding space; the hinge max(0, s_neg - s_pos + margin)
-drives SGD. Negatives follow one of two methodologies: I2T keeps the image
-and swaps the caption, T2I keeps the caption and swaps the image. Captions
-are encoded when first read, so training never encodes a test caption.
+drives SGD. The methodology only picks the anchor side of the pair, which the
+negative keeps: I2T anchors on the image and swaps the caption, T2I anchors on
+the caption and swaps the image. Captions are encoded when first read, so
+training never encodes a test caption.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .nets import (Net, accumulate, backward, clone_net, embed_dense, fold_pendi
                    lr_schedule, sgd_step)
 from .text import WEIGHTINGS, Encoding, Vocabulary, encode_caption
 
-METHODOLOGIES = ("I2T", "T2I")
+# each methodology's anchor side of an (image, caption) pair: 0 the image, 1 the caption
+_ANCHOR_SIDE = {"I2T": 0, "T2I": 1}
+METHODOLOGIES = tuple(_ANCHOR_SIDE)
 
 
 @dataclass
@@ -187,6 +190,12 @@ class RetrievalDataset:
         return self._views[name]
 
 
+def _anchor_side(methodology: str) -> int:
+    if methodology not in _ANCHOR_SIDE:
+        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
+    return _ANCHOR_SIDE[methodology]
+
+
 def sample_negative(
     pos: tuple[str, int],
     view: SplitView,
@@ -195,17 +204,19 @@ def sample_negative(
 ) -> tuple[str, tuple[str, int]]:
     """Draw one negative for a positive pair: (image_id, caption key).
 
-    I2T pairs the positive image with a caption key from the view's pairs,
-    T2I the positive caption with an image id from the view's images. One
-    loop draws uniformly and redraws a negative whose image and caption
-    match, which only a candidate of the positive's image gives.
+    The negative keeps the positive's anchor side and draws the other from
+    its pool: I2T a caption key from the view's pairs, T2I an image id from
+    its images. One loop draws uniformly and redraws a negative whose image
+    and caption match, which only a candidate of the positive's image gives.
     """
-    if methodology == "I2T":
-        pool, negative = view.pairs, lambda key: (pos[0], key)
-    elif methodology == "T2I":
-        pool, negative = view.image_ids, lambda image_id: (image_id, pos)
-    else:
-        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
+    cand = 1 - _anchor_side(methodology)  # the side the negative replaces
+    pool = (view.image_ids, view.pairs)[cand]
+
+    def negative(candidate) -> list:
+        pair = [pos[0], pos]
+        pair[cand] = candidate
+        return pair
+
     if all(image == caption[0] for image, caption in map(negative, pool)):
         raise ConfigError(f"the {view.name} split: {methodology} sampling needs candidates "
                           "from at least two images; check n_test and val_frac")
@@ -217,46 +228,35 @@ def sample_negative(
 
 def triplet_grads(
     model: ScoreModel,
-    pos_image_vec: np.ndarray,
-    pos_enc: Encoding,
-    neg_image_vec: np.ndarray | None,
-    neg_enc: Encoding | None,
+    pos: tuple[np.ndarray, Encoding],
+    neg: tuple[np.ndarray, Encoding],
     methodology: str,
     margin: float,
 ) -> tuple[float, float, float, dict | None, dict | None]:
     """Scores, loss, and accumulated parameter gradients for one triplet.
 
-    The methodology only picks the sides: I2T anchors on the image and ranks
-    the positive caption against the negative caption (neg_image_vec
-    unused); T2I anchors on the caption and ranks two images (neg_enc
+    ``pos`` and ``neg`` are (image vector, caption encoding) pairs. The
+    methodology only picks the anchor side: its net embeds ``pos[side]``
+    and the candidate net the other side of each pair (``neg[side]`` is
     unused). The anchor net's gradient sums both branches through one
     backward pass; the candidate net's sums two. Returns (loss, s_pos,
     s_neg, textual grads, visual grads); the gradient dicts are None when
     the margin is already satisfied.
     """
-    if methodology == "I2T":
-        anchor_net, cand_net = model.visual_net, model.textual_net
-        anchor, pos, neg = pos_image_vec, pos_enc, neg_enc
-    elif methodology == "T2I":
-        anchor_net, cand_net = model.textual_net, model.visual_net
-        anchor, pos, neg = pos_enc, pos_image_vec, neg_image_vec
-    else:
-        raise ValueError(f"methodology must be one of {METHODOLOGIES}")
-    if neg is None:
-        raise ValueError(f"{methodology} triplet needs a negative candidate")
+    side = _anchor_side(methodology)
+    nets, cand = (model.visual_net, model.textual_net), 1 - side
     (v_anchor, tape_anchor), (v_pos, tape_pos), (v_neg, tape_neg) = (
-        forward(anchor_net, anchor), forward(cand_net, pos), forward(cand_net, neg))
+        forward(nets[side], pos[side]), forward(nets[cand], pos[cand]), forward(nets[cand], neg[cand]))
     s_pos, s_neg = cosine_score(v_anchor, v_pos), cosine_score(v_anchor, v_neg)
     loss, d_pos, d_neg = margin_loss(s_pos, s_neg, margin)
     if loss == 0.0:
         return loss, s_pos, s_neg, None, None
     g_anchor_p, g_pos = cosine_backward(v_anchor, v_pos, d_pos)
     g_anchor_n, g_neg = cosine_backward(v_anchor, v_neg, d_neg)
-    anchor_grads = backward(tape_anchor, g_anchor_p + g_anchor_n)
-    cand_grads = accumulate(backward(tape_pos, g_pos), backward(tape_neg, g_neg))
-    if anchor_net is model.textual_net:
-        return loss, s_pos, s_neg, anchor_grads, cand_grads
-    return loss, s_pos, s_neg, cand_grads, anchor_grads
+    grads = [None, None]  # visual, textual: by side
+    grads[side] = backward(tape_anchor, g_anchor_p + g_anchor_n)
+    grads[cand] = accumulate(backward(tape_pos, g_pos), backward(tape_neg, g_neg))
+    return loss, s_pos, s_neg, grads[1], grads[0]
 
 
 def _error_pct(config: TrainConfig, view: SplitView, positives, rng: random.Random, score) -> float:
@@ -302,12 +302,12 @@ def train_epoch(
     pairs = list(view.pairs)
     rng.shuffle(pairs)
 
+    def pair(image_id: str, caption_key: tuple[str, int]) -> tuple[np.ndarray, Encoding]:
+        return data.features.get(image_id), data.encoding(*caption_key)
+
     def step(pos, neg) -> tuple[float, float]:
-        image, caption = data.features.get, data.encoding
         _, s_pos, s_neg, tgrads, vgrads = triplet_grads(
-            model, image(pos[0]), caption(*pos), image(neg[0]), caption(*neg[1]),
-            config.methodology, config.margin,
-        )
+            model, pair(pos[0], pos), pair(*neg), config.methodology, config.margin)
         if tgrads is not None:
             sgd_step((model.textual_net, model.visual_net), (tgrads, vgrads), lr)
         return s_pos, s_neg

@@ -169,8 +169,8 @@ def oracle_train_epoch(
         neg = sample_negative(pos, view, config.methodology, rng)
         try:
             loss, s_pos, s_neg, tgrads, vgrads = triplet_grads(
-                model, data.features.get(pos[0]), data.encoding(*pos),
-                data.features.get(neg[0]), data.encoding(*neg[1]), config.methodology, config.margin
+                model, (data.features.get(pos[0]), data.encoding(*pos)),
+                (data.features.get(neg[0]), data.encoding(*neg[1])), config.methodology, config.margin
             )
         except ZeroNormError:
             continue

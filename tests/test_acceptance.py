@@ -148,7 +148,7 @@ def test_criterion_gradient_correctness():
         img_neg = rng.normal(size=6)
         try:
             loss, s_pos, s_neg, tgrads, vgrads = triplet_grads(
-                model, img_pos, enc_pos, img_neg, enc_neg, methodology, margin
+                model, (img_pos, enc_pos), (img_neg, enc_neg), methodology, margin
             )
         except ZeroNormError:
             continue  # a relu wiped an embedding; the trainer skips these too
@@ -268,7 +268,7 @@ def test_criterion_convergence():
     config = TrainConfig(seed=0, max_epochs=30, val_pairs_per_epoch=300)
     best, history = train(model, data, config)
     best_val = min(e.val_err for e in history.epochs)
-    annotation, _ = build_rankings(best, data, "test")
+    annotation, _ = build_rankings(best, data)
     r1 = evaluate_rankings(annotation, (1,)).recall["avg_txt"][1]
     finish(
         "convergence",
@@ -301,7 +301,7 @@ def test_criterion_directional_specialization():
                 seed=seed, max_epochs=30, methodology=methodology, val_pairs_per_epoch=500
             )
             best, history = train(model, data, config)
-            annotation, search = build_rankings(best, data, "test")
+            annotation, search = build_rankings(best, data)
             scores[methodology] = (
                 evaluate_rankings(annotation, (10,)).recall["avg_txt"][10],
                 evaluate_rankings(search, (10,)).recall["avg_txt"][10],

@@ -503,7 +503,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("source", ["flag", "config", "missing_features"])
     @pytest.mark.parametrize("textual, option, value", [
-        ("sse", "n_hu", "6"), ("bag", "word_dim", "8"), ("bag", "kernels", "12"), ("bag", "window", "3"),
+        ("sse", "n_hu", "6"), ("sse", "weighting", "tfidf"),
+        ("bag", "word_dim", "8"), ("bag", "kernels", "12"), ("bag", "window", "3"),
     ])
     def test_option_of_the_other_textual_net_refused(self, tmp_path, corpus, prepped, capsys,
                                                      textual, option, value, source):
@@ -526,7 +527,7 @@ class TestTrain:
 
     def test_default_of_the_other_textual_net_accepted(self, tmp_path, corpus, prepped, capsys):
         for textual, extra in (("sse", ("--word-dim", "6", "--kernels", "6", "--window", "3",
-                                         "--n-hu", "0")),
+                                         "--n-hu", "0", "--weighting", "binary")),
                                ("bag", ("--word-dim", "300", "--kernels", "300", "--window", "5"))):
             out = tmp_path / textual
             rc, _, err = run(capsys, *train_args(corpus, prepped, out, "--textual", textual, *extra))
@@ -748,17 +749,18 @@ class TestEvaluate:
             "report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"]
 
     def test_unencodable_captions_reported(self, tmp_path, corpus, prepped, capsys):
-        """One caption with no known term on a train image and one on a test
-        image: ``train`` counts the first and ``evaluate`` the second."""
+        """One caption with no known term on a train image, one on a val image
+        and one on a test image: ``train`` counts the first two and ``evaluate``
+        the third, so the two counts sum to the three replaced."""
         _, split = train_split(corpus)
-        oov = write_oov_captions(corpus, tmp_path / "oov_captions.tsv",
-                                 keys={(min(split.train), 0), (min(split.test), 0)})
+        keys = {(min(split.subset(name)), 0) for name in ("train", "val", "test")}
+        oov = write_oov_captions(corpus, tmp_path / "oov_captions.tsv", keys=keys)
         out = tmp_path / "oov_run"
         args = train_args(corpus, prepped, out)
         args[args.index("--captions") + 1] = str(oov)
         rc, stdout, err = run(capsys, *args)
         assert rc == 0 and stdout == ""
-        assert err.count(NOTICE.format(1)) == 1 and err.count("in-vocabulary") == 1
+        assert err.count(NOTICE.format(2)) == 1 and err.count("in-vocabulary") == 1
         eval_args = [
             "evaluate", "--checkpoint", str(out / "checkpoint.bin"),
             "--features", str(corpus / "features.txt"),

@@ -318,7 +318,7 @@ class TestRankCandidates:
     def test_pairwise_matches_batched(self):
         for seed in range(5):
             model, data, store, vocab = self.toy_model_and_data(seed=seed, noise=0.2)
-            annotation, search = build_rankings(model, data, "test")
+            annotation, search = build_rankings(model, data)
             view = data.view("test")
             caps = [
                 (f"{img}#{idx}", forward(model.textual_net, data.encoding(img, idx))[0])
@@ -341,7 +341,7 @@ class TestRankCandidates:
                 for i, j in data.view("test").pairs]
         zero = {cid for cid, emb in caps if not np.any(emb)}
         assert "c0img000#0" in zero
-        annotation, search = build_rankings(model, data, "test")
+        annotation, search = build_rankings(model, data)
         for img, row in annotation.results.items():
             expected = oracle_rank(forward(model.visual_net, store.get(img))[0], caps)
             assert set(expected[-len(zero):]) == zero
@@ -358,7 +358,7 @@ class TestRankCandidates:
             seed=3, noise=0.3, images_per_cluster=4, unencodable={"c1img002#0"})
         model.textual_net.params["b0"][:] = 0.0
         model.textual_net.params["w0"][data.encoding("c2img001", 3).indices] = 0.0
-        annotation, search = build_rankings(model, data, "test")
+        annotation, search = build_rankings(model, data)
         assert data.view("test").unencodable == 1 and "c1img002#0" not in annotation.cand_ids
         row = annotation.results["c0img000"]
         zero = {cid for cid, score in zip(annotation.cand_ids, row) if score == -np.inf}
@@ -377,7 +377,7 @@ class TestRankCandidates:
         """An annotation report counts each image's own-caption ranks, one row
         per image, once for any_txt and rPrecision both."""
         model, data, store, vocab = self.toy_model_and_data(seed=1, noise=0.2)
-        annotation, _ = build_rankings(model, data, "test")
+        annotation, _ = build_rankings(model, data)
         rows = []
         monkeypatch.setattr(metrics_mod, "_count_ranks",
                             lambda scores, *rest: rows.append(np.ndim(scores)) or _count_ranks(scores, *rest))
@@ -397,7 +397,7 @@ class TestRankCandidates:
         model.textual_net.params["b0"][:] = 0.0
         for term, idx in vocab.term_to_index.items():
             model.textual_net.params["w0"][idx] = store.get(f"{term.split('w')[0]}img000")
-        annotation, _ = build_rankings(model, data, "test")
+        annotation, _ = build_rankings(model, data)
         own_cluster = 10  # 2 images x 5 captions per cluster
         for img, row in annotation.results.items():
             ranks = counted_ranks([row], annotation.cand_ids)[0]

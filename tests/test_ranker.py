@@ -233,10 +233,10 @@ class TestTripletGrads:
                 idx = np.sort(rng.choice(9, size=int(rng.integers(1, 10)), replace=False))
                 return SparseVector(idx.astype(np.int64), rng.normal(size=len(idx)))
 
-            inputs = (rng.normal(size=7), encoding(), rng.normal(size=7), encoding())
+            pos, neg = (rng.normal(size=7), encoding()), (rng.normal(size=7), encoding())
             margin = float(rng.uniform(0.01, 0.5))
             results = []
-            for impl in (triplet_grads, oracle_triplet_grads):
+            for impl, inputs in ((triplet_grads, (pos, neg)), (oracle_triplet_grads, (*pos, *neg))):
                 model = ScoreModel(init_net(tspec, seed), init_net(vspec, seed + 1))
                 try:
                     results.append(impl(model, *inputs, methodology, margin))
