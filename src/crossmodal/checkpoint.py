@@ -21,7 +21,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -65,10 +65,22 @@ def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
     return vocab
 
 
-def _check_run_record(data_config: dict, history: TrainHistory) -> None:
-    """The run record's rule, at save and at load: ``data_config`` is ``{}`` or an int
-    ``n_test`` and a float ``val_frac`` under ``check_split_values``, and ``best_epoch`` is 0
-    exactly when no epoch ran, else one of the epochs. Raises ValueError."""
+# the NetSpec and TrainConfig fields that each kind of textual net does not read
+_UNREAD_BY_TEXTUAL = {"bag": ("word_dim", "kernel_count", "window"), "sequence": ("n_hu", "weighting")}
+
+
+def _check_run_record(textual: NetSpec, train_config: TrainConfig, data_config: dict,
+                      history: TrainHistory) -> None:
+    """The run record's rule, at save and at load: a field the textual net's kind does
+    not read holds its default, ``data_config`` is ``{}`` or an int ``n_test`` and a float
+    ``val_frac`` under ``check_split_values``, and ``best_epoch`` is 0 exactly when no
+    epoch ran, else one of the epochs. Raises ValueError."""
+    for record in (textual, train_config):
+        for f in fields(record):
+            value = getattr(record, f.name)
+            if f.name in _UNREAD_BY_TEXTUAL[textual.kind] and value != f.default:
+                raise ValueError(f"a {textual.kind} textual net does not read {f.name}, "
+                                 f"so it must be {f.default!r}, not {value!r}")
     if {k: type(v) for k, v in dict.items(data_config)} not in (
             {}, {"n_test": int, "val_frac": float}):  # dict.items refuses a non-dict
         raise ValueError("data_config must be {} or an int n_test and a float val_frac")
@@ -86,7 +98,7 @@ def save_checkpoint(
     data_config: dict | None = None,
 ) -> None:
     data_config = data_config or {}
-    _check_run_record(data_config, history)
+    _check_run_record(model.textual_net.spec, train_config, data_config, history)
     nets = {"textual": model.textual_net, "visual": model.visual_net}
     layout = {side: param_shapes(net.spec) for side, net in nets.items()}
     for side, net in nets.items():
@@ -161,11 +173,12 @@ def load_checkpoint(path: str) -> Checkpoint:
             epochs=[EpochStats(*row) for row in header["history"]["epochs"]],
             best_epoch=header["history"]["best_epoch"],
         )
-        _check_run_record(header["data_config"], history)
+        train_config = TrainConfig(**header["train_config"])
+        _check_run_record(specs["textual"], train_config, header["data_config"], history)
         return Checkpoint(
             model=ScoreModel(textual_net=nets["textual"], visual_net=nets["visual"]),
             vocabulary=_vocab_from_json(header["vocabulary"], header["vocab_digest"], specs["textual"]),
-            train_config=TrainConfig(**header["train_config"]),
+            train_config=train_config,
             data_config=header["data_config"],
             history=history,
         )

@@ -1,8 +1,9 @@
 """Command-line pipeline: synth, preprocess, train, evaluate, query.
 
-Progress goes to stderr, data to stdout. Every command exits 0 on success;
-bad input exits 1 with one ``error <Class>: <message>`` line naming a
-CrossmodalError or OSError. Any other exception is a bug: it ends in a traceback.
+Progress goes to stderr, data to stdout; a reader that closes stdout early ends
+the output, not the command. Every command exits 0 on success; bad input exits
+1 with one ``error <Class>: <message>`` line naming a CrossmodalError or
+OSError. Any other exception is a bug: it ends in a traceback.
 """
 
 from __future__ import annotations
@@ -191,6 +192,18 @@ def _parse_k(text: str, flag: str) -> int:
     return int(text)
 
 
+def _write_stdout(lines: list[str]) -> None:
+    """Write and flush a command's data lines. A reader that closed stdout ends
+    the output, not the command: the rest of the run goes on as usual, and
+    stdout points at os.devnull so that nothing more, not even the exit-time
+    flush, meets the closed pipe."""
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")
+
+
 def _report_unencodable(count: int) -> None:
     if count:
         _progress(f"captions with no in-vocabulary term, not scored: {count}")
@@ -328,7 +341,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with atomic_write(base + ".kv") as fh:
             fh.write(report_to_kv(report))
     # every file is written before stdout, so a reader that closes early loses none
-    sys.stdout.writelines(texts)
+    _write_stdout(texts)
     _progress(f"reports written to {args.out}")
     return 0
 
@@ -371,10 +384,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     scores = cosine_scores(query[None], embs)[0]
     _report_unencodable(unencodable)  # after the last check, as in train
     # zero-norm candidates cannot be scored; they sort last and are not shown
-    for rank, j in enumerate(np.lexsort((lexicographic_rank(ids), -scores))[:top_k], start=1):
-        if scores[j] == -np.inf:
-            break
-        print(f"{rank}\t{scores[j]:.6f}\t{labels[j]}")
+    top = [j for j in np.lexsort((lexicographic_rank(ids), -scores))[:top_k] if scores[j] > -np.inf]
+    _write_stdout([f"{rank}\t{scores[j]:.6f}\t{labels[j]}\n" for rank, j in enumerate(top, start=1)])
     return 0
 
 

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import struct
 import zlib
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -112,6 +114,17 @@ def read_header(blob):
     return json.loads(blob[16 : 16 + struct.unpack("<Q", blob[8:16])[0]])
 
 
+def sequence_spec(vocab, **extra):
+    """A sequence textual net's spec for ``vocab``, with ``extra`` fields set."""
+    return NetSpec("sequence", vocab.size, 8, **{"word_dim": 5, "kernel_count": 6, "window": 3, **extra})
+
+
+def on_a_sequence_net(mutate):
+    """A header mutation made to a checkpoint whose textual net is a sequence net."""
+    mutate.on_a_sequence_net = True
+    return mutate
+
+
 class TestLayoutOracle:
     """Init and save against the hand-built parameter dicts and the
     in-memory writer they replaced: same names, same bytes."""
@@ -123,7 +136,7 @@ class TestLayoutOracle:
     def test_init_and_save_match_oracle(self, setup, tmp_path, case):
         images, captions, store, vocab, model, config, history, path = setup
         if case == "sequence":
-            tspec = NetSpec("sequence", vocab.size, 8, word_dim=5, kernel_count=6, window=3)
+            tspec = sequence_spec(vocab)
         else:
             tspec = NetSpec("bag", vocab.size, 8, n_hu=5 if case == "bag_hidden" else 0)
         vspec = NetSpec("bag", 8, 8, n_hu=4 if case == "bag_hidden" else 0)
@@ -222,6 +235,9 @@ class TestFailureModes:
             lambda h: h["history"].update(best_epoch=-4),
             lambda h: h["history"].update(best_epoch=0),
             lambda h: h["history"].update(best_epoch=3, epochs=[]),
+            on_a_sequence_net(lambda h: h["train_config"].update(weighting="tfidf")),
+            on_a_sequence_net(lambda h: h["textual_spec"].update(n_hu=6)),
+            lambda h: h["textual_spec"].update(word_dim=300),
         ],
         ids=[
             "unknown_train_config_key",
@@ -246,10 +262,15 @@ class TestFailureModes:
             "negative_best_epoch",
             "zero_best_epoch_after_epochs",
             "best_epoch_without_epochs",
+            "tfidf_for_a_sequence_net",
+            "n_hu_for_a_sequence_net",
+            "word_dim_for_a_bag_net",
         ],
     )
     def test_bad_header_with_valid_checksum(self, setup, mutate):
         images, captions, store, vocab, model, config, history, path = setup
+        if getattr(mutate, "on_a_sequence_net", False):
+            model.textual_net = init_net(sequence_spec(vocab), 4)
         save_checkpoint(path, model, vocab, config, history)
         blob = Path(path).read_bytes()
         header = read_header(blob)
@@ -310,30 +331,42 @@ class TestSave:
         assert os.listdir(os.path.dirname(path)) == []
 
     @pytest.mark.parametrize(
-        "data_config, best_epoch, epochs, message",
+        "record, message",
         [
-            ({"n_test": -1, "val_frac": 0.5}, 2, 2, "n_test=-1 must be at least 0"),
-            ({"n_test": 8, "val_frac": 2.0}, 2, 2, "val_frac=2.0 outside"),
-            ({"n_test": 8.0, "val_frac": 0.15}, 2, 2, "data_config must be"),
-            ({"n_test": 8}, 2, 2, "data_config must be"),
-            ({"n_test": 8, "val_frac": 0.15, "seed": 4}, 2, 2, "data_config must be"),
-            (None, 99, 2, "best_epoch 99 is not one of the 2 epochs"),
-            (None, -4, 2, "best_epoch -4 is not one of the 2 epochs"),
-            (None, 0, 2, "best_epoch 0 is not one of the 2 epochs"),
-            (None, 3, 0, "best_epoch 3 is not one of the 0 epochs"),
+            (dict(data_config={"n_test": -1, "val_frac": 0.5}), "n_test=-1 must be at least 0"),
+            (dict(data_config={"n_test": 8, "val_frac": 2.0}), "val_frac=2.0 outside"),
+            (dict(data_config={"n_test": 8.0, "val_frac": 0.15}), "data_config must be"),
+            (dict(data_config={"n_test": 8}), "data_config must be"),
+            (dict(data_config={"n_test": 8, "val_frac": 0.15, "seed": 4}), "data_config must be"),
+            (dict(best_epoch=99), "best_epoch 99 is not one of the 2 epochs"),
+            (dict(best_epoch=-4), "best_epoch -4 is not one of the 2 epochs"),
+            (dict(best_epoch=0), "best_epoch 0 is not one of the 2 epochs"),
+            (dict(best_epoch=3, epochs=0), "best_epoch 3 is not one of the 0 epochs"),
+            (dict(sequence={}, weighting="tfidf"),
+             "a sequence textual net does not read weighting, so it must be 'binary', not 'tfidf'"),
+            (dict(sequence={"n_hu": 6}), "a sequence textual net does not read n_hu, so it must be 0, not 6"),
+            (dict(bag={"word_dim": 300}), "a bag textual net does not read word_dim, so it must be 0, not 300"),
         ],
         ids=["negative_n_test", "val_frac_past_one", "float_n_test", "no_val_frac", "extra_key",
              "best_epoch_past_the_epochs", "negative_best_epoch", "zero_best_epoch_after_epochs",
-             "best_epoch_without_epochs"],
+             "best_epoch_without_epochs", "tfidf_for_a_sequence_net", "n_hu_for_a_sequence_net",
+             "word_dim_for_a_bag_net"],
     )
-    def test_run_record_that_load_refuses_is_not_saved(self, setup, data_config, best_epoch, epochs,
-                                                        message):
-        """The rule load_checkpoint holds a header's data_config and best_epoch to,
-        checked before the temp file opens."""
+    def test_run_record_that_load_refuses_is_not_saved(self, setup, record, message):
+        """The rule load_checkpoint holds a header's textual spec, weighting, data_config
+        and best_epoch to, checked before the temp file opens. ``record`` changes the
+        setup's: ``sequence`` swaps in a sequence textual net with these extra spec
+        fields, ``bag`` sets these fields of the setup's bag textual net."""
         images, captions, store, vocab, model, config, history, path = setup
-        history = TrainHistory(epochs=history.epochs[:epochs], best_epoch=best_epoch)
-        with pytest.raises(ValueError, match=message):
-            save_checkpoint(path, model, vocab, config, history, data_config)
+        history = TrainHistory(epochs=history.epochs[:record.get("epochs", 2)],
+                               best_epoch=record.get("best_epoch", history.best_epoch))
+        if "sequence" in record:
+            model.textual_net = init_net(sequence_spec(vocab, **record["sequence"]), 4)
+        if "bag" in record:
+            model.textual_net = init_net(replace(model.textual_net.spec, **record["bag"]), 4)
+        config = replace(config, weighting=record.get("weighting", config.weighting))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_checkpoint(path, model, vocab, config, history, record.get("data_config"))
         assert os.listdir(os.path.dirname(path)) == []
 
     @pytest.mark.parametrize("delta", [1, -1], ids=["one_term_more", "one_term_fewer"])

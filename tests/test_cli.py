@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import crossmodal.ranker as ranker_mod
 from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
-from crossmodal.cli import build_parser, main, resolve_config
+from crossmodal.cli import main
 from crossmodal.corpus import load_captions, load_image_features, split_dataset
 
 from test_checkpoint import read_header, resign
@@ -66,6 +67,15 @@ def write_oov_captions(corpus, path, keys=None):
         oov = keys is None or (image_id, int(index)) in keys
         lines.append(f"{image_id}\t{index}\t{'zzz qqq' if oov else text}\n")
     path.write_text("".join(lines))
+    return path
+
+
+def write_seeded_embeddings(prepped, path, dim):
+    """A word2vec text file with one seeded ``dim``-d row per vocabulary term."""
+    rng = random.Random(7)
+    terms = [row.split("\t")[0] for row in (prepped / "vocab.tsv").read_text().splitlines()[1:]]
+    path.write_text("".join(f"{term} {' '.join(repr(rng.uniform(-0.5, 0.5)) for _ in range(dim))}\n"
+                            for term in terms))
     return path
 
 
@@ -217,6 +227,11 @@ class TestSynthAndPreprocess:
         err = assert_one_error_line(capsys, "FileNotFoundError", out, "preprocess",
                                     "--captions", str(tmp_path / "nope.tsv"), "--out", str(out))
         assert "nope.tsv" in err
+
+
+# T2I with a sequence net of 8-d word vectors and a visual net with a hidden layer
+T2I_SEQUENCE = ("--methodology", "t2i", "--textual", "sse", "--word-dim", "8", "--kernels", "12",
+                "--window", "3", "--visual-n-hu", "6")
 
 
 class TestTrain:
@@ -399,27 +414,32 @@ class TestTrain:
         assert first[0] == "1" and float(first[1]) == 0.001
 
     def test_deterministic_reruns_bit_identical(self, tmp_path, corpus, prepped, capsys):
-        a, b = tmp_path / "runA", tmp_path / "runB"
-        assert run(capsys, *train_args(corpus, prepped, a))[0] == 0
-        assert run(capsys, *train_args(corpus, prepped, b))[0] == 0
-        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-        assert (a / "history.tsv").read_bytes() == (b / "history.tsv").read_bytes()
-        assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
+        """Each run, made twice, writes the same bytes twice: I2T with the bag net,
+        and T2I with the sequence net, without and with seeded word vectors."""
+        embeddings = write_seeded_embeddings(prepped, tmp_path / "emb.txt", dim=8)
+        for case, extra in enumerate([(), T2I_SEQUENCE, (*T2I_SEQUENCE, "--embeddings", str(embeddings))]):
+            a, b = tmp_path / f"run{case}A", tmp_path / f"run{case}B"
+            for out in (a, b):
+                rc, _, err = run(capsys, *train_args(corpus, prepped, out, *extra))
+                assert rc == 0, err
+            for name in ("manifest.json", "history.tsv", "checkpoint.bin"):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (extra, name)
 
     def test_pretrained_embeddings_seed_first_layer(self, tmp_path, corpus, prepped, capsys):
+        """The bag net's ``w0`` row and the sequence net's ``lookup`` row of a term
+        hold its vector exactly."""
         emb_path = tmp_path / "emb.txt"
         emb_path.write_text("c0w1 " + " ".join(str(float(i)) for i in range(8)) + "\n")
-        out = tmp_path / "emb_run"
-        # zero epochs: the checkpoint holds the initialization untouched
-        rc, _, err = run(capsys, *train_args(
-            corpus, prepped, out, "--embeddings", str(emb_path), "--epochs", "0",
-        ))
-        assert rc == 0, err
-        from crossmodal.checkpoint import load_checkpoint
-
-        ckpt = load_checkpoint(str(out / "checkpoint.bin"))
-        row = ckpt.vocabulary.term_to_index["c0w1"]
-        assert list(ckpt.model.textual_net.params["w0"][row]) == [float(i) for i in range(8)]
+        for first_layer, extra in (("w0", ()), ("lookup", T2I_SEQUENCE)):
+            out = tmp_path / first_layer
+            # zero epochs: the checkpoint holds the initialization untouched
+            rc, _, err = run(capsys, *train_args(
+                corpus, prepped, out, *extra, "--embeddings", str(emb_path), "--epochs", "0",
+            ))
+            assert rc == 0, err
+            ckpt = load_checkpoint(str(out / "checkpoint.bin"))
+            row = ckpt.vocabulary.term_to_index["c0w1"]
+            assert list(ckpt.model.textual_net.params[first_layer][row]) == [float(i) for i in range(8)]
 
     def test_pretrained_embeddings_dim_mismatch(self, tmp_path, corpus, prepped, capsys):
         emb_path = tmp_path / "emb.txt"
@@ -685,6 +705,24 @@ class TestEvaluate:
         assert err == (f"error CheckpointCorruptError: {ckpt}: invalid header "
                        "(ValueError: best_epoch 99 is not one of the 2 epochs)\n")
 
+    def test_header_with_a_field_its_textual_net_does_not_read_refused(self, tmp_path, corpus, trained,
+                                                                      capsys):
+        """A re-signed header whose bag textual net records a sequence net's word_dim,
+        a value that ``train`` refuses and no command reads."""
+        blob = (trained / "checkpoint.bin").read_bytes()
+        header = read_header(blob)
+        header["textual_spec"]["word_dim"] = 300
+        ckpt = tmp_path / "word_dim.bin"
+        resign(ckpt, blob, header=header)
+        out = tmp_path / "eval"
+        err = assert_one_error_line(
+            capsys, "CheckpointCorruptError", out, "evaluate", "--checkpoint", str(ckpt),
+            "--captions", str(corpus / "captions.tsv"), "--features", str(corpus / "features.txt"),
+            "--out", str(out),
+        )
+        assert err == (f"error CheckpointCorruptError: {ckpt}: invalid header "
+                       "(ValueError: a bag textual net does not read word_dim, so it must be 0, not 300)\n")
+
     def test_header_with_swapped_vocabulary_terms_refused(self, tmp_path, corpus, prepped, trained,
                                                           capsys):
         """A re-signed header whose first two terms trade places still follows the
@@ -728,8 +766,9 @@ class TestEvaluate:
         )
         assert err.startswith("error ConfigError: --ks ")
 
-    def test_a_closed_stdout_leaves_every_report(self, tmp_path, corpus, trained, monkeypatch):
-        """A reader that closes stdout after the first report still finds all four files."""
+    def test_a_closed_stdout_leaves_every_report(self, tmp_path, corpus, trained, monkeypatch, capsys):
+        """A reader that closes stdout after the first report still finds all four
+        files, and the run ends as an unpiped one does: exit 0, its usual stderr."""
         class ClosingStdout(io.StringIO):
             writes = 0
 
@@ -739,12 +778,17 @@ class TestEvaluate:
                     raise BrokenPipeError(32, "Broken pipe")
                 return super().write(text)
 
-        monkeypatch.setattr(sys, "stdout", ClosingStdout())
+        closing = ClosingStdout()
+        monkeypatch.setattr(sys, "stdout", closing)
         out = tmp_path / "eval"
         rc = main(["evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
                    "--captions", str(corpus / "captions.tsv"),
                    "--features", str(corpus / "features.txt"), "--out", str(out)])
-        assert rc == 1
+        # the rest of the run's stdout, and the exit-time flush, go to os.devnull
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert rc == 0 and capsys.readouterr().err == f"reports written to {out}\n"
+        assert closing.getvalue() == (out / "report_annotation.txt").read_text()
         assert sorted(p.name for p in out.iterdir()) == [
             "report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"]
 
@@ -1113,36 +1157,63 @@ class TestProcess:
             corpus, prepped, out, "--lr", "1e200", "--n-hu", "6", "--visual-n-hu", "6"))
 
     def test_evaluate_into_a_reader_that_closes_after_one_byte(self, tmp_path, corpus, trained):
-        """The reports are written before stdout, so each run leaves all four. A run
-        whose stdout write meets the closed pipe ends as one BrokenPipeError line."""
+        """``evaluate`` and ``query`` piped into a reader that closes after one byte
+        exit 0 with the stderr of an unpiped run, whether or not a stdout write meets
+        the closed pipe; ``evaluate`` writes its reports before stdout, so each run
+        leaves all four. The image query prints more than a pipe holds (64 KiB on
+        Linux), so its writes meet the closed pipe on every attempt."""
+        # 40 copies of each image's captions, under new image ids
+        captions = tmp_path / "captions.tsv"
+        captions.write_text("".join(f"{image_id}x{copy}\t{rest}"
+                                    for line in (corpus / "captions.tsv").read_text().splitlines(True)
+                                    for image_id, rest in [line.split("\t", 1)] for copy in range(40)))
+        evaluate = ("evaluate", "--captions", str(corpus / "captions.tsv"), "--out")
+        query = ("query", "--captions", str(captions), "--image-id", "c0img000", "--top-k", "5000")
         for attempt in range(3):
             out = tmp_path / f"eval{attempt}"
-            with cli_process("evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
-                             "--captions", str(corpus / "captions.tsv"),
-                             "--features", str(corpus / "features.txt"), "--out", str(out),
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0) as proc:
-                assert len(proc.stdout.read(1)) == 1
-                proc.stdout.close()
-                err = proc.stderr.read().decode()
-            assert (proc.returncode, err) == (0, f"reports written to {out}\n") or (
-                proc.returncode == 1 and err == "error BrokenPipeError: [Errno 32] Broken pipe\n"), err
+            for argv, usual_err in ((evaluate + (str(out),), f"reports written to {out}\n"), (query, "")):
+                with cli_process(*argv, "--checkpoint", str(trained / "checkpoint.bin"),
+                                 "--features", str(corpus / "features.txt"),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0) as proc:
+                    assert len(proc.stdout.read(1)) == 1
+                    proc.stdout.close()
+                    err = proc.stderr.read().decode()
+                assert (proc.returncode, err) == (0, usual_err), err
             assert sorted(p.name for p in out.iterdir()) == [
                 "report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"]
 
 
 class TestReadme:
-    def test_walkthrough_commands_parse(self):
-        """Every command in README's walkthrough is accepted by the parser."""
+    def test_walkthrough_runs_twice_with_identical_bytes(self, tmp_path, monkeypatch, capsys):
+        """README's walkthrough, run through ``main`` command by command in two fresh
+        directories: every command exits 0, and the two runs print the same stdout
+        and write the same files, byte for byte. A line of the block that is neither
+        blank, a comment nor a ``crossmodal`` command fails, so README and this test
+        cannot drift apart."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         walkthrough = readme.split("## Command-line walkthrough", 1)[1].split("\n## ", 1)[0]
         block = re.search(r"```bash\n(.*?)```", walkthrough, re.S).group(1)
-        lines = [line for line in block.replace("\\\n", " ").splitlines()
-                 if line.startswith("crossmodal ")]
-        commands = set()
-        for line in lines:
-            argv = shlex.split(line)[1:]
-            args = build_parser().parse_args(argv)  # exits on an unknown flag or bad value
-            if args.command == "train":
-                resolve_config(args)  # types the train values, which argparse leaves strings
-            commands.add(args.command)
-        assert commands == {"synth", "preprocess", "train", "evaluate", "query"}
+        commands = []
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("crossmodal "):
+                commands.append(shlex.split(line)[1:])
+            elif line.strip() and not line.startswith("#"):
+                pytest.fail(f"README walkthrough line is not a crossmodal command: {line!r}")
+        assert {argv[0] for argv in commands} == {"synth", "preprocess", "train", "evaluate", "query"}
+        runs = []
+        for name in ("first", "second"):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            stdouts = []
+            for argv in commands:
+                rc, stdout, err = run(capsys, *argv)
+                assert rc == 0, (argv, err)
+                stdouts.append(stdout)
+            files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+            runs.append((stdouts, files))
+        (first_out, first_files), (second_out, second_files) = runs
+        assert first_out == second_out
+        assert sorted(first_files) == sorted(second_files)
+        for path, data in first_files.items():
+            assert data == second_files[path], path
