@@ -10,12 +10,20 @@ vocabulary, the epoch history, and a parameter manifest (name + shape per
 net) that must equal the layout the specs give: ``nets.param_shapes`` order,
 textual net first. The vocabulary follows the vocab.tsv rule, has one
 term per textual net input row and hashes to ``vocab_digest``. Saves
-stream to ``<path>.tmp`` and rename it over ``path``; loads return the
-parameters as views of one buffer. Parameters round-trip bit-exactly.
+stream to ``<path>.tmp``, whose exact final size is reserved with
+``os.posix_fallocate`` before the first write where the platform and file
+system offer it, and rename it over ``path``: a file system that allocates
+blocks lazily (ext4) then has none left to allocate when the rename replaces
+an older file. One worker thread takes the CRC32 of the chunks while they
+are written (``zlib.crc32`` and file writes both release the GIL); it is
+joined before a save returns or raises. Loads return the parameters as
+views of one buffer. Parameters round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+import errno
+import functools
 import json
 import math
 import os
@@ -53,6 +61,18 @@ def _vocab_to_json(vocab: Vocabulary) -> dict:
     }
 
 
+def _preallocate(fd: int, size: int) -> None:
+    """Reserve ``size`` bytes for the file open at ``fd``, where the platform and the file
+    system can; any other failure (such as ENOSPC) is raised."""
+    if not hasattr(os, "posix_fallocate"):
+        return
+    try:
+        os.posix_fallocate(fd, 0, size)
+    except OSError as exc:
+        if exc.errno not in (errno.EOPNOTSUPP, errno.ENOTSUP, errno.EINVAL):
+            raise
+
+
 def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
     """The header vocabulary under the vocab.tsv rule (a term's index is its list position,
     the textual net's input rows declare the size), whose own digest must be ``digest``."""
@@ -65,21 +85,25 @@ def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
     return vocab
 
 
-# the NetSpec and TrainConfig fields that each kind of textual net does not read
-_UNREAD_BY_TEXTUAL = {"bag": ("word_dim", "kernel_count", "window"), "sequence": ("n_hu", "weighting")}
+# the NetSpec and TrainConfig fields that each kind of net does not read
+_UNREAD_BY_KIND = {"bag": ("word_dim", "kernel_count", "window"), "sequence": ("n_hu", "weighting")}
 
 
-def _check_run_record(textual: NetSpec, train_config: TrainConfig, data_config: dict,
-                      history: TrainHistory) -> None:
-    """The run record's rule, at save and at load: a field the textual net's kind does
-    not read holds its default, ``data_config`` is ``{}`` or an int ``n_test`` and a float
+def _check_run_record(textual: NetSpec, visual: NetSpec, train_config: TrainConfig,
+                      data_config: dict, history: TrainHistory) -> None:
+    """The run record's rule, at save and at load: the visual net is a bag net, a field
+    a net's kind does not read holds its default (the textual net's kind also decides
+    for ``train_config``), ``data_config`` is ``{}`` or an int ``n_test`` and a float
     ``val_frac`` under ``check_split_values``, and ``best_epoch`` is 0 exactly when no
     epoch ran, else one of the epochs. Raises ValueError."""
-    for record in (textual, train_config):
+    if visual.kind != "bag":
+        raise ValueError(f"the visual net must be a bag net, not a {visual.kind} net")
+    for side, spec, record in (("textual", textual, textual), ("textual", textual, train_config),
+                               ("visual", visual, visual)):
         for f in fields(record):
             value = getattr(record, f.name)
-            if f.name in _UNREAD_BY_TEXTUAL[textual.kind] and value != f.default:
-                raise ValueError(f"a {textual.kind} textual net does not read {f.name}, "
+            if f.name in _UNREAD_BY_KIND[spec.kind] and value != f.default:
+                raise ValueError(f"a {spec.kind} {side} net does not read {f.name}, "
                                  f"so it must be {f.default!r}, not {value!r}")
     if {k: type(v) for k, v in dict.items(data_config)} not in (
             {}, {"n_test": int, "val_frac": float}):  # dict.items refuses a non-dict
@@ -98,7 +122,7 @@ def save_checkpoint(
     data_config: dict | None = None,
 ) -> None:
     data_config = data_config or {}
-    _check_run_record(model.textual_net.spec, train_config, data_config, history)
+    _check_run_record(model.textual_net.spec, model.visual_net.spec, train_config, data_config, history)
     nets = {"textual": model.textual_net, "visual": model.visual_net}
     layout = {side: param_shapes(net.spec) for side, net in nets.items()}
     for side, net in nets.items():
@@ -124,12 +148,17 @@ def save_checkpoint(
     chunks = [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)), header_bytes]
     chunks += [np.ascontiguousarray(arr, dtype="<f8")
                for net in nets.values() for arr in net.params.values()]
-    with atomic_write(path, "wb") as fh:
-        crc = 0
+    # imported here: concurrent.futures imports logging, about 13 ms and 0.4 MB that
+    # evaluate and query, which never save, would pay at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the executor's block joins its thread, before the temp file is renamed or removed
+    with atomic_write(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as crc_worker:
+        _preallocate(fh.fileno(), sum(memoryview(chunk).nbytes for chunk in chunks) + 4)
+        crc = crc_worker.submit(functools.reduce, lambda value, chunk: zlib.crc32(chunk, value), chunks, 0)
         for chunk in chunks:
             fh.write(chunk)
-            crc = zlib.crc32(chunk, crc)
-        fh.write(struct.pack("<I", crc))
+        fh.write(struct.pack("<I", crc.result()))  # raises what the worker raised
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -174,7 +203,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             best_epoch=header["history"]["best_epoch"],
         )
         train_config = TrainConfig(**header["train_config"])
-        _check_run_record(specs["textual"], train_config, header["data_config"], history)
+        _check_run_record(specs["textual"], specs["visual"], train_config, header["data_config"], history)
         return Checkpoint(
             model=ScoreModel(textual_net=nets["textual"], visual_net=nets["visual"]),
             vocabulary=_vocab_from_json(header["vocabulary"], header["vocab_digest"], specs["textual"]),

@@ -10,8 +10,10 @@ replaced, the dense-gradient forward/backward/update the row-sparse
 first-layer gradients replaced (its sequence net averages the windows first,
 as the library's does), and the hand-built parameter dicts and in-memory
 checkpoint writer that ``nets.param_shapes`` and the streamed save replaced,
-the row-by-row vector parser that the blocked ``np.loadtxt`` reader
-replaced, the embeddings loader whose first row set ``dim`` inside that
+the serial streamed writer (write a chunk, then take its CRC) that the
+preallocated save with its CRC worker thread replaced, the row-by-row
+vector parser that the blocked ``np.loadtxt`` reader replaced, the
+embeddings loader whose first row set ``dim`` inside that
 parser, the two-loop negative sampler that one rejection loop replaced, and
 the vocabulary writers, digest and ``vocab.tsv`` reader that the one
 vocabulary rule and writer walk replaced.
@@ -34,12 +36,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from crossmodal.checkpoint import FORMAT_VERSION, MAGIC
-from crossmodal.corpus import PretrainedEmbeddings, text_lines
+from crossmodal.corpus import PretrainedEmbeddings, atomic_write, text_lines
 from crossmodal.errors import CorpusFormatError, NonFiniteGradientError, VocabularyError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
 from crossmodal.nets import (
-    Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, _outer_blocks, accumulate, backward, forward, lr_schedule,
-    relu, sgd_step,
+    Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, _outer_blocks, accumulate, backward, fold_pending, forward,
+    lr_schedule, param_shapes, relu, sgd_step,
 )
 from crossmodal.ranker import (
     METHODOLOGIES,
@@ -562,6 +564,45 @@ def oracle_save_checkpoint(
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
+
+
+def oracle_serial_save_checkpoint(
+    path: str,
+    model: ScoreModel,
+    vocab: Vocabulary,
+    train_config: TrainConfig,
+    history: TrainHistory,
+    data_config: dict | None = None,
+) -> None:
+    """The streamed writer that preallocation and the CRC worker replaced: through
+    ``<path>.tmp``, each chunk is written and then checksummed, one after the other.
+    It checks no run record."""
+    nets = {"textual": model.textual_net, "visual": model.visual_net}
+    for net in nets.values():
+        fold_pending(net)
+    header = {
+        "textual_spec": asdict(model.textual_net.spec),
+        "visual_spec": asdict(model.visual_net.spec),
+        "train_config": asdict(train_config),
+        "data_config": data_config or {},
+        "vocabulary": oracle_vocab_to_json(vocab),
+        "vocab_digest": oracle_vocab_digest(vocab),
+        "history": {
+            "best_epoch": history.best_epoch,
+            "epochs": [[e.epoch, e.lr, e.train_err, e.val_err] for e in history.epochs],
+        },
+        "params": {side: param_shapes(net.spec) for side, net in nets.items()},
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    chunks = [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)), header_bytes]
+    chunks += [np.ascontiguousarray(arr, dtype="<f8")
+               for net in nets.values() for arr in net.params.values()]
+    with atomic_write(path, "wb") as fh:
+        crc = 0
+        for chunk in chunks:
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def oracle_rank(query, candidates):

@@ -1,7 +1,10 @@
+import errno
 import json
 import os
 import re
 import struct
+import sys
+import threading
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 import crossmodal.checkpoint as checkpoint_mod
+import crossmodal.corpus as corpus_mod
 import crossmodal.text as text_mod
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.corpus import (
@@ -30,9 +34,9 @@ from crossmodal.ranker import (
     cosine_score,
     train,
 )
-from crossmodal.text import build_vocabulary, featurize, normalize_tokenize, vocabulary_text
+from crossmodal.text import Vocabulary, build_vocabulary, featurize, normalize_tokenize, vocabulary_text
 
-from oracles import oracle_init_net, oracle_save_checkpoint, oracle_vocab_digest
+from oracles import oracle_init_net, oracle_save_checkpoint, oracle_serial_save_checkpoint, oracle_vocab_digest
 
 
 @pytest.fixture
@@ -119,10 +123,36 @@ def sequence_spec(vocab, **extra):
     return NetSpec("sequence", vocab.size, 8, **{"word_dim": 5, "kernel_count": 6, "window": 3, **extra})
 
 
+# the spec fields that make the setup's bag visual net a sequence net
+VISUAL_SEQUENCE = {"kind": "sequence", "word_dim": 5, "kernel_count": 6, "window": 3}
+
+
 def on_a_sequence_net(mutate):
     """A header mutation made to a checkpoint whose textual net is a sequence net."""
     mutate.on_a_sequence_net = True
     return mutate
+
+
+MIB = 1 << 20
+
+
+def large_model(vocab, case="bag", seed=11):
+    """A model of several MiB (the visual w0 alone is 1500 x 300 float64, 3.6 MB):
+    ``bag``, ``bag_hidden`` or a ``sequence`` textual net."""
+    if case == "sequence":
+        tspec = NetSpec("sequence", vocab.size, 300, word_dim=5, kernel_count=6, window=3)
+    else:
+        tspec = NetSpec("bag", vocab.size, 300, n_hu=5 if case == "bag_hidden" else 0)
+    vspec = NetSpec("bag", 1500, 300, n_hu=300 if case == "bag_hidden" else 0)
+    return ScoreModel(init_net(tspec, seed), init_net(vspec, seed + 1))
+
+
+def unicode_vocabulary(vocab):
+    """``vocab``'s counts under terms that JSON escapes: accents, CJK, a quote, a backslash."""
+    terms = ["caf\u00e9", "\u65e5\u672c", 'say"when', "back\\slash"]
+    terms += [f"t{i}" for i in range(vocab.size - len(terms))]
+    return Vocabulary(vocab.mode, {t: i for i, t in enumerate(terms)},
+                      {t: 1 + i % vocab.n_docs for i, t in enumerate(terms)}, vocab.n_docs, vocab.max_size)
 
 
 class TestLayoutOracle:
@@ -171,6 +201,165 @@ class TestLayoutOracle:
                 assert not arr.flags.owndata and arr.flags.aligned and arr.flags.writeable
                 assert arr.dtype == np.float64
                 assert arr.tobytes() == saved.params[name].tobytes()
+
+
+class TestSerialWriterOracle:
+    """Preallocation and the CRC worker write the serial writer's bytes, on models of
+    several MiB, whether or not the platform can reserve the file's size."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["bag", "bag_hidden", "tfidf", "sequence", "unicode_terms", "no_posix_fallocate",
+         "posix_fallocate_unsupported"],
+    )
+    def test_save_matches_serial_writer(self, setup, tmp_path, monkeypatch, case):
+        images, captions, store, vocab, model, config, history, path = setup
+        model = large_model(vocab, case if case in ("bag_hidden", "sequence") else "bag")
+        if case == "tfidf":
+            config = replace(config, weighting="tfidf")
+        if case == "unicode_terms":
+            vocab = unicode_vocabulary(vocab)
+        reserved = []
+        if case == "no_posix_fallocate":
+            monkeypatch.delattr(os, "posix_fallocate")
+        elif case == "posix_fallocate_unsupported":
+            def unsupported(fd, offset, length):
+                raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+            monkeypatch.setattr(os, "posix_fallocate", unsupported)
+        else:
+            real = os.posix_fallocate
+            monkeypatch.setattr(os, "posix_fallocate", lambda *args: reserved.append(args[1:]) or real(*args))
+        oracle_path = str(tmp_path / "oracle.ckpt")
+        save_checkpoint(path, model, vocab, config, history, {"n_test": 3, "val_frac": 0.1})
+        oracle_serial_save_checkpoint(oracle_path, model, vocab, config, history, {"n_test": 3, "val_frac": 0.1})
+        blob = Path(path).read_bytes()
+        assert blob == Path(oracle_path).read_bytes()
+        assert len(blob) > 3 * MIB
+        if "posix_fallocate" not in case:
+            assert reserved == [(0, len(blob))]  # the exact final size, once
+        loaded = load_checkpoint(path)
+        for side in ("textual_net", "visual_net"):
+            for name, arr in getattr(loaded.model, side).params.items():
+                assert arr.tobytes() == getattr(model, side).params[name].tobytes()
+
+
+    def test_concurrent_saves_and_loads_with_a_short_switch_interval(self, setup, tmp_path):
+        """Six threads (on any core count) each save and load their own model while the
+        interpreter switches threads every microsecond: every file still holds the serial
+        writer's bytes, so no worker checksummed another save's chunks."""
+        images, captions, store, vocab, model, config, history, path = setup
+        models = [large_model(vocab, seed=20 + i) for i in range(6)]
+        results = {}
+
+        def save_and_load(i):
+            mine = str(tmp_path / f"{i}.ckpt")
+            save_checkpoint(mine, models[i], vocab, config, history)
+            results[i] = load_checkpoint(mine).model.visual_net.params["w0"].tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=save_and_load, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for i, model in enumerate(models):
+            oracle_serial_save_checkpoint(path, model, vocab, config, history)
+            assert (tmp_path / f"{i}.ckpt").read_bytes() == Path(path).read_bytes()
+            assert results[i] == model.visual_net.params["w0"].tobytes()
+
+
+class FailingWrites:
+    """A binary file whose ``k``-th write raises ENOSPC (none if ``k`` is 0); ``writes``
+    counts them, and ``failed`` keeps the data of the write that raised."""
+
+    def __init__(self, path, mode, k, **kwargs):
+        self.fh, self.k, self.writes, self.failed = open(path, mode, **kwargs), k, 0, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.k:
+            self.failed = data
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+
+def enospc(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFaultsLeaveNoTrace:
+    """A save or a load that fails leaves the earlier file as it was, no temp file and
+    no thread: the CRC worker is joined, and what it raised is raised in the caller."""
+
+    @pytest.mark.parametrize(
+        "fault", ["posix_fallocate", "first_write", "middle_write", "last_write", "crc32"]
+    )
+    def test_save_out_of_space(self, setup, monkeypatch, fault):
+        images, captions, store, vocab, model, config, history, path = setup
+        model = large_model(vocab)
+        files, k = [], 0  # the k-th write of the latest save fails; none while k is 0
+
+        def failing_open(name, mode, **kwargs):  # atomic_write's open
+            files.append(FailingWrites(name, mode, k, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(corpus_mod, "open", failing_open, raising=False)
+        save_checkpoint(path, model, vocab, config, history)
+        before, threads, writes = Path(path).read_bytes(), threading.enumerate(), files[-1].writes
+        if fault == "posix_fallocate":
+            monkeypatch.setattr(os, "posix_fallocate", enospc)
+        elif fault == "crc32":
+            monkeypatch.setattr(checkpoint_mod, "zlib", SimpleNamespace(crc32=enospc))
+        else:
+            k = {"first_write": 1, "middle_write": writes // 2, "last_write": writes}[fault]
+        model.visual_net.params["w0"] += 1.0  # the same size, other bytes
+        with pytest.raises(OSError) as exc:
+            save_checkpoint(path, model, vocab, config, history)
+        assert exc.value.errno == errno.ENOSPC
+        if fault.endswith("_write"):
+            assert files[-1].writes == k
+        if fault == "last_write":  # the stored CRC, written once the worker is done
+            assert memoryview(files[-1].failed).nbytes == 4
+        assert Path(path).read_bytes() == before
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+        assert threading.enumerate() == threads
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["first_mib", "middle_mib", "last_mib", "truncated", "truncated_at_two_mib"],
+    )
+    def test_load_of_a_damaged_file(self, setup, fault):
+        images, captions, store, vocab, model, config, history, path = setup
+        save_checkpoint(path, large_model(vocab), vocab, config, history)
+        blob = bytearray(Path(path).read_bytes())
+        if fault == "truncated":
+            del blob[len(blob) - MIB - 9 :]
+        elif fault == "truncated_at_two_mib":
+            del blob[2 * MIB + 4 :]
+        else:  # a byte flipped in the file's first, a middle or its last MiB
+            blob[{"first_mib": 100, "middle_mib": 2 * MIB - 3, "last_mib": len(blob) - 5}[fault]] ^= 0x10
+        Path(path).write_bytes(blob)
+        threads = threading.enumerate()
+        with pytest.raises(CheckpointCorruptError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: checksum mismatch (truncated or corrupted)"
+        assert Path(path).read_bytes() == blob
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+        assert threading.enumerate() == threads
 
 
 class TestFailureModes:
@@ -279,6 +468,22 @@ class TestFailureModes:
         with pytest.raises(CheckpointCorruptError, match="invalid header"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"word_dim": 300, "window": 7}, "a bag visual net does not read word_dim, so it must be 0, not 300"),
+         (VISUAL_SEQUENCE, "the visual net must be a bag net, not a sequence net")],
+        ids=["word_dim_and_window_for_the_visual_net", "sequence_visual_net"],
+    )
+    def test_visual_net_that_train_never_writes(self, setup, fields, message):
+        """``train`` always writes a bag visual net with no sequence fields; a file written
+        otherwise (here by the unchecking serial writer) does not load."""
+        images, captions, store, vocab, model, config, history, path = setup
+        model.visual_net = init_net(replace(model.visual_net.spec, **fields), 5)
+        oracle_serial_save_checkpoint(path, model, vocab, config, history)
+        with pytest.raises(CheckpointCorruptError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: invalid header (ValueError: {message})"
+
     @pytest.mark.parametrize("case", ["extra_term", "missing_term", "duplicate_term"])
     def test_header_vocabulary_follows_the_vocab_tsv_rule(self, setup, case):
         """The textual net's input rows declare the size; the fault is named as in vocab.tsv."""
@@ -346,17 +551,21 @@ class TestSave:
              "a sequence textual net does not read weighting, so it must be 'binary', not 'tfidf'"),
             (dict(sequence={"n_hu": 6}), "a sequence textual net does not read n_hu, so it must be 0, not 6"),
             (dict(bag={"word_dim": 300}), "a bag textual net does not read word_dim, so it must be 0, not 300"),
+            (dict(visual={"word_dim": 300, "window": 7}),
+             "a bag visual net does not read word_dim, so it must be 0, not 300"),
+            (dict(visual=VISUAL_SEQUENCE), "the visual net must be a bag net, not a sequence net"),
         ],
         ids=["negative_n_test", "val_frac_past_one", "float_n_test", "no_val_frac", "extra_key",
              "best_epoch_past_the_epochs", "negative_best_epoch", "zero_best_epoch_after_epochs",
              "best_epoch_without_epochs", "tfidf_for_a_sequence_net", "n_hu_for_a_sequence_net",
-             "word_dim_for_a_bag_net"],
+             "word_dim_for_a_bag_net", "word_dim_and_window_for_the_visual_net", "sequence_visual_net"],
     )
     def test_run_record_that_load_refuses_is_not_saved(self, setup, record, message):
-        """The rule load_checkpoint holds a header's textual spec, weighting, data_config
+        """The rule load_checkpoint holds a header's net specs, weighting, data_config
         and best_epoch to, checked before the temp file opens. ``record`` changes the
         setup's: ``sequence`` swaps in a sequence textual net with these extra spec
-        fields, ``bag`` sets these fields of the setup's bag textual net."""
+        fields, ``bag`` sets these fields of the setup's bag textual net, ``visual``
+        these fields of its visual net."""
         images, captions, store, vocab, model, config, history, path = setup
         history = TrainHistory(epochs=history.epochs[:record.get("epochs", 2)],
                                best_epoch=record.get("best_epoch", history.best_epoch))
@@ -364,6 +573,8 @@ class TestSave:
             model.textual_net = init_net(sequence_spec(vocab, **record["sequence"]), 4)
         if "bag" in record:
             model.textual_net = init_net(replace(model.textual_net.spec, **record["bag"]), 4)
+        if "visual" in record:
+            model.visual_net = init_net(replace(model.visual_net.spec, **record["visual"]), 5)
         config = replace(config, weighting=record.get("weighting", config.weighting))
         with pytest.raises(ValueError, match=re.escape(message)):
             save_checkpoint(path, model, vocab, config, history, record.get("data_config"))

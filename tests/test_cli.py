@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,10 @@ from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.cli import main
 from crossmodal.corpus import load_captions, load_image_features, split_dataset
+from crossmodal.nets import init_net
 
-from test_checkpoint import read_header, resign
+from oracles import oracle_serial_save_checkpoint
+from test_checkpoint import VISUAL_SEQUENCE, read_header, resign
 
 
 def cli_process(*argv, **popen) -> subprocess.Popen:
@@ -722,6 +725,31 @@ class TestEvaluate:
         )
         assert err == (f"error CheckpointCorruptError: {ckpt}: invalid header "
                        "(ValueError: a bag textual net does not read word_dim, so it must be 0, not 300)\n")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"word_dim": 300, "window": 7}, "a bag visual net does not read word_dim, so it must be 0, not 300"),
+         (VISUAL_SEQUENCE, "the visual net must be a bag net, not a sequence net")],
+        ids=["word_dim_and_window_for_the_visual_net", "sequence_visual_net"],
+    )
+    def test_visual_net_that_train_never_writes_refused(self, tmp_path, corpus, trained, capsys, fields,
+                                                        message):
+        """The trained checkpoint rewritten, with no run-record check, around a visual
+        net that ``train`` never writes. A sequence visual net used to load and end
+        ``evaluate`` and ``query`` in a TypeError traceback."""
+        ckpt = load_checkpoint(str(trained / "checkpoint.bin"))
+        ckpt.model.visual_net = init_net(replace(ckpt.model.visual_net.spec, **fields), 5)
+        path = tmp_path / "visual.bin"
+        oracle_serial_save_checkpoint(str(path), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history,
+                                      ckpt.data_config)
+        out = tmp_path / "eval"
+        for argv in (
+            ["evaluate", "--captions", str(corpus / "captions.tsv"), "--out", str(out)],
+            ["query", "--sentence", "c0w1 c0w2"],
+        ):
+            err = assert_one_error_line(capsys, "CheckpointCorruptError", out, *argv, "--checkpoint", str(path),
+                                        "--features", str(corpus / "features.txt"))
+            assert err == f"error CheckpointCorruptError: {path}: invalid header (ValueError: {message})\n"
 
     def test_header_with_swapped_vocabulary_terms_refused(self, tmp_path, corpus, prepped, trained,
                                                           capsys):
