@@ -16,8 +16,10 @@ system offer it, and rename it over ``path``: a file system that allocates
 blocks lazily (ext4) then has none left to allocate when the rename replaces
 an older file. One worker thread takes the CRC32 of the chunks while they
 are written (``zlib.crc32`` and file writes both release the GIL); it is
-joined before a save returns or raises. Loads return the parameters as
-views of one buffer. Parameters round-trip bit-exactly.
+joined before a save returns or raises. A load reads the file into one
+buffer and checks its magic and CRC32 (``read_checkpoint``, which a caller
+can run on another thread), then its header, and returns the parameters as
+views of the buffer. Parameters round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
     vocab = vocabulary_from_rows("vocabulary", "vocabulary term {}".format, blob["mode"],
                                  textual.input_dim, blob["n_docs"], rows)
     vocab.max_size = blob["max_size"]
+    if not _is_a(vocab.max_size, int) or vocab.max_size < vocab.size:
+        raise ValueError(f"max_size {vocab.max_size!r} is not an int of at least the {vocab.size} terms")
     if vocab.digest != digest:
         raise ValueError("vocab_digest is not the digest of the vocabulary")
     return vocab
@@ -87,6 +91,13 @@ def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
 
 # the NetSpec and TrainConfig fields that each kind of net does not read
 _UNREAD_BY_KIND = {"bag": ("word_dim", "kernel_count", "window"), "sequence": ("n_hu", "weighting")}
+# each annotated field type of the run record, as train writes it
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _is_a(value, kind: type) -> bool:
+    """``value`` is a ``kind``, counting no bool as an int."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_run_record(textual: NetSpec, visual: NetSpec, train_config: TrainConfig,
@@ -94,8 +105,20 @@ def _check_run_record(textual: NetSpec, visual: NetSpec, train_config: TrainConf
     """The run record's rule, at save and at load: the visual net is a bag net, a field
     a net's kind does not read holds its default (the textual net's kind also decides
     for ``train_config``), ``data_config`` is ``{}`` or an int ``n_test`` and a float
-    ``val_frac`` under ``check_split_values``, and ``best_epoch`` is 0 exactly when no
-    epoch ran, else one of the epochs. Raises ValueError."""
+    ``val_frac`` under ``check_split_values``, the epochs are numbered 1..n, ``best_epoch``
+    is 0 exactly when no epoch ran, else one of the epochs, and every int, float or str
+    field holds that type. Raises ValueError."""
+    epochs = tuple(enumerate(history.epochs, start=1))
+    for name, record in (("textual_spec", textual), ("visual_spec", visual),
+                         ("train_config", train_config), ("history", history),
+                         *((f"epoch row {i}", e) for i, e in epochs)):
+        for f in fields(record):
+            value, kind = getattr(record, f.name), _FIELD_TYPES.get(f.type)
+            if kind and not _is_a(value, kind):
+                raise ValueError(f"{name} {f.name} must be of type {f.type}, not {value!r}")
+    for i, e in epochs:
+        if e.epoch != i:
+            raise ValueError(f"epoch row {i} is numbered {e.epoch}, not {i}")
     if visual.kind != "bag":
         raise ValueError(f"the visual net must be a bag net, not a {visual.kind} net")
     for side, spec, record in (("textual", textual, textual), ("textual", textual, train_config),
@@ -161,18 +184,30 @@ def save_checkpoint(
         fh.write(struct.pack("<I", crc.result()))  # raises what the worker raised
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def read_checkpoint(path: str) -> memoryview:
+    """The bytes of the checkpoint file at ``path``, once its magic and CRC32 check out.
+    The file read and the CRC release the GIL, so another thread can run meanwhile."""
     with open(path, "rb") as fh:
         # offset the buffer so that the float64 data after the header is
         # 8-byte aligned: numpy copies an unaligned array for every matmul
         pad = -(16 + int.from_bytes(fh.peek(16)[8:16], "little")) % 8  # peek does not advance
-        buf = bytearray(pad + os.fstat(fh.fileno()).st_size)
+        # not zero-filled, unlike a bytearray: filling 22 MB holds the GIL that a
+        # caller's other thread needs, and the read overwrites every byte kept
+        buf = np.empty(pad + os.fstat(fh.fileno()).st_size, dtype=np.uint8)
         blob = memoryview(buf)[pad : pad + fh.readinto(memoryview(buf)[pad:])]
     if len(blob) < 20 or blob[:4] != MAGIC:
         raise CheckpointCorruptError(f"{path}: not a checkpoint file")
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(blob[:-4]) != stored_crc:
         raise CheckpointCorruptError(f"{path}: checksum mismatch (truncated or corrupted)")
+    return blob
+
+
+def load_checkpoint(path: str, blob: memoryview | None = None) -> Checkpoint:
+    """The checkpoint at ``path``; ``blob`` is ``read_checkpoint(path)`` when the caller
+    has read the file already."""
+    if blob is None:
+        blob = read_checkpoint(path)
     version, header_len = struct.unpack_from("<IQ", blob, 4)
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(

@@ -14,13 +14,14 @@ import json
 import os
 import random
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from .corpus import (
     atomic_write,
     check_split_values,
@@ -209,12 +210,45 @@ def _report_unencodable(count: int) -> None:
         _progress(f"captions with no in-vocabulary term, not scored: {count}")
 
 
-def _load_features(path: str, ckpt: Checkpoint):
-    """``--features`` for a checkpoint: as wide as its visual net's input."""
-    features, width = load_image_features(path), ckpt.model.visual_net.spec.input_dim
-    if features.feature_dim != width:
-        raise ConfigError(f"{path} has {features.feature_dim}-d features, the checkpoint takes {width}")
-    return features
+def _load_inputs(checkpoint: str, features: str):
+    """``(ckpt, features_for)`` for ``--checkpoint`` and ``--features``.
+
+    A worker thread reads and CRC-checks the checkpoint file, which releases the GIL,
+    while this thread parses the features; it is joined before this returns or raises,
+    so no thread outlives a command, and what it raised is raised here as it is. The
+    features' error waits for ``features_for()``, which returns them as wide as the
+    checkpoint's visual net's input: a command calls it where it reads the features,
+    so an earlier input's error still wins."""
+    read: dict[str, Any] = {}
+
+    def read_file() -> None:
+        try:
+            read["blob"] = read_checkpoint(checkpoint)
+        except BaseException as exc:  # raised again on the main thread
+            read["error"] = exc
+
+    worker = threading.Thread(target=read_file, name="crossmodal-checkpoint-read")
+    worker.start()
+    try:
+        try:
+            store, error = load_image_features(features), None
+        except Exception as exc:
+            store, error = None, exc
+    finally:
+        worker.join()
+    if "error" in read:
+        raise read.pop("error")
+    ckpt = load_checkpoint(checkpoint, read.pop("blob"))
+
+    def features_for():
+        if error is not None:
+            raise error
+        width = ckpt.model.visual_net.spec.input_dim
+        if store.feature_dim != width:
+            raise ConfigError(f"{features} has {store.feature_dim}-d features, the checkpoint takes {width}")
+        return store
+
+    return ckpt, features_for
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -299,14 +333,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"epoch {s.epoch} lr {s.lr:.6g} train_err {s.train_err:.2f}% val_err {s.val_err:.2f}%"
         ),
     )
-    # only a run that trained writes anything, so a failed one leaves no --out
+    # only a run that trained writes anything, so a failed one leaves no --out; the
+    # checkpoint, the largest write, goes first and the manifest last, so a failed
+    # checkpoint save leaves an earlier run in --out as it was
     os.makedirs(args.out, exist_ok=True)
-    _write_manifest(os.path.join(args.out, "manifest.json"), typed, args)
-    write_history(history, os.path.join(args.out, "history.tsv"))
     save_checkpoint(
         os.path.join(args.out, "checkpoint.bin"), best, vocab, config, history,
         data_config={name: typed[name] for name in SPLIT_OPTIONS},
     )
+    write_history(history, os.path.join(args.out, "history.tsv"))
+    _write_manifest(os.path.join(args.out, "manifest.json"), typed, args)
     _progress(f"best epoch {history.best_epoch}; checkpoint written to {args.out}")
     return 0
 
@@ -315,7 +351,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ks = tuple(_parse_k(k, "--ks") for k in args.ks.split(","))
     if len(set(ks)) != len(ks):
         raise ConfigError(f"--ks repeats a cutoff: {args.ks!r}")
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt, features_for = _load_inputs(args.checkpoint, args.features)
     if not ckpt.data_config:
         raise ConfigError(
             f"{args.checkpoint} records no n_test/val_frac, so its test split is unknown"
@@ -324,7 +360,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(f"vocabulary digest mismatch: {args.vocab} does not match the "
                           "checkpoint's vocabulary")
     captions = load_captions(args.captions, strict=not args.lenient)
-    features = _load_features(args.features, ckpt)
+    features = features_for()
     config = ckpt.train_config
     split = split_dataset(features.records(), captions, **ckpt.data_config, seed=config.seed)
     data = RetrievalDataset(features, captions, split, ckpt.vocabulary, weighting=config.weighting,
@@ -354,8 +390,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise ConfigError("--captions is required for image queries")
     if args.sentence is not None and args.captions is not None:
         raise ConfigError("--captions applies to --image-id queries, not to --sentence queries")
-    ckpt = load_checkpoint(args.checkpoint)
-    features = _load_features(args.features, ckpt)
+    ckpt, features_for = _load_inputs(args.checkpoint, args.features)
+    features = features_for()
     textual, visual = ckpt.model.textual_net, ckpt.model.visual_net
     unencodable = 0
 

@@ -133,6 +133,12 @@ def on_a_sequence_net(mutate):
     return mutate
 
 
+def on_a_linear_net(mutate):
+    """A header mutation made to a checkpoint whose textual net has no hidden layer."""
+    mutate.on_a_linear_net = True
+    return mutate
+
+
 MIB = 1 << 20
 
 
@@ -427,6 +433,19 @@ class TestFailureModes:
             on_a_sequence_net(lambda h: h["train_config"].update(weighting="tfidf")),
             on_a_sequence_net(lambda h: h["textual_spec"].update(n_hu=6)),
             lambda h: h["textual_spec"].update(word_dim=300),
+            lambda h: h["history"].update(best_epoch=True),
+            lambda h: h["history"].update(best_epoch=2.0),
+            lambda h: h["history"]["epochs"][0].__setitem__(1, "0.001"),
+            lambda h: h["history"]["epochs"][1].__setitem__(3, "31.0"),
+            lambda h: h["history"]["epochs"][1].__setitem__(0, 5),
+            lambda h: h["history"].update(epochs=h["history"]["epochs"][::-1]),
+            lambda h: h["vocabulary"].update(max_size="big"),
+            lambda h: h["vocabulary"].update(max_size=len(h["vocabulary"]["terms"]) - 1),
+            lambda h: h["train_config"].update(margin=True),
+            lambda h: h["train_config"].update(max_epochs=3.0),
+            lambda h: h["train_config"].update(val_pairs_per_epoch=True),
+            on_a_linear_net(lambda h: h["textual_spec"].update(n_hu=0.0)),
+            lambda h: h["visual_spec"].update(n_hu=0.0),
         ],
         ids=[
             "unknown_train_config_key",
@@ -454,12 +473,27 @@ class TestFailureModes:
             "tfidf_for_a_sequence_net",
             "n_hu_for_a_sequence_net",
             "word_dim_for_a_bag_net",
+            "true_best_epoch",
+            "float_best_epoch",
+            "string_lr",
+            "string_val_err",
+            "epochs_numbered_1_5",
+            "epochs_numbered_2_1",
+            "string_max_size",
+            "max_size_below_the_vocabulary",
+            "true_margin",
+            "float_max_epochs",
+            "true_val_pairs_per_epoch",
+            "float_textual_n_hu",
+            "float_visual_n_hu",
         ],
     )
     def test_bad_header_with_valid_checksum(self, setup, mutate):
         images, captions, store, vocab, model, config, history, path = setup
         if getattr(mutate, "on_a_sequence_net", False):
             model.textual_net = init_net(sequence_spec(vocab), 4)
+        if getattr(mutate, "on_a_linear_net", False):
+            model.textual_net = init_net(NetSpec("bag", vocab.size, 8), 4)
         save_checkpoint(path, model, vocab, config, history)
         blob = Path(path).read_bytes()
         header = read_header(blob)
@@ -554,20 +588,31 @@ class TestSave:
             (dict(visual={"word_dim": 300, "window": 7}),
              "a bag visual net does not read word_dim, so it must be 0, not 300"),
             (dict(visual=VISUAL_SEQUENCE), "the visual net must be a bag net, not a sequence net"),
+            (dict(best_epoch=True), "history best_epoch must be of type int, not True"),
+            (dict(config={"margin": 1}), "train_config margin must be of type float, not 1"),
+            (dict(config={"max_epochs": 3.0}), "train_config max_epochs must be of type int, not 3.0"),
+            (dict(visual={"n_hu": 0.0}), "visual_spec n_hu must be of type int, not 0.0"),
+            (dict(rows=[(1, 0.001, 48.0, 47.5), (2, 0.00099, 30.25, "31.0")]),
+             "epoch row 2 val_err must be of type float, not '31.0'"),
+            (dict(rows=[(1, 0.001, 48.0, 47.5), (3, 0.00099, 30.25, 31.0)]), "epoch row 2 is numbered 3, not 2"),
         ],
         ids=["negative_n_test", "val_frac_past_one", "float_n_test", "no_val_frac", "extra_key",
              "best_epoch_past_the_epochs", "negative_best_epoch", "zero_best_epoch_after_epochs",
              "best_epoch_without_epochs", "tfidf_for_a_sequence_net", "n_hu_for_a_sequence_net",
-             "word_dim_for_a_bag_net", "word_dim_and_window_for_the_visual_net", "sequence_visual_net"],
+             "word_dim_for_a_bag_net", "word_dim_and_window_for_the_visual_net", "sequence_visual_net",
+             "true_best_epoch", "int_margin", "float_max_epochs", "float_visual_n_hu", "string_val_err",
+             "epochs_numbered_1_3"],
     )
     def test_run_record_that_load_refuses_is_not_saved(self, setup, record, message):
         """The rule load_checkpoint holds a header's net specs, weighting, data_config
-        and best_epoch to, checked before the temp file opens. ``record`` changes the
-        setup's: ``sequence`` swaps in a sequence textual net with these extra spec
-        fields, ``bag`` sets these fields of the setup's bag textual net, ``visual``
-        these fields of its visual net."""
+        and best_epoch to, and the types of their fields, checked before the temp file
+        opens. ``record`` changes the setup's: ``sequence`` swaps in a sequence textual
+        net with these extra spec fields, ``bag`` sets these fields of the setup's bag
+        textual net, ``visual`` these fields of its visual net, ``config`` these train
+        config fields, ``rows`` replaces the epochs."""
         images, captions, store, vocab, model, config, history, path = setup
-        history = TrainHistory(epochs=history.epochs[:record.get("epochs", 2)],
+        epochs = [EpochStats(*row) for row in record["rows"]] if "rows" in record else history.epochs
+        history = TrainHistory(epochs=epochs[:record.get("epochs", 2)],
                                best_epoch=record.get("best_epoch", history.best_epoch))
         if "sequence" in record:
             model.textual_net = init_net(sequence_spec(vocab, **record["sequence"]), 4)
@@ -575,7 +620,7 @@ class TestSave:
             model.textual_net = init_net(replace(model.textual_net.spec, **record["bag"]), 4)
         if "visual" in record:
             model.visual_net = init_net(replace(model.visual_net.spec, **record["visual"]), 5)
-        config = replace(config, weighting=record.get("weighting", config.weighting))
+        config = replace(config, weighting=record.get("weighting", config.weighting), **record.get("config", {}))
         with pytest.raises(ValueError, match=re.escape(message)):
             save_checkpoint(path, model, vocab, config, history, record.get("data_config"))
         assert os.listdir(os.path.dirname(path)) == []

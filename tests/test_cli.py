@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -6,15 +7,18 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import crossmodal.checkpoint as checkpoint_mod
 import crossmodal.ranker as ranker_mod
 from crossmodal import cli
-from crossmodal.checkpoint import load_checkpoint, save_checkpoint
+from crossmodal.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from crossmodal.cli import main
 from crossmodal.corpus import load_captions, load_image_features, split_dataset
 from crossmodal.nets import init_net
@@ -428,6 +432,26 @@ class TestTrain:
             for name in ("manifest.json", "history.tsv", "checkpoint.bin"):
                 assert (a / name).read_bytes() == (b / name).read_bytes(), (extra, name)
 
+    def test_failed_checkpoint_save_leaves_the_earlier_run(self, tmp_path, corpus, prepped, capsys,
+                                                            monkeypatch):
+        """A second run into the same --out whose checkpoint save runs out of space exits 1
+        with one error line and leaves every file of the first run byte for byte: the
+        checkpoint is written first and the manifest last."""
+        out = tmp_path / "runx"
+        assert run(capsys, *train_args(corpus, prepped, out, "--seed", "1"))[0] == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def no_space(fd, size):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(checkpoint_mod, "_preallocate", no_space)
+        rc, stdout, err = run(capsys, *train_args(corpus, prepped, out, "--seed", "2"))
+        assert (rc, stdout) == (1, "")
+        assert [line for line in err.splitlines() if line.startswith("error ")] == [
+            f"error OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert err.endswith("\n") and not err.splitlines()[-1].startswith("epoch ")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_pretrained_embeddings_seed_first_layer(self, tmp_path, corpus, prepped, capsys):
         """The bag net's ``w0`` row and the sequence net's ``lookup`` row of a term
         hold its vector exactly."""
@@ -611,7 +635,7 @@ class TestEvaluate:
         out = tmp_path / "eval_bare"
         err = assert_one_error_line(
             capsys, "ConfigError", out, "evaluate", "--checkpoint", str(bare),
-            # missing corpus files show that nothing is loaded after the checkpoint
+            # missing corpus files, whose features are parsed meanwhile, lose to the checkpoint's error
             "--captions", str(tmp_path / "missing.tsv"),
             "--features", str(tmp_path / "missing.txt"),
             "--out", str(out),
@@ -1125,6 +1149,191 @@ class TestQuery:
             assert err == "error ConfigError: provide exactly one of --sentence or --image-id\n"
 
 
+def command_argv(command, corpus, out, checkpoint, features, captions=None):
+    """An ``evaluate`` into ``out``, or a sentence ``query``, of ``checkpoint`` on ``features``."""
+    if command == "query":
+        return ["query", "--checkpoint", str(checkpoint), "--features", str(features), "--sentence", "c0w1 c0w2"]
+    return ["evaluate", "--checkpoint", str(checkpoint), "--captions", str(captions or corpus / "captions.tsv"),
+            "--features", str(features), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "query"])
+class TestCheckpointReadBesideTheFeatures:
+    """``evaluate`` and ``query`` read and CRC-check the checkpoint file on a worker
+    thread while the main thread parses ``--features``. The features' error waits
+    until the command reads the features, so with two bad inputs the error of the one
+    read first still wins, and no thread outlives the command, whether it succeeds or
+    fails."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_outlives_the_command(self):
+        before = threading.enumerate()
+        yield
+        assert threading.enumerate() == before
+
+    def test_success(self, tmp_path, corpus, trained, capsys, command):
+        argv = command_argv(command, corpus, tmp_path / "eval", trained / "checkpoint.bin",
+                            corpus / "features.txt")
+        assert run(capsys, *argv)[0] == 0
+
+    def test_bad_checkpoint_wins_over_missing_features(self, tmp_path, corpus, capsys, command):
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(b"definitely not a checkpoint")
+        out = tmp_path / "eval"
+        err = assert_one_error_line(capsys, "CheckpointCorruptError", out,
+                                    *command_argv(command, corpus, out, junk, tmp_path / "missing.txt"))
+        assert err == f"error CheckpointCorruptError: {junk}: not a checkpoint file\n"
+
+    @pytest.mark.parametrize("features, error, message", [
+        ("missing.txt", "FileNotFoundError", "[Errno 2] No such file or directory: '{}'"),
+        ("bad.txt", "CorpusFormatError", "{}:1: non-integer header fields"),
+    ], ids=["missing", "bad_header"])
+    def test_bad_features_with_a_good_checkpoint(self, tmp_path, corpus, trained, capsys, command,
+                                                 features, error, message):
+        features = tmp_path / features
+        if features.name == "bad.txt":
+            features.write_text("x 8\n")
+        out = tmp_path / "eval"
+        err = assert_one_error_line(capsys, error, out,
+                                    *command_argv(command, corpus, out, trained / "checkpoint.bin", features))
+        assert err == f"error {error}: {message.format(features)}\n"
+
+    @pytest.mark.parametrize("broken", ["read_checkpoint", "load_image_features"])
+    def test_a_bug_on_either_thread_is_raised_as_it_is(self, tmp_path, corpus, trained, monkeypatch, command,
+                                                       broken):
+        """The exception itself reaches ``main``'s caller: a bug stays a traceback."""
+        bug = KeyError("not a user error")
+
+        def broken_call(path):
+            raise bug
+
+        monkeypatch.setattr(cli, broken, broken_call)
+        with pytest.raises(KeyError) as exc:
+            main(command_argv(command, corpus, tmp_path / "eval", trained / "checkpoint.bin",
+                              corpus / "features.txt"))
+        assert exc.value is bug
+
+    def test_an_interrupted_parse_waits_for_the_read(self, tmp_path, corpus, trained, monkeypatch, command):
+        """An exception that is not deferred, such as an interrupt, leaves the parse
+        while the read still runs: the command ends only once the worker has."""
+        class Interrupt(BaseException):
+            pass
+
+        ended = []
+
+        def slow_read(path):
+            time.sleep(0.2)
+            ended.append(read_checkpoint(path))
+
+        def interrupted_parse(path):
+            raise Interrupt
+
+        monkeypatch.setattr(cli, "read_checkpoint", slow_read)
+        monkeypatch.setattr(cli, "load_image_features", interrupted_parse)
+        with pytest.raises(Interrupt):
+            main(command_argv(command, corpus, tmp_path / "eval", trained / "checkpoint.bin",
+                              corpus / "features.txt"))
+        assert len(ended) == 1
+
+    def test_read_runs_beside_the_parse(self, tmp_path, corpus, trained, monkeypatch, capsys, command):
+        """The checkpoint read waits until the parse has begun, which a read run before
+        the parse would never see; it runs on a thread that is not the main one, and
+        the parse on the main thread."""
+        begun, threads = threading.Event(), {}
+
+        def parse(path):
+            threads["parse"] = threading.current_thread()
+            begun.set()
+            return load_image_features(path)
+
+        def read(path):
+            threads["read"] = threading.current_thread()
+            assert begun.wait(timeout=30)
+            return read_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_image_features", parse)
+        monkeypatch.setattr(cli, "read_checkpoint", read)
+        argv = command_argv(command, corpus, tmp_path / "eval", trained / "checkpoint.bin",
+                            corpus / "features.txt")
+        assert run(capsys, *argv)[0] == 0
+        assert threads["parse"] is threading.main_thread() and threads["read"] is not threading.main_thread()
+
+    def test_refusal_before_any_read_reads_nothing(self, tmp_path, monkeypatch, capsys, command):
+        calls = []
+        monkeypatch.setattr(cli, "load_image_features", calls.append)
+        monkeypatch.setattr(cli, "read_checkpoint", calls.append)
+        out = tmp_path / "eval"
+        argv = command_argv(command, tmp_path, out, tmp_path / "missing.bin", tmp_path / "missing.txt")
+        assert_one_error_line(capsys, "ConfigError", out, *argv, "--ks" if command == "evaluate" else "--top-k", "0")
+        assert calls == []
+
+
+class TestInputsUnderLoad:
+    def test_concurrent_loads_with_a_short_switch_interval(self, tmp_path, corpus, trained):
+        """Six commands' loads at once, each with its reading worker, more threads than
+        cores, at a 1 µs switch interval: each gets the checkpoint and features that
+        loads on one thread give."""
+        features, path = str(corpus / "features.txt"), str(trained / "checkpoint.bin")
+        want_ckpt, want = load_checkpoint(path), load_image_features(features)
+        got = []
+
+        def one_command():
+            ckpt, features_for = cli._load_inputs(path, features)
+            got.append((ckpt, features_for()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=one_command) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 6
+        for ckpt, store in got:
+            assert ckpt.vocabulary.digest == want_ckpt.vocabulary.digest
+            for side in ("textual_net", "visual_net"):
+                params, want_params = getattr(ckpt.model, side).params, getattr(want_ckpt.model, side).params
+                assert all((params[name] == want_params[name]).all() for name in want_params)
+            assert store.ids() == want.ids()
+            assert all((store.get(i) == want.get(i)).all() for i in want.ids())
+
+
+class TestEvaluateRefusalOrder:
+    """Each ``evaluate`` refusal that comes before the features still wins over bad
+    corpus files, whose features are parsed beside the checkpoint read."""
+
+    def test_vocabulary_mismatch_wins_over_bad_corpus_files(self, tmp_path, corpus, trained, capsys):
+        other = tmp_path / "othervocab"
+        assert run(capsys, "preprocess", "--captions", str(corpus / "captions.tsv"),
+                   "--mode", "2g", "--max-size", "10", "--out", str(other))[0] == 0
+        bad = tmp_path / "bad.txt"
+        bad.write_text("x 8\n")
+        out = tmp_path / "eval"
+        for features in (tmp_path / "missing.txt", bad):
+            err = assert_one_error_line(
+                capsys, "ConfigError", out,
+                *command_argv("evaluate", corpus, out, trained / "checkpoint.bin", features,
+                              captions=tmp_path / "missing.tsv"),
+                "--vocab", str(other / "vocab.tsv"),
+            )
+            assert err == (f"error ConfigError: vocabulary digest mismatch: {other / 'vocab.tsv'} "
+                           "does not match the checkpoint's vocabulary\n")
+
+    def test_captions_error_wins_over_bad_features(self, tmp_path, corpus, trained, capsys):
+        out = tmp_path / "eval"
+        missing = tmp_path / "missing.tsv"
+        err = assert_one_error_line(
+            capsys, "FileNotFoundError", out,
+            *command_argv("evaluate", corpus, out, trained / "checkpoint.bin", tmp_path / "missing.txt",
+                          captions=missing),
+        )
+        assert err == f"error FileNotFoundError: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 class TestOverflowingEmbedding:
     @pytest.fixture
     def overflowing(self, tmp_path, capsys):
@@ -1162,8 +1371,8 @@ class TestProcess:
     """The installed ``crossmodal`` script runs the same ``cli.entry`` as ``python -m crossmodal.cli``."""
 
     def test_refusals_in_a_new_process(self, tmp_path, corpus, prepped, trained):
-        """A refusal before any file is read, a corrupt checkpoint and an overflow
-        behind hidden layers: exit 1, nothing on stdout, no traceback or warning
+        """A refusal before any file is read, a corrupt checkpoint, alone and with missing
+        features, and an overflow behind hidden layers: exit 1, nothing on stdout, no traceback or warning
         on stderr beside the one error line, and no ``--out``."""
         out = tmp_path / "out"
         err = assert_one_error_line(
@@ -1183,6 +1392,10 @@ class TestProcess:
         )
         assert_one_error_line(None, "NonFiniteGradientError", out, *train_args(
             corpus, prepped, out, "--lr", "1e200", "--n-hu", "6", "--visual-n-hu", "6"))
+        # two bad inputs: the checkpoint's error wins, and the worker's goes nowhere
+        for command in ("evaluate", "query"):
+            assert_one_error_line(None, "CheckpointCorruptError", out, *command_argv(
+                command, corpus, out, tmp_path / "negative.bin", tmp_path / "missing.txt"))
 
     def test_evaluate_into_a_reader_that_closes_after_one_byte(self, tmp_path, corpus, trained):
         """``evaluate`` and ``query`` piped into a reader that closes after one byte
