@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import atomic_write, check_split_values
 from .errors import CheckpointCorruptError, CheckpointVersionError, VocabularyError
-from .nets import Net, NetSpec, fold_pending, param_shapes
+from .nets import WEIGHTING_READ_BY, Net, NetSpec, fold_pending, param_shapes
 from .ranker import EpochStats, ScoreModel, TrainConfig, TrainHistory
 from .text import Vocabulary, vocabulary_from_rows, vocabulary_rows
 
@@ -89,8 +89,6 @@ def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
     return vocab
 
 
-# the NetSpec and TrainConfig fields that each kind of net does not read
-_UNREAD_BY_KIND = {"bag": ("word_dim", "kernel_count", "window"), "sequence": ("n_hu", "weighting")}
 # each annotated field type of the run record, as train writes it
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 
@@ -102,12 +100,11 @@ def _is_a(value, kind: type) -> bool:
 
 def _check_run_record(textual: NetSpec, visual: NetSpec, train_config: TrainConfig,
                       data_config: dict, history: TrainHistory) -> None:
-    """The run record's rule, at save and at load: the visual net is a bag net, a field
-    a net's kind does not read holds its default (the textual net's kind also decides
-    for ``train_config``), ``data_config`` is ``{}`` or an int ``n_test`` and a float
-    ``val_frac`` under ``check_split_values``, the epochs are numbered 1..n, ``best_epoch``
-    is 0 exactly when no epoch ran, else one of the epochs, and every int, float or str
-    field holds that type. Raises ValueError."""
+    """The run record's rule where the specs and the model do not check themselves, at save
+    and at load: a textual net that does not read the weighting holds it at its default,
+    ``data_config`` is ``{}`` or an int ``n_test`` and a float ``val_frac`` under
+    ``check_split_values``, the epochs are numbered 1..n, ``best_epoch`` is 0 exactly when no
+    epoch ran, else one of the epochs, and every int, float or str field holds that type."""
     epochs = tuple(enumerate(history.epochs, start=1))
     for name, record in (("textual_spec", textual), ("visual_spec", visual),
                          ("train_config", train_config), ("history", history),
@@ -119,15 +116,9 @@ def _check_run_record(textual: NetSpec, visual: NetSpec, train_config: TrainConf
     for i, e in epochs:
         if e.epoch != i:
             raise ValueError(f"epoch row {i} is numbered {e.epoch}, not {i}")
-    if visual.kind != "bag":
-        raise ValueError(f"the visual net must be a bag net, not a {visual.kind} net")
-    for side, spec, record in (("textual", textual, textual), ("textual", textual, train_config),
-                               ("visual", visual, visual)):
-        for f in fields(record):
-            value = getattr(record, f.name)
-            if f.name in _UNREAD_BY_KIND[spec.kind] and value != f.default:
-                raise ValueError(f"a {spec.kind} {side} net does not read {f.name}, "
-                                 f"so it must be {f.default!r}, not {value!r}")
+    if textual.kind != WEIGHTING_READ_BY and train_config.weighting != TrainConfig.weighting:
+        raise ValueError(f"a {textual.kind} textual net does not read weighting, "
+                         f"so it must be {TrainConfig.weighting!r}, not {train_config.weighting!r}")
     if {k: type(v) for k, v in dict.items(data_config)} not in (
             {}, {"n_test": int, "val_frac": float}):  # dict.items refuses a non-dict
         raise ValueError("data_config must be {} or an int n_test and a float val_frac")
@@ -145,6 +136,7 @@ def save_checkpoint(
     data_config: dict | None = None,
 ) -> None:
     data_config = data_config or {}
+    model = ScoreModel(model.textual_net, model.visual_net)  # checks a net assigned since it was built
     _check_run_record(model.textual_net.spec, model.visual_net.spec, train_config, data_config, history)
     nets = {"textual": model.textual_net, "visual": model.visual_net}
     layout = {side: param_shapes(net.spec) for side, net in nets.items()}

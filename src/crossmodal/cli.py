@@ -37,7 +37,7 @@ from .corpus import (
 from .errors import ConfigError, CrossmodalError, EmptySequenceError
 from .metrics import (build_rankings, caption_id, cosine_scores, evaluate_rankings,
                       format_report, lexicographic_rank, report_to_kv)
-from .nets import NetSpec, embed_dense, forward, init_net
+from .nets import FIELDS_ONLY_READ_BY, WEIGHTING_READ_BY, NetSpec, embed_dense, forward, init_net
 from .ranker import (
     METHODOLOGIES,
     RetrievalDataset,
@@ -73,7 +73,7 @@ class Option:
     choices: tuple = ()
     help: str = ""
     field: str | None = None  # the TrainConfig field it sets
-    spec_field: str | None = None  # the NetSpec field it is checked as, and sets in a textual net
+    spec_field: str | None = None  # the NetSpec field it sets in a textual net whose kind reads it
     flag = property(lambda self: "--" + self.name.replace("_", "-"))
 
 
@@ -95,8 +95,8 @@ OPTIONS = (
     _train_option("seed", "seed", int, "seed for the split, initialization and sampling"),
     _train_option("val_pairs", "val_pairs_per_epoch", int, "validation pairs scored per epoch"),
     Option("n_hu", int, 0, help="hidden units of the bag textual net; 0 is linear", spec_field="n_hu"),
-    Option("n_emb", int, 300, help="width of the shared embedding space", spec_field="n_emb"),
-    Option("visual_n_hu", int, 0, help="hidden units of the visual net; 0 is linear", spec_field="n_hu"),
+    Option("n_emb", int, 300, help="width of the shared embedding space"),
+    Option("visual_n_hu", int, 0, help="hidden units of the visual net; 0 is linear"),
     Option("textual", str, "bag", ("bag", "sse"), "textual net: bag of terms or sequence"),
     Option("word_dim", int, 300, help="sse word vector width", spec_field="word_dim"),
     Option("kernels", int, 300, help="sse convolution kernels", spec_field="kernel_count"),
@@ -107,11 +107,11 @@ OPTIONS = (
 OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
 # the options a checkpoint records as its data_config, checked by check_split_values
 SPLIT_OPTIONS = ("n_test", "val_frac")
-# each --textual value: its NetSpec kind and the options only its net reads
-TEXTUAL_NETS = {"bag": ("bag", ("n_hu", "weighting")),
-                "sse": ("sequence", ("word_dim", "kernels", "window"))}
-# a valid sequence NetSpec, so that one net option's value is checked alone
-SPEC_CHECK_BASE = dict(kind="sequence", input_dim=1, n_emb=1, word_dim=1, kernel_count=1, window=1)
+OPTION_DEFAULTS = {opt.name: opt.default for opt in OPTIONS}
+# each --textual value: its NetSpec kind and the options only its net reads, by NetSpec's table
+TEXTUAL_NETS = {textual: (kind, tuple(opt for opt in OPTIONS if opt.spec_field in FIELDS_ONLY_READ_BY[kind]
+                                      or opt.field == "weighting" and kind == WEIGHTING_READ_BY))
+                for textual, kind in (("bag", "bag"), ("sse", "sequence"))}
 
 
 def parse_config_file(path: str) -> dict[str, Any]:
@@ -136,20 +136,18 @@ def parse_config_file(path: str) -> dict[str, Any]:
 
 
 def typed_value(opt: Option, raw: str, where: str) -> Any:
-    """``raw`` typed and checked by ``opt``, by ``TrainConfig`` or ``NetSpec`` for a field
-    it sets or is checked as, and by ``check_split_values`` for a split option; errors open
-    with ``where``, a path:line or --flag."""
+    """``raw`` typed and checked by ``opt``, by the ``TrainConfig`` and ``NetSpec``s that train
+    builds from it, and by ``check_split_values`` for a split option; errors open with
+    ``where``, a path:line or --flag."""
     try:
         value = opt.type(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {opt.name}: {exc}") from None
     if opt.choices and value not in opt.choices:
         raise ConfigError(f"{where}: {opt.name} must be one of {opt.choices}, got {raw!r}")
-    try:  # the value alone, the other fields at their defaults or SPEC_CHECK_BASE's
-        if opt.field:
-            TrainConfig(**{opt.field: value})
-        if opt.spec_field:
-            NetSpec(**{**SPEC_CHECK_BASE, opt.spec_field: value})
+    try:  # the value alone, every other option at its default, under each --textual value
+        for textual in TEXTUAL_NETS:
+            _train_setup({**OPTION_DEFAULTS, opt.name: value, "textual": textual}, 1, 1)
         if opt.name in SPLIT_OPTIONS:
             check_split_values(**{opt.name: value})
     except ConfigError as exc:
@@ -160,15 +158,15 @@ def typed_value(opt: Option, raw: str, where: str) -> Any:
 def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     """Defaults, overlaid by the config file, overlaid by explicit flags; all typed by
     typed_value. The one place a train value is refused, so nothing is read first."""
-    resolved = {opt.name: opt.default for opt in OPTIONS}
+    resolved = dict(OPTION_DEFAULTS)
     if args.config:
         resolved.update(parse_config_file(args.config))
     resolved.update({opt.name: typed_value(opt, raw, opt.flag) for opt in OPTIONS
                      if (raw := getattr(args, opt.name)) is not None})
     # an option of a textual net that --textual did not choose would change nothing
     chosen = resolved["textual"]
-    for textual, (_, names) in TEXTUAL_NETS.items():
-        for opt in map(OPTION_BY_NAME.get, names):
+    for textual, (_, options) in TEXTUAL_NETS.items():
+        for opt in options:
             if textual != chosen and resolved[opt.name] != opt.default:
                 raise ConfigError(f"{opt.flag} applies to --textual {textual}, not to --textual {chosen}")
     return resolved
@@ -293,14 +291,14 @@ def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
         fh.write("\n")
 
 
-def _net_specs(typed: dict, vocab_size: int, feature_dim: int) -> tuple[NetSpec, NetSpec]:
-    """(textual, visual) specs for the hyperparameters ``resolve_config`` checked."""
-    kind, names = TEXTUAL_NETS[typed["textual"]]
+def _train_setup(typed: dict, vocab_size: int, feature_dim: int) -> tuple[TrainConfig, NetSpec, NetSpec]:
+    """The train config and the (textual, visual) specs that the hyperparameters ``typed`` give."""
+    config = TrainConfig(**{opt.field: typed[opt.name] for opt in OPTIONS if opt.field})
+    kind, options = TEXTUAL_NETS[typed["textual"]]
     tspec = NetSpec(kind=kind, input_dim=vocab_size, n_emb=typed["n_emb"],
-                    **{opt.spec_field: typed[opt.name] for opt in map(OPTION_BY_NAME.get, names)
-                       if opt.spec_field})
+                    **{opt.spec_field: typed[opt.name] for opt in options if opt.spec_field})
     vspec = NetSpec(kind="bag", input_dim=feature_dim, n_emb=typed["n_emb"], n_hu=typed["visual_n_hu"])
-    return tspec, vspec
+    return config, tspec, vspec
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -310,8 +308,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     features = load_image_features(args.features)
     pretrained = load_word_embeddings(args.embeddings) if args.embeddings else None
     # every value is checked by the object that enforces it before anything is written
-    tspec, vspec = _net_specs(typed, vocab.size, features.feature_dim)
-    config = TrainConfig(**{opt.field: typed[opt.name] for opt in OPTIONS if opt.field})
+    config, tspec, vspec = _train_setup(typed, vocab.size, features.feature_dim)
     split = split_dataset(
         features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
     )

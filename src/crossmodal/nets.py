@@ -41,18 +41,24 @@ from .errors import ConfigError, NonFiniteGradientError
 from .text import SparseVector, TokenSequence, Vocabulary
 
 
-@dataclass
+# each kind of net and the NetSpec fields that only it reads; every kind reads input_dim and n_emb
+FIELDS_ONLY_READ_BY = {"bag": ("n_hu",), "sequence": ("word_dim", "kernel_count", "window")}
+# the one kind of textual net that reads TrainConfig.weighting; with another it holds its default
+WEIGHTING_READ_BY = "bag"
+
+
+@dataclass(frozen=True)
 class NetSpec:
-    kind: str  # "bag" | "sequence"
+    kind: str  # a key of FIELDS_ONLY_READ_BY
     input_dim: int
     n_emb: int
-    n_hu: int = 0
-    word_dim: int = 0  # sequence only; per-token embedding width
-    kernel_count: int = 0  # sequence only; convolution output width
-    window: int = 0  # sequence only; tokens per convolution position
+    n_hu: int = 0  # hidden units; 0 is linear
+    word_dim: int = 0  # per-token embedding width
+    kernel_count: int = 0  # convolution output width
+    window: int = 0  # tokens per convolution position
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bag", "sequence"):
+        if self.kind not in FIELDS_ONLY_READ_BY:
             raise ConfigError(f"unknown net kind {self.kind!r}")
         if self.input_dim < 1 or self.n_emb < 1:
             raise ConfigError("input_dim and n_emb must be positive")
@@ -60,6 +66,11 @@ class NetSpec:
             raise ConfigError("n_hu must be nonnegative")
         if self.kind == "sequence" and min(self.word_dim, self.kernel_count, self.window) < 1:
             raise ConfigError("sequence nets need word_dim, kernel_count and window >= 1")
+        for name in (name for kind, names in FIELDS_ONLY_READ_BY.items() if kind != self.kind for name in names):
+            value, default = getattr(self, name), self.__dataclass_fields__[name].default
+            if value != default:
+                raise ConfigError(f"a {self.kind} net does not read {name}, "
+                                  f"so it must be {default!r}, not {value!r}")
 
 
 class RowGrad(NamedTuple):
@@ -260,8 +271,6 @@ def forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.
 def embed_dense(net: Net, vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Embeddings of dense inputs to a bag net, one row each: ``forward``'s
     up to rounding, from stacked products over chunks of rows, with no tape."""
-    if net.spec.kind != "bag":
-        raise TypeError("embed_dense takes dense inputs to a bag net")
     out = np.empty((len(vectors), net.spec.n_emb))
     for start in range(0, len(vectors), EMBED_CHUNK_ROWS):
         x = np.array(vectors[start : start + EMBED_CHUNK_ROWS], dtype=np.float64)

@@ -36,6 +36,8 @@ class ScoreModel:
     def __post_init__(self) -> None:
         if self.textual_net.spec.n_emb != self.visual_net.spec.n_emb:
             raise ValueError("textual and visual nets must share the embedding width")
+        if self.visual_net.spec.kind != "bag":
+            raise ValueError(f"the visual net must be a bag net, not a {self.visual_net.spec.kind} net")
 
 
 @dataclass

@@ -125,6 +125,31 @@ def sequence_spec(vocab, **extra):
 
 # the spec fields that make the setup's bag visual net a sequence net
 VISUAL_SEQUENCE = {"kind": "sequence", "word_dim": 5, "kernel_count": 6, "window": 3}
+# the visual nets that train never writes, by the spec fields that change the setup's, and the
+# refusal of a checkpoint that holds one
+VISUAL_NETS_TRAIN_NEVER_WRITES = pytest.mark.parametrize(
+    "fields, message",
+    [({"word_dim": 300, "window": 7}, "ConfigError: a bag net does not read word_dim, so it must be 0, not 300"),
+     (VISUAL_SEQUENCE, "ValueError: the visual net must be a bag net, not a sequence net")],
+    ids=["word_dim_and_window_for_the_visual_net", "sequence_visual_net"],
+)
+
+
+def write_with_visual_net(path, source, fields):
+    """The checkpoint at ``source`` written to ``path`` around a visual net with ``fields``
+    changed, as ``train`` never writes it. A sequence visual net is a valid spec, so the
+    serial writer, which checks no run record, writes it with its own parameters. A bag spec
+    with a sequence net's fields cannot be built, so the header is edited and re-signed."""
+    if fields.get("kind") == "sequence":
+        ckpt = load_checkpoint(source)
+        ckpt.model.visual_net = init_net(replace(ckpt.model.visual_net.spec, **fields), 5)
+        oracle_serial_save_checkpoint(path, ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history,
+                                      ckpt.data_config)
+    else:
+        blob = Path(source).read_bytes()
+        header = read_header(blob)
+        header["visual_spec"].update(fields)
+        resign(path, blob, header=header)
 
 
 def on_a_sequence_net(mutate):
@@ -502,21 +527,16 @@ class TestFailureModes:
         with pytest.raises(CheckpointCorruptError, match="invalid header"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize(
-        "fields, message",
-        [({"word_dim": 300, "window": 7}, "a bag visual net does not read word_dim, so it must be 0, not 300"),
-         (VISUAL_SEQUENCE, "the visual net must be a bag net, not a sequence net")],
-        ids=["word_dim_and_window_for_the_visual_net", "sequence_visual_net"],
-    )
+    @VISUAL_NETS_TRAIN_NEVER_WRITES
     def test_visual_net_that_train_never_writes(self, setup, fields, message):
         """``train`` always writes a bag visual net with no sequence fields; a file written
-        otherwise (here by the unchecking serial writer) does not load."""
+        otherwise does not load."""
         images, captions, store, vocab, model, config, history, path = setup
-        model.visual_net = init_net(replace(model.visual_net.spec, **fields), 5)
-        oracle_serial_save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history)
+        write_with_visual_net(path, path, fields)
         with pytest.raises(CheckpointCorruptError) as exc:
             load_checkpoint(path)
-        assert str(exc.value) == f"{path}: invalid header (ValueError: {message})"
+        assert str(exc.value) == f"{path}: invalid header ({message})"
 
     @pytest.mark.parametrize("case", ["extra_term", "missing_term", "duplicate_term"])
     def test_header_vocabulary_follows_the_vocab_tsv_rule(self, setup, case):
@@ -583,10 +603,9 @@ class TestSave:
             (dict(best_epoch=3, epochs=0), "best_epoch 3 is not one of the 0 epochs"),
             (dict(sequence={}, weighting="tfidf"),
              "a sequence textual net does not read weighting, so it must be 'binary', not 'tfidf'"),
-            (dict(sequence={"n_hu": 6}), "a sequence textual net does not read n_hu, so it must be 0, not 6"),
-            (dict(bag={"word_dim": 300}), "a bag textual net does not read word_dim, so it must be 0, not 300"),
-            (dict(visual={"word_dim": 300, "window": 7}),
-             "a bag visual net does not read word_dim, so it must be 0, not 300"),
+            (dict(sequence={"n_hu": 6}), "a sequence net does not read n_hu, so it must be 0, not 6"),
+            (dict(bag={"word_dim": 300}), "a bag net does not read word_dim, so it must be 0, not 300"),
+            (dict(visual={"word_dim": 300, "window": 7}), "a bag net does not read word_dim, so it must be 0, not 300"),
             (dict(visual=VISUAL_SEQUENCE), "the visual net must be a bag net, not a sequence net"),
             (dict(best_epoch=True), "history best_epoch must be of type int, not True"),
             (dict(config={"margin": 1}), "train_config margin must be of type float, not 1"),
@@ -606,22 +625,24 @@ class TestSave:
     def test_run_record_that_load_refuses_is_not_saved(self, setup, record, message):
         """The rule load_checkpoint holds a header's net specs, weighting, data_config
         and best_epoch to, and the types of their fields, checked before the temp file
-        opens. ``record`` changes the setup's: ``sequence`` swaps in a sequence textual
-        net with these extra spec fields, ``bag`` sets these fields of the setup's bag
-        textual net, ``visual`` these fields of its visual net, ``config`` these train
-        config fields, ``rows`` replaces the epochs."""
+        opens; a spec with a field its kind does not read is refused as it is built, and
+        a visual net that is not a bag net as the save checks the model. ``record``
+        changes the setup's: ``sequence`` swaps in a sequence textual net with these extra
+        spec fields, ``bag`` sets these fields of the setup's bag textual net, ``visual``
+        these fields of its visual net, ``config`` these train config fields, ``rows``
+        replaces the epochs."""
         images, captions, store, vocab, model, config, history, path = setup
         epochs = [EpochStats(*row) for row in record["rows"]] if "rows" in record else history.epochs
         history = TrainHistory(epochs=epochs[:record.get("epochs", 2)],
                                best_epoch=record.get("best_epoch", history.best_epoch))
-        if "sequence" in record:
-            model.textual_net = init_net(sequence_spec(vocab, **record["sequence"]), 4)
-        if "bag" in record:
-            model.textual_net = init_net(replace(model.textual_net.spec, **record["bag"]), 4)
-        if "visual" in record:
-            model.visual_net = init_net(replace(model.visual_net.spec, **record["visual"]), 5)
         config = replace(config, weighting=record.get("weighting", config.weighting), **record.get("config", {}))
         with pytest.raises(ValueError, match=re.escape(message)):
+            if "sequence" in record:
+                model.textual_net = init_net(sequence_spec(vocab, **record["sequence"]), 4)
+            if "bag" in record:
+                model.textual_net = init_net(replace(model.textual_net.spec, **record["bag"]), 4)
+            if "visual" in record:
+                model.visual_net = init_net(replace(model.visual_net.spec, **record["visual"]), 5)
             save_checkpoint(path, model, vocab, config, history, record.get("data_config"))
         assert os.listdir(os.path.dirname(path)) == []
 

@@ -10,7 +10,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,10 +20,9 @@ from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from crossmodal.cli import main
 from crossmodal.corpus import load_captions, load_image_features, split_dataset
-from crossmodal.nets import init_net
+from crossmodal.nets import FIELDS_ONLY_READ_BY, WEIGHTING_READ_BY
 
-from oracles import oracle_serial_save_checkpoint
-from test_checkpoint import VISUAL_SEQUENCE, read_header, resign
+from test_checkpoint import VISUAL_NETS_TRAIN_NEVER_WRITES, read_header, resign, write_with_visual_net
 
 
 def cli_process(*argv, **popen) -> subprocess.Popen:
@@ -134,6 +132,25 @@ def train_args(corpus, prepped, out, *extra):
     ]
 
 
+# a value other than the default of each option that only one textual net reads, as the suite
+# trains with it; an option missing here is tried at its next choice or its default plus one
+OTHER_NET_VALUES = {"n_hu": "6", "weighting": "tfidf", "word_dim": "8", "kernels": "12", "window": "3"}
+
+
+def options_of_another_textual_net():
+    """(--textual value, option, a value other than its default) for each option that only
+    a kind of textual net other than the --textual value's reads: by NetSpec's table for the
+    option's spec_field, and by the weighting rule for the weighting."""
+    for textual in cli.OPTION_BY_NAME["textual"].choices:
+        kind = cli.TEXTUAL_NETS[textual][0]
+        for opt in cli.OPTIONS:
+            readers = {k for k, names in FIELDS_ONLY_READ_BY.items() if opt.spec_field in names}
+            readers |= {WEIGHTING_READ_BY} if opt.field == "weighting" else set()
+            if readers and kind not in readers:
+                yield textual, opt.name, OTHER_NET_VALUES.get(opt.name) or next(
+                    (c for c in opt.choices if c != opt.default), str(opt.default + 1))
+
+
 @pytest.fixture
 def trained(tmp_path, corpus, prepped, capsys):
     out = tmp_path / "run"
@@ -234,6 +251,24 @@ class TestSynthAndPreprocess:
         err = assert_one_error_line(capsys, "FileNotFoundError", out, "preprocess",
                                     "--captions", str(tmp_path / "nope.tsv"), "--out", str(out))
         assert "nope.tsv" in err
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", [None, *cli.build_parser()._subparsers._group_actions[0].choices])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith(f"usage: crossmodal {command or ''}".rstrip())
+
+    def test_train_help_lists_every_option_with_its_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it, on one line
+        for opt in cli.OPTIONS:
+            assert f"{opt.flag} " in text
+            assert f"{opt.help} (default {opt.default})" in text
 
 
 # T2I with a sequence net of 8-d word vectors and a visual net with a hidden layer
@@ -549,10 +584,7 @@ class TestTrain:
         assert (out / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config", "missing_features"])
-    @pytest.mark.parametrize("textual, option, value", [
-        ("sse", "n_hu", "6"), ("sse", "weighting", "tfidf"),
-        ("bag", "word_dim", "8"), ("bag", "kernels", "12"), ("bag", "window", "3"),
-    ])
+    @pytest.mark.parametrize("textual, option, value", options_of_another_textual_net())
     def test_option_of_the_other_textual_net_refused(self, tmp_path, corpus, prepped, capsys,
                                                      textual, option, value, source):
         """An option the chosen textual net does not use would change nothing
@@ -570,7 +602,8 @@ class TestTrain:
         if source == "missing_features":
             args[args.index("--features") + 1] = str(tmp_path / "missing.txt")
         err = assert_one_error_line(capsys, "ConfigError", out, *args)
-        assert flag in err
+        assert err.startswith(f"error ConfigError: {flag} applies to --textual ")
+        assert err.endswith(f", not to --textual {textual}\n")
 
     def test_default_of_the_other_textual_net_accepted(self, tmp_path, corpus, prepped, capsys):
         for textual, extra in (("sse", ("--word-dim", "6", "--kernels", "6", "--window", "3",
@@ -748,24 +781,16 @@ class TestEvaluate:
             "--out", str(out),
         )
         assert err == (f"error CheckpointCorruptError: {ckpt}: invalid header "
-                       "(ValueError: a bag textual net does not read word_dim, so it must be 0, not 300)\n")
+                       "(ConfigError: a bag net does not read word_dim, so it must be 0, not 300)\n")
 
-    @pytest.mark.parametrize(
-        "fields, message",
-        [({"word_dim": 300, "window": 7}, "a bag visual net does not read word_dim, so it must be 0, not 300"),
-         (VISUAL_SEQUENCE, "the visual net must be a bag net, not a sequence net")],
-        ids=["word_dim_and_window_for_the_visual_net", "sequence_visual_net"],
-    )
+    @VISUAL_NETS_TRAIN_NEVER_WRITES
     def test_visual_net_that_train_never_writes_refused(self, tmp_path, corpus, trained, capsys, fields,
                                                         message):
-        """The trained checkpoint rewritten, with no run-record check, around a visual
-        net that ``train`` never writes. A sequence visual net used to load and end
-        ``evaluate`` and ``query`` in a TypeError traceback."""
-        ckpt = load_checkpoint(str(trained / "checkpoint.bin"))
-        ckpt.model.visual_net = init_net(replace(ckpt.model.visual_net.spec, **fields), 5)
+        """The trained checkpoint rewritten around a visual net that ``train`` never
+        writes. A sequence visual net used to load and end ``evaluate`` and ``query`` in
+        a TypeError traceback."""
         path = tmp_path / "visual.bin"
-        oracle_serial_save_checkpoint(str(path), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history,
-                                      ckpt.data_config)
+        write_with_visual_net(str(path), str(trained / "checkpoint.bin"), fields)
         out = tmp_path / "eval"
         for argv in (
             ["evaluate", "--captions", str(corpus / "captions.tsv"), "--out", str(out)],
@@ -773,7 +798,7 @@ class TestEvaluate:
         ):
             err = assert_one_error_line(capsys, "CheckpointCorruptError", out, *argv, "--checkpoint", str(path),
                                         "--features", str(corpus / "features.txt"))
-            assert err == f"error CheckpointCorruptError: {path}: invalid header (ValueError: {message})\n"
+            assert err == f"error CheckpointCorruptError: {path}: invalid header ({message})\n"
 
     def test_header_with_swapped_vocabulary_terms_refused(self, tmp_path, corpus, prepped, trained,
                                                           capsys):

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from crossmodal.corpus import PretrainedEmbeddings
-from crossmodal.errors import NonFiniteGradientError
+from crossmodal.errors import ConfigError, NonFiniteGradientError
 import crossmodal.nets as nets_mod
 from crossmodal.nets import (
+    FIELDS_ONLY_READ_BY,
     Net,
     NetSpec,
     OuterGrad,
@@ -78,6 +81,29 @@ def away_from_relu_kinks(net, x, margin=1e-3):
             if np.any(np.abs(pre) < margin):
                 return False
     return True
+
+
+class TestNetSpec:
+    """Driven by NetSpec's table of the fields that only one kind of net reads."""
+
+    @pytest.mark.parametrize("kind, name", [(kind, name) for kind in FIELDS_ONLY_READ_BY
+                                            for other, names in FIELDS_ONLY_READ_BY.items() if other != kind
+                                            for name in names])
+    def test_field_of_another_kind_refused(self, kind, name):
+        own = dict.fromkeys(FIELDS_ONLY_READ_BY[kind], 3)
+        default = NetSpec.__dataclass_fields__[name].default
+        with pytest.raises(ConfigError) as exc:
+            NetSpec(kind, 4, 2, **own, **{name: default + 3})
+        assert str(exc.value) == f"a {kind} net does not read {name}, so it must be {default!r}, not {default + 3!r}"
+        assert NetSpec(kind, 4, 2, **own, **{name: default}) == NetSpec(kind, 4, 2, **own)
+
+    @pytest.mark.parametrize("kind", FIELDS_ONLY_READ_BY)
+    def test_own_fields_accepted(self, kind):
+        own = dict.fromkeys(FIELDS_ONLY_READ_BY[kind], 3)
+        spec = NetSpec(kind, 4, 2, **own)
+        assert {name: getattr(spec, name) for name in own} == own
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.n_emb = 5
 
 
 class TestInitNet:

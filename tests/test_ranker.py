@@ -782,3 +782,10 @@ class TestTrainConfig:
                 textual_net=init_net(NetSpec("bag", 4, 8), 0),
                 visual_net=init_net(NetSpec("bag", 4, 6), 0),
             )
+
+    def test_score_model_requires_a_bag_visual_net(self):
+        sequence = init_net(NetSpec("sequence", 4, 6, word_dim=3, kernel_count=2, window=2), 0)
+        ScoreModel(textual_net=sequence, visual_net=init_net(NetSpec("bag", 4, 6), 1))
+        with pytest.raises(ValueError) as exc:
+            ScoreModel(textual_net=init_net(NetSpec("bag", 4, 6), 1), visual_net=sequence)
+        assert str(exc.value) == "the visual net must be a bag net, not a sequence net"
