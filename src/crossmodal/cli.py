@@ -83,6 +83,7 @@ def _train_option(name: str, field_name: str, type_, help: str, choices: tuple =
                   choices, help, field_name)
 
 
+TEXTUAL_KIND_BY_VALUE = {"bag": "bag", "sse": "sequence"}  # each --textual value: its NetSpec kind
 # defaults mirror the best-validated hyperparameters; lr decays linearly to
 # a 0.01 factor over 100 epochs and stays there
 OPTIONS = (
@@ -97,7 +98,7 @@ OPTIONS = (
     Option("n_hu", int, 0, help="hidden units of the bag textual net; 0 is linear", spec_field="n_hu"),
     Option("n_emb", int, 300, help="width of the shared embedding space"),
     Option("visual_n_hu", int, 0, help="hidden units of the visual net; 0 is linear"),
-    Option("textual", str, "bag", ("bag", "sse"), "textual net: bag of terms or sequence"),
+    Option("textual", str, "bag", tuple(TEXTUAL_KIND_BY_VALUE), "textual net: bag of terms or sequence"),
     Option("word_dim", int, 300, help="sse word vector width", spec_field="word_dim"),
     Option("kernels", int, 300, help="sse convolution kernels", spec_field="kernel_count"),
     Option("window", int, 5, help="sse convolution window, in tokens", spec_field="window"),
@@ -111,7 +112,7 @@ OPTION_DEFAULTS = {opt.name: opt.default for opt in OPTIONS}
 # each --textual value: its NetSpec kind and the options only its net reads, by NetSpec's table
 TEXTUAL_NETS = {textual: (kind, tuple(opt for opt in OPTIONS if opt.spec_field in FIELDS_ONLY_READ_BY[kind]
                                       or opt.field == "weighting" and kind == WEIGHTING_READ_BY))
-                for textual, kind in (("bag", "bag"), ("sse", "sequence"))}
+                for textual, kind in TEXTUAL_KIND_BY_VALUE.items()}
 
 
 def parse_config_file(path: str) -> dict[str, Any]:

@@ -10,21 +10,21 @@ Everything runs in float64; gradients are exact, which the finite-difference
 test suite relies on. The convolution is linear, so the sequence net
 averages its windows first and convolves the one mean window.
 
-First-layer gradients are never dense. A caption touches only the ``w0``
-rows (bag) or ``lookup`` rows (sequence) of its terms, so ``backward``
-returns that gradient as a ``RowGrad`` of those rows, and ``sgd_step``
-updates only them. A dense input's ``w0`` gradient, and the sequence net's
-``conv_w`` gradient, is an outer product, so ``backward`` returns its
-factors as an ``OuterGrad``. ``sgd_step`` checks finiteness on the factors
-and then defers the step: it appends the factors and the learning rate to
-the layer's ``Pending`` terms, and ``forward`` computes
-``x @ w - ((x @ lefts.T) * lrs) @ rights``. Every ``FOLD_TERMS`` terms the
-pending terms are folded into the weights by one row-blocked product; a
-fold of one step's terms runs the dense update's operations, in its order.
-``fold_pending`` folds them on demand, before anything reads ``params``
-directly: ``clone_net``, ``save_checkpoint`` and the end of training. Every
-other gradient is a dense array of its parameter's shape and is applied at
-once.
+No weight-matrix gradient is dense. A caption touches only the ``w0`` rows
+(bag) or ``lookup`` rows (sequence) of its terms, so ``backward`` returns
+that gradient as a ``RowGrad`` of those rows, and ``sgd_step`` updates only
+them. Every other weight gradient is an outer product, so ``backward``
+returns its factors as an ``OuterGrad``, and ``sgd_step`` checks finiteness
+on the factors. It steps ``w1`` and ``out_w`` at once with the dense step's
+operations, in its order, so with its bits. ``DEFERRED_LAYERS``, a dense
+input's ``w0`` and ``conv_w``, defer the step: ``sgd_step`` appends the
+factors and the learning rate to the layer's ``Pending`` terms, and
+``forward`` computes ``x @ w - ((x @ lefts.T) * lrs) @ rights``. Every
+``FOLD_TERMS`` terms these are folded into the weights by one row-blocked
+product; a fold of one step's terms is a dense step. ``fold_pending`` folds
+them on demand, before anything reads ``params`` directly: ``clone_net``,
+``save_checkpoint`` and the end of training. Bias gradients are dense
+arrays, applied at once.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ class RowGrad(NamedTuple):
 
 
 class OuterGrad(NamedTuple):
-    """Gradient of a layer whose input is one dense vector per pass (a dense
-    first layer, the sequence net's convolution): sum_i outer(lefts[i], rights[i]).
+    """Gradient of a weight matrix whose input is one dense vector per pass
+    (all but a sparse ``w0`` and ``lookup``): sum_i outer(lefts[i], rights[i]).
 
-    Never materialized whole; ``sgd_step`` defers it as pending terms.
+    Never materialized whole; ``sgd_step`` defers it on ``DEFERRED_LAYERS``.
     Being a tuple, ``+`` concatenates fields wrongly: sum with ``accumulate``.
     """
 
@@ -102,6 +102,8 @@ Grads = dict[str, np.ndarray | RowGrad | OuterGrad]
 OUTER_BLOCK_ROWS = 256
 # pending terms that trigger a fold: a 4096 x 300 layer holds 1 MB of them
 FOLD_TERMS = 32
+# layers whose OuterGrad steps are deferred; w1 and out_w step at once, as deferring rounds differently
+DEFERRED_LAYERS = ("w0", "conv_w")
 # image rows stacked at once by ``embed_dense``: 32 x 4096 float64 is 1 MB
 EMBED_CHUNK_ROWS = 32
 
@@ -285,8 +287,8 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
 
     The first layer's gradient is a ``RowGrad`` over the input's rows for
     sparse vectors and token sequences, an ``OuterGrad`` for dense vectors;
-    ``conv_w``'s is an ``OuterGrad`` of the mean window. The relu
-    subgradient at 0 is taken as 0.
+    every other weight's is an ``OuterGrad`` of its layer's input (the mean
+    window for ``conv_w``). The relu subgradient at 0 is taken as 0.
     """
     if tape.used:
         raise RuntimeError("tape already consumed by a previous backward pass")
@@ -299,7 +301,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
     if spec.kind == "bag":
         if spec.n_hu > 0:
             a = tape.data["a"]
-            grads["w1"] = np.outer(a, g)
+            grads["w1"] = OuterGrad((a,), (g,))
             grads["b1"] = g.copy()
             dh0 = (p["w1"] @ g) * (tape.data["h0"] > 0)
         else:
@@ -311,7 +313,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
         else:
             grads["w0"] = OuterGrad((x,), (dh0,))
         return grads
-    grads["out_w"] = np.outer(tape.data["r"], g)
+    grads["out_w"] = OuterGrad((tape.data["r"],), (g,))
     grads["out_b"] = g.copy()
     dr = p["out_w"] @ g
     davg = dr * (tape.data["avg"] > 0)
@@ -372,14 +374,14 @@ def _check_outer(name: str, grad: OuterGrad, shape: tuple[int, ...]) -> None:
 def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:
     """In-place p <- p - lr * g for each net and its gradients (``grads[i]``
     belongs to ``nets[i]``); a ``RowGrad`` changes only its rows, and an
-    ``OuterGrad`` is appended to its layer's pending terms.
+    ``OuterGrad`` of ``DEFERRED_LAYERS`` is appended to pending terms.
 
-    Every gradient is checked (known parameter, shape, rows in range,
-    finite) before any parameter changes, so a refused step leaves every net
-    and its pending terms as they were.
+    ``lr`` and every gradient are checked (known parameter, shape, rows in
+    range, finite) before any parameter changes, so a refused step leaves
+    every net and its pending terms as they were.
     """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
     for net, net_grads in zip(nets, grads, strict=True):
         for name, grad in net_grads.items():
             if name not in net.params:
@@ -403,10 +405,19 @@ def sgd_step(nets: Sequence[Net], grads: Sequence[Grads], lr: float) -> None:
         for name, grad in net_grads.items():
             if isinstance(grad, RowGrad):
                 net.params[name][grad.rows] -= lr * grad.values
-            elif isinstance(grad, OuterGrad):
+            elif isinstance(grad, OuterGrad) and name in DEFERRED_LAYERS:
                 _defer(net, name, grad, lr)
+            elif isinstance(grad, OuterGrad):
+                _step_outer(net.params[name], grad, lr)
             else:
                 net.params[name] -= lr * grad
+
+
+def _step_outer(param: np.ndarray, grad: OuterGrad, lr: float) -> None:
+    """``param -= lr * (sum of grad's terms)`` by the dense step's operations, in its order."""
+    for rows, step in _outer_blocks(grad, param.shape):
+        np.multiply(lr, step, out=step)
+        np.subtract(param[rows], step, out=param[rows])
 
 
 def _defer(net: Net, name: str, grad: OuterGrad, lr: float) -> None:
@@ -433,11 +444,8 @@ def fold_pending(net: Net) -> None:
         if not n:
             continue
         param, lefts, rights = net.params[name], pending.lefts[:n], pending.rights[:n]
-        if pending.steps == 1:
-            # one step's terms: the dense update's operations, in its order
-            for rows, step in _outer_blocks(OuterGrad(tuple(lefts), tuple(rights)), param.shape):
-                np.multiply(pending.lrs[0], step, out=step)
-                np.subtract(param[rows], step, out=param[rows])
+        if pending.steps == 1:  # one step's terms: a dense step
+            _step_outer(param, OuterGrad(tuple(lefts), tuple(rights)), pending.lrs[0])
         else:
             scaled = pending.lrs[:n, None] * rights
             for start in range(0, param.shape[0], OUTER_BLOCK_ROWS):
@@ -459,7 +467,7 @@ def accumulate(total: Grads, grads: Grads) -> Grads:
     Two ``RowGrad``s sum over the union of their rows: the first is added,
     then the second, which is the order of the dense sum. Two ``OuterGrad``s
     concatenate their factors, first then second, which ``sgd_step`` sums in
-    that order.
+    that order: a ``w1`` or ``out_w`` step gets a dense sum's and step's bits.
     """
     for name, grad in grads.items():
         if name not in total:

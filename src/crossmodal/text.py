@@ -16,6 +16,7 @@ from .errors import ConfigError, VocabularyError
 
 MODES = ("unigram", "bigram", "trigram", "trigram_skip")
 WEIGHTINGS = ("binary", "tfidf")
+TEXTUAL_KINDS = ("bag", "sequence")  # the kinds of textual net that encode_caption encodes for
 ARTICLES = frozenset({"a", "an", "the"})
 
 # alphanumeric runs; underscore is a separator so it can join n-gram parts
@@ -168,7 +169,7 @@ def encode_caption(text: str, vocab: Vocabulary, kind: str, weighting: str) -> E
     """Tokenize a caption's text and encode it for a ``bag`` or ``sequence``
     textual net, or None when no term of it is in the vocabulary: the one
     place that turns a caption into an input and decides it cannot be scored."""
-    if kind not in ("bag", "sequence"):
+    if kind not in TEXTUAL_KINDS:
         raise ValueError(f"unknown textual kind {kind!r}")
     tokens = normalize_tokenize(text)
     enc = encode_sequence(tokens, vocab) if kind == "sequence" else featurize(tokens, vocab, weighting)

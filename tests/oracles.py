@@ -10,7 +10,9 @@ replaced, the dense-gradient forward/backward/update the row-sparse
 first-layer gradients replaced (its sequence net averages the windows first,
 as the library's does), and the hand-built parameter dicts and in-memory
 checkpoint writer that ``nets.param_shapes`` and the streamed save replaced,
-the serial streamed writer (write a chunk, then take its CRC) that the
+the dense ``w1`` and ``out_w`` gradients and the step that took them, which
+their factored gradients and in-place steps replaced (kept verbatim), the
+serial streamed writer (write a chunk, then take its CRC) that the
 preallocated save with its CRC worker thread replaced, the row-by-row
 vector parser that the blocked ``np.loadtxt`` reader replaced, the
 embeddings loader whose first row set ``dim`` inside that
@@ -40,8 +42,8 @@ from crossmodal.corpus import PretrainedEmbeddings, atomic_write, text_lines
 from crossmodal.errors import CorpusFormatError, NonFiniteGradientError, VocabularyError, ZeroNormError
 from crossmodal.metrics import RankingSet, caption_id
 from crossmodal.nets import (
-    Net, NetSpec, OuterGrad, RowGrad, Tape, _glorot, _outer_blocks, accumulate, backward, fold_pending, forward,
-    lr_schedule, param_shapes, relu, sgd_step,
+    Grads, Net, NetSpec, OuterGrad, RowGrad, Tape, _check_outer, _defer, _glorot, _outer_blocks, _times_transposed,
+    accumulate, backward, fold_pending, forward, lr_schedule, param_shapes, relu, sgd_step,
 )
 from crossmodal.ranker import (
     METHODOLOGIES,
@@ -76,8 +78,10 @@ def densify(param, grad):
     return dense
 
 
-def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, methodology, margin):
-    """Hand-mirrored I2T and T2I branches; same contract as ranker.triplet_grads."""
+def oracle_triplet_grads(model, pos_image_vec, pos_enc, neg_image_vec, neg_enc, methodology, margin,
+                         backward=backward):
+    """Hand-mirrored I2T and T2I branches; same contract as ranker.triplet_grads.
+    ``backward`` is ``nets.backward`` or an oracle of it."""
     if methodology == "I2T":
         v_img, tape_img = forward(model.visual_net, pos_image_vec)
         v_pos, tape_pos = forward(model.textual_net, pos_enc)
@@ -347,6 +351,105 @@ def oracle_eager_sgd_step(nets, grads, lr: float) -> None:
                     np.subtract(param[rows], step, out=param[rows])
             else:
                 param -= lr * grad
+
+
+def oracle_dense_matrix_backward(tape: Tape, grad_out: np.ndarray) -> Grads:
+    """``nets.backward`` before the ``w1`` and ``out_w`` gradients were factored,
+    when those two were dense ``np.outer`` arrays. Its docstring then:
+
+    Exact gradients of embedding . grad_out w.r.t. all parameters.
+
+    The first layer's gradient is a ``RowGrad`` over the input's rows for
+    sparse vectors and token sequences, an ``OuterGrad`` for dense vectors;
+    ``conv_w``'s is an ``OuterGrad`` of the mean window. The relu
+    subgradient at 0 is taken as 0.
+    """
+    if tape.used:
+        raise RuntimeError("tape already consumed by a previous backward pass")
+    tape.used = True
+    net = tape.net
+    spec = net.spec
+    p = net.params
+    g = np.asarray(grad_out, dtype=np.float64)
+    grads: Grads = {}
+    if spec.kind == "bag":
+        if spec.n_hu > 0:
+            a = tape.data["a"]
+            grads["w1"] = np.outer(a, g)
+            grads["b1"] = g.copy()
+            dh0 = (p["w1"] @ g) * (tape.data["h0"] > 0)
+        else:
+            dh0 = g.copy()
+        grads["b0"] = dh0
+        x = tape.data["input"]
+        if isinstance(x, SparseVector):
+            grads["w0"] = RowGrad(x.indices, np.outer(x.values, dh0))
+        else:
+            grads["w0"] = OuterGrad((x,), (dh0,))
+        return grads
+    grads["out_w"] = np.outer(tape.data["r"], g)
+    grads["out_b"] = g.copy()
+    dr = p["out_w"] @ g
+    davg = dr * (tape.data["avg"] > 0)
+    grads["conv_w"] = OuterGrad((tape.data["mean_window"],), (davg,))
+    grads["conv_b"] = davg.copy()
+    # every window enters the mean with weight 1/P, so all get this gradient
+    dwindow = _times_transposed(net, "conv_w", davg / tape.data["n_pos"])
+    tokens = tape.data["tokens"]
+    m = spec.word_dim
+    rows, slot = np.unique(tokens, return_inverse=True)
+    # padded positions add into a scratch row past the last, dropped below
+    slot = np.pad(slot, (0, max(spec.window - len(tokens), 0)), constant_values=len(rows))
+    # contributions in (position, offset) order: each row gets the same
+    # additions in the same order as a per-position loop
+    values = np.zeros((len(rows) + 1, m))
+    np.add.at(values, sliding_window_view(slot, spec.window), dwindow.reshape(spec.window, m))
+    grads["lookup"] = RowGrad(rows, values[:-1])
+    return grads
+
+
+def oracle_dense_matrix_sgd_step(nets, grads, lr: float) -> None:
+    """``nets.sgd_step`` before the ``w1`` and ``out_w`` gradients were factored,
+    when a dense gradient was scanned for finiteness and applied as ``p -= lr * g``,
+    and every ``OuterGrad`` was deferred. Its docstring then:
+
+    In-place p <- p - lr * g for each net and its gradients (``grads[i]``
+    belongs to ``nets[i]``); a ``RowGrad`` changes only its rows, and an
+    ``OuterGrad`` is appended to its layer's pending terms.
+
+    Every gradient is checked (known parameter, shape, rows in range,
+    finite) before any parameter changes, so a refused step leaves every net
+    and its pending terms as they were.
+    """
+    if lr <= 0:
+        raise ValueError(f"learning rate must be positive, got {lr}")
+    for net, net_grads in zip(nets, grads, strict=True):
+        for name, grad in net_grads.items():
+            if name not in net.params:
+                raise KeyError(f"gradient for unknown parameter {name!r}")
+            shape = net.params[name].shape
+            if isinstance(grad, OuterGrad):
+                _check_outer(name, grad, shape)
+                continue
+            values = grad
+            if isinstance(grad, RowGrad):
+                rows, values = grad
+                increasing = rows.ndim == 1 and bool(np.all(np.diff(rows) > 0))
+                if not increasing or (len(rows) and (rows[0] < 0 or rows[-1] >= shape[0])):
+                    raise ValueError(f"gradient rows for {name!r} out of range or not increasing")
+                shape = (len(rows),) + shape[1:]
+            if values.shape != shape:
+                raise ValueError(f"gradient shape mismatch for {name!r}")
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
+    for net, net_grads in zip(nets, grads):
+        for name, grad in net_grads.items():
+            if isinstance(grad, RowGrad):
+                net.params[name][grad.rows] -= lr * grad.values
+            elif isinstance(grad, OuterGrad):
+                _defer(net, name, grad, lr)
+            else:
+                net.params[name] -= lr * grad
 
 
 def oracle_window_forward(net: Net, x: TokenSequence) -> tuple[np.ndarray, Tape]:

@@ -21,6 +21,7 @@ from crossmodal.checkpoint import load_checkpoint, read_checkpoint, save_checkpo
 from crossmodal.cli import main
 from crossmodal.corpus import load_captions, load_image_features, split_dataset
 from crossmodal.nets import FIELDS_ONLY_READ_BY, WEIGHTING_READ_BY
+from crossmodal.text import TEXTUAL_KINDS
 
 from test_checkpoint import VISUAL_NETS_TRAIN_NEVER_WRITES, read_header, resign, write_with_visual_net
 
@@ -269,6 +270,16 @@ class TestHelp:
         for opt in cli.OPTIONS:
             assert f"{opt.flag} " in text
             assert f"{opt.help} (default {opt.default})" in text
+
+
+class TestTextualKinds:
+    def test_one_list_of_textual_kinds(self):
+        """The --textual values map one to one onto the kinds of net that NetSpec's table
+        knows and that ``encode_caption`` encodes for; the option offers those values."""
+        kinds = list(cli.TEXTUAL_KIND_BY_VALUE.values())
+        assert sorted(kinds) == sorted(set(kinds)) == sorted(TEXTUAL_KINDS) == sorted(FIELDS_ONLY_READ_BY)
+        assert cli.OPTION_BY_NAME["textual"].choices == tuple(cli.TEXTUAL_NETS) == tuple(cli.TEXTUAL_KIND_BY_VALUE)
+        assert [kind for kind, _ in cli.TEXTUAL_NETS.values()] == kinds
 
 
 # T2I with a sequence net of 8-d word vectors and a visual net with a hidden layer

@@ -27,6 +27,7 @@ from crossmodal.text import SparseVector, TokenSequence, Vocabulary
 from oracles import (
     densify,
     oracle_dense_accumulate,
+    oracle_dense_matrix_backward,
     oracle_dense_sgd_step,
     oracle_eager_sgd_step,
     oracle_embed_loop,
@@ -272,6 +273,27 @@ class TestBackward:
         np.testing.assert_array_equal(w0[6], -2.0 * g)
         np.testing.assert_array_equal(grads["b0"], g)
 
+    @pytest.mark.parametrize("spec", [
+        NetSpec(kind="bag", input_dim=8, n_emb=6),
+        NetSpec(kind="bag", input_dim=8, n_emb=6, n_hu=5),
+        NetSpec(kind="sequence", input_dim=8, n_emb=6, word_dim=4, kernel_count=5, window=3),
+    ], ids=["bag-linear", "bag-hidden", "sequence"])
+    def test_no_dense_weight_matrix_gradient(self, spec):
+        """Only biases get dense arrays; ``w1`` and ``out_w`` factor into the
+        dense gradients they replaced, bit for bit."""
+        rng = np.random.default_rng(23)
+        for _ in range(8):  # sparse and dense inputs to the bag nets
+            net = init_net(spec, seed=int(rng.integers(0, 10_000)))
+            x, g = random_input(spec, rng), rng.normal(size=spec.n_emb)
+            got = backward(forward(net, x)[1], g)
+            want = oracle_dense_matrix_backward(forward(net, x)[1], g)
+            assert list(got) == list(want)
+            for name, grad in got.items():
+                assert isinstance(grad, (RowGrad, OuterGrad)) or grad.ndim == 1, name
+                assert densify(net.params[name], grad).tobytes() == densify(net.params[name], want[name]).tobytes()
+            for name in {"w1", "out_w"} & set(got):
+                assert len(got[name].lefts) == 1
+
     def test_tape_single_use(self):
         net = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=0)
         _, tape = forward(net, sparse([0], [1.0]))
@@ -304,8 +326,11 @@ class TestSgdAndSchedule:
 
     def test_nonpositive_lr_rejected(self):
         net = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=1)
-        with pytest.raises(ValueError):
-            sgd_step([net], [{"b0": np.zeros(2)}], lr=0.0)
+        before = {k: v.tobytes() for k, v in net.params.items()}
+        for lr in (0.0, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+                sgd_step([net], [{"b0": np.ones(2)}], lr=lr)
+            assert {k: v.tobytes() for k, v in net.params.items()} == before
 
     def test_row_grad_updates_only_its_rows(self):
         net = init_net(NetSpec(kind="bag", input_dim=6, n_emb=3), seed=1)

@@ -12,7 +12,7 @@ import crossmodal.ranker as ranker_mod
 from crossmodal.checkpoint import load_checkpoint, save_checkpoint
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
 from crossmodal.errors import ConfigError, NonFiniteGradientError, ZeroNormError
-from crossmodal.nets import NetSpec, clone_net, init_net
+from crossmodal.nets import NetSpec, OuterGrad, clone_net, init_net, sgd_step
 from crossmodal.ranker import (
     EpochStats,
     RetrievalDataset,
@@ -34,6 +34,8 @@ from oracles import (
     densify,
     oracle_dense_accumulate,
     oracle_dense_backward,
+    oracle_dense_matrix_backward,
+    oracle_dense_matrix_sgd_step,
     oracle_dense_sgd_step,
     oracle_loop_forward,
     oracle_sample_negative,
@@ -527,6 +529,106 @@ class TestRowSparseTraining:
                 assert list(got) == list(want)
                 for name in want:
                     assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def net_states(model):
+    """Both nets' parameter bytes and pending terms."""
+    return [({name: param.tobytes() for name, param in net.params.items()},
+             {name: (p.n, p.steps, p.lefts[: p.n].tobytes(), p.rights[: p.n].tobytes(), p.lrs[: p.n].tobytes())
+              for name, p in net.pending.items()})
+            for net in (model.textual_net, model.visual_net)]
+
+
+class TestFactoredMatrixSteps:
+    """``w1`` and ``out_w`` gradients come as factors and are stepped at once;
+    every step is bit-identical to the dense gradients and the step that took
+    them, and a refused step moves nothing."""
+
+    # 300 rows of w1 and out_w: a full row block and a partial one
+    TEXTUAL_SPECS = {
+        "bag_hidden": NetSpec("bag", input_dim=9, n_emb=6, n_hu=300),
+        "sequence": NetSpec("sequence", input_dim=9, n_emb=6, word_dim=4, kernel_count=300, window=3),
+    }
+    VISUAL_SPEC = NetSpec("bag", input_dim=7, n_emb=6, n_hu=300)
+    MATRIX = {"bag": "w1", "sequence": "out_w"}
+
+    def triplets(self, tspec, seed):
+        """Endless (pos, neg, margin, lr) draws of (image vector, caption encoding) pairs."""
+        rng = np.random.default_rng(seed)
+
+        def encoding():
+            if tspec.kind == "sequence":
+                return TokenSequence(rng.integers(0, 9, size=int(rng.integers(1, 7))))
+            idx = np.sort(rng.choice(9, size=int(rng.integers(1, 10)), replace=False))
+            return SparseVector(idx.astype(np.int64), rng.normal(size=len(idx)))
+
+        while True:
+            pos, neg = (rng.normal(size=7), encoding()), (rng.normal(size=7), encoding())
+            yield pos, neg, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.01, 0.1))
+
+    def train_pair(self, textual, methodology, n_steps):
+        """The model ``n_steps`` violated triplets trained, twice: by the library, and
+        by the dense ``w1``/``out_w`` oracles; checks they agree after every step."""
+        tspec = self.TEXTUAL_SPECS[textual]
+        got, want = (ScoreModel(init_net(tspec, 3), init_net(self.VISUAL_SPEC, 4)) for _ in range(2))
+        triplets = self.triplets(tspec, seed=5)
+        steps = 0
+        while steps < n_steps:
+            pos, neg, margin, lr = next(triplets)
+            result = triplet_grads(got, pos, neg, methodology, margin)
+            if result[3] is None:
+                continue
+            want_result = oracle_triplet_grads(want, *pos, *neg, methodology, margin,
+                                               backward=oracle_dense_matrix_backward)
+            assert result[:3] == want_result[:3]
+            # the candidate net sums two branches, the anchor net's backward is one
+            for net, grads, candidate in zip((got.textual_net, got.visual_net), result[3:],
+                                             (methodology == "I2T", methodology == "T2I")):
+                matrix = self.MATRIX[net.spec.kind]
+                assert isinstance(grads[matrix], OuterGrad) and len(grads[matrix].lefts) == 1 + candidate
+            sgd_step((got.textual_net, got.visual_net), result[3:], lr)
+            oracle_dense_matrix_sgd_step((want.textual_net, want.visual_net), want_result[3:], lr)
+            assert net_states(got) == net_states(want)
+            steps += 1
+        return got, want, triplets
+
+    @pytest.mark.parametrize("textual", sorted(TEXTUAL_SPECS))
+    @pytest.mark.parametrize("methodology", ["I2T", "T2I"])
+    def test_bit_identical_to_dense_matrix_oracle(self, methodology, textual):
+        # 40 steps of one or two visual w0 terms: folds, and terms left pending
+        got, want, _ = self.train_pair(textual, methodology, n_steps=40)
+        assert any(p.n for p in got.visual_net.pending.values())
+        for model in (got, want):
+            for net in (model.textual_net, model.visual_net):
+                nets_mod.fold_pending(net)
+        assert net_states(got) == net_states(want)
+        tspec = self.TEXTUAL_SPECS[textual]
+        matrix = self.MATRIX[tspec.kind]
+        assert got.textual_net.params[matrix].tobytes() != init_net(tspec, 3).params[matrix].tobytes()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+    @pytest.mark.parametrize("textual, side", [("bag_hidden", 0), ("bag_hidden", 1), ("sequence", 0)],
+                             ids=["textual_w1", "visual_w1", "textual_out_w"])
+    def test_non_finite_matrix_factor_moves_nothing(self, textual, side, bad):
+        got, _, triplets = self.train_pair(textual, "I2T", n_steps=5)
+        assert any(p.n for net in (got.textual_net, got.visual_net) for p in net.pending.values())
+        while (result := triplet_grads(got, *next(triplets)[:2], "I2T", 1.5))[3] is None:
+            pass
+        grads = list(result[3:])
+        matrix = self.MATRIX[(got.textual_net, got.visual_net)[side].spec.kind]
+        (left, *lefts), rights = grads[side][matrix]
+        if bad == "nan":
+            left = left.copy()
+            left[1] = np.nan
+        elif bad == "inf":
+            rights = (np.full_like(rights[0], np.inf), *rights[1:])
+        else:  # finite factors whose product overflows
+            left, rights = left * 1e200, tuple(right * 1e200 for right in rights)
+        grads[side] = {**grads[side], matrix: OuterGrad((left, *lefts), rights)}
+        before = net_states(got)
+        with pytest.raises(NonFiniteGradientError, match=f"'{matrix}'"):
+            sgd_step((got.textual_net, got.visual_net), grads, lr=0.05)
+        assert net_states(got) == before
 
 
 class TestValidate:
