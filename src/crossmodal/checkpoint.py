@@ -31,7 +31,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -81,9 +81,10 @@ def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
     rows = ((i, term, i, count) for i, (term, count) in enumerate(blob["terms"]))
     vocab = vocabulary_from_rows("vocabulary", "vocabulary term {}".format, blob["mode"],
                                  textual.input_dim, blob["n_docs"], rows)
-    vocab.max_size = blob["max_size"]
-    if not _is_a(vocab.max_size, int) or vocab.max_size < vocab.size:
-        raise ValueError(f"max_size {vocab.max_size!r} is not an int of at least the {vocab.size} terms")
+    max_size = blob["max_size"]
+    if not _is_a(max_size, int) or max_size < vocab.size:
+        raise ValueError(f"max_size {max_size!r} is not an int of at least the {vocab.size} terms")
+    vocab = replace(vocab, max_size=max_size)
     if vocab.digest != digest:
         raise ValueError("vocab_digest is not the digest of the vocabulary")
     return vocab
@@ -102,9 +103,9 @@ def _check_run_record(textual: NetSpec, visual: NetSpec, train_config: TrainConf
                       data_config: dict, history: TrainHistory) -> None:
     """The run record's rule where the specs and the model do not check themselves, at save
     and at load: a textual net that does not read the weighting holds it at its default,
-    ``data_config`` is ``{}`` or an int ``n_test`` and a float ``val_frac`` under
-    ``check_split_values``, the epochs are numbered 1..n, ``best_epoch`` is 0 exactly when no
-    epoch ran, else one of the epochs, and every int, float or str field holds that type."""
+    ``data_config`` is an int ``n_test`` and a float ``val_frac`` under ``check_split_values``,
+    the epochs are numbered 1..n, ``best_epoch`` is 0 exactly when no epoch ran, else one of
+    the epochs, and every int, float or str field holds that type."""
     epochs = tuple(enumerate(history.epochs, start=1))
     for name, record in (("textual_spec", textual), ("visual_spec", visual),
                          ("train_config", train_config), ("history", history),
@@ -119,9 +120,9 @@ def _check_run_record(textual: NetSpec, visual: NetSpec, train_config: TrainConf
     if textual.kind != WEIGHTING_READ_BY and train_config.weighting != TrainConfig.weighting:
         raise ValueError(f"a {textual.kind} textual net does not read weighting, "
                          f"so it must be {TrainConfig.weighting!r}, not {train_config.weighting!r}")
-    if {k: type(v) for k, v in dict.items(data_config)} not in (
-            {}, {"n_test": int, "val_frac": float}):  # dict.items refuses a non-dict
-        raise ValueError("data_config must be {} or an int n_test and a float val_frac")
+    # dict.items refuses a non-dict
+    if {k: type(v) for k, v in dict.items(data_config)} != {"n_test": int, "val_frac": float}:
+        raise ValueError("data_config must be an int n_test and a float val_frac")
     check_split_values(**data_config)
     if history.best_epoch not in (range(1, len(history.epochs) + 1) if history.epochs else (0,)):
         raise ValueError(f"best_epoch {history.best_epoch} is not one of the {len(history.epochs)} epochs")
@@ -133,9 +134,8 @@ def save_checkpoint(
     vocab: Vocabulary,
     train_config: TrainConfig,
     history: TrainHistory,
-    data_config: dict | None = None,
+    data_config: dict,
 ) -> None:
-    data_config = data_config or {}
     model = ScoreModel(model.textual_net, model.visual_net)  # checks a net assigned since it was built
     _check_run_record(model.textual_net.spec, model.visual_net.spec, train_config, data_config, history)
     nets = {"textual": model.textual_net, "visual": model.visual_net}

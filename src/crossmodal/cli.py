@@ -2,8 +2,9 @@
 
 Progress goes to stderr, data to stdout; a reader that closes stdout early ends
 the output, not the command. Every command exits 0 on success; bad input exits
-1 with one ``error <Class>: <message>`` line naming a CrossmodalError or
-OSError. Any other exception is a bug: it ends in a traceback.
+1 with one ``error <Class>: <message>`` line naming a CrossmodalError, an
+OSError or a MemoryError; a refused command line is a ConfigError. Any other
+exception is a bug: it ends in a traceback.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .corpus import (
     write_features,
 )
 from .errors import ConfigError, CrossmodalError, EmptySequenceError
-from .metrics import (build_rankings, caption_id, cosine_scores, evaluate_rankings,
+from .metrics import (DEFAULT_KS, build_rankings, caption_id, cosine_scores, evaluate_rankings,
                       format_report, lexicographic_rank, report_to_kv)
 from .nets import FIELDS_ONLY_READ_BY, WEIGHTING_READ_BY, NetSpec, embed_dense, forward, init_net
 from .ranker import (
@@ -350,10 +351,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(set(ks)) != len(ks):
         raise ConfigError(f"--ks repeats a cutoff: {args.ks!r}")
     ckpt, features_for = _load_inputs(args.checkpoint, args.features)
-    if not ckpt.data_config:
-        raise ConfigError(
-            f"{args.checkpoint} records no n_test/val_frac, so its test split is unknown"
-        )
     if args.vocab and load_vocabulary(args.vocab).digest != ckpt.vocabulary.digest:
         raise ConfigError(f"vocabulary digest mismatch: {args.vocab} does not match the "
                           "checkpoint's vocabulary")
@@ -423,8 +420,15 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises what it refuses as a ConfigError, for ``main`` to report."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="crossmodal", description=__doc__)
+    parser = _Parser(prog="crossmodal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic captioned corpus")
@@ -463,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--vocab", help="optional vocabulary file to cross-check against the checkpoint")
-    p.add_argument("--ks", default="1,2,5,10", help="comma-separated R@K cutoffs, each at least 1")
+    p.add_argument("--ks", default=",".join(map(str, DEFAULT_KS)),
+                   help="comma-separated R@K cutoffs, each at least 1")
     p.add_argument("--seed", type=int, default=0, help="seed for the rnd_txt caption draw")
     p.add_argument("--lenient", action="store_true", help=LENIENT_HELP)
     p.add_argument("--out", required=True)
@@ -481,13 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CrossmodalError, OSError) as exc:
-        message = str(exc) or type(exc).__name__
-        print(f"error {type(exc).__name__}: {message}", file=sys.stderr)
+    except (CrossmodalError, OSError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; name the public class
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error {name}: {str(exc) or name}", file=sys.stderr)
         return 1
 
 

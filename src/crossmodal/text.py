@@ -25,7 +25,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 SKIP_TAG = "*"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
     mode: str
     term_to_index: dict[str, int]
@@ -39,7 +39,7 @@ class Vocabulary:
 
     @cached_property
     def digest(self) -> str:
-        """SHA-256 of :func:`vocabulary_text`, taken once: no vocabulary changes once built or loaded."""
+        """SHA-256 of :func:`vocabulary_text`, taken once: a frozen vocabulary never changes."""
         return hashlib.sha256(vocabulary_text(self).encode("utf-8")).hexdigest()
 
 

@@ -637,13 +637,13 @@ def oracle_save_checkpoint(
     vocab: Vocabulary,
     train_config: TrainConfig,
     history: TrainHistory,
-    data_config: dict | None = None,
+    data_config: dict,
 ) -> None:
     header = {
         "textual_spec": asdict(model.textual_net.spec),
         "visual_spec": asdict(model.visual_net.spec),
         "train_config": asdict(train_config),
-        "data_config": data_config or {},
+        "data_config": data_config,
         "vocabulary": oracle_vocab_to_json(vocab),
         "vocab_digest": oracle_vocab_digest(vocab),
         "history": {
@@ -675,7 +675,7 @@ def oracle_serial_save_checkpoint(
     vocab: Vocabulary,
     train_config: TrainConfig,
     history: TrainHistory,
-    data_config: dict | None = None,
+    data_config: dict,
 ) -> None:
     """The streamed writer that preallocation and the CRC worker replaced: through
     ``<path>.tmp``, each chunk is written and then checksummed, one after the other.
@@ -687,7 +687,7 @@ def oracle_serial_save_checkpoint(
         "textual_spec": asdict(model.textual_net.spec),
         "visual_spec": asdict(model.visual_net.spec),
         "train_config": asdict(train_config),
-        "data_config": data_config or {},
+        "data_config": data_config,
         "vocabulary": oracle_vocab_to_json(vocab),
         "vocab_digest": oracle_vocab_digest(vocab),
         "history": {

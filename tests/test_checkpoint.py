@@ -6,7 +6,7 @@ import struct
 import sys
 import threading
 import zlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,6 +38,9 @@ from crossmodal.text import Vocabulary, build_vocabulary, featurize, normalize_t
 
 from oracles import oracle_init_net, oracle_save_checkpoint, oracle_serial_save_checkpoint, oracle_vocab_digest
 
+# the test split every run record holds
+SPLIT = {"n_test": 3, "val_frac": 0.1}
+
 
 @pytest.fixture
 def setup(tmp_path):
@@ -60,7 +63,7 @@ def setup(tmp_path):
 class TestRoundTrip:
     def test_parameters_bit_exact(self, setup):
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, model, vocab, config, history, {"n_test": 3, "val_frac": 0.1})
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         ckpt = load_checkpoint(path)
         for net_name in ("textual_net", "visual_net"):
             saved = getattr(model, net_name)
@@ -74,8 +77,11 @@ class TestRoundTrip:
         assert ckpt.vocabulary.term_to_index == vocab.term_to_index
         assert ckpt.vocabulary.doc_freq == vocab.doc_freq
         assert ckpt.vocabulary.n_docs == vocab.n_docs
-        assert ckpt.data_config == {"n_test": 3, "val_frac": 0.1}
+        assert ckpt.data_config == SPLIT
         assert ckpt.vocabulary.digest == oracle_vocab_digest(vocab)
+        assert ckpt.vocabulary.max_size == vocab.max_size
+        with pytest.raises(FrozenInstanceError):  # so its cached digest cannot go stale
+            ckpt.vocabulary.max_size = vocab.size
 
     def test_scores_bit_identical_after_round_trip(self, setup):
         """Train a little first so the saved parameters are non-trivial."""
@@ -85,7 +91,7 @@ class TestRoundTrip:
         )
         data = RetrievalDataset(store, captions, split, vocab)
         trained, hist = train(model, data, TrainConfig(seed=4, max_epochs=2, val_pairs_per_epoch=50))
-        save_checkpoint(path, trained, vocab, config, hist)
+        save_checkpoint(path, trained, vocab, config, hist, SPLIT)
         ckpt = load_checkpoint(path)
         probe = [(cap.image_id, cap) for cap in captions[:10]]
         for image_id, cap in probe:
@@ -192,7 +198,7 @@ class TestLayoutOracle:
 
     @pytest.mark.parametrize(
         "case",
-        ["bag", "bag_hidden", "sequence", "tfidf", "pretrained", "empty_history", "no_data_config"],
+        ["bag", "bag_hidden", "sequence", "tfidf", "pretrained", "empty_history"],
     )
     def test_init_and_save_match_oracle(self, setup, tmp_path, case):
         images, captions, store, vocab, model, config, history, path = setup
@@ -211,7 +217,6 @@ class TestLayoutOracle:
             config = TrainConfig(seed=4, max_epochs=3, weighting="tfidf")
         if case == "empty_history":
             history = TrainHistory()
-        data_config = None if case == "no_data_config" else {"n_test": 3, "val_frac": 0.1}
         models = [ScoreModel(init(tspec, 11, **init_kwargs), init(vspec, 12))
                   for init in (init_net, oracle_init_net)]
         for side in ("textual_net", "visual_net"):
@@ -220,8 +225,8 @@ class TestLayoutOracle:
             for name in want.params:
                 assert got.params[name].tobytes() == want.params[name].tobytes(), name
         oracle_path = str(tmp_path / "oracle.ckpt")
-        save_checkpoint(path, models[0], vocab, config, history, data_config)
-        oracle_save_checkpoint(oracle_path, models[1], vocab, config, history, data_config)
+        save_checkpoint(path, models[0], vocab, config, history, SPLIT)
+        oracle_save_checkpoint(oracle_path, models[1], vocab, config, history, SPLIT)
         with open(path, "rb") as fh, open(oracle_path, "rb") as want_fh:
             assert fh.read() == want_fh.read()
         loaded = load_checkpoint(path).model
@@ -261,8 +266,8 @@ class TestSerialWriterOracle:
             real = os.posix_fallocate
             monkeypatch.setattr(os, "posix_fallocate", lambda *args: reserved.append(args[1:]) or real(*args))
         oracle_path = str(tmp_path / "oracle.ckpt")
-        save_checkpoint(path, model, vocab, config, history, {"n_test": 3, "val_frac": 0.1})
-        oracle_serial_save_checkpoint(oracle_path, model, vocab, config, history, {"n_test": 3, "val_frac": 0.1})
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
+        oracle_serial_save_checkpoint(oracle_path, model, vocab, config, history, SPLIT)
         blob = Path(path).read_bytes()
         assert blob == Path(oracle_path).read_bytes()
         assert len(blob) > 3 * MIB
@@ -284,7 +289,7 @@ class TestSerialWriterOracle:
 
         def save_and_load(i):
             mine = str(tmp_path / f"{i}.ckpt")
-            save_checkpoint(mine, models[i], vocab, config, history)
+            save_checkpoint(mine, models[i], vocab, config, history, SPLIT)
             results[i] = load_checkpoint(mine).model.visual_net.params["w0"].tobytes()
 
         interval = sys.getswitchinterval()
@@ -299,7 +304,7 @@ class TestSerialWriterOracle:
         finally:
             sys.setswitchinterval(interval)
         for i, model in enumerate(models):
-            oracle_serial_save_checkpoint(path, model, vocab, config, history)
+            oracle_serial_save_checkpoint(path, model, vocab, config, history, SPLIT)
             assert (tmp_path / f"{i}.ckpt").read_bytes() == Path(path).read_bytes()
             assert results[i] == model.visual_net.params["w0"].tobytes()
 
@@ -349,7 +354,7 @@ class TestFaultsLeaveNoTrace:
             return files[-1]
 
         monkeypatch.setattr(corpus_mod, "open", failing_open, raising=False)
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         before, threads, writes = Path(path).read_bytes(), threading.enumerate(), files[-1].writes
         if fault == "posix_fallocate":
             monkeypatch.setattr(os, "posix_fallocate", enospc)
@@ -359,7 +364,7 @@ class TestFaultsLeaveNoTrace:
             k = {"first_write": 1, "middle_write": writes // 2, "last_write": writes}[fault]
         model.visual_net.params["w0"] += 1.0  # the same size, other bytes
         with pytest.raises(OSError) as exc:
-            save_checkpoint(path, model, vocab, config, history)
+            save_checkpoint(path, model, vocab, config, history, SPLIT)
         assert exc.value.errno == errno.ENOSPC
         if fault.endswith("_write"):
             assert files[-1].writes == k
@@ -375,7 +380,7 @@ class TestFaultsLeaveNoTrace:
     )
     def test_load_of_a_damaged_file(self, setup, fault):
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, large_model(vocab), vocab, config, history)
+        save_checkpoint(path, large_model(vocab), vocab, config, history, SPLIT)
         blob = bytearray(Path(path).read_bytes())
         if fault == "truncated":
             del blob[len(blob) - MIB - 9 :]
@@ -397,7 +402,7 @@ class TestFailureModes:
     def test_unknown_version(self, setup):
         *_, path = setup
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         blob = bytearray(Path(path).read_bytes())
         blob[4:8] = (99).to_bytes(4, "little")
         # keep the checksum valid so the version check is what fires
@@ -409,7 +414,7 @@ class TestFailureModes:
 
     def test_truncated_file(self, setup):
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         blob = Path(path).read_bytes()
         Path(path).write_bytes(blob[: len(blob) - 9])
         with pytest.raises(CheckpointCorruptError, match="checksum"):
@@ -417,7 +422,7 @@ class TestFailureModes:
 
     def test_flipped_payload_byte(self, setup):
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         blob = bytearray(Path(path).read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         Path(path).write_bytes(bytes(blob))
@@ -441,6 +446,8 @@ class TestFailureModes:
             lambda h: h.update(data_config={"n_test": "8", "val_frac": 0.15}),
             lambda h: h.update(data_config=[1, 2]),
             lambda h: h.update(data_config=[]),
+            lambda h: h.update(data_config={}),
+            lambda h: h.pop("data_config"),
             lambda h: h.update(data_config={"n_test": -1, "val_frac": 0.15}),
             lambda h: h.update(data_config={"n_test": 8, "val_frac": 1.5}),
             lambda h: h["vocabulary"].update(mode=None),
@@ -481,6 +488,8 @@ class TestFailureModes:
             "string_n_test",
             "list_data_config",
             "empty_list_data_config",
+            "empty_data_config",
+            "missing_data_config",
             "negative_n_test",
             "val_frac_past_one",
             "null_vocabulary_mode",
@@ -519,7 +528,7 @@ class TestFailureModes:
             model.textual_net = init_net(sequence_spec(vocab), 4)
         if getattr(mutate, "on_a_linear_net", False):
             model.textual_net = init_net(NetSpec("bag", vocab.size, 8), 4)
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         blob = Path(path).read_bytes()
         header = read_header(blob)
         mutate(header)
@@ -532,7 +541,7 @@ class TestFailureModes:
         """``train`` always writes a bag visual net with no sequence fields; a file written
         otherwise does not load."""
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         write_with_visual_net(path, path, fields)
         with pytest.raises(CheckpointCorruptError) as exc:
             load_checkpoint(path)
@@ -542,7 +551,7 @@ class TestFailureModes:
     def test_header_vocabulary_follows_the_vocab_tsv_rule(self, setup, case):
         """The textual net's input rows declare the size; the fault is named as in vocab.tsv."""
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         blob = Path(path).read_bytes()
         header = read_header(blob)
         terms, size = header["vocabulary"]["terms"], vocab.size
@@ -563,7 +572,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("extra", [8, -8], ids=["8_bytes_long", "8_bytes_short"])
     def test_payload_size_with_valid_checksum(self, setup, extra):
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         blob = Path(path).read_bytes()
         header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
         payload = blob[header_end:-4]
@@ -586,7 +595,7 @@ class TestSave:
         images, captions, store, vocab, model, config, history, path = setup
         mutate(model.textual_net)
         with pytest.raises(ValueError, match="textual net parameters do not match its spec"):
-            save_checkpoint(path, model, vocab, config, history)
+            save_checkpoint(path, model, vocab, config, history, SPLIT)
         assert os.listdir(os.path.dirname(path)) == []
 
     @pytest.mark.parametrize(
@@ -597,6 +606,7 @@ class TestSave:
             (dict(data_config={"n_test": 8.0, "val_frac": 0.15}), "data_config must be"),
             (dict(data_config={"n_test": 8}), "data_config must be"),
             (dict(data_config={"n_test": 8, "val_frac": 0.15, "seed": 4}), "data_config must be"),
+            (dict(data_config={}), "data_config must be an int n_test and a float val_frac"),
             (dict(best_epoch=99), "best_epoch 99 is not one of the 2 epochs"),
             (dict(best_epoch=-4), "best_epoch -4 is not one of the 2 epochs"),
             (dict(best_epoch=0), "best_epoch 0 is not one of the 2 epochs"),
@@ -616,7 +626,7 @@ class TestSave:
             (dict(rows=[(1, 0.001, 48.0, 47.5), (3, 0.00099, 30.25, 31.0)]), "epoch row 2 is numbered 3, not 2"),
         ],
         ids=["negative_n_test", "val_frac_past_one", "float_n_test", "no_val_frac", "extra_key",
-             "best_epoch_past_the_epochs", "negative_best_epoch", "zero_best_epoch_after_epochs",
+             "empty_data_config", "best_epoch_past_the_epochs", "negative_best_epoch", "zero_best_epoch_after_epochs",
              "best_epoch_without_epochs", "tfidf_for_a_sequence_net", "n_hu_for_a_sequence_net",
              "word_dim_for_a_bag_net", "word_dim_and_window_for_the_visual_net", "sequence_visual_net",
              "true_best_epoch", "int_margin", "float_max_epochs", "float_visual_n_hu", "string_val_err",
@@ -643,7 +653,17 @@ class TestSave:
                 model.textual_net = init_net(replace(model.textual_net.spec, **record["bag"]), 4)
             if "visual" in record:
                 model.visual_net = init_net(replace(model.visual_net.spec, **record["visual"]), 5)
-            save_checkpoint(path, model, vocab, config, history, record.get("data_config"))
+            save_checkpoint(path, model, vocab, config, history, record.get("data_config", SPLIT))
+        assert os.listdir(os.path.dirname(path)) == []
+
+    def test_save_without_a_split_refused(self, setup):
+        """Every run record holds its test split: a save given none, or None, raises before
+        the temp file opens."""
+        images, captions, store, vocab, model, config, history, path = setup
+        with pytest.raises(TypeError, match="data_config"):
+            save_checkpoint(path, model, vocab, config, history)
+        with pytest.raises(TypeError, match="NoneType"):
+            save_checkpoint(path, model, vocab, config, history, None)
         assert os.listdir(os.path.dirname(path)) == []
 
     @pytest.mark.parametrize("delta", [1, -1], ids=["one_term_more", "one_term_fewer"])
@@ -652,7 +672,7 @@ class TestSave:
         spec = NetSpec("bag", vocab.size + delta, 8, n_hu=5)
         model.textual_net = init_net(spec, 4)
         with pytest.raises(ValueError, match="does not fit the textual net"):
-            save_checkpoint(path, model, vocab, config, history)
+            save_checkpoint(path, model, vocab, config, history, SPLIT)
         assert os.listdir(os.path.dirname(path)) == []
 
     def test_vocabulary_hashed_once_per_object(self, setup, tmp_path, monkeypatch):
@@ -665,14 +685,14 @@ class TestSave:
 
         monkeypatch.setattr(text_mod, "vocabulary_text", counting)
         for i in range(3):
-            save_checkpoint(path, model, vocab, config, history)
-            oracle_save_checkpoint(str(tmp_path / "oracle.ckpt"), model, vocab, config, history)
+            save_checkpoint(path, model, vocab, config, history, SPLIT)
+            oracle_save_checkpoint(str(tmp_path / "oracle.ckpt"), model, vocab, config, history, SPLIT)
             assert Path(path).read_bytes() == (tmp_path / "oracle.ckpt").read_bytes()
         assert calls == [vocab]
 
     def test_failed_save_keeps_previous_file(self, setup, monkeypatch):
         images, captions, store, vocab, model, config, history, path = setup
-        save_checkpoint(path, model, vocab, config, history)
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
         before = Path(path).read_bytes()
         calls = []
 
@@ -685,6 +705,6 @@ class TestSave:
         monkeypatch.setattr(checkpoint_mod, "zlib", SimpleNamespace(crc32=failing_crc32))
         model.visual_net.params["w0"] += 1.0
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, model, vocab, config, TrainHistory())
+            save_checkpoint(path, model, vocab, config, TrainHistory(), SPLIT)
         assert Path(path).read_bytes() == before
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import crossmodal.checkpoint as checkpoint_mod
+import crossmodal.nets as nets_mod
 import crossmodal.ranker as ranker_mod
 from crossmodal import cli
 from crossmodal.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
@@ -272,6 +274,27 @@ class TestHelp:
             assert f"{opt.help} (default {opt.default})" in text
 
 
+class TestCommandLineRefusals:
+    """A command line argparse refuses ends as every other refusal: exit 1 with one
+    ``error ConfigError:`` line carrying argparse's message, no usage block and no ``--out``.
+    Only the prefix is pinned, as argparse words its messages differently across versions."""
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--clusters", "x", "--out", "OUT"),
+        ("preprocess", "--captions", "c.tsv", "--mode", "4g", "--out", "OUT"),
+        ("train", "--captions", "c.tsv", "--features", "f.txt", "--out", "OUT"),
+        ("train", "--captions", "c.tsv", "--features", "f.txt", "--vocab", "v.tsv", "--out", "OUT", "--epochs"),
+        ("evaluate", "--checkpoint", "m.bin", "--captions", "c.tsv", "--features", "f.txt", "--seed", "1.5",
+         "--out", "OUT"),
+        ("query", "--checkpoint", "m.bin", "--features", "f.txt", "--sentence", "s", "--out", "OUT"),
+        (),
+    ], ids=["synth_bad_number", "preprocess_bad_choice", "train_missing_flag", "train_flag_without_value",
+            "evaluate_bad_number", "query_unknown_flag", "no_command"])
+    def test_one_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert_one_error_line(capsys, "ConfigError", out, *(str(out) if arg == "OUT" else arg for arg in argv))
+
+
 class TestTextualKinds:
     def test_one_list_of_textual_kinds(self):
         """The --textual values map one to one onto the kinds of net that NetSpec's table
@@ -459,6 +482,26 @@ class TestTrain:
         err = assert_one_error_line(capsys, "NonFiniteGradientError", out,
                                     *train_args(corpus, prepped, out, "--lr", lr, *extra))
         assert "embedding" in err
+
+    def test_impossible_allocation_is_one_error_line(self, tmp_path, corpus, prepped, capsys, monkeypatch):
+        """A weight matrix too large to allocate ends as one line naming the public MemoryError,
+        not numpy's private subclass, and leaves no ``--out``. The allocation is patched to
+        raise: where memory is overcommitted a real one could succeed and be killed later."""
+        class _ArrayMemoryError(MemoryError):  # what numpy raises
+            pass
+
+        real = nets_mod._glorot
+
+        def glorot(rng, fan_in, fan_out):
+            if fan_in * fan_out > 10**8:
+                raise _ArrayMemoryError(f"Unable to allocate an array with shape ({fan_in}, {fan_out})")
+            return real(rng, fan_in, fan_out)
+
+        monkeypatch.setattr(nets_mod, "_glorot", glorot)
+        out = tmp_path / "huge"
+        err = assert_one_error_line(capsys, "MemoryError", out,
+                                    *train_args(corpus, prepped, out, "--n-hu", "1000000000"))
+        assert err.startswith("error MemoryError: Unable to allocate an array with shape (")
 
     def test_history_format(self, trained):
         lines = (trained / "history.tsv").read_text().splitlines()
@@ -673,18 +716,20 @@ class TestEvaluate:
         assert "digest mismatch" in err
 
     def test_checkpoint_without_test_split_refused(self, tmp_path, corpus, trained, capsys):
-        ckpt = load_checkpoint(str(trained / "checkpoint.bin"))
+        """Every run record holds its test split: a header re-signed with an empty data_config
+        is as corrupt as any other bad header, to ``evaluate`` and to ``query``, and wins over
+        missing corpus files, whose features are parsed meanwhile."""
+        blob = (trained / "checkpoint.bin").read_bytes()
+        header = read_header(blob)
+        header["data_config"] = {}
         bare = tmp_path / "bare.bin"
-        save_checkpoint(str(bare), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history)
+        resign(bare, blob, header=header)
         out = tmp_path / "eval_bare"
-        err = assert_one_error_line(
-            capsys, "ConfigError", out, "evaluate", "--checkpoint", str(bare),
-            # missing corpus files, whose features are parsed meanwhile, lose to the checkpoint's error
-            "--captions", str(tmp_path / "missing.tsv"),
-            "--features", str(tmp_path / "missing.txt"),
-            "--out", str(out),
-        )
-        assert "n_test" in err
+        for command in ("evaluate", "query"):
+            err = assert_one_error_line(capsys, "CheckpointCorruptError", out, *command_argv(
+                command, corpus, out, bare, tmp_path / "missing.txt", tmp_path / "missing.tsv"))
+            assert err == (f"error CheckpointCorruptError: {bare}: invalid header "
+                           "(ValueError: data_config must be an int n_test and a float val_frac)\n")
 
     def test_n_test_past_the_image_count_refused(self, tmp_path, corpus, trained, capsys):
         # the checkpoint holds out 3 test images; these features hold 2
@@ -1131,7 +1176,8 @@ class TestQuery:
         ckpt = load_checkpoint(str(trained / "checkpoint.bin"))
         ckpt.model.visual_net.params["b0"][:] = 0.0
         path = tmp_path / "nobias.bin"
-        save_checkpoint(str(path), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history)
+        save_checkpoint(str(path), ckpt.model, ckpt.vocabulary, ckpt.train_config, ckpt.history,
+                        ckpt.data_config)
         lines = (corpus / "features.txt").read_text().splitlines(keepends=True)
         for i, line in enumerate(lines[1:], start=1):
             fields = line.split()
@@ -1417,6 +1463,7 @@ class TestProcess:
             "--ks", "5,5", "--out", str(out),
         )
         assert err == "error ConfigError: --ks repeats a cutoff: '5,5'\n"
+        assert_one_error_line(None, "ConfigError", out, "synth", "--clusters", "x", "--out", str(out))
         blob = (trained / "checkpoint.bin").read_bytes()
         header = read_header(blob)
         header["data_config"]["n_test"] = -1
@@ -1460,23 +1507,39 @@ class TestProcess:
                 "report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"]
 
 
+def readme_commands():
+    """The argv of each command of README's walkthrough. A line of the block that is neither
+    blank, a comment nor a ``crossmodal`` command fails, so README and the tests cannot drift
+    apart."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    walkthrough = readme.split("## Command-line walkthrough", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```bash\n(.*?)```", walkthrough, re.S).group(1)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("crossmodal "):
+            commands.append(shlex.split(line)[1:])
+        elif line.strip() and not line.startswith("#"):
+            pytest.fail(f"README walkthrough line is not a crossmodal command: {line!r}")
+    assert {argv[0] for argv in commands} == {"synth", "preprocess", "train", "evaluate", "query"}
+    return commands
+
+
+# runs the commands given as a JSON list of argv lists through main, stopping at the first failure
+RUN_COMMANDS = """\
+import json, sys
+from crossmodal.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(f"{argv} failed")
+"""
+
+
 class TestReadme:
     def test_walkthrough_runs_twice_with_identical_bytes(self, tmp_path, monkeypatch, capsys):
         """README's walkthrough, run through ``main`` command by command in two fresh
         directories: every command exits 0, and the two runs print the same stdout
-        and write the same files, byte for byte. A line of the block that is neither
-        blank, a comment nor a ``crossmodal`` command fails, so README and this test
-        cannot drift apart."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        walkthrough = readme.split("## Command-line walkthrough", 1)[1].split("\n## ", 1)[0]
-        block = re.search(r"```bash\n(.*?)```", walkthrough, re.S).group(1)
-        commands = []
-        for line in block.replace("\\\n", " ").splitlines():
-            if line.startswith("crossmodal "):
-                commands.append(shlex.split(line)[1:])
-            elif line.strip() and not line.startswith("#"):
-                pytest.fail(f"README walkthrough line is not a crossmodal command: {line!r}")
-        assert {argv[0] for argv in commands} == {"synth", "preprocess", "train", "evaluate", "query"}
+        and write the same files, byte for byte."""
+        commands = readme_commands()
         runs = []
         for name in ("first", "second"):
             cwd = tmp_path / name
@@ -1494,3 +1557,33 @@ class TestReadme:
         assert sorted(first_files) == sorted(second_files)
         for path, data in first_files.items():
             assert data == second_files[path], path
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """README's walkthrough, then a sequence-net T2I run with a hidden visual layer and a
+        bag run with tf-idf and hidden layers on its corpus, each run in one new process under
+        ``PYTHONHASHSEED`` 0 and 1: every file written and stdout have the same sha256, so no
+        output follows the iteration order of a set or dict of strings."""
+        data = ["--captions", "corpus/captions.tsv", "--features", "corpus/features.txt"]
+        train = ["train", *data, "--vocab", "prep/vocab.tsv", "--n-test", "8", "--val-frac", "0.15",
+                 "--epochs", "5", "--n-emb", "16", "--seed", "7", "--visual-n-hu", "8"]
+        commands = readme_commands() + [
+            [*train, "--out", "sse/", "--textual", "sse", "--methodology", "t2i",
+             "--word-dim", "8", "--kernels", "8", "--window", "3"],
+            [*train, "--out", "tfidf/", "--weighting", "tfidf", "--n-hu", "8"],
+            ["evaluate", "--checkpoint", "sse/checkpoint.bin", *data, "--out", "eval_sse/"],
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for seed in ("0", "1"):
+            cwd = tmp_path / f"hashseed{seed}"
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], cwd=cwd, env=env,
+                                  capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            files = {str(p.relative_to(cwd)): hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in cwd.rglob("*") if p.is_file()}
+            assert {"sse/checkpoint.bin", "tfidf/checkpoint.bin", "eval_sse/report_search.kv"} <= set(files)
+            digests.append((hashlib.sha256(proc.stdout).hexdigest(), files))
+        assert digests[0] == digests[1]

@@ -43,6 +43,7 @@ from oracles import (
     oracle_triplet_grads,
     oracle_validate,
 )
+from test_checkpoint import SPLIT
 
 
 def make_dataset(
@@ -843,7 +844,7 @@ class TestFoldPoints:
     def test_save_checkpoint(self, monkeypatch, tmp_path):
         model = self.trained_epoch(monkeypatch)
         path = str(tmp_path / "model.bin")
-        save_checkpoint(path, model, self.vocab, self.config, ranker_mod.TrainHistory())
+        save_checkpoint(path, model, self.vocab, self.config, ranker_mod.TrainHistory(), SPLIT)
         assert self.pending_terms(model.textual_net, model.visual_net) == 0
         saved = load_checkpoint(path).model
         for net, loaded in ((model.textual_net, saved.textual_net), (model.visual_net, saved.visual_net)):
