@@ -14,12 +14,12 @@ stream to ``<path>.tmp``, whose exact final size is reserved with
 ``os.posix_fallocate`` before the first write where the platform and file
 system offer it, and rename it over ``path``: a file system that allocates
 blocks lazily (ext4) then has none left to allocate when the rename replaces
-an older file. One worker thread takes the CRC32 of the chunks while they
-are written (``zlib.crc32`` and file writes both release the GIL); it is
-joined before a save returns or raises. A load reads the file into one
-buffer and checks its magic and CRC32 (``read_checkpoint``, which a caller
-can run on another thread), then its header, and returns the parameters as
-views of the buffer. Parameters round-trip bit-exactly.
+an older file. ``beside``, the package's one thread starter, CRCs the chunks
+on a worker thread while they are written (``zlib.crc32`` and file writes
+release the GIL) and joins it before a save returns or raises. A load reads
+the file into one buffer and checks its magic and CRC32 (``read_checkpoint``,
+which ``cli`` runs through ``beside``), then its header, and returns the
+parameters as views of the buffer. Parameters round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import json
 import math
 import os
 import struct
+import threading
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -163,17 +164,34 @@ def save_checkpoint(
     chunks = [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)), header_bytes]
     chunks += [np.ascontiguousarray(arr, dtype="<f8")
                for net in nets.values() for arr in net.params.values()]
-    # imported here: concurrent.futures imports logging, about 13 ms and 0.4 MB that
-    # evaluate and query, which never save, would pay at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    # leaving the executor's block joins its thread, before the temp file is renamed or removed
-    with atomic_write(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as crc_worker:
+    with atomic_write(path, "wb") as fh:
         _preallocate(fh.fileno(), sum(memoryview(chunk).nbytes for chunk in chunks) + 4)
-        crc = crc_worker.submit(functools.reduce, lambda value, chunk: zlib.crc32(chunk, value), chunks, 0)
-        for chunk in chunks:
-            fh.write(chunk)
-        fh.write(struct.pack("<I", crc.result()))  # raises what the worker raised
+        crc, _ = beside(lambda: functools.reduce(lambda value, chunk: zlib.crc32(chunk, value), chunks, 0),
+                        lambda: sum(map(fh.write, chunks)))
+        fh.write(struct.pack("<I", crc))
+
+
+def beside(work, main):
+    """``(work(), main())``, ``work`` run on a worker thread while ``main`` runs on this one.
+    The worker is joined before this returns or raises; then what ``main`` raised is
+    raised, else what ``work`` raised, each as the same object."""
+    done: dict = {}
+
+    def run() -> None:
+        try:
+            done["result"] = work()
+        except BaseException as exc:  # raised again on the caller's thread
+            done["error"] = exc
+
+    worker = threading.Thread(target=run, name="crossmodal-worker")
+    worker.start()
+    try:
+        result = main()
+    finally:
+        worker.join()
+    if "error" in done:
+        raise done.pop("error")
+    return done.pop("result"), result
 
 
 def read_checkpoint(path: str) -> memoryview:

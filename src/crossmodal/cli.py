@@ -10,19 +10,19 @@ exception is a bug: it ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
 import random
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from .checkpoint import beside, load_checkpoint, read_checkpoint, save_checkpoint
 from .corpus import (
     atomic_write,
     check_split_values,
@@ -213,32 +213,20 @@ def _report_unencodable(count: int) -> None:
 def _load_inputs(checkpoint: str, features: str):
     """``(ckpt, features_for)`` for ``--checkpoint`` and ``--features``.
 
-    A worker thread reads and CRC-checks the checkpoint file, which releases the GIL,
-    while this thread parses the features; it is joined before this returns or raises,
-    so no thread outlives a command, and what it raised is raised here as it is. The
-    features' error waits for ``features_for()``, which returns them as wide as the
-    checkpoint's visual net's input: a command calls it where it reads the features,
-    so an earlier input's error still wins."""
-    read: dict[str, Any] = {}
-
-    def read_file() -> None:
+    ``beside`` reads and CRC-checks the checkpoint file, which releases the GIL, on its
+    worker thread while this thread parses the features, and joins the worker before this
+    returns or raises, so no thread outlives a command; what it raised is raised here as
+    it is. The features' error waits for ``features_for()``, which returns them as wide as
+    the checkpoint's visual net's input: a command calls it where it reads the features, so
+    an earlier input's error still wins."""
+    def parse():
         try:
-            read["blob"] = read_checkpoint(checkpoint)
-        except BaseException as exc:  # raised again on the main thread
-            read["error"] = exc
-
-    worker = threading.Thread(target=read_file, name="crossmodal-checkpoint-read")
-    worker.start()
-    try:
-        try:
-            store, error = load_image_features(features), None
+            return load_image_features(features), None
         except Exception as exc:
-            store, error = None, exc
-    finally:
-        worker.join()
-    if "error" in read:
-        raise read.pop("error")
-    ckpt = load_checkpoint(checkpoint, read.pop("blob"))
+            return None, exc
+
+    blob, (store, error) = beside(lambda: read_checkpoint(checkpoint), parse)
+    ckpt = load_checkpoint(checkpoint, blob)
 
     def features_for():
         if error is not None:
@@ -277,6 +265,26 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_unusable_out(path: str) -> None:
+    """Raise now, creating nothing, what ``os.makedirs(path, exist_ok=True)`` would raise
+    after the long step because ``path``, or its nearest existing ancestor, is not a
+    directory. The walk is makedirs' own, up to the first directory it would create; an
+    unwritable directory is left to that final call."""
+    name = path
+    while True:
+        head, tail = os.path.split(name)
+        if not tail:  # a trailing separator
+            head, tail = os.path.split(head)
+        if not (head and tail) or os.path.exists(head):
+            break
+        name = head
+    if os.path.exists(os.path.join(head, tail)):
+        if not os.path.isdir(name):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), name)
+    elif head and not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), name)
+
+
 def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
     inputs = {name: getattr(args, name) for name in ("captions", "features", "vocab", "embeddings")}
     manifest = {
@@ -304,6 +312,7 @@ def _train_setup(typed: dict, vocab_size: int, feature_dim: int) -> tuple[TrainC
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _refuse_unusable_out(args.out)
     typed = resolve_config(args)
     vocab = load_vocabulary(args.vocab)
     captions = load_captions(args.captions, strict=not args.lenient)
@@ -347,6 +356,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _refuse_unusable_out(args.out)
     ks = tuple(_parse_k(k, "--ks") for k in args.ks.split(","))
     if len(set(ks)) != len(ks):
         raise ConfigError(f"--ks repeats a cutoff: {args.ks!r}")

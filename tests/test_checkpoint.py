@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import struct
 import sys
 import threading
+import time
 import zlib
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 import crossmodal.checkpoint as checkpoint_mod
 import crossmodal.corpus as corpus_mod
 import crossmodal.text as text_mod
-from crossmodal.checkpoint import load_checkpoint, save_checkpoint
+from crossmodal.checkpoint import beside, load_checkpoint, save_checkpoint
 from crossmodal.corpus import (
     FeatureStore,
     PretrainedEmbeddings,
@@ -396,6 +398,86 @@ class TestFaultsLeaveNoTrace:
         assert Path(path).read_bytes() == blob
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
         assert threading.enumerate() == threads
+
+
+class TestBeside:
+    """``beside(work, main)`` runs ``work`` on a worker thread while ``main`` runs on the
+    caller's, and joins the worker before it returns or raises. It raises what ``main``
+    raised, else what ``work`` raised, each as the same object, else returns both results.
+    Every case runs at the usual and at a 1 µs switch interval, and leaves no thread."""
+
+    @pytest.fixture(autouse=True, params=[None, 1e-6], ids=["usual_switch", "1us_switch"])
+    def no_thread_left(self, request):
+        interval, threads = sys.getswitchinterval(), threading.enumerate()
+        sys.setswitchinterval(request.param or interval)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.enumerate() == threads
+
+    def test_both_results_from_two_threads_at_once(self):
+        """``work`` waits until ``main`` has begun, which it would never see if it ran
+        first on the caller's thread."""
+        begun, threads = threading.Event(), {}
+
+        def work():
+            threads["work"] = threading.current_thread()
+            assert begun.wait(timeout=30)
+            return "from work"
+
+        def main():
+            threads["main"] = threading.current_thread()
+            begun.set()
+            return "from main"
+
+        assert beside(work, main) == ("from work", "from main")
+        assert threads["main"] is threading.current_thread() is not threads["work"]
+
+    @pytest.mark.parametrize("kind", [ValueError, KeyboardInterrupt])
+    def test_work_error_raised_as_it_is_once_main_has_finished(self, kind):
+        error, ended = kind("from work"), []
+
+        def work():
+            raise error
+
+        def main():
+            time.sleep(0.05)
+            ended.append("main")
+
+        with pytest.raises(kind) as exc:
+            beside(work, main)
+        assert exc.value is error and ended == ["main"]
+
+    @pytest.mark.parametrize("kind", [KeyError, KeyboardInterrupt])
+    def test_main_error_wins_over_work_error(self, kind):
+        error = kind("from main")
+
+        def work():
+            raise ValueError("from work")
+
+        def main():
+            raise error
+
+        with pytest.raises(kind) as exc:
+            beside(work, main)
+        assert exc.value is error
+
+    @pytest.mark.parametrize("main_raises", [False, True], ids=["returns", "raises"])
+    def test_slow_work_has_finished_before_the_call_ends(self, main_raises):
+        ended = []
+
+        def work():
+            time.sleep(0.2)
+            ended.append("work")
+
+        def main():
+            if main_raises:
+                raise ValueError("from main")
+
+        with pytest.raises(ValueError) if main_raises else contextlib.nullcontext():
+            beside(work, main)
+        assert ended == ["work"]
 
 
 class TestFailureModes:

@@ -28,11 +28,15 @@ from crossmodal.text import TEXTUAL_KINDS
 from test_checkpoint import VISUAL_NETS_TRAIN_NEVER_WRITES, read_header, resign, write_with_visual_net
 
 
+def src_env(**extra) -> dict:
+    """The environment, with ``extra``, for a new process that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def cli_process(*argv, **popen) -> subprocess.Popen:
     """``python -m crossmodal.cli argv`` in a new process that imports this checkout's src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.Popen([sys.executable, "-m", "crossmodal.cli", *argv], env=env, **popen)
+    return subprocess.Popen([sys.executable, "-m", "crossmodal.cli", *argv], env=src_env(), **popen)
 
 
 def run(capsys, *argv):
@@ -1416,6 +1420,37 @@ class TestEvaluateRefusalOrder:
         assert err == f"error FileNotFoundError: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+class TestUnusableOut:
+    """``train`` and ``evaluate`` refuse an ``--out`` that is a file, or lies under one,
+    before they read any input, with the error ``os.makedirs`` would raise after the long
+    step: no epoch line or report comes first, and nothing is written."""
+
+    @pytest.mark.parametrize("below, named, error", [
+        ((), (), "FileExistsError: [Errno 17] File exists"),
+        (("run",), ("run",), "NotADirectoryError: [Errno 20] Not a directory"),
+        (("run", "eval"), ("run",), "NotADirectoryError: [Errno 20] Not a directory"),
+    ], ids=["is_a_file", "under_a_file", "two_below_a_file"])
+    def test_refused_before_any_input_is_read(self, request, tmp_path, corpus, prepped, capsys, monkeypatch,
+                                              command, below, named, error):
+        out = tmp_path.joinpath("notadir", *below)
+        if command == "train":
+            argv = train_args(corpus, prepped, out)
+        else:
+            argv = command_argv(command, corpus, out, request.getfixturevalue("trained") / "checkpoint.bin",
+                                corpus / "features.txt")
+        (tmp_path / "notadir").write_text("a file\n")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        reads = []
+        for name in ("load_vocabulary", "load_captions", "load_image_features", "read_checkpoint"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: reads.append(name))
+        # nothing can exist below a file: the snapshot checks that nothing is written
+        err = assert_one_error_line(capsys, error.split(":")[0], out / "x", *argv)
+        assert err == f"error {error}: '{tmp_path.joinpath('notadir', *named)}'\n"
+        assert reads == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 class TestOverflowingEmbedding:
     @pytest.fixture
     def overflowing(self, tmp_path, capsys):
@@ -1525,12 +1560,15 @@ def readme_commands():
 
 
 # runs the commands given as a JSON list of argv lists through main, stopping at the first failure
+# or at the first command after which a module named by a further argument is loaded
 RUN_COMMANDS = """\
 import json, sys
 from crossmodal.cli import main
 for argv in json.loads(sys.argv[1]):
     if main(argv):
         sys.exit(f"{argv} failed")
+    if loaded := [name for name in sys.argv[2:] if name in sys.modules]:
+        sys.exit(f"{argv} loaded {loaded}")
 """
 
 
@@ -1558,6 +1596,15 @@ class TestReadme:
         for path, data in first_files.items():
             assert data == second_files[path], path
 
+    def test_no_command_loads_a_thread_pool_or_logging(self, tmp_path):
+        """README's walkthrough (synth, preprocess, train, evaluate and both kinds of query)
+        run through ``main`` in one new process loads neither ``concurrent.futures`` nor the
+        ``logging`` it imports, so no command pays for their import."""
+        proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(readme_commands()),
+                               "concurrent.futures", "logging"],
+                              cwd=tmp_path, env=src_env(), capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+
     def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
         """README's walkthrough, then a sequence-net T2I run with a hidden visual layer and a
         bag run with tf-idf and hidden layers on its corpus, each run in one new process under
@@ -1572,15 +1619,12 @@ class TestReadme:
             [*train, "--out", "tfidf/", "--weighting", "tfidf", "--n-hu", "8"],
             ["evaluate", "--checkpoint", "sse/checkpoint.bin", *data, "--out", "eval_sse/"],
         ]
-        src = str(Path(__file__).resolve().parents[1] / "src")
         digests = []
         for seed in ("0", "1"):
             cwd = tmp_path / f"hashseed{seed}"
             cwd.mkdir()
-            env = {**os.environ, "PYTHONHASHSEED": seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], cwd=cwd, env=env,
-                                  capture_output=True, timeout=300)
+            proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], cwd=cwd,
+                                  env=src_env(PYTHONHASHSEED=seed), capture_output=True, timeout=300)
             assert proc.returncode == 0, proc.stderr.decode()
             files = {str(p.relative_to(cwd)): hashlib.sha256(p.read_bytes()).hexdigest()
                      for p in cwd.rglob("*") if p.is_file()}
