@@ -3,19 +3,27 @@
 Progress goes to stderr, data to stdout; a reader that closes stdout early ends
 the output, not the command. Every command exits 0 on success; bad input exits
 1 with one ``error <Class>: <message>`` line naming a CrossmodalError, an
-OSError or a MemoryError; a refused command line is a ConfigError. Any other
-exception is a bug: it ends in a traceback.
+OSError or a MemoryError; a refused command line is a ConfigError. A Ctrl-C
+exits 130 with one ``error KeyboardInterrupt:`` line. Any other exception is a
+bug: it ends in a traceback.
+
+A command that writes files makes ``--out`` before it reads any input, writes
+into a staging directory inside it and renames the files into ``--out`` only
+once all of them are complete (``output_set``); a failed or interrupted command
+leaves the file system as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import hashlib
 import json
 import os
 import random
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -24,7 +32,6 @@ import numpy as np
 from . import __version__
 from .checkpoint import beside, load_checkpoint, read_checkpoint, save_checkpoint
 from .corpus import (
-    atomic_write,
     check_split_values,
     generate_synthetic_corpus,
     load_captions,
@@ -239,50 +246,53 @@ def _load_inputs(checkpoint: str, features: str):
     return ckpt, features_for
 
 
+@contextmanager
+def output_set(out: str):
+    """Make ``out`` and yield a new staging directory inside it; once the block ends, rename each
+    file staged there into ``out``, ``manifest.json`` last. If anything raises before that, remove
+    the staging directory and each directory this made that is empty: the file system is as it was."""
+    made, path, staging = [], os.path.abspath(out), None  # abspath drops "missing/.." by name
+    while not os.path.lexists(path):  # the directories makedirs makes, deepest first
+        made, path = made + [path], os.path.dirname(path)
+    try:
+        os.makedirs(out, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix="staging-", suffix=".tmp", dir=out)
+        yield staging
+        for name in sorted(os.listdir(staging), key=lambda name: (name == "manifest.json", name)):
+            os.replace(os.path.join(staging, name), os.path.join(out, name))
+        made = []
+    finally:
+        if staging:
+            shutil.rmtree(staging, ignore_errors=True)
+        for path in made:
+            with suppress(OSError):
+                os.rmdir(path)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    images, captions = generate_synthetic_corpus(
-        n_clusters=args.clusters,
-        images_per_cluster=args.images_per_cluster,
-        feature_dim=args.feature_dim,
-        vocab_per_cluster=args.vocab_per_cluster,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
-    os.makedirs(args.out, exist_ok=True)
-    write_captions(captions, os.path.join(args.out, "captions.tsv"))
-    write_features(images, args.feature_dim, os.path.join(args.out, "features.txt"))
+    with output_set(args.out) as staging:
+        images, captions = generate_synthetic_corpus(
+            n_clusters=args.clusters,
+            images_per_cluster=args.images_per_cluster,
+            feature_dim=args.feature_dim,
+            vocab_per_cluster=args.vocab_per_cluster,
+            noise_sigma=args.noise_sigma,
+            seed=args.seed,
+        )
+        write_captions(captions, os.path.join(staging, "captions.tsv"))
+        write_features(images, args.feature_dim, os.path.join(staging, "features.txt"))
     _progress(f"wrote {len(images)} images and {len(captions)} captions to {args.out}")
     return 0
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    captions = load_captions(args.captions, strict=not args.lenient)
-    mode = MODE_FLAGS[args.mode]
-    vocab = build_vocabulary(captions, mode, args.max_size)
-    os.makedirs(args.out, exist_ok=True)
-    save_vocabulary(vocab, os.path.join(args.out, "vocab.tsv"))
+    with output_set(args.out) as staging:
+        captions = load_captions(args.captions, strict=not args.lenient)
+        mode = MODE_FLAGS[args.mode]
+        vocab = build_vocabulary(captions, mode, args.max_size)
+        save_vocabulary(vocab, os.path.join(staging, "vocab.tsv"))
     _progress(f"vocabulary of {vocab.size} {mode} terms written to {args.out}")
     return 0
-
-
-def _refuse_unusable_out(path: str) -> None:
-    """Raise now, creating nothing, what ``os.makedirs(path, exist_ok=True)`` would raise
-    after the long step because ``path``, or its nearest existing ancestor, is not a
-    directory. The walk is makedirs' own, up to the first directory it would create; an
-    unwritable directory is left to that final call."""
-    name = path
-    while True:
-        head, tail = os.path.split(name)
-        if not tail:  # a trailing separator
-            head, tail = os.path.split(head)
-        if not (head and tail) or os.path.exists(head):
-            break
-        name = head
-    if os.path.exists(os.path.join(head, tail)):
-        if not os.path.isdir(name):
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), name)
-    elif head and not os.path.isdir(head):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), name)
 
 
 def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
@@ -296,7 +306,7 @@ def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
             for name, p in inputs.items()
         },
     }
-    with atomic_write(path) as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -312,75 +322,69 @@ def _train_setup(typed: dict, vocab_size: int, feature_dim: int) -> tuple[TrainC
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _refuse_unusable_out(args.out)
-    typed = resolve_config(args)
-    vocab = load_vocabulary(args.vocab)
-    captions = load_captions(args.captions, strict=not args.lenient)
-    features = load_image_features(args.features)
-    pretrained = load_word_embeddings(args.embeddings) if args.embeddings else None
-    # every value is checked by the object that enforces it before anything is written
-    config, tspec, vspec = _train_setup(typed, vocab.size, features.feature_dim)
-    split = split_dataset(
-        features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
-    )
-    data = RetrievalDataset(features, captions, split, vocab,
-                            weighting=config.weighting, textual_kind=tspec.kind)
-    views = [data.view(name) for name in ("train", "val")] if config.max_epochs else []
-    for view in views:
-        # a view that gives one positive a negative gives every positive one
-        sample_negative(view.pairs[0], view, config.methodology, random.Random(0))
-    model = ScoreModel(
-        textual_net=init_net(tspec, config.seed, pretrained=pretrained, vocab=vocab),
-        visual_net=init_net(vspec, config.seed + 1),
-    )
-    # once every check passed, so a failure is one line
-    _report_unencodable(sum(view.unencodable for view in views))
-    best, history = train(
-        model, data, config,
-        progress=lambda s: _progress(
-            f"epoch {s.epoch} lr {s.lr:.6g} train_err {s.train_err:.2f}% val_err {s.val_err:.2f}%"
-        ),
-    )
-    # only a run that trained writes anything, so a failed one leaves no --out; the
-    # checkpoint, the largest write, goes first and the manifest last, so a failed
-    # checkpoint save leaves an earlier run in --out as it was
-    os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(
-        os.path.join(args.out, "checkpoint.bin"), best, vocab, config, history,
-        data_config={name: typed[name] for name in SPLIT_OPTIONS},
-    )
-    write_history(history, os.path.join(args.out, "history.tsv"))
-    _write_manifest(os.path.join(args.out, "manifest.json"), typed, args)
+    with output_set(args.out) as staging:
+        typed = resolve_config(args)
+        vocab = load_vocabulary(args.vocab)
+        captions = load_captions(args.captions, strict=not args.lenient)
+        features = load_image_features(args.features)
+        pretrained = load_word_embeddings(args.embeddings) if args.embeddings else None
+        # every value is checked by the object that enforces it before training
+        config, tspec, vspec = _train_setup(typed, vocab.size, features.feature_dim)
+        split = split_dataset(
+            features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
+        )
+        data = RetrievalDataset(features, captions, split, vocab,
+                                weighting=config.weighting, textual_kind=tspec.kind)
+        views = [data.view(name) for name in ("train", "val")] if config.max_epochs else []
+        for view in views:
+            # a view that gives one positive a negative gives every positive one
+            sample_negative(view.pairs[0], view, config.methodology, random.Random(0))
+        model = ScoreModel(
+            textual_net=init_net(tspec, config.seed, pretrained=pretrained, vocab=vocab),
+            visual_net=init_net(vspec, config.seed + 1),
+        )
+        # once every check passed, so a failure is one line
+        _report_unencodable(sum(view.unencodable for view in views))
+        best, history = train(
+            model, data, config,
+            progress=lambda s: _progress(
+                f"epoch {s.epoch} lr {s.lr:.6g} train_err {s.train_err:.2f}% val_err {s.val_err:.2f}%"
+            ),
+        )
+        save_checkpoint(
+            os.path.join(staging, "checkpoint.bin"), best, vocab, config, history,
+            data_config={name: typed[name] for name in SPLIT_OPTIONS},
+        )
+        write_history(history, os.path.join(staging, "history.tsv"))
+        _write_manifest(os.path.join(staging, "manifest.json"), typed, args)
     _progress(f"best epoch {history.best_epoch}; checkpoint written to {args.out}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _refuse_unusable_out(args.out)
-    ks = tuple(_parse_k(k, "--ks") for k in args.ks.split(","))
-    if len(set(ks)) != len(ks):
-        raise ConfigError(f"--ks repeats a cutoff: {args.ks!r}")
-    ckpt, features_for = _load_inputs(args.checkpoint, args.features)
-    if args.vocab and load_vocabulary(args.vocab).digest != ckpt.vocabulary.digest:
-        raise ConfigError(f"vocabulary digest mismatch: {args.vocab} does not match the "
-                          "checkpoint's vocabulary")
-    captions = load_captions(args.captions, strict=not args.lenient)
-    features = features_for()
-    config = ckpt.train_config
-    split = split_dataset(features.records(), captions, **ckpt.data_config, seed=config.seed)
-    data = RetrievalDataset(features, captions, split, ckpt.vocabulary, weighting=config.weighting,
-                            textual_kind=ckpt.model.textual_net.spec.kind)
-    reports = [evaluate_rankings(rankings, ks=ks, rnd_seed=args.seed)
-               for rankings in build_rankings(ckpt.model, data)]
-    texts = [format_report(report) for report in reports]
-    _report_unencodable(data.view("test").unencodable)  # after the last check, as in train
-    os.makedirs(args.out, exist_ok=True)
-    for report, text in zip(reports, texts):
-        base = os.path.join(args.out, f"report_{report.direction}")
-        with atomic_write(base + ".txt") as fh:
-            fh.write(text)
-        with atomic_write(base + ".kv") as fh:
-            fh.write(report_to_kv(report))
+    with output_set(args.out) as staging:
+        ks = tuple(_parse_k(k, "--ks") for k in args.ks.split(","))
+        if len(set(ks)) != len(ks):
+            raise ConfigError(f"--ks repeats a cutoff: {args.ks!r}")
+        ckpt, features_for = _load_inputs(args.checkpoint, args.features)
+        if args.vocab and load_vocabulary(args.vocab).digest != ckpt.vocabulary.digest:
+            raise ConfigError(f"vocabulary digest mismatch: {args.vocab} does not match the "
+                              "checkpoint's vocabulary")
+        captions = load_captions(args.captions, strict=not args.lenient)
+        features = features_for()
+        config = ckpt.train_config
+        split = split_dataset(features.records(), captions, **ckpt.data_config, seed=config.seed)
+        data = RetrievalDataset(features, captions, split, ckpt.vocabulary, weighting=config.weighting,
+                                textual_kind=ckpt.model.textual_net.spec.kind)
+        reports = [evaluate_rankings(rankings, ks=ks, rnd_seed=args.seed)
+                   for rankings in build_rankings(ckpt.model, data)]
+        texts = [format_report(report) for report in reports]
+        _report_unencodable(data.view("test").unencodable)  # after the last check, as in train
+        for report, text in zip(reports, texts):
+            base = os.path.join(staging, f"report_{report.direction}")
+            for suffix, data in ((".txt", text), (".kv", report_to_kv(report))):
+                with open(base + suffix, "w", encoding="utf-8") as fh:
+                    fh.write(data)
     # every file is written before stdout, so a reader that closes early loses none
     _write_stdout(texts)
     _progress(f"reports written to {args.out}")
@@ -499,11 +503,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CrossmodalError, OSError, MemoryError) as exc:
+    except (CrossmodalError, OSError, MemoryError, KeyboardInterrupt) as exc:
         # numpy raises a private MemoryError subclass; name the public class
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(f"error {name}: {str(exc) or name}", file=sys.stderr)
-        return 1
+        return 130 if isinstance(exc, KeyboardInterrupt) else 1  # 128 + SIGINT
 
 
 def entry() -> None:

@@ -15,6 +15,8 @@ message do not depend on the block.
 Text is read through :func:`text_lines`, so bytes that are not UTF-8 end as a
 typed error naming ``path:line``; outputs are written through
 :func:`atomic_write`, so a failed write leaves the previous file as it was.
+The command line writes them into a staging directory and commits each
+command's files as one set (``cli.output_set``).
 All loaders are pure functions; :class:`FeatureStore` is immutable after
 construction, so loaded corpora can be shared freely across threads.
 """

@@ -1,3 +1,4 @@
+import builtins
 import errno
 import hashlib
 import io
@@ -51,14 +52,22 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def leftovers(out):
+    """The staging directories (``staging-*.tmp``) and ``*.tmp`` files under the nearest
+    existing ancestor of ``out``."""
+    return list(next(path for path in out.parents if path.exists()).rglob("*.tmp"))
+
+
 def assert_one_error_line(capsys, error, out, *argv):
     """The one check of a refused command: ``main(argv)`` (a new process with
     ``capsys`` None) exits 1 with one ``error <error>:`` line on stderr, prints
-    nothing on stdout and leaves no ``out``."""
+    nothing on stdout and leaves no ``out``, and no staging directory or temporary
+    file beside it."""
     rc, stdout, err = run(capsys, *argv)
     assert rc == 1 and stdout == ""
     assert err.startswith(f"error {error}: ") and err.count("\n") == 1, err
     assert not out.exists()
+    assert leftovers(out) == []
     return err
 
 
@@ -1420,35 +1429,197 @@ class TestEvaluateRefusalOrder:
         assert err == f"error FileNotFoundError: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+@pytest.fixture
+def writing_argv(request, corpus, prepped, command):
+    """``writing_argv(out, *extra)``: the argv of ``command``, a command that writes files, into ``out``."""
+    checkpoint = request.getfixturevalue("trained") / "checkpoint.bin" if command == "evaluate" else None
+
+    def argv(out, *extra):
+        if command == "synth":
+            return ["synth", "--clusters", "3", "--images-per-cluster", "4", "--feature-dim", "8",
+                    "--out", str(out), *extra]
+        if command == "preprocess":
+            return ["preprocess", "--captions", str(corpus / "captions.tsv"), "--out", str(out), *extra]
+        if command == "train":
+            return train_args(corpus, prepped, out, *extra)
+        return [*command_argv(command, corpus, out, checkpoint, corpus / "features.txt"), *extra]
+
+    return argv
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 class TestUnusableOut:
-    """``train`` and ``evaluate`` refuse an ``--out`` that is a file, or lies under one,
-    before they read any input, with the error ``os.makedirs`` would raise after the long
-    step: no epoch line or report comes first, and nothing is written."""
+    """``train`` and ``evaluate`` refuse an unusable ``--out`` before they read any input,
+    with the error ``os.makedirs`` or the staging directory's creation raises: no epoch line
+    or report comes first, and nothing is written."""
+
+    @pytest.fixture
+    def refuse(self, writing_argv, monkeypatch):
+        """``(writing_argv, reads)``, with every input reader patched to record its calls in
+        ``reads`` once ``writing_argv``'s inputs are made."""
+        reads = []
+        for name in ("load_vocabulary", "load_captions", "load_image_features", "read_checkpoint"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: reads.append(name))
+        return writing_argv, reads
 
     @pytest.mark.parametrize("below, named, error", [
         ((), (), "FileExistsError: [Errno 17] File exists"),
         (("run",), ("run",), "NotADirectoryError: [Errno 20] Not a directory"),
         (("run", "eval"), ("run",), "NotADirectoryError: [Errno 20] Not a directory"),
     ], ids=["is_a_file", "under_a_file", "two_below_a_file"])
-    def test_refused_before_any_input_is_read(self, request, tmp_path, corpus, prepped, capsys, monkeypatch,
-                                              command, below, named, error):
+    def test_refused_before_any_input_is_read(self, tmp_path, capsys, refuse, below, named, error):
+        argv, reads = refuse
         out = tmp_path.joinpath("notadir", *below)
-        if command == "train":
-            argv = train_args(corpus, prepped, out)
-        else:
-            argv = command_argv(command, corpus, out, request.getfixturevalue("trained") / "checkpoint.bin",
-                                corpus / "features.txt")
         (tmp_path / "notadir").write_text("a file\n")
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        reads = []
-        for name in ("load_vocabulary", "load_captions", "load_image_features", "read_checkpoint"):
-            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: reads.append(name))
         # nothing can exist below a file: the snapshot checks that nothing is written
-        err = assert_one_error_line(capsys, error.split(":")[0], out / "x", *argv)
+        err = assert_one_error_line(capsys, error.split(":")[0], out / "x", *argv(out))
         assert err == f"error {error}: '{tmp_path.joinpath('notadir', *named)}'\n"
         assert reads == []
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("case", ["empty", "dangling_symlink", "staging_refused"])
+    def test_refused_before_any_input_is_read_creating_nothing(self, tmp_path, capsys, monkeypatch, refuse,
+                                                               case):
+        """An empty ``--out``, a dangling symlink, and a new ``a/b/out`` in which the staging
+        directory cannot be made, as in a directory this user may not write: one error line,
+        no input read, and every path under the test directory as it was, ``a`` not made."""
+        argv, reads = refuse
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        if case == "empty":
+            out, error = "", re.escape("FileNotFoundError: [Errno 2] No such file or directory: ''")
+        elif case == "dangling_symlink":
+            out = tmp_path / "link"
+            out.symlink_to(tmp_path / "nowhere")
+            error = re.escape(f"FileExistsError: [Errno 17] File exists: '{out}'")
+        else:
+            out = tmp_path / "a" / "b" / "out"
+            error = re.escape(f"PermissionError: [Errno 13] Permission denied: '{out}/staging-") + r"\w+\.tmp'"
+            real_mkdir = os.mkdir
+
+            def mkdir(path, *args, **kwargs):
+                if os.path.basename(path).startswith("staging-"):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return real_mkdir(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "mkdir", mkdir)
+        before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        err = assert_one_error_line(capsys, error.split(":")[0], cwd / "x", *argv(out))
+        assert re.fullmatch(f"error {error}\n", err), err
+        assert reads == []
+        assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+# each writing command's files, in the order they are renamed into --out, and a change of
+# its argv that changes their bytes
+WRITTEN = {
+    "synth": (("captions.tsv", "features.txt"), ("--seed", "5")),
+    "preprocess": (("vocab.tsv",), ("--max-size", "10")),
+    "train": (("checkpoint.bin", "history.tsv", "manifest.json"), ("--seed", "5")),
+    "evaluate": (("report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"),
+                 ("--ks", "1,2")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITTEN))
+class TestOutputSet:
+    """Each writing command writes its files into a staging directory inside ``--out`` and
+    renames them into ``--out`` once all are complete. A command that fails or is interrupted
+    before the renames leaves an earlier run in ``--out`` byte for byte, and a new ``--out``
+    not made at all; neither keeps a staging directory or temporary file."""
+
+    @staticmethod
+    def snapshot(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_a_failed_write_leaves_no_trace(self, tmp_path, capsys, monkeypatch, writing_argv, command):
+        """An ``OSError`` at each file's open for writing, and at the first rename into
+        ``--out``: into an earlier run, each failure leaves it byte for byte; into a new
+        ``a/b/out``, each leaves no ``a``. A run that succeeds renames ``manifest.json`` last."""
+        names, change = WRITTEN[command]
+        out = tmp_path / "earlier"
+        assert run(capsys, *writing_argv(out))[0] == 0
+        earlier = self.snapshot(out)
+        assert sorted(earlier) == list(names)
+        real_open, real_replace, events = builtins.open, os.replace, []
+
+        def event(kind, path):
+            events.append((kind, path))
+            if len(events) == failing:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def open_for_writing(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                event("write", file)
+            return real_open(file, mode, *args, **kwargs)
+
+        def replace(src, dst):
+            if os.path.dirname(dst) == str(target):
+                event("rename", dst)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(builtins, "open", open_for_writing)
+        monkeypatch.setattr(os, "replace", replace)
+        # a failure after the first rename into --out falls in the renames' window
+        for failing in range(1, len(names) + 2):
+            for target in (out, tmp_path / f"new{failing}" / "b" / "out"):
+                events.clear()
+                rc, stdout, err = run(capsys, *writing_argv(target, *change))
+                assert (rc, stdout) == (1, ""), (failing, target, err)
+                assert err.splitlines()[-1] == f"error OSError: [Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+                assert [line for line in err.splitlines() if line.startswith("error ")] == err.splitlines()[-1:]
+                assert len(events) == failing and events[-1][0] == ("write", "rename")[failing > len(names)]
+                assert leftovers(target) == []
+                if target == out:
+                    assert self.snapshot(out) == earlier
+                else:
+                    assert not (tmp_path / f"new{failing}").exists()
+        failing, target = 0, out
+        events.clear()
+        assert run(capsys, *writing_argv(out, *change))[0] == 0
+        assert events[len(names):] == [("rename", str(out / name)) for name in names]
+        # the failing runs would have changed the earlier run's bytes
+        assert sorted(self.snapshot(out)) == list(names) and self.snapshot(out) != earlier
+
+    def test_an_interrupt_ends_as_one_line_and_leaves_no_trace(self, tmp_path, capsys, monkeypatch, writing_argv,
+                                                               command):
+        """A Ctrl-C while the command works exits 130 with one ``error KeyboardInterrupt:``
+        line, once the staging directory, and a new ``--out``, are gone."""
+        out = tmp_path / "earlier"
+        assert run(capsys, *writing_argv(out))[0] == 0
+        earlier = self.snapshot(out)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        work = {"synth": "generate_synthetic_corpus", "preprocess": "build_vocabulary", "train": "train",
+                "evaluate": "build_rankings"}[command]
+        monkeypatch.setattr(cli, work, interrupt)
+        for target in (out, tmp_path / "new" / "b" / "out"):
+            try:
+                result = run(capsys, *writing_argv(target))
+            except KeyboardInterrupt:  # would end the test session, not fail the test
+                pytest.fail("the interrupt left main")
+            assert result == (130, "", "error KeyboardInterrupt: KeyboardInterrupt\n")
+            assert leftovers(target) == []
+        assert self.snapshot(out) == earlier and not (tmp_path / "new").exists()
+
+
+def test_a_directory_another_command_wrote_into_stays(tmp_path, capsys, monkeypatch):
+    """Two commands into new siblings under one new directory, run at once: the one that
+    fails removes its own ``--out`` and staging directory, not the other's files beside it."""
+    sweep = tmp_path / "sweep"
+
+    def the_other_writes_then_this_fails(**kwargs):
+        (sweep / "b").mkdir()
+        (sweep / "b" / "captions.tsv").write_text("the other run's file\n")
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "generate_synthetic_corpus", the_other_writes_then_this_fails)
+    assert run(capsys, "synth", "--out", str(sweep / "a"))[0] == 1
+    assert sorted(p.relative_to(sweep) for p in sweep.rglob("*")) == [Path("b"), Path("b/captions.tsv")]
 
 
 class TestOverflowingEmbedding:
@@ -1540,6 +1711,35 @@ class TestProcess:
                 assert (proc.returncode, err) == (0, usual_err), err
             assert sorted(p.name for p in out.iterdir()) == [
                 "report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"]
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path, capsys):
+        """A ``train`` on 4096-d features, large enough for OpenBLAS to split its products
+        over threads, and an ``evaluate`` of it, each run in new processes under 1 and 2 BLAS
+        threads: every file written and stdout are the same bytes, because the package pins
+        BLAS to one thread before numpy is imported."""
+        corpus, prep = tmp_path / "corpus", tmp_path / "prep"
+        assert run(capsys, "synth", "--clusters", "4", "--images-per-cluster", "10", "--feature-dim", "4096",
+                   "--vocab-per-cluster", "12", "--noise-sigma", "0.01", "--out", str(corpus))[0] == 0
+        assert run(capsys, "preprocess", "--captions", str(corpus / "captions.tsv"), "--out", str(prep))[0] == 0
+        data = ["--captions", str(corpus / "captions.tsv"), "--features", str(corpus / "features.txt")]
+        outputs = []
+        for threads in ("1", "2"):
+            run_dir, eval_dir = tmp_path / f"run{threads}", tmp_path / f"eval{threads}"
+            stdouts = []
+            for argv in (["train", *data, "--vocab", str(prep / "vocab.tsv"), "--n-test", "8", "--val-frac", "0.2",
+                          "--epochs", "3", "--out", str(run_dir)],
+                         ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"), *data, "--out", str(eval_dir)]):
+                env = src_env(**dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+                proc = subprocess.run([sys.executable, "-m", "crossmodal.cli", *argv], env=env, capture_output=True,
+                                      timeout=300)
+                assert proc.returncode == 0, proc.stderr.decode()
+                stdouts.append(proc.stdout)
+            outputs.append((stdouts, {(out.name[:-1], p.name): p.read_bytes()
+                                      for out in (run_dir, eval_dir) for p in out.iterdir()}))
+        assert len(outputs[0][1]) == 7
+        assert outputs[0] == outputs[1]
 
 
 def readme_commands():
