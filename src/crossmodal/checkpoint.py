@@ -8,8 +8,10 @@ Layout (all integers little-endian):
 The header carries both net specs, the training and data configuration, the
 vocabulary, the epoch history, and a parameter manifest (name + shape per
 net) that must equal the layout the specs give: ``nets.param_shapes`` order,
-textual net first. The vocabulary follows the vocab.tsv rule, has one
-term per textual net input row and hashes to ``vocab_digest``. Saves
+textual net first. The vocabulary holds ``mode``, ``n_docs`` and ``terms``
+(``[term, doc_freq]`` in index order), follows the vocab.tsv rule, has one
+term per textual net input row and hashes to ``vocab_digest``; a load ignores
+other vocabulary keys, such as the size cap older headers hold. Saves
 stream to ``<path>.tmp``, whose exact final size is reserved with
 ``os.posix_fallocate`` before the first write where the platform and file
 system offer it, and rename it over ``path``: a file system that allocates
@@ -32,7 +34,7 @@ import os
 import struct
 import threading
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -59,7 +61,6 @@ def _vocab_to_json(vocab: Vocabulary) -> dict:
     return {
         "mode": vocab.mode,
         "n_docs": vocab.n_docs,
-        "max_size": vocab.max_size,
         "terms": [[term, count] for term, _, count in vocabulary_rows(vocab)],
     }
 
@@ -82,10 +83,6 @@ def _vocab_from_json(blob: dict, digest: str, textual: NetSpec) -> Vocabulary:
     rows = ((i, term, i, count) for i, (term, count) in enumerate(blob["terms"]))
     vocab = vocabulary_from_rows("vocabulary", "vocabulary term {}".format, blob["mode"],
                                  textual.input_dim, blob["n_docs"], rows)
-    max_size = blob["max_size"]
-    if not _is_a(max_size, int) or max_size < vocab.size:
-        raise ValueError(f"max_size {max_size!r} is not an int of at least the {vocab.size} terms")
-    vocab = replace(vocab, max_size=max_size)
     if vocab.digest != digest:
         raise ValueError("vocab_digest is not the digest of the vocabulary")
     return vocab

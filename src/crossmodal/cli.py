@@ -204,7 +204,15 @@ def _write_stdout(lines: list[str]) -> None:
     """Write and flush a command's data lines. A reader that closed stdout ends
     the output, not the command: the rest of the run goes on as usual, and
     stdout points at os.devnull so that nothing more, not even the exit-time
-    flush, meets the closed pipe."""
+    flush, meets the closed pipe. Output that stdout's encoding cannot write is refused
+    before any of it is written; a stream with no encoding (``io.StringIO``) takes any text."""
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding:
+        try:
+            "".join(lines).encode(encoding, sys.stdout.errors or "strict")
+        except UnicodeEncodeError:
+            raise ConfigError(f"stdout's encoding {encoding} cannot write the output; "
+                              "run with PYTHONIOENCODING=utf-8") from None
     try:
         sys.stdout.writelines(lines)
         sys.stdout.flush()
@@ -251,9 +259,11 @@ def output_set(out: str):
     """Make ``out`` and yield a new staging directory inside it; once the block ends, rename each
     file staged there into ``out``, ``manifest.json`` last. If anything raises before that, remove
     the staging directory and each directory this made that is empty: the file system is as it was."""
-    made, path, staging = [], os.path.abspath(out), None  # abspath drops "missing/.." by name
-    while not os.path.lexists(path):  # the directories makedirs makes, deepest first
-        made, path = made + [path], os.path.dirname(path)
+    made, path, staging = [], out, None
+    while path and not os.path.lexists(path):  # the directories makedirs makes, deepest first
+        if not os.path.lexists(os.path.abspath(path)):  # "missing/../old" names an existing old
+            made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out, exist_ok=True)
         staging = tempfile.mkdtemp(prefix="staging-", suffix=".tmp", dir=out)

@@ -38,6 +38,8 @@ CAPTIONS_PER_IMAGE = 5
 # values parsed per np.loadtxt call in _vector_rows: 16 rows of 4096-d features,
 # 218 of 300-d embeddings; only one block of text is held at a time
 ROW_BLOCK_VALUES = 1 << 16
+# the most float64 values one numpy array can hold: its size in bytes must fit an intp
+MAX_FLOAT64_VALUES = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -363,13 +365,20 @@ def generate_synthetic_corpus(
 ) -> tuple[list[ImageRecord], list[Caption]]:
     """Build a clustered toy corpus where retrieval structure is known.
 
-    Each cluster gets a unit-norm prototype feature vector and a token set
-    disjoint from every other cluster's. Images are the prototype plus
-    Gaussian noise; each image's five captions draw 4 to 8 tokens uniformly
-    from the cluster's token set. Fully deterministic for a fixed seed.
+    Each cluster ``c`` gets a unit-norm prototype feature vector and the token
+    set ``c{c}w0`` .. ``c{c}w{vocab_per_cluster - 1}``, disjoint from every
+    other cluster's. Images are the prototype plus Gaussian noise; each
+    image's five captions draw 4 to 8 tokens uniformly from the cluster's
+    token set. Fully deterministic for a fixed seed.
     """
     if min(n_clusters, images_per_cluster, feature_dim, vocab_per_cluster) <= 0:
         raise ConfigError("all synthetic corpus counts must be positive")
+    if feature_dim > MAX_FLOAT64_VALUES:
+        raise ConfigError(f"feature_dim must be at most {MAX_FLOAT64_VALUES}, "
+                          "the float64 values numpy can address")
+    if vocab_per_cluster > np.iinfo(np.int64).max:
+        raise ConfigError(f"vocab_per_cluster must be at most {np.iinfo(np.int64).max}, "
+                          "the token indices numpy draws")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     if noise_sigma < 0:
@@ -382,7 +391,6 @@ def generate_synthetic_corpus(
     for c in range(n_clusters):
         proto = rng.normal(size=feature_dim)
         proto /= np.linalg.norm(proto)
-        tokens = [f"c{c}w{t}" for t in range(vocab_per_cluster)]
         for i in range(images_per_cluster):
             image_id = f"c{c}img{i:03d}"
             # scale=0 yields exact zeros, so zero-noise images equal the prototype
@@ -392,5 +400,5 @@ def generate_synthetic_corpus(
             for j in range(CAPTIONS_PER_IMAGE):
                 length = int(rng.integers(4, 9))
                 picks = rng.integers(0, vocab_per_cluster, size=length)
-                captions.append(Caption(image_id, j, " ".join(tokens[p] for p in picks)))
+                captions.append(Caption(image_id, j, " ".join(f"c{c}w{p}" for p in picks)))
     return images, captions

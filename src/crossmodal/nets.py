@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import PretrainedEmbeddings
+from .corpus import MAX_FLOAT64_VALUES, PretrainedEmbeddings
 from .errors import ConfigError, NonFiniteGradientError
 from .text import SparseVector, TokenSequence, Vocabulary
 
@@ -71,6 +71,10 @@ class NetSpec:
             if value != default:
                 raise ConfigError(f"a {self.kind} net does not read {name}, "
                                   f"so it must be {default!r}, not {value!r}")
+        for name, shape in param_shapes(self):
+            if math.prod(shape) > MAX_FLOAT64_VALUES:
+                raise ConfigError(f"parameter {name} of shape {shape} holds more than the "
+                                  f"{MAX_FLOAT64_VALUES} float64 values numpy can address")
 
 
 class RowGrad(NamedTuple):

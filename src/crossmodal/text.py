@@ -27,11 +27,13 @@ SKIP_TAG = "*"
 
 @dataclass(frozen=True)
 class Vocabulary:
+    """What vocab.tsv holds: the term mode, each term's index and document frequency, and the
+    number of captions counted; the size cap is ``build_vocabulary``'s argument, not kept."""
+
     mode: str
     term_to_index: dict[str, int]
     doc_freq: dict[str, int]
     n_docs: int
-    max_size: int
 
     @property
     def size(self) -> int:
@@ -122,7 +124,6 @@ def build_vocabulary(captions: list[Caption], mode: str, max_size: int) -> Vocab
         term_to_index=term_to_index,
         doc_freq={term: doc_freq[term] for term, _ in ranked},
         n_docs=len(captions),
-        max_size=max_size,
     )
 
 
@@ -213,7 +214,7 @@ def vocabulary_from_rows(where: str, row_where, mode, size: int, n_docs, rows) -
         doc_freq[term] = count
     if len(term_to_index) != size:
         raise VocabularyError(f"{where}: header declares {size} terms, found {len(term_to_index)}")
-    return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs, max_size=size)
+    return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs)
 
 
 def _ints(fields: list[str], where: str) -> list[int]:

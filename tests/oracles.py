@@ -587,7 +587,6 @@ def oracle_vocab_to_json(vocab: Vocabulary) -> dict:
     return {
         "mode": vocab.mode,
         "n_docs": vocab.n_docs,
-        "max_size": vocab.max_size,
         "terms": [[term, vocab.doc_freq[term]] for term, _ in by_index],
     }
 
@@ -628,7 +627,7 @@ def oracle_load_vocabulary(path: str) -> Vocabulary:
         doc_freq[term] = count
     if len(term_to_index) != size:
         raise VocabularyError(f"{path}:1: header declares {size} terms, found {len(term_to_index)}")
-    return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs, max_size=size)
+    return Vocabulary(mode=mode, term_to_index=term_to_index, doc_freq=doc_freq, n_docs=n_docs)
 
 
 def oracle_save_checkpoint(

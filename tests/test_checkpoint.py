@@ -81,9 +81,28 @@ class TestRoundTrip:
         assert ckpt.vocabulary.n_docs == vocab.n_docs
         assert ckpt.data_config == SPLIT
         assert ckpt.vocabulary.digest == oracle_vocab_digest(vocab)
-        assert ckpt.vocabulary.max_size == vocab.max_size
         with pytest.raises(FrozenInstanceError):  # so its cached digest cannot go stale
-            ckpt.vocabulary.max_size = vocab.size
+            ckpt.vocabulary.mode = "bigram"
+
+    def test_an_older_header_with_max_size_loads_the_same(self, setup):
+        """Older headers hold a vocabulary ``max_size``; a load ignores it."""
+        images, captions, store, vocab, model, config, history, path = setup
+        save_checkpoint(path, model, vocab, config, history, SPLIT)
+        blob = Path(path).read_bytes()
+        header = read_header(blob)
+        assert "max_size" not in header["vocabulary"]
+        new = load_checkpoint(path)
+        header["vocabulary"]["max_size"] = 5000
+        resign(path, blob, header=header)
+        old = load_checkpoint(path)
+        for net_name in ("textual_net", "visual_net"):
+            a, b = getattr(new.model, net_name), getattr(old.model, net_name)
+            assert a.spec == b.spec
+            assert [v.tobytes() for v in a.params.values()] == [v.tobytes() for v in b.params.values()]
+        for field in ("train_config", "data_config", "history"):
+            assert getattr(old, field) == getattr(new, field)
+        assert old.vocabulary == new.vocabulary
+        assert old.vocabulary.digest == new.vocabulary.digest == vocab.digest
 
     def test_scores_bit_identical_after_round_trip(self, setup):
         """Train a little first so the saved parameters are non-trivial."""
@@ -191,7 +210,7 @@ def unicode_vocabulary(vocab):
     terms = ["caf\u00e9", "\u65e5\u672c", 'say"when', "back\\slash"]
     terms += [f"t{i}" for i in range(vocab.size - len(terms))]
     return Vocabulary(vocab.mode, {t: i for i, t in enumerate(terms)},
-                      {t: 1 + i % vocab.n_docs for i, t in enumerate(terms)}, vocab.n_docs, vocab.max_size)
+                      {t: 1 + i % vocab.n_docs for i, t in enumerate(terms)}, vocab.n_docs)
 
 
 class TestLayoutOracle:
@@ -553,8 +572,6 @@ class TestFailureModes:
             lambda h: h["history"]["epochs"][1].__setitem__(3, "31.0"),
             lambda h: h["history"]["epochs"][1].__setitem__(0, 5),
             lambda h: h["history"].update(epochs=h["history"]["epochs"][::-1]),
-            lambda h: h["vocabulary"].update(max_size="big"),
-            lambda h: h["vocabulary"].update(max_size=len(h["vocabulary"]["terms"]) - 1),
             lambda h: h["train_config"].update(margin=True),
             lambda h: h["train_config"].update(max_epochs=3.0),
             lambda h: h["train_config"].update(val_pairs_per_epoch=True),
@@ -595,8 +612,6 @@ class TestFailureModes:
             "string_val_err",
             "epochs_numbered_1_5",
             "epochs_numbered_2_1",
-            "string_max_size",
-            "max_size_below_the_vocabulary",
             "true_margin",
             "float_max_epochs",
             "true_val_pairs_per_epoch",

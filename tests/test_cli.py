@@ -246,12 +246,18 @@ class TestSynthAndPreprocess:
         [(("--seed", "-1"), "seed must be nonnegative"),
          (("--noise-sigma", "nan"), "noise_sigma must be finite"),
          (("--noise-sigma", "inf"), "noise_sigma must be finite"),
-         (("--noise-sigma", "-1"), "noise_sigma must be nonnegative")],
-        ids=["--seed -1", "--noise-sigma nan", "--noise-sigma inf", "--noise-sigma -1"],
+         (("--noise-sigma", "-1"), "noise_sigma must be nonnegative"),
+         (("--feature-dim", "100000000000000000000"),
+          "feature_dim must be at most 1152921504606846975, the float64 values numpy can address"),
+         (("--vocab-per-cluster", "100000000000000000000"),
+          "vocab_per_cluster must be at most 9223372036854775807, the token indices numpy draws")],
+        ids=["--seed -1", "--noise-sigma nan", "--noise-sigma inf", "--noise-sigma -1", "--feature-dim 1e20",
+             "--vocab-per-cluster 1e20"],
     )
     def test_bad_seed_or_noise_refused(self, tmp_path, capsys, bad, message):
-        """Refused before anything is written: numpy seeds no negative integer, and
-        non-finite noise would write a features.txt that every loader refuses."""
+        """Refused before anything is written: numpy seeds no negative integer,
+        non-finite noise would write a features.txt that every loader refuses, and
+        numpy can neither hold a wider feature vector nor draw a larger token index."""
         out = tmp_path / "none"
         err = assert_one_error_line(capsys, "ConfigError", out, "synth", *bad, "--out", str(out))
         assert err == f"error ConfigError: {message}\n"
@@ -374,6 +380,10 @@ class TestTrain:
             ("--epochs", "abc"),
             ("--methodology", "xyz"),
             ("--textual", "lstm"),
+            # a parameter of more float64 values than numpy can address
+            ("--n-emb", "1000000000000000000"),
+            ("--n-emb", "100000000000000000000"),
+            ("--n-hu", "100000000000000000000"),
         ],
         ids=" ".join,
     )
@@ -515,6 +525,17 @@ class TestTrain:
         err = assert_one_error_line(capsys, "MemoryError", out,
                                     *train_args(corpus, prepped, out, "--n-hu", "1000000000"))
         assert err.startswith("error MemoryError: Unable to allocate an array with shape (")
+
+    def test_size_numpy_cannot_address_refused_once_the_input_width_is_known(self, tmp_path, capsys):
+        """A visual net whose hidden layer passes the flag's check, where one input row is
+        assumed, holds too many values for 400-d features: one line, nothing written."""
+        corpus, prep, out = tmp_path / "corpus", tmp_path / "prep", tmp_path / "huge"
+        assert run(capsys, "synth", "--feature-dim", "400", "--out", str(corpus))[0] == 0
+        assert run(capsys, "preprocess", "--captions", str(corpus / "captions.tsv"), "--out", str(prep))[0] == 0
+        err = assert_one_error_line(capsys, "ConfigError", out,
+                                    *train_args(corpus, prep, out, "--visual-n-hu", "3000000000000000"))
+        assert err == ("error ConfigError: parameter w0 of shape (400, 3000000000000000) holds more than the "
+                       "1152921504606846975 float64 values numpy can address\n")
 
     def test_history_format(self, trained):
         lines = (trained / "history.tsv").read_text().splitlines()
@@ -1521,6 +1542,9 @@ WRITTEN = {
     "evaluate": (("report_annotation.kv", "report_annotation.txt", "report_search.kv", "report_search.txt"),
                  ("--ks", "1,2")),
 }
+# each writing command's argv change that it refuses once --out is made
+REFUSED = {"synth": ("--clusters", "0"), "preprocess": ("--max-size", "0"), "train": ("--epochs", "-1"),
+           "evaluate": ("--ks", "0")}
 
 
 @pytest.mark.parametrize("command", sorted(WRITTEN))
@@ -1606,6 +1630,20 @@ class TestOutputSet:
             assert leftovers(target) == []
         assert self.snapshot(out) == earlier and not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize("out, present, made", [("x/../y", [], "x"), ("nope/../keep", ["keep"], "nope"),
+                                                    ("a/b/../c", ["a"], "a/b")])
+    def test_a_dotdot_after_a_missing_directory_leaves_nothing(self, tmp_path, capsys, monkeypatch, writing_argv,
+                                                               command, out, present, made):
+        """``makedirs`` makes the missing directory before a ``..`` too; a refused command
+        removes it, and keeps an empty directory that the ``..`` path names."""
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for name in present:
+            (cwd / name).mkdir()
+        assert_one_error_line(capsys, "ConfigError", cwd / made, *writing_argv(out, *REFUSED[command]))
+        assert sorted(p.name for p in cwd.rglob("*")) == present
+
 
 def test_a_directory_another_command_wrote_into_stays(tmp_path, capsys, monkeypatch):
     """Two commands into new siblings under one new directory, run at once: the one that
@@ -1658,10 +1696,11 @@ class TestOverflowingEmbedding:
 class TestProcess:
     """The installed ``crossmodal`` script runs the same ``cli.entry`` as ``python -m crossmodal.cli``."""
 
-    def test_refusals_in_a_new_process(self, tmp_path, corpus, prepped, trained):
+    def test_refusals_in_a_new_process(self, tmp_path, corpus, prepped, trained, monkeypatch):
         """A refusal before any file is read, a corrupt checkpoint, alone and with missing
-        features, and an overflow behind hidden layers: exit 1, nothing on stdout, no traceback or warning
-        on stderr beside the one error line, and no ``--out``."""
+        features, an overflow behind hidden layers, and a result that stdout's encoding cannot
+        write: exit 1, nothing on stdout, no traceback or warning on stderr beside the one
+        error line, and no ``--out``."""
         out = tmp_path / "out"
         err = assert_one_error_line(
             None, "ConfigError", out, "evaluate", "--checkpoint", str(tmp_path / "missing.bin"),
@@ -1685,6 +1724,14 @@ class TestProcess:
         for command in ("evaluate", "query"):
             assert_one_error_line(None, "CheckpointCorruptError", out, *command_argv(
                 command, corpus, out, tmp_path / "negative.bin", tmp_path / "missing.txt"))
+        (tmp_path / "q.tsv").write_text("c1img003\t0\tc1w1 caf\u00e9\n", encoding="utf-8")
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        err = assert_one_error_line(
+            None, "ConfigError", out, "query", "--checkpoint", str(trained / "checkpoint.bin"), "--features",
+            str(corpus / "features.txt"), "--captions", str(tmp_path / "q.tsv"), "--image-id", "c1img003",
+        )
+        assert err == ("error ConfigError: stdout's encoding ascii cannot write the output; "
+                       "run with PYTHONIOENCODING=utf-8\n")
 
     def test_evaluate_into_a_reader_that_closes_after_one_byte(self, tmp_path, corpus, trained):
         """``evaluate`` and ``query`` piped into a reader that closes after one byte

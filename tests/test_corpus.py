@@ -228,6 +228,12 @@ class TestSplitDataset:
         with pytest.raises(CorpusFormatError, match="ghost"):
             split_dataset(make_images(5), [Caption("ghost", 0, "x")], 2, 0.2, seed=0)
 
+    def test_unknown_subset_refused(self):
+        split = split_dataset(make_images(10), [], 2, 0.2, seed=0)
+        assert [split.subset(name) for name in ("train", "val", "test")] == [split.train, split.val, split.test]
+        with pytest.raises(ValueError, match="unknown split 'seed'"):
+            split.subset("seed")
+
 
 class TestLoadWordEmbeddings:
     def test_basic(self, tmp_path):

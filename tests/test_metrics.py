@@ -225,6 +225,8 @@ class TestBleuRouge:
     def test_errors(self):
         with pytest.raises(ValueError):
             bleu([], [["a"]])
+        with pytest.raises(ValueError, match="no references"):
+            bleu(["a"], [])
         with pytest.raises(ValueError):
             rouge(["a"], [[], []])
 
@@ -518,3 +520,15 @@ class TestEvalReport:
         assert set(srch.recall) == {"first_txt", "rnd_txt", "avg_txt"}
         assert ann.r_precision_5 is not None
         assert srch.r_precision_5 is None
+
+    @pytest.mark.parametrize("images, captions, ks, message", [
+        (["a", "b"], 5, (0,), "k must be >= 1"),
+        ([], 5, (1,), "no queries to evaluate"),
+        (["a", "b"], 6, (1,), "image 'a' has 6 captions, expected at most 5"),
+    ], ids=["k_below_1", "no_queries", "six_captions_for_an_image"])
+    def test_refused(self, images, captions, ks, message):
+        captions_of = {img: [caption_id(img, j) for j in range(captions)] for img in images}
+        order = [cid for img in images for cid in captions_of[img]]
+        rankings = ranking_set_from_orders("annotation", dict.fromkeys(images, order), images, captions_of)
+        with pytest.raises(ValueError, match=message):
+            evaluate_rankings(rankings, ks=ks)

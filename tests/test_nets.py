@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from crossmodal.corpus import PretrainedEmbeddings
+from crossmodal.corpus import MAX_FLOAT64_VALUES, PretrainedEmbeddings
 from crossmodal.errors import ConfigError, NonFiniteGradientError
 import crossmodal.nets as nets_mod
 from crossmodal.nets import (
@@ -106,6 +106,21 @@ class TestNetSpec:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.n_emb = 5
 
+    @pytest.mark.parametrize("args, fields, message", [
+        (("lstm", 4, 2), {}, "unknown net kind 'lstm'"),
+        (("bag", 2, MAX_FLOAT64_VALUES), {}, f"parameter w0 of shape (2, {MAX_FLOAT64_VALUES})"),
+        (("bag", 1, 2), {"n_hu": MAX_FLOAT64_VALUES + 1}, f"parameter w0 of shape (1, {MAX_FLOAT64_VALUES + 1})"),
+        (("bag", 1, 2), {"n_hu": MAX_FLOAT64_VALUES}, f"parameter w1 of shape ({MAX_FLOAT64_VALUES}, 2)"),
+        (("sequence", 1, 2), {"word_dim": 2, "kernel_count": 1, "window": MAX_FLOAT64_VALUES},
+         f"parameter conv_w of shape ({2 * MAX_FLOAT64_VALUES}, 1)"),
+    ], ids=["unknown_kind", "w0", "n_hu_past_the_bound", "w1", "conv_w"])
+    def test_refused(self, args, fields, message):
+        """An unknown kind, and a parameter of more float64 values than one numpy array holds."""
+        with pytest.raises(ConfigError) as exc:
+            NetSpec(*args, **fields)
+        assert str(exc.value).startswith(message)
+        assert NetSpec("bag", 1, MAX_FLOAT64_VALUES).n_emb == MAX_FLOAT64_VALUES  # the largest addressable
+
 
 class TestInitNet:
     def test_bag_shapes_and_bound(self):
@@ -140,10 +155,15 @@ class TestInitNet:
         spec = NetSpec(kind="bag", input_dim=10, n_emb=8)
         emb = PretrainedEmbeddings(dim=300, vectors={})
         with pytest.raises(ValueError, match="300"):
-            init_net(spec, 0, pretrained=emb, vocab=Vocabulary("unigram", {}, {}, 1, 1))
+            init_net(spec, 0, pretrained=emb, vocab=Vocabulary("unigram", {}, {}, 1))
+
+    def test_pretrained_without_vocabulary_refused(self):
+        emb = PretrainedEmbeddings(dim=8, vectors={"dog": np.ones(8)})
+        with pytest.raises(ValueError, match="needs the vocabulary"):
+            init_net(NetSpec(kind="bag", input_dim=10, n_emb=8), 0, pretrained=emb)
 
     def test_pretrained_rows_overwritten(self):
-        vocab = Vocabulary("unigram", {"dog": 0, "cat": 3}, {}, 1, 10)
+        vocab = Vocabulary("unigram", {"dog": 0, "cat": 3}, {}, 1)
         emb = PretrainedEmbeddings(dim=4, vectors={"dog": np.arange(4.0), "bird": np.ones(4)})
         net = init_net(NetSpec(kind="bag", input_dim=10, n_emb=4), 0, pretrained=emb, vocab=vocab)
         np.testing.assert_array_equal(net.params["w0"][0], np.arange(4.0))
@@ -151,7 +171,7 @@ class TestInitNet:
         assert np.any(net.params["w0"][3] != 0.0)
 
     def test_pretrained_into_lookup(self):
-        vocab = Vocabulary("unigram", {"dog": 2}, {}, 1, 10)
+        vocab = Vocabulary("unigram", {"dog": 2}, {}, 1)
         emb = PretrainedEmbeddings(dim=6, vectors={"dog": np.full(6, 2.0)})
         spec = NetSpec(kind="sequence", input_dim=5, n_emb=3, word_dim=6, kernel_count=4, window=2)
         net = init_net(spec, 0, pretrained=emb, vocab=vocab)
@@ -199,6 +219,18 @@ class TestForward:
         bag = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=0)
         with pytest.raises(TypeError):
             forward(bag, TokenSequence(np.array([0], dtype=np.int64)))
+        sequence = init_net(NetSpec(kind="sequence", input_dim=4, n_emb=2, word_dim=3, kernel_count=2, window=2),
+                            seed=0)
+        with pytest.raises(TypeError, match="sequence nets take TokenSequence inputs"):
+            forward(sequence, sparse([0], [1.0]))
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_dense_input_of_another_width_refused(self, width):
+        net = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=0)
+        with pytest.raises(ValueError, match=rf"dense input shape \({width},\) != \(4,\)"):
+            forward(net, np.ones(width))
+        with pytest.raises(ValueError, match=rf"dense input shape \({width},\) != \(4,\)"):
+            embed_dense(net, [np.ones(width)] * 2)
 
     def test_sequence_against_explicit_oracle(self):
         """Independent oracle: build the padded window matrix by hand."""
@@ -354,6 +386,13 @@ class TestSgdAndSchedule:
             sgd_step([net], [bad], lr=0.1)
         assert net.params["w0"].tobytes() == before.tobytes()
 
+    def test_gradient_for_an_unknown_parameter_refused(self):
+        net = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=1)
+        before = {k: v.tobytes() for k, v in net.params.items()}
+        with pytest.raises(KeyError, match="gradient for unknown parameter 'w1'"):
+            sgd_step([net], [{"b0": np.ones(2), "w1": np.ones((4, 2))}], lr=0.1)
+        assert {k: v.tobytes() for k, v in net.params.items()} == before
+
     def test_refused_step_moves_no_net(self):
         first = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=1)
         second = init_net(NetSpec(kind="bag", input_dim=4, n_emb=2), seed=2)
@@ -439,6 +478,8 @@ class TestSgdAndSchedule:
         assert lr_schedule(0.001, 50) == pytest.approx(0.000505)
         # constant at the floor past 100
         assert lr_schedule(0.001, 250) == pytest.approx(0.00001)
+        with pytest.raises(ValueError, match="epoch must be nonnegative"):
+            lr_schedule(0.001, -1)
 
     def test_relu_nonnegative(self):
         rng = np.random.default_rng(3)

@@ -116,7 +116,6 @@ def toy_vocab():
         term_to_index={"dog": 0, "runs": 1},
         doc_freq={"dog": 10, "runs": 2},
         n_docs=10,
-        max_size=2,
     )
 
 
@@ -156,21 +155,21 @@ class TestFeaturize:
 
 class TestEncodeSequence:
     def test_in_order_mapping(self):
-        vocab = Vocabulary("unigram", {"man": 5, "riding": 9, "bike": 2}, {}, 1, 10)
+        vocab = Vocabulary("unigram", {"man": 5, "riding": 9, "bike": 2}, {}, 1)
         seq = encode_sequence(["man", "riding", "bike"], vocab)
         assert list(seq.indices) == [5, 9, 2]
 
     def test_oov_dropped(self):
-        vocab = Vocabulary("unigram", {"man": 5, "bike": 2}, {}, 1, 10)
+        vocab = Vocabulary("unigram", {"man": 5, "bike": 2}, {}, 1)
         assert list(encode_sequence(["man", "zzz", "bike"], vocab).indices) == [5, 2]
 
     def test_all_oov_is_empty(self):
-        vocab = Vocabulary("unigram", {"man": 0}, {}, 1, 10)
+        vocab = Vocabulary("unigram", {"man": 0}, {}, 1)
         seq = encode_sequence(["zzz"], vocab)
         assert isinstance(seq, TokenSequence) and len(seq) == 0
 
     def test_requires_unigram(self):
-        vocab = Vocabulary("bigram", {"a_b": 0}, {}, 1, 10)
+        vocab = Vocabulary("bigram", {"a_b": 0}, {}, 1)
         with pytest.raises(ValueError):
             encode_sequence(["a", "b"], vocab)
 
