@@ -123,9 +123,10 @@ TEXTUAL_NETS = {textual: (kind, tuple(opt for opt in OPTIONS if opt.spec_field i
                 for textual, kind in TEXTUAL_KIND_BY_VALUE.items()}
 
 
-def parse_config_file(path: str) -> dict[str, Any]:
-    """Flat ``key = value`` lines, each key once, typed by OPTIONS; blank lines and # comments ignored."""
-    values: dict[str, Any] = {}
+def parse_config_file(path: str) -> dict[str, tuple[Any, str]]:
+    """Flat ``key = value`` lines, each key once: each value typed by OPTIONS, with the
+    ``path:line`` it is on; blank lines and # comments ignored."""
+    values: dict[str, tuple[Any, str]] = {}
     first_line: dict[str, int] = {}
     for lineno, line in text_lines(path, ConfigError):
         line = line.strip()
@@ -140,44 +141,45 @@ def parse_config_file(path: str) -> dict[str, Any]:
         if opt.name in first_line:
             raise ConfigError(f"{path}:{lineno}: {opt.name} is already set on line {first_line[opt.name]}")
         first_line[opt.name] = lineno
-        values[opt.name] = typed_value(opt, raw.strip(), f"{path}:{lineno}")
+        where = f"{path}:{lineno}"
+        values[opt.name] = typed_value(opt, raw.strip(), where), where
     return values
 
 
 def typed_value(opt: Option, raw: str, where: str) -> Any:
-    """``raw`` typed and checked by ``opt``, by the ``TrainConfig`` and ``NetSpec``s that train
-    builds from it, and by ``check_split_values`` for a split option; errors open with
-    ``where``, a path:line or --flag."""
+    """``raw`` typed by ``opt`` and among its choices; errors open with ``where``, a
+    path:line or --flag."""
     try:
         value = opt.type(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {opt.name}: {exc}") from None
     if opt.choices and value not in opt.choices:
         raise ConfigError(f"{where}: {opt.name} must be one of {opt.choices}, got {raw!r}")
-    try:  # the value alone, every other option at its default, under each --textual value
-        for textual in TEXTUAL_NETS:
-            _train_setup({**OPTION_DEFAULTS, opt.name: value, "textual": textual}, 1, 1)
-        if opt.name in SPLIT_OPTIONS:
-            check_split_values(**{opt.name: value})
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
     return value
 
 
 def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
-    """Defaults, overlaid by the config file, overlaid by explicit flags; all typed by
-    typed_value. The one place a train value is refused, so nothing is read first."""
-    resolved = dict(OPTION_DEFAULTS)
-    if args.config:
-        resolved.update(parse_config_file(args.config))
-    resolved.update({opt.name: typed_value(opt, raw, opt.flag) for opt in OPTIONS
-                     if (raw := getattr(args, opt.name)) is not None})
+    """Defaults, overlaid by the config file, overlaid by explicit flags; the one place a
+    train value is refused before any input is read. Every value is typed, then an option of
+    the textual net not chosen is refused, then each given value is checked alone (the rest
+    at their defaults) under the chosen net, by ``_train_setup`` and ``check_split_values``."""
+    given = list(parse_config_file(args.config).items()) if args.config else []
+    given += [(opt.name, (typed_value(opt, raw, opt.flag), opt.flag)) for opt in OPTIONS
+              if (raw := getattr(args, opt.name)) is not None]
+    resolved = {**OPTION_DEFAULTS, **{name: value for name, (value, _) in given}}
     # an option of a textual net that --textual did not choose would change nothing
     chosen = resolved["textual"]
     for textual, (_, options) in TEXTUAL_NETS.items():
         for opt in options:
             if textual != chosen and resolved[opt.name] != opt.default:
                 raise ConfigError(f"{opt.flag} applies to --textual {textual}, not to --textual {chosen}")
+    for name, (value, where) in given:
+        try:
+            _train_setup({**OPTION_DEFAULTS, name: value, "textual": chosen}, 1, 1)
+            if name in SPLIT_OPTIONS:
+                check_split_values(**{name: value})
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return resolved
 
 

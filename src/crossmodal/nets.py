@@ -23,8 +23,8 @@ factors and the learning rate to the layer's ``Pending`` terms, and
 ``FOLD_TERMS`` terms these are folded into the weights by one row-blocked
 product; a fold of one step's terms is a dense step. ``fold_pending`` folds
 them on demand, before anything reads ``params`` directly: ``clone_net``,
-``save_checkpoint`` and the end of training. Bias gradients are dense
-arrays, applied at once.
+``save_checkpoint`` and the model ``train`` returns. Bias gradients are
+dense arrays, applied at once.
 """
 
 from __future__ import annotations

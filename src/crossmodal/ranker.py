@@ -363,16 +363,16 @@ def train(
     config: TrainConfig,
     progress=None,
 ) -> tuple[ScoreModel, TrainHistory]:
-    """Run up to max_epochs, keeping the earliest best-validation snapshot.
+    """Train the passed model in place for up to max_epochs; return the earliest
+    best-validation model (ties keep the earlier epoch), folded, and the history.
 
-    The passed model is trained in place to its final-epoch state; the
-    returned model is a copy of the parameters at the epoch with the lowest
-    validation error (ties keep the earlier epoch), or of the passed model
-    when no epoch runs. ``progress``, if given, is called with each
-    EpochStats as it is recorded.
+    It is the passed model itself when the last epoch is the best or no epoch runs, else
+    a copy taken at the best epoch; then the passed model is left at its last epoch with
+    any pending terms unfolded, which ``forward`` applies and ``clone_net`` and
+    ``save_checkpoint`` fold. ``progress`` is called with each EpochStats, if given.
     """
     history = TrainHistory()
-    best, best_val = None, float("inf")
+    best, best_val = model, float("inf")
     rng = random.Random(config.seed)
     for e in range(1, config.max_epochs + 1):
         train_err = train_epoch(model, data, config, e - 1, rng)
@@ -383,9 +383,9 @@ def train(
         if progress is not None:
             progress(stats)
         if val_err < best_val:
-            best_val, best = val_err, None  # free the old snapshot first: one at a time
-            best = clone_model(model)
+            best_val, best = val_err, model  # free the old snapshot first: one at a time
+            best = clone_model(model) if e < config.max_epochs else model  # a later epoch moves model
             history.best_epoch = e
-    fold_pending(model.textual_net)
-    fold_pending(model.visual_net)
-    return (best if best is not None else clone_model(model)), history
+    fold_pending(best.textual_net)
+    fold_pending(best.visual_net)
+    return best, history

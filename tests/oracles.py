@@ -18,7 +18,9 @@ vector parser that the blocked ``np.loadtxt`` reader replaced, the
 embeddings loader whose first row set ``dim`` inside that
 parser, the two-loop negative sampler that one rejection loop replaced, and
 the vocabulary writers, digest and ``vocab.tsv`` reader that the one
-vocabulary rule and writer walk replaced.
+vocabulary rule and writer walk replaced, and the training loop that cloned
+every improving epoch and folded the passed model, which ``train``
+returning the passed model itself when its last epoch is the best replaced.
 
 Three byte references for changes that round differently, which tests
 compare within 1e-12 relative: the eager SGD step that pending terms and
@@ -37,6 +39,7 @@ from dataclasses import asdict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+import crossmodal.ranker as ranker_mod
 from crossmodal.checkpoint import FORMAT_VERSION, MAGIC
 from crossmodal.corpus import PretrainedEmbeddings, atomic_write, text_lines
 from crossmodal.errors import CorpusFormatError, NonFiniteGradientError, VocabularyError, ZeroNormError
@@ -47,6 +50,7 @@ from crossmodal.nets import (
 )
 from crossmodal.ranker import (
     METHODOLOGIES,
+    EpochStats,
     RetrievalDataset,
     ScoreModel,
     SplitView,
@@ -225,6 +229,36 @@ def oracle_validate(
     if scored == 0:
         raise RuntimeError("every validation pair was skipped")
     return 100.0 * mistakes / scored
+
+
+def oracle_train(
+    model: ScoreModel,
+    data: RetrievalDataset,
+    config: TrainConfig,
+    progress=None,
+) -> tuple[ScoreModel, TrainHistory]:
+    """``ranker.train`` as it was before it returned the passed model itself: a clone at
+    every improving epoch, a fold of the passed model after the last epoch, and a clone of
+    it when no epoch runs. Epochs, validation and clones go through ``ranker_mod``, so a
+    test's patch of them applies here as it does to ``train``."""
+    history = TrainHistory()
+    best, best_val = None, float("inf")
+    rng = random.Random(config.seed)
+    for e in range(1, config.max_epochs + 1):
+        train_err = ranker_mod.train_epoch(model, data, config, e - 1, rng)
+        val_rng = random.Random(ranker_mod.epoch_seed(config.seed, e))
+        val_err = ranker_mod.validate(model, data, config, val_rng)
+        stats = EpochStats(e, lr_schedule(config.lr0, e - 1), train_err, val_err)
+        history.epochs.append(stats)
+        if progress is not None:
+            progress(stats)
+        if val_err < best_val:
+            best_val, best = val_err, None  # free the old snapshot first: one at a time
+            best = ranker_mod.clone_model(model)
+            history.best_epoch = e
+    fold_pending(model.textual_net)
+    fold_pending(model.visual_net)
+    return (best if best is not None else ranker_mod.clone_model(model)), history
 
 
 def oracle_loop_forward(net: Net, x: SparseVector | np.ndarray | TokenSequence) -> tuple[np.ndarray, Tape]:

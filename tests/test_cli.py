@@ -153,6 +153,18 @@ def train_args(corpus, prepped, out, *extra):
 OTHER_NET_VALUES = {"n_hu": "6", "weighting": "tfidf", "word_dim": "8", "kernels": "12", "window": "3"}
 
 
+# refusals under the default bag textual net, which name none of the sse net's parameters: an
+# sse option is refused as such, whatever its value, and --n-emb 10^18 passes the check at the
+# flag (one term) and is refused once the corpus fixture's 18-term vocabulary is known
+EXACT_REFUSALS = {
+    ("--n-emb", "1000000000000000000"): "parameter w0 of shape (18, 1000000000000000000) holds more "
+                                        "than the 1152921504606846975 float64 values numpy can address",
+    ("--kernels", "1000000000000000000"): "--kernels applies to --textual sse, not to --textual bag",
+    ("--word-dim", "0"): "--word-dim applies to --textual sse, not to --textual bag",
+    ("--config", "kernels = 1000000000000000000"): "--kernels applies to --textual sse, not to --textual bag",
+}
+
+
 def options_of_another_textual_net():
     """(--textual value, option, a value other than its default) for each option that only
     a kind of textual net other than the --textual value's reads: by NetSpec's table for the
@@ -384,12 +396,23 @@ class TestTrain:
             ("--n-emb", "1000000000000000000"),
             ("--n-emb", "100000000000000000000"),
             ("--n-hu", "100000000000000000000"),
+            # an option of the sse net, refused as such under the default bag net
+            ("--kernels", "1000000000000000000"),
+            ("--word-dim", "0"),
+            ("--config", "kernels = 1000000000000000000"),
         ],
         ids=" ".join,
     )
     def test_invalid_value_fails_before_writing(self, tmp_path, corpus, prepped, capsys, bad):
         out = tmp_path / "bad"
-        assert_one_error_line(capsys, "ConfigError", out, *train_args(corpus, prepped, out, *bad))
+        args = bad
+        if bad[0] == "--config":  # the value is a config line
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(bad[1] + "\n")
+            args = ("--config", str(cfg))
+        err = assert_one_error_line(capsys, "ConfigError", out, *train_args(corpus, prepped, out, *args))
+        if bad in EXACT_REFUSALS:
+            assert err == f"error ConfigError: {EXACT_REFUSALS[bad]}\n"
 
     @pytest.mark.parametrize(
         "edit",
@@ -481,13 +504,15 @@ class TestTrain:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "x"
-        err = assert_one_error_line(capsys, "ConfigError", out,
-                                    *train_args(corpus, prepped, out, "--config", str(cfg)))
-        assert err.startswith(f"error ConfigError: {cfg}:1: ")
         key, _, value = line.partition(" = ")
+        # a value of an sse option is checked under the net that reads it
+        textual = ("--textual", "sse") if key in ("word_dim", "kernels", "window") else ()
+        err = assert_one_error_line(capsys, "ConfigError", out,
+                                    *train_args(corpus, prepped, out, *textual, "--config", str(cfg)))
+        assert err.startswith(f"error ConfigError: {cfg}:1: ")
         flag = "--" + key.replace("_", "-")
         flag_err = assert_one_error_line(capsys, "ConfigError", out,
-                                         *train_args(corpus, prepped, out, flag, value))
+                                         *train_args(corpus, prepped, out, *textual, flag, value))
         assert flag_err == err.replace(f"{cfg}:1", flag, 1)
 
     @pytest.mark.parametrize("lr, extra", [

@@ -532,6 +532,12 @@ class TestRowSparseTraining:
                     assert got[name].tobytes() == want[name].tobytes(), name
 
 
+def param_bytes(model):
+    """Both nets' parameter bytes."""
+    return [{name: param.tobytes() for name, param in net.params.items()}
+            for net in (model.textual_net, model.visual_net)]
+
+
 def net_states(model):
     """Both nets' parameter bytes and pending terms."""
     return [({name: param.tobytes() for name, param in net.params.items()},
@@ -765,12 +771,14 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "val_errs, clones",
-        [([], 1), ([50.0, 40.0, 42.0, 39.0, 39.0], 3), ([50.0, 60.0, 70.0], 1)],
-        ids=["no_epoch", "three_improvements", "first_epoch_only"],
+        [([], 0), ([50.0, 40.0, 42.0, 39.0, 39.0], 3), ([50.0, 60.0, 70.0], 1),
+         ([50.0, 41.0, 33.0, 25.0], 3)],
+        ids=["no_epoch", "three_improvements", "first_epoch_only", "monotone"],
     )
     def test_clones_only_an_improving_epoch(self, monkeypatch, val_errs, clones):
-        """One clone per improving epoch, and one of the passed model when no epoch runs;
-        the previous snapshot is freed before the next is taken, so at most one is held."""
+        """One clone per improving epoch that a later epoch follows; the passed model itself
+        is returned when no epoch runs or the last one is the best. The previous snapshot is
+        freed before the next is taken, so at most one is held."""
         data, store, vocab = make_dataset(
             train_ids=["c0img000", "c1img000", "c2img000"],
             val_ids=["c0img001", "c1img001"],
@@ -792,7 +800,52 @@ class TestTrain:
         best, _ = train(model, data, TrainConfig(seed=0, max_epochs=len(val_errs)))
         assert len(cloned) == clones and all(m is model for m in cloned)
         assert held == [0] * clones
-        assert best is not model
+        assert (best is model) == (not val_errs or val_errs[-1] < min(val_errs[:-1], default=math.inf))
+
+    @pytest.mark.parametrize("val_errs", [None, [50.0, 40.0, 30.0], [50.0, 40.0, 45.0], [50.0, 40.0, 40.0],
+                                          [], [50.0]],
+                             ids=["validated", "last_best", "earlier_best", "tie", "no_epoch", "one_epoch"])
+    @pytest.mark.parametrize("net", ["bag_i2t", "sse_t2i_visual_hidden", "tfidf_hidden"])
+    def test_same_bytes_as_the_clone_every_improvement_oracle(self, monkeypatch, tmp_path, net, val_errs):
+        """The returned model, the history and the checkpoint of the returned model are the
+        bytes ``oracle_train`` gives, whichever epoch is the best; the passed model, folded,
+        is the oracle's. No term folds on its own, so the last epoch's reach the end."""
+        monkeypatch.setattr(nets_mod, "FOLD_TERMS", 1000)
+        kind = "sequence" if net.startswith("sse") else "bag"
+        weighting = "tfidf" if net.startswith("tfidf") else "binary"
+        images, captions = generate_synthetic_corpus(3, 4, 8, 6, 0.3, 5)
+        ids = sorted(record.image_id for record in images)
+        split = SplitDataset(set(ids[:9]), set(ids[9:]), set(), seed=5)
+        vocab = build_vocabulary(captions, "unigram", 1000)
+        data = RetrievalDataset(FeatureStore(images, 8), captions, split, vocab, weighting=weighting,
+                                textual_kind=kind)
+        if kind == "sequence":
+            tspec = NetSpec("sequence", vocab.size, 8, word_dim=5, kernel_count=6, window=3)
+        else:
+            tspec = NetSpec("bag", vocab.size, 8, n_hu=6 if weighting == "tfidf" else 0)
+        vspec = NetSpec("bag", 8, 8, n_hu=5 if net.endswith("visual_hidden") else 0)
+        config = TrainConfig(lr0=0.05, max_epochs=3 if val_errs is None else len(val_errs),
+                             methodology="T2I" if "t2i" in net else "I2T", seed=5, weighting=weighting,
+                             val_pairs_per_epoch=30)
+        runs = []
+        for run_train in (train, oracles.oracle_train):
+            if val_errs is not None:
+                errs = iter(val_errs)
+                monkeypatch.setattr(ranker_mod, "validate", lambda *args: next(errs))
+            model = ScoreModel(init_net(tspec, 5), init_net(vspec, 6))
+            best, history = run_train(model, data, config)
+            assert TestFoldPoints.pending_terms(best.textual_net, best.visual_net) == 0
+            best_bytes = param_bytes(best)
+            path = tmp_path / f"{run_train.__name__}.bin"
+            save_checkpoint(str(path), best, vocab, config, history, SPLIT)
+            for passed in (model.textual_net, model.visual_net):
+                nets_mod.fold_pending(passed)
+            runs.append((best_bytes, history, path.read_bytes(), param_bytes(model)))
+        (got_best, got_history, got_bytes, got_passed), (want_best, want_history, want_bytes, want_passed) = runs
+        assert got_history == want_history
+        assert got_best == want_best and got_bytes == want_bytes and got_passed == want_passed
+        if val_errs is not None:
+            assert got_history.best_epoch == (val_errs.index(min(val_errs)) + 1 if val_errs else 0)
 
     def test_returned_model_is_best_snapshot(self):
         data, store, vocab = make_dataset(
@@ -812,8 +865,9 @@ class TestTrain:
 
 
 class TestFoldPoints:
-    """``clone_net``, ``save_checkpoint`` and the end of ``train`` read
-    ``params`` directly, so each first folds the pending terms in."""
+    """``clone_net``, ``save_checkpoint`` and the model ``train`` returns: the first two
+    read ``params`` directly and a caller may read the third's, so each first folds the
+    pending terms in."""
 
     @staticmethod
     def pending_terms(*nets):
@@ -852,13 +906,19 @@ class TestFoldPoints:
                 assert loaded.params[name].tobytes() == param.tobytes()
 
     def test_end_of_train(self, monkeypatch):
+        """The returned model holds no pending terms, whether it is the first epoch's
+        snapshot or the passed model itself at its last, best, epoch; a passed model that is
+        not returned keeps its last epoch's terms."""
         monkeypatch.setattr(nets_mod, "FOLD_TERMS", 1000)  # nothing folds on its own
-        # only the first epoch improves, so no clone folds the second epoch's terms
-        val_errs = iter([50.0, 60.0])
-        monkeypatch.setattr(ranker_mod, "validate", lambda *args: next(val_errs))
-        best, _ = train(self.model, self.data, self.config)
-        nets = (self.model.textual_net, self.model.visual_net, best.textual_net, best.visual_net)
-        assert self.pending_terms(*nets) == 0
+        initial = ranker_mod.clone_model(self.model)
+        for model, val_errs in ((self.model, [50.0, 60.0]), (initial, [60.0, 50.0])):
+            errs = iter(val_errs)
+            monkeypatch.setattr(ranker_mod, "validate", lambda *args: next(errs))
+            best, _ = train(model, self.data, self.config)
+            assert self.pending_terms(best.textual_net, best.visual_net) == 0
+            assert (best is model) == (val_errs[1] < val_errs[0])
+            if best is not model:  # only the first epoch improves, so no clone folds the second's terms
+                assert self.pending_terms(model.visual_net) > 1
 
 
 class TestTrainConfig:
