@@ -45,7 +45,7 @@ from .corpus import (
 from .errors import ConfigError, CrossmodalError, EmptySequenceError
 from .metrics import (DEFAULT_KS, build_rankings, caption_id, cosine_scores, evaluate_rankings,
                       format_report, lexicographic_rank, report_to_kv)
-from .nets import FIELDS_ONLY_READ_BY, WEIGHTING_READ_BY, NetSpec, embed_dense, forward, init_net
+from .nets import FIELDS_ONLY_READ_BY, WEIGHTING_READ_BY, NetSpec, embed_dense, embed_each, forward, init_net
 from .ranker import (
     METHODOLOGIES,
     RetrievalDataset,
@@ -342,9 +342,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         pretrained = load_word_embeddings(args.embeddings) if args.embeddings else None
         # every value is checked by the object that enforces it before training
         config, tspec, vspec = _train_setup(typed, vocab.size, features.feature_dim)
-        split = split_dataset(
-            features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"]
-        )
+        split = split_dataset(features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"],
+                              strict=not args.lenient)
         data = RetrievalDataset(features, captions, split, vocab,
                                 weighting=config.weighting, textual_kind=tspec.kind)
         views = [data.view(name) for name in ("train", "val")] if config.max_epochs else []
@@ -385,7 +384,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         captions = load_captions(args.captions, strict=not args.lenient)
         features = features_for()
         config = ckpt.train_config
-        split = split_dataset(features.records(), captions, **ckpt.data_config, seed=config.seed)
+        split = split_dataset(features.records(), captions, **ckpt.data_config, seed=config.seed,
+                              strict=not args.lenient)
         data = RetrievalDataset(features, captions, split, ckpt.vocabulary, weighting=config.weighting,
                                 textual_kind=ckpt.model.textual_net.spec.kind)
         reports = [evaluate_rankings(rankings, ks=ks, rnd_seed=args.seed)
@@ -435,7 +435,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         unencodable = len(captions) - len(pool)
         ids = [caption_id(cap.image_id, cap.caption_index) for cap, _ in pool]
         labels = [f"{cid}\t{cap.text}" for cid, (cap, _) in zip(ids, pool)]
-        embs = np.array([forward(textual, enc)[0] for _, enc in pool])
+        embs = embed_each(textual, [enc for _, enc in pool])
     if not ids:
         raise ConfigError("nothing to rank: no image, or no caption with an in-vocabulary term")
     scores = cosine_scores(query[None], embs)[0]

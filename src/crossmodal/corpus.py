@@ -297,12 +297,16 @@ def split_dataset(
     n_test: int,
     val_frac: float,
     seed: int,
+    *,
+    strict: bool = False,
 ) -> SplitDataset:
     """Partition image ids into train/val/test with a seeded shuffle.
 
     The test set takes exactly ``n_test`` images; the validation set takes
     round(val_frac * remaining) images, rounding half up; the rest train.
     Captions follow their image's split, so only image ids are recorded.
+    Every caption must name a listed image. In strict mode every image must
+    also have a caption: ``load_captions`` counts only the images it reads.
     """
     ids = sorted(rec.image_id for rec in images)
     check_split_values(n_test, val_frac)
@@ -311,9 +315,12 @@ def split_dataset(
     known = set(ids)
     for cap in captions:
         if cap.image_id not in known:
-            raise CorpusFormatError(
-                f"caption references unknown image {cap.image_id!r}; load features first"
-            )
+            raise CorpusFormatError(f"caption references unknown image {cap.image_id!r}")
+    if strict:
+        captioned = {cap.image_id for cap in captions}
+        for image_id in ids:
+            if image_id not in captioned:
+                raise CorpusFormatError(f"image {image_id!r} has 0 captions, expected {CAPTIONS_PER_IMAGE}")
     rng = random.Random(seed)
     rng.shuffle(ids)
     test = ids[:n_test]

@@ -13,7 +13,11 @@ full caption pool and counts a hit when any of the query image's five
 captions lands in the top k; it has no search-side meaning.
 
 Scoring. ``cosine_scores`` is the one scoring kernel, one batched cosine
-per direction, and nothing is sorted: every rank is a count from
+per direction. Its one product is the score matrix, divided and clamped in
+place a block of query rows at a time, so only a block's temporaries are
+held beside it: at paper shape (1,000 test images, 5,000 captions, 4096-d,
+``n_emb`` 300) ``build_rankings`` peaks at 92 MiB, most of it the two 38 MiB
+score matrices. Nothing is sorted: every rank is a count from
 ``_count_ranks``, one plus the candidates that score higher plus those that
 tie and come first by id, so every metric is deterministic. Training's rule,
 ``ranker.cosine_vanishes``, decides which pairs score: a non-finite embedding
@@ -33,10 +37,13 @@ import numpy as np
 
 from .corpus import CAPTIONS_PER_IMAGE
 from .errors import ZeroNormError
-from .nets import embed_dense, forward
+from .nets import embed_dense, embed_each
 from .ranker import RetrievalDataset, ScoreModel, cosine_vanishes
 
 DEFAULT_KS = (1, 2, 5, 10)
+# scores finished at once by ``cosine_scores``: 32 Ki float64 is 256 KB, and a
+# block's norm products and rule temporaries take at most three times as much
+SCORE_BLOCK_VALUES = 1 << 15
 
 
 def caption_id(image_id: str, index: int) -> str:
@@ -66,17 +73,27 @@ def cosine_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     one embedding per row, clamped to [-1, 1], under ``cosine_vanishes``' rule:
     a non-finite or overflowing embedding raises NonFiniteGradientError, and a
     pair it cannot divide by, zero-norm or vanishing, gets -inf. A zero-norm
-    query raises ZeroNormError."""
+    query raises ZeroNormError.
+
+    The one product ``queries @ candidates.T`` is the result: each block of
+    about ``SCORE_BLOCK_VALUES`` scores is divided by its norms and clamped in
+    place, so no other full-size array is held."""
     if len(candidates) == 0:
         raise ValueError("candidate pool is empty")
+    block_rows = max(1, SCORE_BLOCK_VALUES // len(candidates))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused or set below
         q_sq, c_sq = (np.einsum("ij,ij->i", embs, embs) for embs in (queries, candidates))
-        dots, norm_products = queries @ candidates.T, np.outer(q_sq, c_sq)
-        vanishing = cosine_vanishes(norm_products, dots, "cosine-score")
-        if not q_sq.all():
-            raise ZeroNormError(f"query row {int(np.argmin(q_sq))} embeds to the zero vector")
-        scores = np.clip(dots / np.sqrt(norm_products), -1.0, 1.0)
-    scores[vanishing] = -np.inf
+        scores = queries @ candidates.T
+        for start in range(0, len(scores), block_rows):
+            block = scores[start : start + block_rows]
+            norm_products = np.outer(q_sq[start : start + block_rows], c_sq)
+            vanishing = cosine_vanishes(norm_products, block, "cosine-score")
+            block /= np.sqrt(norm_products, out=norm_products)
+            np.clip(block, -1.0, 1.0, out=block)
+            block[vanishing] = -np.inf
+    # after every block, so a non-finite pair anywhere is refused first
+    if not q_sq.all():
+        raise ZeroNormError(f"query row {int(np.argmin(q_sq))} embeds to the zero vector")
     return scores
 
 
@@ -89,13 +106,15 @@ def build_rankings(model: ScoreModel, data: RetrievalDataset) -> tuple[RankingSe
     images = list(view.image_ids)
     img_embs = embed_dense(model.visual_net, [data.features.get(i) for i in images])
     cap_ids = [caption_id(image_id, index) for image_id, index in view.pairs]
-    cap_embs = np.array([forward(model.textual_net, data.encoding(*key))[0] for key in view.pairs])
+    cap_embs = embed_each(model.textual_net, [data.encoding(*key) for key in view.pairs])
     captions_of: dict[str, list[str]] = {i: [] for i in images}
     for (image_id, _), cid in zip(view.pairs, cap_ids):
         captions_of[image_id].append(cid)
     annotation = cosine_scores(img_embs, cap_embs)
     queries = np.flatnonzero((annotation > -np.inf).any(axis=0))
-    search = dict(zip([cap_ids[q] for q in queries], cosine_scores(cap_embs[queries], img_embs)))
+    # every caption is a query unless one scored -inf for every image
+    query_embs = cap_embs if len(queries) == len(cap_embs) else cap_embs[queries]
+    search = dict(zip([cap_ids[q] for q in queries], cosine_scores(query_embs, img_embs)))
     return (RankingSet("annotation", dict(zip(images, annotation)), images, captions_of, cap_ids),
             RankingSet("search", search, images, captions_of, images))
 

@@ -286,6 +286,15 @@ def embed_dense(net: Net, vectors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def embed_each(net: Net, inputs: Sequence[SparseVector | np.ndarray | TokenSequence]) -> np.ndarray:
+    """``forward``'s embedding of each input, with its bits, one row each of one
+    array: no list of rows and no stacked copy of it."""
+    out = np.empty((len(inputs), net.spec.n_emb))
+    for row, x in zip(out, inputs):
+        row[:] = forward(net, x)[0]
+    return out
+
+
 def backward(tape: Tape, grad_out: np.ndarray) -> Grads:
     """Exact gradients of embedding . grad_out w.r.t. all parameters.
 

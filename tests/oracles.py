@@ -6,8 +6,10 @@ triplet gradient the trainer's single anchor/candidate path replaced, the
 training and validation pair loops the one scored-pair loop replaced, the
 anchored ``oracle_score_triplet`` that validation's direct scoring of each
 drawn pair replaced, the pair-by-pair ranking loop the batched cosine kernel
-replaced, the dense-gradient forward/backward/update the row-sparse
-first-layer gradients replaced (its sequence net averages the windows first,
+replaced, the whole-matrix cosine kernel that finishing the product in
+place a block of query rows at a time replaced (kept verbatim), the
+dense-gradient forward/backward/update the row-sparse first-layer
+gradients replaced (its sequence net averages the windows first,
 as the library's does), and the hand-built parameter dicts and in-memory
 checkpoint writer that ``nets.param_shapes`` and the streamed save replaced,
 the dense ``w1`` and ``out_w`` gradients and the step that took them, which
@@ -58,6 +60,7 @@ from crossmodal.ranker import (
     TrainHistory,
     cosine_backward,
     cosine_score,
+    cosine_vanishes,
     margin_loss,
     sample_negative,
     triplet_grads,
@@ -753,6 +756,25 @@ def oracle_rank(query, candidates):
         scored.append((-s, cand_id))
     scored.sort()
     return [cand_id for _, cand_id in scored]
+
+
+def oracle_cosine_scores(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Cosine of every query (row) with every candidate (column), both stacked
+    one embedding per row, clamped to [-1, 1], under ``cosine_vanishes``' rule:
+    a non-finite or overflowing embedding raises NonFiniteGradientError, and a
+    pair it cannot divide by, zero-norm or vanishing, gets -inf. A zero-norm
+    query raises ZeroNormError."""
+    if len(candidates) == 0:
+        raise ValueError("candidate pool is empty")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused or set below
+        q_sq, c_sq = (np.einsum("ij,ij->i", embs, embs) for embs in (queries, candidates))
+        dots, norm_products = queries @ candidates.T, np.outer(q_sq, c_sq)
+        vanishing = cosine_vanishes(norm_products, dots, "cosine-score")
+        if not q_sq.all():
+            raise ZeroNormError(f"query row {int(np.argmin(q_sq))} embeds to the zero vector")
+        scores = np.clip(dots / np.sqrt(norm_products), -1.0, 1.0)
+    scores[vanishing] = -np.inf
+    return scores
 
 
 def oracle_orderings(rankings):

@@ -1077,17 +1077,27 @@ class TestEvaluate:
         assert float(reports["annotation"]["r_precision_5"]) <= 80.0
 
 
+def read_kv(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
 class TestLenient:
+    @staticmethod
+    def cut_test_image(tmp_path, corpus, keep):
+        """(image, path): the first test image of ``train_args``' split, and a
+        captions file that holds only the first ``keep`` of its captions."""
+        captions, split = train_split(corpus)
+        image = sorted(split.test)[0]
+        path = tmp_path / "captions.tsv"
+        path.write_text("".join(f"{c.image_id}\t{c.caption_index}\t{c.text}\n" for c in captions
+                                if c.image_id != image or c.caption_index < keep))
+        return image, path
+
     def test_short_image_fails_without_lenient_and_misses_with_it(self, tmp_path, corpus, capsys):
         """A test image that keeps 3 of its 5 captions: ``preprocess``, ``train``
         and ``evaluate`` each refuse it in one typed line unless ``--lenient``;
         with it, its missing designated captions miss at every k."""
-        features = load_image_features(str(corpus / "features.txt"))
-        captions = load_captions(str(corpus / "captions.tsv"))
-        short = sorted(split_dataset(features.records(), captions, 3, 0.25, 0).test)[0]
-        kept = tmp_path / "captions.tsv"
-        kept.write_text("".join(f"{c.image_id}\t{c.caption_index}\t{c.text}\n" for c in captions
-                                if c.image_id != short or c.caption_index < 3))
+        short, kept = self.cut_test_image(tmp_path, corpus, keep=3)
         prep, run_dir, eval_dir = tmp_path / "prep", tmp_path / "run", tmp_path / "eval"
         train = train_args(corpus, prep, run_dir)  # its --n-test 3, --val-frac 0.25 and seed 0
         train[train.index("--captions") + 1] = str(kept)
@@ -1103,12 +1113,56 @@ class TestLenient:
             rc, _, err = run(capsys, *args, "--lenient")
             assert rc == 0, err
         for direction in ("annotation", "search"):
-            kv = dict(line.split("=", 1)
-                      for line in (eval_dir / f"report_{direction}.kv").read_text().splitlines())
+            kv = read_kv(eval_dir / f"report_{direction}.kv")
             # 3 test images, each scoreable designated caption within k=10;
             # the short image's captions #3 and #4 miss in two of avg_txt's five runs
             assert float(kv["recall.first_txt.10"]) == 100.0
             assert float(kv["recall.avg_txt.10"]) == (3 * 100.0 + 2 * (100.0 * 2 / 3)) / 5
+
+    def test_uncaptioned_image_fails_without_lenient_and_misses_with_it(self, tmp_path, corpus, prepped,
+                                                                       capsys):
+        """A test image with none of its captions: ``preprocess`` reads no
+        features, so it passes, and ``train`` and ``evaluate`` each refuse it in
+        one typed line unless ``--lenient``; with it, the image misses at every k."""
+        uncaptioned, kept = self.cut_test_image(tmp_path, corpus, keep=0)
+        rc, _, err = run(capsys, "preprocess", "--captions", str(kept), "--out", str(tmp_path / "kept_prep"))
+        assert rc == 0, err
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        train = train_args(corpus, prepped, run_dir)
+        train[train.index("--captions") + 1] = str(kept)
+        commands = [
+            (run_dir, train),
+            (eval_dir, ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"), "--captions", str(kept),
+                        "--features", str(corpus / "features.txt"), "--out", str(eval_dir)]),
+        ]
+        for out, args in commands:
+            err = assert_one_error_line(capsys, "CorpusFormatError", out, *args)
+            assert err == f"error CorpusFormatError: image '{uncaptioned}' has 0 captions, expected 5\n"
+            rc, _, err = run(capsys, *args, "--lenient")
+            assert rc == 0, err
+        for direction in ("annotation", "search"):
+            kv = read_kv(eval_dir / f"report_{direction}.kv")
+            # the other 2 test images' designated captions are within k=10; the
+            # uncaptioned image is still a query, and it misses
+            assert kv["queries"] == "3"
+            assert float(kv["recall.first_txt.10"]) == float(kv["recall.rnd_txt.10"]) == 100.0 * 2 / 3
+
+    def test_caption_of_an_unlisted_image_refused(self, tmp_path, corpus, prepped, trained, capsys):
+        """Five captions of an image the features file does not list: ``train``
+        and ``evaluate`` refuse them in one typed line, with ``--lenient`` too."""
+        extra = tmp_path / "captions.tsv"
+        extra.write_text((corpus / "captions.tsv").read_text()
+                         + "".join(f"ghost\t{j}\tc0w1 c0w2\n" for j in range(5)))
+        run_dir = tmp_path / "extra_run"
+        train = train_args(corpus, prepped, run_dir)
+        train[train.index("--captions") + 1] = str(extra)
+        evaluate = ["evaluate", "--checkpoint", str(trained / "checkpoint.bin"), "--captions", str(extra),
+                    "--features", str(corpus / "features.txt"), "--out", str(tmp_path / "extra_eval")]
+        for args in (train, evaluate):
+            for lenient in ((), ("--lenient",)):
+                err = assert_one_error_line(capsys, "CorpusFormatError", Path(args[args.index("--out") + 1]),
+                                            *args, *lenient)
+                assert err == "error CorpusFormatError: caption references unknown image 'ghost'\n"
 
 
 class TestQuery:

@@ -228,6 +228,13 @@ class TestSplitDataset:
         with pytest.raises(CorpusFormatError, match="ghost"):
             split_dataset(make_images(5), [Caption("ghost", 0, "x")], 2, 0.2, seed=0)
 
+    def test_strict_refuses_an_uncaptioned_image(self):
+        images = make_images(3)
+        captions = [Caption(image_id, j, "x") for image_id in ("img000", "img002") for j in range(5)]
+        with pytest.raises(CorpusFormatError, match="^image 'img001' has 0 captions, expected 5$"):
+            split_dataset(images, captions, 1, 0.5, 0, strict=True)
+        assert split_dataset(images, captions, 1, 0.5, 0).test == split_dataset(images, [], 1, 0.5, 0).test
+
     def test_unknown_subset_refused(self):
         split = split_dataset(make_images(10), [], 2, 0.2, seed=0)
         assert [split.subset(name) for name in ("train", "val", "test")] == [split.train, split.val, split.test]

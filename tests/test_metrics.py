@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import crossmodal.metrics as metrics_mod
 from crossmodal.corpus import FeatureStore, SplitDataset, generate_synthetic_corpus
-from crossmodal.errors import NonFiniteGradientError, ZeroNormError
+from crossmodal.errors import CrossmodalError, NonFiniteGradientError, ZeroNormError
 from crossmodal.metrics import (
     _count_ranks,
     _median_rank,
@@ -24,6 +25,7 @@ from crossmodal.text import build_vocabulary
 
 from oracles import (
     oracle_bleu,
+    oracle_cosine_scores,
     oracle_median_rank,
     oracle_orderings,
     oracle_r_precision,
@@ -509,6 +511,113 @@ class TestRankCandidates:
             for c, cand in enumerate(cands):
                 if min(squared_norm(query), squared_norm(cand)) >= normal and expected[q, c] > -np.inf:
                     assert abs(scores[q, c] - expected[q, c]) <= 1e-12
+
+
+def scores_or_error(kernel, *args):
+    """(shape, bytes) of what ``kernel(*args)`` returns, or (class, message) of what it raises."""
+    try:
+        scores = kernel(*args)
+    except (CrossmodalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return scores.shape, scores.tobytes()
+
+
+def rankings_or_error(model, data):
+    """Every field of both of ``build_rankings``' RankingSets, each row as its
+    bytes, or (class, message) of what it raises."""
+    try:
+        rankings = build_rankings(model, data)
+    except (CrossmodalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(r.direction, r.image_ids, r.captions_of, r.cand_ids,
+             [(qid, row.tobytes()) for qid, row in r.results.items()]) for r in rankings]
+
+
+# 0, 1 and magnitudes whose squared norms and their products underflow or overflow
+SCALES = [0.0, 1.0] + [10.0 ** e for e in (-200, -100, -50, 50, 100, 200)]
+
+
+class TestBlockedKernel:
+    """``cosine_scores`` finishes its product a block of query rows at a time:
+    the same bytes, or the same error, as the whole-matrix kernel it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_rows=st.integers(1, 3), n_queries=st.integers(0, 40), n_candidates=st.integers(1, 40),
+           dim=st.integers(1, 6), data=st.data())
+    def test_same_bytes_as_oracle(self, block_rows, n_queries, n_candidates, dim, data):
+        """Small blocks, so a few rows cross many of them: zero rows on either
+        side, values from 1e-200 to 1e200, and NaN or an infinity where drawn."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def embeddings(n):
+            scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=1, max_size=3))
+            return rng.normal(size=(n, dim)) * rng.choice(scales, size=(n, 1))
+
+        queries, candidates = embeddings(n_queries), embeddings(n_candidates)
+        if data.draw(st.integers(0, 3)) == 0:
+            side = queries if n_queries and data.draw(st.booleans()) else candidates
+            side[rng.integers(len(side)), rng.integers(dim)] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics_mod, "SCORE_BLOCK_VALUES", block_rows * n_candidates)
+            got = scores_or_error(cosine_scores, queries, candidates)
+        assert got == scores_or_error(oracle_cosine_scores, queries, candidates)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 99), block_values=st.integers(1, 120), n_zero=st.integers(0, 3),
+           visual_scale=st.sampled_from(SCALES), textual_scale=st.sampled_from(SCALES))
+    def test_build_rankings_same_bytes_as_oracle_kernel(self, seed, block_values, n_zero,
+                                                         visual_scale, textual_scale):
+        """Both directions, with captions that embed to zero and nets scaled
+        until embeddings vanish or overflow: the same rows, byte for byte, as
+        with the whole-matrix kernel patched in."""
+        model, data, _, _ = TestRankCandidates.toy_model_and_data(seed=seed, noise=0.3, images_per_cluster=3)
+        textual = model.textual_net.params
+        textual["b0"][:] = 0.0
+        for image_id, index in random.Random(seed).sample(data.view("test").pairs, n_zero):
+            textual["w0"][data.encoding(image_id, index).indices] = 0.0
+        for net, scale in ((model.textual_net, textual_scale), (model.visual_net, visual_scale)):
+            for param in net.params.values():
+                param *= scale
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics_mod, "SCORE_BLOCK_VALUES", block_values)
+            got = rankings_or_error(model, data)
+            mp.setattr(metrics_mod, "cosine_scores", oracle_cosine_scores)
+            assert got == rankings_or_error(model, data)
+
+    def test_peak_memory_is_the_scores_and_a_block(self):
+        """The returned matrix and one block's temporaries; the whole-matrix
+        kernel held four full-size temporaries (14.2 MB at this shape)."""
+        rng = np.random.default_rng(0)
+        queries, candidates = rng.normal(size=(300, 16)), rng.normal(size=(1500, 16))
+        tracemalloc.start()
+        try:
+            scores = cosine_scores(queries, candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.nbytes == 300 * 1500 * 8
+        assert peak <= scores.nbytes + 1.5 * 2**20, peak
+
+    def test_paper_shape_build_rankings_peak(self):
+        """1,000 test images, 5,000 captions, 4096-d features, V of about
+        5,000 and n_emb 300, in memory: the two score matrices (76 MiB) and
+        the embeddings, within 100 MiB; the whole-matrix kernel peaked at 221 MiB."""
+        images, captions = generate_synthetic_corpus(20, 50, 4096, 250, 0.5, seed=0)
+        store = FeatureStore(images, 4096)
+        del images
+        vocab = build_vocabulary(captions, "unigram", 5000)
+        data = RetrievalDataset(store, captions, SplitDataset(set(), set(), set(store.ids()), seed=0), vocab)
+        model = ScoreModel(textual_net=init_net(NetSpec("bag", vocab.size, 300), 0),
+                           visual_net=init_net(NetSpec("bag", 4096, 300), 1))
+        assert len(data.view("test").pairs) == 5000
+        tracemalloc.start()
+        try:
+            annotation, search = build_rankings(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(annotation.results) == len(search.cand_ids) == 1000 and len(search.results) == 5000
+        assert peak <= 100 * 2**20, peak
 
 
 class TestEvalReport:
