@@ -114,8 +114,6 @@ OPTIONS = (
     Option("val_frac", float, 0.05, help="fraction of the remaining images used to validate"),
 )
 OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
-# the options a checkpoint records as its data_config, checked by check_split_values
-SPLIT_OPTIONS = ("n_test", "val_frac")
 OPTION_DEFAULTS = {opt.name: opt.default for opt in OPTIONS}
 # each --textual value: its NetSpec kind and the options only its net reads, by NetSpec's table
 TEXTUAL_NETS = {textual: (kind, tuple(opt for opt in OPTIONS if opt.spec_field in FIELDS_ONLY_READ_BY[kind]
@@ -162,7 +160,7 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     """Defaults, overlaid by the config file, overlaid by explicit flags; the one place a
     train value is refused before any input is read. Every value is typed, then an option of
     the textual net not chosen is refused, then each given value is checked alone (the rest
-    at their defaults) under the chosen net, by ``_train_setup`` and ``check_split_values``."""
+    at their defaults) under the chosen net, by ``_train_setup``."""
     given = list(parse_config_file(args.config).items()) if args.config else []
     given += [(opt.name, (typed_value(opt, raw, opt.flag), opt.flag)) for opt in OPTIONS
               if (raw := getattr(args, opt.name)) is not None]
@@ -176,8 +174,6 @@ def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     for name, (value, where) in given:
         try:
             _train_setup({**OPTION_DEFAULTS, name: value, "textual": chosen}, 1, 1)
-            if name in SPLIT_OPTIONS:
-                check_split_values(**{name: value})
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     return resolved
@@ -311,7 +307,6 @@ def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
     inputs = {name: getattr(args, name) for name in ("captions", "features", "vocab", "embeddings")}
     manifest = {
         "tool_version": __version__,
-        "seed": typed["seed"],
         "config": {**typed, "lr_decay": LR_DECAY_DESC, "nonlinearity": NONLINEARITY},
         "inputs": {
             name: ({"path": p, "sha256": _sha256(p)} if p else None)
@@ -323,14 +318,17 @@ def _write_manifest(path: str, typed: dict, args: argparse.Namespace) -> None:
         fh.write("\n")
 
 
-def _train_setup(typed: dict, vocab_size: int, feature_dim: int) -> tuple[TrainConfig, NetSpec, NetSpec]:
-    """The train config and the (textual, visual) specs that the hyperparameters ``typed`` give."""
+def _train_setup(typed: dict, vocab_size: int, feature_dim: int) -> tuple[TrainConfig, NetSpec, NetSpec, dict]:
+    """The train config, the (textual, visual) specs and the data config (the split values a
+    checkpoint records) that the hyperparameters ``typed`` give, each checked."""
     config = TrainConfig(**{opt.field: typed[opt.name] for opt in OPTIONS if opt.field})
     kind, options = TEXTUAL_NETS[typed["textual"]]
     tspec = NetSpec(kind=kind, input_dim=vocab_size, n_emb=typed["n_emb"],
                     **{opt.spec_field: typed[opt.name] for opt in options if opt.spec_field})
     vspec = NetSpec(kind="bag", input_dim=feature_dim, n_emb=typed["n_emb"], n_hu=typed["visual_n_hu"])
-    return config, tspec, vspec
+    data_config = {"n_test": typed["n_test"], "val_frac": typed["val_frac"]}
+    check_split_values(**data_config)
+    return config, tspec, vspec, data_config
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -341,8 +339,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         features = load_image_features(args.features)
         pretrained = load_word_embeddings(args.embeddings) if args.embeddings else None
         # every value is checked by the object that enforces it before training
-        config, tspec, vspec = _train_setup(typed, vocab.size, features.feature_dim)
-        split = split_dataset(features.records(), captions, typed["n_test"], typed["val_frac"], typed["seed"],
+        config, tspec, vspec, data_config = _train_setup(typed, vocab.size, features.feature_dim)
+        split = split_dataset(features.records(), captions, **data_config, seed=config.seed,
                               strict=not args.lenient)
         data = RetrievalDataset(features, captions, split, vocab,
                                 weighting=config.weighting, textual_kind=tspec.kind)
@@ -362,10 +360,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 f"epoch {s.epoch} lr {s.lr:.6g} train_err {s.train_err:.2f}% val_err {s.val_err:.2f}%"
             ),
         )
-        save_checkpoint(
-            os.path.join(staging, "checkpoint.bin"), best, vocab, config, history,
-            data_config={name: typed[name] for name in SPLIT_OPTIONS},
-        )
+        save_checkpoint(os.path.join(staging, "checkpoint.bin"), best, vocab, config, history,
+                        data_config=data_config)
         write_history(history, os.path.join(staging, "history.tsv"))
         _write_manifest(os.path.join(staging, "manifest.json"), typed, args)
     _progress(f"best epoch {history.best_epoch}; checkpoint written to {args.out}")

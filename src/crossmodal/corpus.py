@@ -282,9 +282,9 @@ def load_image_features(path: str) -> FeatureStore:
         raise CorpusFormatError(f"{path}: {exc}") from None
 
 
-def check_split_values(n_test: int = 0, val_frac: float = 0.5) -> None:
-    """The rule for each split value alone, n_test at least 0 and val_frac in (0, 1);
-    an omitted value passes. The image-count bound on n_test is split_dataset's."""
+def check_split_values(n_test: int, val_frac: float) -> None:
+    """The rule for each split value alone, n_test at least 0 and val_frac in (0, 1).
+    The image-count bound on n_test is split_dataset's."""
     if n_test < 0:
         raise ConfigError(f"n_test={n_test} must be at least 0")
     if not 0.0 < val_frac < 1.0:

@@ -99,7 +99,8 @@ def extract_terms(tokens: list[str], mode: str) -> list[str]:
 
 
 def build_vocabulary(captions: list[Caption], mode: str, max_size: int) -> Vocabulary:
-    """Keep the ``max_size`` most frequent terms over the training captions.
+    """Keep the ``max_size`` most frequent terms over every caption given: ``preprocess``
+    passes its whole ``--captions`` file, test captions included.
 
     Ties at the cut are broken lexicographically (smaller term wins), and
     the retained terms are indexed by descending total count with the same

@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import errno
 import hashlib
 import io
@@ -7,6 +8,7 @@ import os
 import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import threading
@@ -1899,23 +1901,14 @@ for argv in json.loads(sys.argv[1]):
 
 
 class TestReadme:
-    def test_walkthrough_runs_twice_with_identical_bytes(self, tmp_path, monkeypatch, capsys):
+    def test_walkthrough_runs_twice_with_identical_bytes(self, tmp_path):
         """README's walkthrough, run through ``main`` command by command in two fresh
         directories: every command exits 0, and the two runs print the same stdout
         and write the same files, byte for byte."""
-        commands = readme_commands()
         runs = []
         for name in ("first", "second"):
-            cwd = tmp_path / name
-            cwd.mkdir()
-            monkeypatch.chdir(cwd)
-            stdouts = []
-            for argv in commands:
-                rc, stdout, err = run(capsys, *argv)
-                assert rc == 0, (argv, err)
-                stdouts.append(stdout)
-            files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
-            runs.append((stdouts, files))
+            (tmp_path / name).mkdir()
+            runs.append(run_commands(tmp_path / name, readme_commands()))
         (first_out, first_files), (second_out, second_files) = runs
         assert first_out == second_out
         assert sorted(first_files) == sorted(second_files)
@@ -1957,3 +1950,98 @@ class TestReadme:
             assert {"sse/checkpoint.bin", "tfidf/checkpoint.bin", "eval_sse/report_search.kv"} <= set(files)
             digests.append((hashlib.sha256(proc.stdout).hexdigest(), files))
         assert digests[0] == digests[1]
+
+
+def run_commands(cwd, commands):
+    """Each argv of ``commands`` run through ``main`` in ``cwd``, each exiting 0: the stdout of
+    each, and the bytes of every file under ``cwd`` by its path relative to ``cwd``."""
+    stdouts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(cwd)
+        for argv in commands:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(argv)
+            assert rc == 0, (argv, stderr.getvalue())
+            stdouts.append(stdout.getvalue())
+    return stdouts, {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+
+
+def corpus_copy(base, cwd, edit):
+    """The corpus of the walkthrough run in ``base`` written into ``cwd``, ``edit(lines)``
+    applied to the data lines of each file: every line of captions.tsv, and each line of
+    features.txt past its header."""
+    (cwd / "corpus").mkdir()
+    for name, header in (("captions.tsv", 0), ("features.txt", 1)):
+        lines = (base / "corpus" / name).read_text().splitlines(keepends=True)
+        edited = edit(lines[header:])
+        assert edited != lines[header:]
+        (cwd / "corpus" / name).write_text("".join(lines[:header] + edited))
+
+
+class TestInputRelations:
+    """README's walkthrough against itself on related inputs, through ``main``. A digest shows
+    only that bytes changed; a relation also catches an output that is wrong but stable."""
+
+    @pytest.fixture(scope="class")
+    def walkthrough(self, tmp_path_factory):
+        """The directory README's walkthrough ran in, each command's stdout and every file."""
+        cwd = tmp_path_factory.mktemp("walkthrough")
+        return cwd, *run_commands(cwd, readme_commands())
+
+    def test_shuffled_input_lines_change_no_output(self, walkthrough, tmp_path):
+        """Shuffling the rows of features.txt and the lines of captions.tsv leaves every stdout
+        and every file byte-identical; manifest.json differs only in the inputs' sha256."""
+        base, stdouts, files = walkthrough
+        rng = random.Random(0)
+        corpus_copy(base, tmp_path, lambda lines: rng.sample(lines, len(lines)))
+        commands = readme_commands()
+        shuffled_stdouts, shuffled = run_commands(tmp_path, [argv for argv in commands if argv[0] != "synth"])
+        assert shuffled_stdouts == [out for argv, out in zip(commands, stdouts) if argv[0] != "synth"]
+        assert any(shuffled_stdouts)
+        outputs = sorted(path for path in files if not path.startswith("corpus"))
+        assert outputs == sorted(path for path in shuffled if not path.startswith("corpus"))
+        manifests = [json.loads(run_files["run/manifest.json"]) for run_files in (files, shuffled)]
+        for name in ("captions", "features"):
+            assert manifests[0]["inputs"][name].pop("sha256") != manifests[1]["inputs"][name].pop("sha256")
+        assert manifests[0] == manifests[1]
+        for path in outputs:
+            if path != "run/manifest.json":
+                assert shuffled[path] == files[path], path
+
+    def test_renamed_image_ids_in_sort_order_change_no_model_or_report(self, walkthrough, tmp_path):
+        """Renaming every image id with the ids' sort order kept (c0img000 to zz0pic000) leaves
+        the checkpoint, the history and both .kv reports byte-identical."""
+        base, _, files = walkthrough
+
+        def rename(line):
+            image_id, sep, rest = line.partition("\t" if "\t" in line else " ")
+            return "zz" + image_id[1:].replace("img", "pic") + sep + rest
+
+        ids = sorted(line.split()[0] for line in (base / "corpus" / "features.txt").read_text().splitlines()[1:])
+        assert sorted(map(rename, ids)) == list(map(rename, ids))
+        corpus_copy(base, tmp_path, lambda lines: list(map(rename, lines)))
+        _, renamed = run_commands(tmp_path, [argv for argv in readme_commands()
+                                             if argv[0] in ("preprocess", "train", "evaluate")])
+        for path in ("run/checkpoint.bin", "run/history.tsv", "eval/report_annotation.kv", "eval/report_search.kv"):
+            assert renamed[path] == files[path], path
+
+    def test_train_values_from_a_config_file_or_from_flags_write_the_same_bytes(self, walkthrough, tmp_path):
+        """The walkthrough's train values, the split values among them, given in a --config file
+        instead of as flags: the checkpoint, the history and the manifest are byte-identical."""
+        base, _, files = walkthrough
+        for name in ("corpus", "prep"):
+            shutil.copytree(base / name, tmp_path / name)
+        names = {opt.flag: opt.name for opt in cli.OPTIONS}
+        argv, config = [], []
+        args = iter(next(command for command in readme_commands() if command[0] == "train"))
+        for arg in args:
+            if arg in names:
+                config.append(f"{names[arg]} = {next(args)}\n")
+            else:
+                argv.append(arg)
+        assert {"n_test = 8\n", "val_frac = 0.15\n"} <= set(config)
+        (tmp_path / "train.conf").write_text("".join(config))
+        _, from_config = run_commands(tmp_path, [[*argv, "--config", "train.conf"]])
+        for path in ("run/checkpoint.bin", "run/history.tsv", "run/manifest.json"):
+            assert from_config[path] == files[path], path
